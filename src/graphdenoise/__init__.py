@@ -48,7 +48,6 @@ from .experiments import (
     run_experiment,
 )
 from .gaussian import (
-    GaussianParams,
     denoise_gaussian,
     estimate_tau,
     estimate_tau_multi,
@@ -71,9 +70,8 @@ from .graphs import (
     restrict_laplacian,
 )
 from .result import DenoiseResult, DescentTrace
-from .solvers import SddOperator, SolveReport, cg_solve, harmonic_interpolate
+from .solvers import SolveReport, cg_solve, harmonic_interpolate
 from .spectral import (
-    FilterSpec,
     SpectralBasis,
     apply_filter,
     eigendecompose,

@@ -25,7 +25,7 @@ from .errors import (
     NumericalFailureError,
     SingularSystemError,
 )
-from .experiments import ccp_vs_pg_benchmark, parse_experiment_spec, run_experiment
+from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, VertexSet, build_grid_graph, build_knn_graph
 from .matrixio import read_matrix, write_matrix
@@ -286,22 +286,8 @@ def cmd_experiment(args) -> int:
     threads = args.threads if args.threads else _default_threads()
     table = run_experiment(spec, threads=threads)
     table.to_csv(out_dir / "table.csv")
-    if spec.benchmark is not None:
-        from .experiments import _build_graph, _build_signals
-
-        graph, _, cluster_data = _build_graph(spec)
-        truths = _build_signals(spec, graph, cluster_data)
-        opts = dict(spec.benchmark)
-        report = ccp_vs_pg_benchmark(
-            truths[0],
-            graph,
-            kappa=float(opts.get("kappa", 1.0)),
-            seed=spec.seed,
-            max_outer=int(opts.get("max-outer", 50)),
-            pg_step=float(opts["pg-step"]) if "pg-step" in opts else None,
-            pg_max_iter=int(opts.get("pg-max-iter", 5000)),
-        )
-        report.write_traces_csv(out_dir / "traces.csv")
+    if table.benchmark is not None:
+        table.benchmark.write_traces_csv(out_dir / "traces.csv")
     print(
         f"experiment {spec.name}: {len(table.rows)} rows -> {out_dir / 'table.csv'}",
         file=sys.stderr,

@@ -283,7 +283,10 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentTable:
+    """The sweep's rows, plus the CCP-vs-PG report when the spec asks for one."""
+
     rows: tuple[TableRow, ...]
+    benchmark: BenchmarkReport | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -594,6 +597,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     Method failures become rows with metric ``error`` and a NaN value rather
     than aborting the sweep.  All rows are reproducible from (spec, seed);
     the runtime column is wall-clock and is the one nondeterministic field.
+    A ``[benchmark]`` section also runs :func:`ccp_vs_pg_benchmark` on the
+    first ground-truth signal over the same graph.
     """
     graph, shape, cluster_data = _build_graph(spec)
     truths = _build_signals(spec, graph, cluster_data)
@@ -666,7 +671,19 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     else:
         results = [run_cell(c) for c in cells]
     rows = tuple(itertools.chain.from_iterable(results))
-    return ExperimentTable(rows=rows)
+    benchmark = None
+    if spec.benchmark is not None:
+        opts = dict(spec.benchmark)
+        benchmark = ccp_vs_pg_benchmark(
+            truths[0],
+            graph,
+            kappa=float(opts.get("kappa", 1.0)),
+            seed=spec.seed,
+            max_outer=int(opts.get("max-outer", 50)),
+            pg_step=float(opts["pg-step"]) if "pg-step" in opts else None,
+            pg_max_iter=int(opts.get("pg-max-iter", 5000)),
+        )
+    return ExperimentTable(rows=rows, benchmark=benchmark)
 
 
 # ---------------------------------------------------------------------------

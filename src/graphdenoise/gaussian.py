@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DegenerateSignalError, InvalidArgumentError
 from .graphs import (
@@ -33,34 +33,14 @@ from .graphs import (
     laplacian_trace,
 )
 from .result import DenoiseResult
-from .solvers import SddOperator, cg_solve
+from .solvers import cg_solve
 
 __all__ = [
-    "GaussianParams",
     "denoise_gaussian",
     "estimate_tau",
     "estimate_tau_multi",
     "nonneg_moment_fit",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Smoothing strength tau = 2*kappa*sigma^2, with the factors if known."""
-
-    tau: float
-    kappa: float | None = None
-    sigma2: float | None = None
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise InvalidArgumentError("tau must be nonnegative")
-
-    @classmethod
-    def from_kappa_sigma2(cls, kappa: float, sigma2: float) -> "GaussianParams":
-        if kappa < 0 or sigma2 < 0:
-            raise InvalidArgumentError("kappa and sigma2 must be nonnegative")
-        return cls(tau=2.0 * kappa * sigma2, kappa=kappa, sigma2=sigma2)
 
 
 def denoise_gaussian(
@@ -84,8 +64,8 @@ def denoise_gaussian(
     if math.isinf(tau):
         mean = np.full(graph.n, g.mean())
         return DenoiseResult(signal=mean, iterations=0)
-    op = SddOperator.shifted_laplacian(graph, np.ones(graph.n), tau)
-    report = cg_solve(op, g, tol=tol, max_iter=max_iter)
+    matrix = (sp.diags(np.ones(graph.n)) + tau * graph.laplacian).tocsr()
+    report = cg_solve(matrix, g, tol=tol, max_iter=max_iter)
     return DenoiseResult(
         signal=report.solution,
         iterations=report.iterations,
@@ -146,35 +126,29 @@ def estimate_tau(g_signal, graph: Graph) -> float:
 def estimate_tau_multi(signals, graph: Graph) -> float:
     """Moment estimate pooled over independently generated signals.
 
-    Accepts a sequence of length-n signals or an (n, k) column matrix; the
-    two quadratic-form targets are averaged over the k signals before the
-    backsolve, so the estimate is consistent as k grows.
+    Accepts one length-n signal or a (k, n) matrix with one signal per
+    row.  A square (n, n) matrix is read as n rows; an (n, k) column matrix
+    with k != n is rejected.  The two quadratic-form targets are averaged
+    over the k signals before the backsolve, so the estimate is consistent
+    as k grows.
     """
     arr = np.asarray(signals, dtype=np.float64)
     if arr.ndim == 1:
-        cols = [arr]
-    elif arr.ndim == 2:
-        # a 2-D input is a sequence of row signals; fall back to columns
-        # only when the row length cannot be a signal
-        if arr.shape[1] == graph.n:
-            cols = list(arr)
-        elif arr.shape[0] == graph.n:
-            cols = list(arr.T)
-        else:
-            raise InvalidArgumentError(
-                f"signal matrix shape {arr.shape} does not match n={graph.n}"
-            )
-    else:
-        raise InvalidArgumentError("signals must be a vector or a 2-D array")
-    if not cols:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != graph.n:
+        raise InvalidArgumentError(
+            f"signals must be a length-{graph.n} vector or a (k, {graph.n}) "
+            f"row matrix, got shape {arr.shape}"
+        )
+    k = arr.shape[0]
+    if k == 0:
         raise InvalidArgumentError("need at least one signal")
     m1_sum = 0.0
     m2_sum = 0.0
-    for c in cols:
-        m1, m2 = _moments(as_signal(c, graph.n), graph)
+    for row in arr:
+        m1, m2 = _moments(row, graph)
         m1_sum += m1
         m2_sum += m2
-    k = len(cols)
     m1_bar, m2_bar = m1_sum / k, m2_sum / k
     if m2_bar == 0.0:
         raise DegenerateSignalError("all signals constant: moment targets are zero")

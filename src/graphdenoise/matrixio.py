@@ -1,10 +1,10 @@
 """Reading and writing signal matrices: delimited text and PGM images.
 
 Delimited files hold observations in rows and signals in columns; an
-optional single header row is preserved on write.  Numeric output uses the
-shortest representation that parses back to the same float, so a
-denoise-write-read round trip is exact.  PGM files (P2 ascii or P5 binary)
-are treated as a single grid signal.
+optional single header row is preserved on write, and every value must be
+finite.  Numeric output uses the shortest representation that parses back
+to the same float, so a denoise-write-read round trip is exact.  PGM files
+(P2 ascii or P5 binary) are treated as a single grid signal.
 """
 
 from __future__ import annotations
@@ -86,8 +86,16 @@ def _parse_delimited(path: Path) -> MatrixFile:
                 f"{path}: row {i + 1} has {len(parsed)} fields, expected {width}"
             )
         rows.append(parsed)
+    values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise InvalidArgumentError(
+            f"{path}: non-finite value {float(values[i, j])} at row "
+            f"{start + i + 1}, column {j + 1}"
+        )
     return MatrixFile(
-        values=np.asarray(rows, dtype=np.float64),
+        values=values,
         kind="delimited",
         delimiter=delimiter,
         header=header,

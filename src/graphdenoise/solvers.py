@@ -1,15 +1,14 @@
 """Preconditioned conjugate-gradient solving for the denoisers' SDD systems.
 
 Every estimator in the package reduces to systems of the form
-(diag(d) + tau*L) x = b or to a principal Laplacian submatrix
-L(U, U) x = b.  Both are handled by :class:`SddOperator` plus Jacobi
-(diagonal) preconditioned CG.
+(I + tau*L) x = b or to a principal Laplacian submatrix L(U, U) x = b.
+Both are assembled as sparse CSR matrices and handed to :func:`cg_solve`,
+Jacobi (diagonal) preconditioned CG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,9 +20,9 @@ from .errors import (
     NumericalFailureError,
     SingularSystemError,
 )
-from .graphs import Graph, VertexSet, as_signal, restrict_adjacency
+from .graphs import Graph, VertexSet, restrict_adjacency, restrict_laplacian
 
-__all__ = ["SddOperator", "SolveReport", "cg_solve", "harmonic_interpolate", "pcg"]
+__all__ = ["SolveReport", "cg_solve", "harmonic_interpolate", "pcg"]
 
 
 @dataclass(frozen=True)
@@ -32,80 +31,6 @@ class SolveReport:
     iterations: int
     relative_residual: float
     residual_history: np.ndarray
-
-
-@dataclass(frozen=True)
-class SddOperator:
-    """The SPD operator (diag(d) + tau*L), optionally restricted to U x U.
-
-    With ``rows=None`` the operator acts on all n vertices and is positive
-    definite iff some d entry is positive (tau > 0) or all are (tau = 0).
-    With ``rows=U`` a proper subset of a connected graph, L(U, U) itself is
-    already positive definite.
-    """
-
-    graph: Graph
-    diag_shift: np.ndarray
-    scale: float
-    rows: VertexSet | None = None
-
-    @classmethod
-    def shifted_laplacian(cls, graph: Graph, diag_shift, scale: float) -> "SddOperator":
-        d = as_signal(diag_shift, graph.n)
-        if np.any(d < 0):
-            raise InvalidArgumentError("diagonal shift must be nonnegative")
-        if scale < 0:
-            raise InvalidArgumentError("Laplacian scale must be nonnegative")
-        op = cls(graph=graph, diag_shift=d, scale=float(scale), rows=None)
-        op._check_definite()
-        return op
-
-    @classmethod
-    def laplacian_submatrix(cls, graph: Graph, rows: VertexSet) -> "SddOperator":
-        if len(rows) == 0:
-            raise InvalidArgumentError("submatrix support must be nonempty")
-        if rows.members[-1] >= graph.n:
-            raise InvalidArgumentError("vertex set out of range")
-        op = cls(
-            graph=graph,
-            diag_shift=np.zeros(graph.n),
-            scale=1.0,
-            rows=rows,
-        )
-        op._check_definite()
-        return op
-
-    def _check_definite(self) -> None:
-        if self.rows is None or len(self.rows) == self.graph.n:
-            d = self.diag_shift
-            if self.scale == 0.0:
-                if np.any(d <= 0):
-                    raise NotPositiveDefiniteError(
-                        "diagonal operator with a nonpositive entry is singular"
-                    )
-            elif not np.any(d > 0):
-                raise NotPositiveDefiniteError(
-                    "pure Laplacian system is singular; constants are in the "
-                    "null space"
-                )
-
-    @property
-    def size(self) -> int:
-        return self.graph.n if self.rows is None else len(self.rows)
-
-    @cached_property
-    def _matrix(self) -> sp.csr_matrix:
-        mat = sp.diags(self.diag_shift) + self.scale * self.graph.laplacian
-        if self.rows is not None and len(self.rows) != self.graph.n:
-            idx = self.rows.members
-            mat = mat.tocsr()[idx][:, idx]
-        return mat.tocsr()
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix @ x
-
-    def diagonal(self) -> np.ndarray:
-        return self._matrix.diagonal()
 
 
 def pcg(
@@ -171,28 +96,34 @@ def pcg(
 
 
 def cg_solve(
-    op: SddOperator,
+    matrix: sp.csr_matrix,
     b,
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> SolveReport:
-    """Solve op x = b to a relative residual of ``tol``.
+    """Solve matrix x = b for a symmetric positive definite sparse matrix.
 
-    Raises :class:`ConvergenceError` (carrying the best iterate's report)
-    if the tolerance is not met within ``max_iter`` (default 10n).
+    Stops at a relative residual of ``tol``.  Raises
+    :class:`NotPositiveDefiniteError` if CG meets a direction of
+    nonpositive curvature, :class:`InvalidArgumentError` on a non-finite
+    right-hand side, and :class:`ConvergenceError` (carrying the best
+    iterate's report) if the tolerance is not met within ``max_iter``
+    (default 10n).
     """
+    n = matrix.shape[0]
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.shape[0] != op.size:
+    if b.ndim != 1 or b.shape[0] != n:
         raise InvalidArgumentError(
-            f"expected a length-{op.size} right-hand side, got shape {b.shape}"
+            f"expected a length-{n} right-hand side, got shape {b.shape}"
         )
+    if not np.all(np.isfinite(b)):
+        raise InvalidArgumentError("right-hand side must be finite")
     if not tol > 0:
         raise InvalidArgumentError("tol must be positive")
     if max_iter is None:
-        max_iter = 10 * op.size
-    op._check_definite()
+        max_iter = 10 * n
     x, k, relres, history = pcg(
-        op.apply, b, diag=op.diagonal(), tol=tol, max_iter=max_iter
+        matrix.dot, b, diag=matrix.diagonal(), tol=tol, max_iter=max_iter
     )
     report = SolveReport(
         solution=x, iterations=k, relative_residual=relres, residual_history=history
@@ -234,7 +165,8 @@ def harmonic_interpolate(
     if len(comp) == 0:
         return out
     rhs = restrict_adjacency(graph, comp, s) @ obs
-    op = SddOperator.laplacian_submatrix(graph, comp)
-    report = cg_solve(op, rhs, tol=tol, max_iter=max_iter)
+    report = cg_solve(
+        restrict_laplacian(graph, comp, comp), rhs, tol=tol, max_iter=max_iter
+    )
     out[comp.members] = report.solution
     return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .graphs import Graph, as_signal
 
 __all__ = [
     "SpectralBasis",
-    "FilterSpec",
     "eigendecompose",
     "gft",
     "igft",
@@ -78,85 +76,15 @@ def igft(basis: SpectralBasis, coeffs) -> np.ndarray:
     return basis.psi @ coeffs
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """A frequency response h applied coefficientwise in the eigenbasis.
+def apply_filter(basis: SpectralBasis, response, f) -> np.ndarray:
+    """Filter a signal: sum_i h_i <f, psi_i> psi_i.
 
-    Variants: ``gaussian-map`` (h = 1/(1 + tau*lambda)), ``magic``
-    (h = (1 - lambda/2)^t), index-based band selectors ``band-low`` /
-    ``band-high`` keeping the k lowest/highest frequencies, and ``table``
-    for an interpolated custom response.
+    ``response`` holds the n per-frequency gains h_i in the order of
+    ``basis.lambdas``; for example ``1 / (1 + tau * basis.lambdas)`` is the
+    Gaussian-noise MAP estimate.
     """
-
-    kind: str
-    param: float = 0.0
-    table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-
-    @classmethod
-    def gaussian_map(cls, tau: float) -> "FilterSpec":
-        if tau < 0:
-            raise InvalidArgumentError("tau must be nonnegative")
-        return cls(kind="gaussian-map", param=float(tau))
-
-    @classmethod
-    def magic(cls, t: int) -> "FilterSpec":
-        if t < 0:
-            raise InvalidArgumentError("t must be nonnegative")
-        return cls(kind="magic", param=float(t))
-
-    @classmethod
-    def band_low(cls, k: int) -> "FilterSpec":
-        if k < 0:
-            raise InvalidArgumentError("k must be nonnegative")
-        return cls(kind="band-low", param=float(k))
-
-    @classmethod
-    def band_high(cls, k: int) -> "FilterSpec":
-        if k < 0:
-            raise InvalidArgumentError("k must be nonnegative")
-        return cls(kind="band-high", param=float(k))
-
-    @classmethod
-    def from_table(cls, lambdas, values) -> "FilterSpec":
-        xs = tuple(float(x) for x in lambdas)
-        ys = tuple(float(y) for y in values)
-        if len(xs) != len(ys) or not xs:
-            raise InvalidArgumentError("table needs matching nonempty abscissae/values")
-        if any(not np.isfinite(v) for v in xs + ys):
-            raise InvalidArgumentError("table entries must be finite")
-        return cls(kind="table", table=(xs, ys))
-
-    def response(self, lambdas: np.ndarray) -> np.ndarray:
-        """Per-frequency gain evaluated on an ascending eigenvalue array."""
-        lam = np.asarray(lambdas, dtype=np.float64)
-        if self.kind == "gaussian-map":
-            if math.isinf(self.param):
-                return np.where(lam == 0.0, 1.0, 0.0)
-            return 1.0 / (1.0 + self.param * lam)
-        if self.kind == "magic":
-            # integer exponent: the base goes negative past lambda = 2
-            return (1.0 - lam / 2.0) ** int(self.param)
-        if self.kind == "band-low":
-            k = int(self.param)
-            out = np.zeros_like(lam)
-            out[:k] = 1.0
-            return out
-        if self.kind == "band-high":
-            k = int(self.param)
-            out = np.zeros_like(lam)
-            if k > 0:
-                out[-k:] = 1.0
-            return out
-        if self.kind == "table":
-            xs, ys = self.table
-            return np.interp(lam, xs, ys)
-        raise InvalidArgumentError(f"unknown filter kind {self.kind!r}")
-
-
-def apply_filter(basis: SpectralBasis, spec: FilterSpec, f) -> np.ndarray:
-    """Filter a signal: sum_i h(lambda_i) <f, psi_i> psi_i."""
-    coeffs = gft(basis, f)
-    return basis.psi @ (spec.response(basis.lambdas) * coeffs)
+    h = as_signal(response, basis.n)
+    return basis.psi @ (h * gft(basis, f))
 
 
 def sample_prior(

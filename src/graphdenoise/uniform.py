@@ -193,8 +193,10 @@ def ccp_denoise(
         )
         loss_new = uniform_loss(f_new, graph, kappa, region)
         if loss_new > losses[-1]:
-            # inner solver made no usable progress; keep the current iterate
-            converged = True
+            # inner solver made no usable progress; keep the current iterate.
+            # A rise within the stopping threshold is round-off at a fixed
+            # point; a larger one is a stall, not convergence.
+            converged = loss_new - losses[-1] <= threshold
             break
         f = f_new
         inner_counts.append(inner)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,45 @@ class TestDenoiseCommand:
         )
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    def test_inf_in_passthrough_column_exit_2(self, tmp_path, rng, capsys):
+        src = tmp_path / "g.csv"
+        rows = [[format_float(v) for v in row] for row in rng.normal(size=(4, 2))]
+        rows[2][1] = "inf"
+        src.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", "grid", "2x2",
+                "--input", str(src),
+                "--output", str(out),
+                "--columns", "0",
+                "--tau", "1",
+            ]
+        )
+        assert rc == 2
+        assert "row 3, column 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_in_denoised_column_exit_2(self, tmp_path, rng, capsys):
+        src = tmp_path / "g.csv"
+        values = rng.normal(size=(4, 1))
+        values[1, 0] = np.nan
+        write_csv(src, values)
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", "grid", "2x2",
+                "--input", str(src),
+                "--output", str(out),
+                "--tau", "1",
+            ]
+        )
+        assert rc == 2
+        assert "row 2, column 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_conflicting_tau_flags(self, tmp_path, rng, capsys):
         src = tmp_path / "g.csv"
@@ -346,3 +387,21 @@ class TestExperimentCommand:
         assert traces[0] == "method,iteration,loss,elapsed_s"
         assert any(row.startswith("ccp,") for row in traces[1:])
         assert any(row.startswith("projected-gradient,") for row in traces[1:])
+
+    def test_benchmark_spec_decomposes_once(self, tmp_path, monkeypatch):
+        """The benchmark reuses the graph and signals the sweep built."""
+        from graphdenoise import experiments
+
+        calls = []
+        real = experiments.eigendecompose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "eigendecompose", counting)
+        spec = Path(__file__).resolve().parent.parent / "specs" / "ccp_benchmark.spec"
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert (out / "traces.csv").is_file()

@@ -3,7 +3,6 @@ import pytest
 
 from graphdenoise import (
     DegenerateSignalError,
-    GaussianParams,
     InvalidArgumentError,
     build_grid_graph,
     denoise_gaussian,
@@ -134,11 +133,21 @@ class TestEstimateTau:
         with pytest.raises(InvalidArgumentError):
             estimate_tau_multi(np.empty((0, 3)), p3)
 
-    def test_params_container(self):
-        p = GaussianParams.from_kappa_sigma2(2.0, 0.25)
-        assert p.tau == pytest.approx(1.0)
+    def test_multi_square_matrix_read_as_rows(self, rng):
+        g = random_connected_graph(12, 6, rng)
+        sig = rng.normal(size=g.n)
+        # as rows this is n copies of sig; as columns every signal is constant
+        square = np.tile(sig, (g.n, 1))
+        assert estimate_tau_multi(square, g) == pytest.approx(
+            estimate_tau(sig, g), rel=1e-12, abs=1e-12
+        )
+
+    def test_multi_column_matrix_rejected(self, rng):
+        g = random_connected_graph(12, 6, rng)
         with pytest.raises(InvalidArgumentError):
-            GaussianParams(tau=-1.0)
+            estimate_tau_multi(rng.normal(size=(g.n, 3)), g)
+        with pytest.raises(InvalidArgumentError):
+            estimate_tau_multi(rng.normal(size=(2, 3, g.n)), g)
 
 
 class TestNonnegMomentFit:

@@ -37,6 +37,12 @@ class TestDelimited:
         with pytest.raises(InvalidArgumentError, match="row 2, column 2"):
             read_matrix(path)
 
+    def test_non_finite_rejected_with_location(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n3,nan\n")
+        with pytest.raises(InvalidArgumentError, match="row 3, column 2"):
+            read_matrix(path)
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3\n")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graphdenoise import (
-    FilterSpec,
     InvalidArgumentError,
     TooLargeError,
     apply_filter,
@@ -100,39 +99,21 @@ class TestFilters:
         g = random_connected_graph(11, 5, rng)
         basis = eigendecompose(g)
         f = rng.normal(size=g.n)
-        one = FilterSpec.from_table([0.0, basis.lambdas[-1]], [1.0, 1.0])
-        zero = FilterSpec.from_table([0.0, basis.lambdas[-1]], [0.0, 0.0])
-        assert np.allclose(apply_filter(basis, one, f), f, atol=1e-10)
-        assert np.allclose(apply_filter(basis, zero, f), 0.0)
+        assert np.allclose(apply_filter(basis, np.ones(g.n), f), f, atol=1e-10)
+        assert np.allclose(apply_filter(basis, np.zeros(g.n), f), 0.0)
 
     def test_lambda_response_equals_laplacian(self, rng):
         g = random_connected_graph(13, 6, rng)
         basis = eigendecompose(g)
         f = rng.normal(size=g.n)
-        ramp = FilterSpec.from_table(
-            [0.0, float(basis.lambdas[-1])], [0.0, float(basis.lambdas[-1])]
-        )
         assert np.allclose(
-            apply_filter(basis, ramp, f), laplacian_apply(g, f), atol=1e-8
+            apply_filter(basis, basis.lambdas, f), laplacian_apply(g, f), atol=1e-8
         )
 
-    def test_gaussian_map_variants(self):
-        spec = FilterSpec.gaussian_map(2.0)
-        lam = np.array([0.0, 1.0, 4.0])
-        assert np.allclose(spec.response(lam), [1.0, 1 / 3, 1 / 9])
-        inf_spec = FilterSpec.gaussian_map(np.inf)
-        assert np.allclose(inf_spec.response(lam), [1.0, 0.0, 0.0])
-
-    def test_band_specs_select_by_index(self):
-        lam = np.array([0.0, 0.5, 0.5, 2.0])
-        assert np.allclose(FilterSpec.band_low(2).response(lam), [1, 1, 0, 0])
-        assert np.allclose(FilterSpec.band_high(1).response(lam), [0, 0, 0, 1])
-
-    def test_invalid_specs(self):
+    def test_response_length_must_match(self, p3):
+        basis = eigendecompose(p3)
         with pytest.raises(InvalidArgumentError):
-            FilterSpec.gaussian_map(-1.0)
-        with pytest.raises(InvalidArgumentError):
-            FilterSpec.from_table([], [])
+            apply_filter(basis, np.ones(2), np.ones(3))
 
 
 class TestPriorSampling:
@@ -237,7 +218,7 @@ class TestFilterSolverEquivalence:
             basis = eigendecompose(g)
             f = rng.normal(size=n)
             tau = float(rng.uniform(0.05, 5.0))
-            via_filter = apply_filter(basis, FilterSpec.gaussian_map(tau), f)
+            via_filter = apply_filter(basis, 1.0 / (1.0 + tau * basis.lambdas), f)
             via_solver = denoise_gaussian(f, g, tau).signal
             assert np.linalg.norm(via_filter - via_solver) <= 1e-8 * max(
                 np.linalg.norm(via_filter), 1e-30

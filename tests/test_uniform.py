@@ -101,6 +101,23 @@ class TestCcp:
             assert region.contains(res.signal, slack=1e-12)
             assert len(trace.inner_iterations) == res.iterations
 
+    def test_inner_stall_reported_unconverged(self, rng, monkeypatch):
+        """An inner QP that raises the loss stops the procedure unconverged."""
+        from graphdenoise import uniform
+
+        def worse_point(graph, kappa, linear, region, x0, **kwargs):
+            # doubling keeps every entry in its box but raises the log term
+            return 2.0 * x0, 0
+
+        monkeypatch.setattr(uniform, "minimize_box_qp", worse_point)
+        g = random_connected_graph(10, 5, rng)
+        obs = rng.uniform(1.0, 2.0, size=g.n)
+        res, trace = ccp_denoise(obs, g, kappa=1.0)
+        assert not res.converged
+        assert res.iterations == 0
+        assert trace.losses.size == 1
+        assert UniformFeasibleRegion.from_observation(obs).contains(res.signal)
+
     def test_kappa_validation(self, p3):
         with pytest.raises(InvalidArgumentError):
             ccp_denoise(np.ones(3), p3, kappa=0.0)
