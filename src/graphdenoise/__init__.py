@@ -70,7 +70,7 @@ from .graphs import (
     restrict_laplacian,
 )
 from .result import DenoiseResult, DescentTrace
-from .solvers import SolveReport, cg_solve, harmonic_interpolate
+from .solvers import cg_solve, harmonic_interpolate
 from .spectral import (
     SpectralBasis,
     apply_filter,

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError
 from .graphs import Graph, VertexSet, as_signal, incidence_apply, incidence_columns
 from .result import DenoiseResult
-from .solvers import harmonic_interpolate, pcg
+from .solvers import cg_solve, harmonic_interpolate
 
 __all__ = [
     "BernoulliConfig",
@@ -179,35 +179,13 @@ def lasso_kkt_violation(design, target, tau: float, x) -> float:
     return float(worst)
 
 
-def _refit_least_squares(
-    csc: sp.csc_matrix, support: list[int], y: np.ndarray, x0=None
-):
-    """Least-squares coefficients on the support via CG on the normal equations."""
-    sub = csc[:, support]
-    b = sub.T @ y
-    matvec = lambda v: sub.T @ (sub @ v)
-    gram_diag = np.asarray(sub.multiply(sub).sum(axis=0)).ravel()
-    x, _, _, _ = pcg(
-        matvec,
-        b,
-        diag=np.maximum(gram_diag, np.finfo(float).tiny),
-        tol=1e-12,
-        max_iter=max(200, 10 * len(support)),
-        x0=x0,
-    )
-    # a full-support design with B * 1 = 0 leaves the coefficient mean free;
-    # pin the minimal-norm representative
-    if len(support) == csc.shape[1]:
-        ones = np.ones(csc.shape[1])
-        if float(np.max(np.abs(csc @ ones))) <= 1e-12 * max(
-            1.0, float(abs(csc).max())
-        ):
-            x = x - x.mean()
-    return x
-
-
 class _StepwiseSearch:
-    """Deterministic stepwise support search for the l0-penalized objective."""
+    """Deterministic stepwise support search for the l0-penalized objective.
+
+    Works in coefficient space: the Gram matrix G = A'A, c = A'y and y'y
+    are formed once, each refit is a CG solve of G(S, S) x = c(S), and the
+    residual enters only through r'r = y'y - c(S)'x and A'r = c - G(:, S) x.
+    """
 
     # designs wider than this skip the expensive full-support and
     # complement descents; the pairwise stall escape is always capped
@@ -216,44 +194,62 @@ class _StepwiseSearch:
     SWAP_CANDIDATES = 64
     N_SINGLE_STARTS = 7
 
-    def __init__(self, csc, col_sq, y, tau):
-        self.csc = csc
-        self.col_sq = col_sq
+    def __init__(self, csc, y, tau):
+        self.gram = (csc.T @ csc).tocsr()
+        self.c = csc.T @ y
+        self.yy = float(y @ y)
+        col_sq = self.gram.diagonal()
         self.usable = col_sq > 0.0
-        self.y = y
+        self.col_sq = np.where(self.usable, col_sq, 1.0)
         self.tau = tau
         self.p = csc.shape[1]
         self.moves = 0
 
-    def residual(self, support):
-        if not support:
-            return self.y.copy()
-        coeffs = _refit_least_squares(self.csc, sorted(support), self.y)
-        r = self.y.copy()
-        r -= self.csc[:, sorted(support)] @ coeffs
-        return r
+    def refit(self, support):
+        """The sorted support and its least-squares coefficients."""
+        s = sorted(support)
+        if not s:
+            return s, np.empty(0)
+        try:
+            fit = cg_solve(
+                self.gram[s][:, s],
+                self.c[s],
+                tol=1e-12,
+                max_iter=max(200, 10 * len(s)),
+            )
+        except ConvergenceError as exc:
+            fit = exc.report
+        return s, fit.signal
+
+    def rss(self, s, x):
+        return self.yy - float(self.c[s] @ x)
+
+    def correlation(self, s, x):
+        """A'r for the residual r of the fit (s, x)."""
+        full = np.zeros(self.p)
+        full[s] = x
+        return self.c - self.gram @ full
 
     def objective(self, support):
-        r = self.residual(support)
-        return float(r @ r) + self.tau * len(support)
+        s, x = self.refit(support)
+        return self.rss(s, x) + self.tau * len(s)
 
-    def gains(self, support, r):
-        corr = self.csc.T @ r
-        g = np.where(self.usable, corr**2 / np.where(self.usable, self.col_sq, 1.0), -np.inf)
+    def gains(self, support, corr):
+        g = np.where(self.usable, corr**2 / self.col_sq, -np.inf)
         if support:
             g[sorted(support)] = -np.inf
         return g
 
     def forward(self, support):
         support = list(support)
-        r = self.residual(support)
+        s, x = self.refit(support)
         while len(support) < self.p:
-            g = self.gains(support, r)
+            g = self.gains(support, self.correlation(s, x))
             j = int(np.argmax(g))
             if g[j] >= self.tau:
                 support.append(j)
                 self.moves += 1
-                r = self.residual(support)
+                s, x = self.refit(support)
                 continue
             # single additions stalled: try the best pair among the
             # strongest remaining candidates
@@ -262,7 +258,7 @@ class _StepwiseSearch:
                 for c in np.argsort(-g, kind="stable")[: self.PAIR_CANDIDATES]
                 if np.isfinite(g[c])
             ]
-            cur = float(r @ r) + self.tau * len(support)
+            cur = self.rss(s, x) + self.tau * len(support)
             best = (cur, None)
             for i in range(len(cand)):
                 for j2 in range(i + 1, len(cand)):
@@ -273,7 +269,7 @@ class _StepwiseSearch:
                 break
             support.extend(best[1])
             self.moves += 1
-            r = self.residual(support)
+            s, x = self.refit(support)
         return support
 
     def prune(self, support):
@@ -294,17 +290,16 @@ class _StepwiseSearch:
     def swap(self, support):
         support = list(support)
         for _ in range(20):
-            cur = self.objective(support)
-            r = self.residual(support)
-            corr = np.abs(self.csc.T @ r)
-            if support:
-                corr[sorted(support)] = -np.inf
+            s, x = self.refit(support)
+            cur = self.rss(s, x) + self.tau * len(s)
+            corr = np.abs(self.correlation(s, x))
+            corr[s] = -np.inf
             cand = np.argsort(-corr, kind="stable")[: self.SWAP_CANDIDATES]
             improved = False
             for j in list(support):
                 for c in cand:
                     c = int(c)
-                    if c in support:
+                    if c in support or not self.usable[c]:
                         continue
                     o = self.objective([t for t in support if t != j] + [c])
                     if o < cur - 1e-12:
@@ -320,21 +315,22 @@ class _StepwiseSearch:
         return support
 
     def run(self):
-        g0 = self.gains([], self.y)
+        g0 = self.gains([], self.c)
         order = np.argsort(-g0, kind="stable")
         starts: list[list[int]] = [[]]
         for j in order[: self.N_SINGLE_STARTS]:
             if g0[j] >= self.tau:
                 starts.append([int(j)])
         small = self.p <= self.SMALL_DESIGN
+        columns = np.flatnonzero(self.usable).tolist()
         if small:
-            starts.append(list(range(self.p)))
+            starts.append(columns)
         best = (np.inf, [])
         for start in starts:
             base = self.prune(start) if len(start) > 1 else self.forward(start)
             candidates = [base]
             if small:
-                candidates.append([j for j in range(self.p) if j not in base])
+                candidates.append([j for j in columns if j not in base])
             for cand in candidates:
                 t = self.prune(cand)
                 if small:
@@ -352,29 +348,37 @@ def l0_greedy(design, target, tau: float) -> SparseUpdate:
 
     Forward selection drives the search: repeatedly add the coordinate with
     the largest residual reduction (c_j^2 / ||A_j||^2), refit least squares
-    on the support via CG on the normal equations, and stop when no single
-    addition gains at least tau.  Plain forward selection is easily trapped,
-    so the search also restarts from the strongest single columns, prunes
-    unhelpful members, escapes stalls with bounded pairwise additions, and,
-    on designs of at most 64 columns, descends from the full support and
-    from complements of found supports with bounded exchange moves.  The
-    best support found wins; the result is never worse than keeping x = 0.
-    Still a heuristic: global optimality is not guaranteed.
+    on the support with :func:`cg_solve` on the support's rows and columns
+    of the Gram matrix A'A, and stop when no single addition gains at least
+    tau.  Plain forward selection is easily trapped, so the search also
+    restarts from the strongest single columns, prunes unhelpful members,
+    escapes stalls with bounded pairwise additions, and, on designs of at
+    most 64 columns, descends from the full support (of the nonzero
+    columns) and from complements of found supports with bounded exchange
+    moves.  Zero columns never enter a support.  The best support found
+    wins; the result is never worse than keeping x = 0.  Still a heuristic:
+    global optimality is not guaranteed.
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
-    csc, cols = _column_arrays(design)
+    csc = sp.csc_matrix(design)
     y = np.asarray(target, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != csc.shape[0]:
         raise InvalidArgumentError(
             f"target shape {y.shape} does not match design rows {csc.shape[0]}"
         )
-    col_sq = np.array([sq for _, _, sq in cols])
-    search = _StepwiseSearch(csc, col_sq, y, tau)
-    support = search.run()
+    search = _StepwiseSearch(csc, y, tau)
+    s, coeffs = search.refit(search.run())
     x = np.zeros(csc.shape[1])
-    if support:
-        x[support] = _refit_least_squares(csc, support, y)
+    x[s] = coeffs
+    # a full-support design with A * 1 = 0 leaves the coefficient mean
+    # free; pin the minimal-norm representative
+    if s and len(s) == csc.shape[1]:
+        ones = np.ones(csc.shape[1])
+        if float(np.max(np.abs(csc @ ones))) <= 1e-12 * max(
+            1.0, float(abs(csc).max())
+        ):
+            x -= x.mean()
     return SparseUpdate.from_raw(x, search.moves)
 
 

@@ -29,6 +29,7 @@ from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, VertexSet, build_grid_graph, build_knn_graph
 from .matrixio import read_matrix, write_matrix
+from .result import DenoiseResult
 from .solvers import harmonic_interpolate
 from .uniform import ccp_denoise
 
@@ -221,10 +222,10 @@ def cmd_denoise(args) -> int:
         if args.model == "gaussian":
             tau = estimate_tau(g, graph) if args.estimate_tau else args.tau
             res = denoise_gaussian(g, graph, tau)
-            return c, res.signal, res.iterations, tau if args.estimate_tau else None
+            return c, res, tau if args.estimate_tau else None
         if args.model == "uniform":
             res, _ = ccp_denoise(g, graph, kappa=kappa, rng_seed=args.seed)
-            return c, res.signal, res.iterations, None
+            return c, res, None
         if args.model == "bernoulli":
             zeta = _zeta_for_column(args.zeta, g, mask)
             if args.tau is not None:
@@ -233,16 +234,14 @@ def cmd_denoise(args) -> int:
                 cfg = BernoulliConfig(
                     zeta=zeta, p=args.p, kappa=kappa, mode=args.mode
                 )
-            res = bernoulli_denoise(g, graph, cfg)
-            return c, res.signal, res.iterations, None
+            return c, bernoulli_denoise(g, graph, cfg), None
         if args.model == "no-trust":
-            res = no_trust_denoise(g, graph, args.tau, mode=args.mode)
-            return c, res.signal, res.iterations, None
+            return c, no_trust_denoise(g, graph, args.tau, mode=args.mode), None
         # interpolate: fill the masked set from the trusted complement
         zeta = _zeta_for_column(args.zeta, g, mask)
         known = zeta.complement(graph.n)
         out = harmonic_interpolate(graph, known, g[known.members])
-        return c, out, 0, None
+        return c, DenoiseResult(signal=out, iterations=0), None
 
     start = time.perf_counter()
     if threads > 1:
@@ -254,10 +253,12 @@ def cmd_denoise(args) -> int:
 
     out = matrix.copy()
     total_iters = 0
+    unconverged = 0
     taus = []
-    for c, signal, iters, tau in results:
-        out[:, c] = signal
-        total_iters += iters
+    for c, res, tau in results:
+        out[:, c] = res.signal
+        total_iters += res.iterations
+        unconverged += not res.converged
         if tau is not None:
             taus.append(tau)
     if taus:
@@ -267,6 +268,8 @@ def cmd_denoise(args) -> int:
         summaries.append(f"tau_hat={shown}")
     summaries.append(f"columns={len(cols)}")
     summaries.append(f"iterations={total_iters}")
+    if unconverged:
+        summaries.append(f"unconverged={unconverged}")
     summaries.append(f"time={elapsed:.3f}s")
     print(f"{args.model}: " + " ".join(summaries), file=sys.stderr)
 

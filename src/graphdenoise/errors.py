@@ -44,7 +44,11 @@ class NumericalFailureError(GraphDenoiseError):
 
 
 class ConvergenceError(GraphDenoiseError):
-    """An iterative solver hit its iteration cap; carries the best iterate."""
+    """An iterative solver hit its iteration cap; carries the best iterate.
+
+    ``report`` is a :class:`~graphdenoise.result.DenoiseResult` with
+    ``converged=False``.
+    """
 
     def __init__(self, message, report=None):
         super().__init__(message)

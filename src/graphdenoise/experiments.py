@@ -51,21 +51,11 @@ __all__ = [
     "run_experiment",
     "BenchmarkReport",
     "ccp_vs_pg_benchmark",
-    "DEFAULT_GRIDS",
 ]
 
 logger = logging.getLogger(__name__)
 
 NOISE_KINDS = ("gaussian", "uniform-scale", "bernoulli-dropout", "salt-pepper")
-
-# parameter grids used when a comparison method is run "at its defaults"
-DEFAULT_GRIDS = {
-    "local-average": {"t": (1, 2, 5)},
-    "magic": {"t": (1, 5, 10)},
-    "band-low": {"k": (5, 25, 100)},
-    "band-high": {"k": (5, 25, 100)},
-    "nuclear": {"tau": (1.0, 25.0, 50.0)},
-}
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -400,7 +390,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Context:
     """Shared immutable state handed to every method call."""
 
@@ -408,12 +398,7 @@ class _Context:
     shape: baselines.GridShape | None
     level: float
     noise_kind: str
-    _basis: SpectralBasis | None = None
-
-    def basis(self) -> SpectralBasis:
-        if self._basis is None:
-            self._basis = eigendecompose(self.graph)
-        return self._basis
+    basis: SpectralBasis | None
 
 
 def _method_noisy(noisy, ctx, params):
@@ -438,7 +423,7 @@ def _method_magic(noisy, ctx, params):
 def _method_band(keep):
     def run(noisy, ctx, params):
         k = min(int(params["k"]), ctx.graph.n)
-        return baselines.band_filter(noisy, ctx.basis(), k, keep=keep)
+        return baselines.band_filter(noisy, ctx.basis, k, keep=keep)
 
     return run
 
@@ -536,12 +521,13 @@ def _build_graph(spec: ExperimentSpec):
     raise InvalidArgumentError(f"unknown graph kind {kind!r}")
 
 
-def _build_signals(spec: ExperimentSpec, graph: Graph, cluster_data) -> np.ndarray:
+def _build_signals(
+    spec: ExperimentSpec, graph: Graph, cluster_data, basis: SpectralBasis | None
+) -> np.ndarray:
     opts = spec.signal_opts()
     source = opts.get("source", "").strip()
     count = int(opts.get("count", 1))
     if source == "prior-sample":
-        basis = eigendecompose(graph)
         kappa = float(opts.get("kappa", 1.0))
         mean = float(opts.get("mean", 0.0))
         rng = derive_rng(spec.seed, "signals")
@@ -601,8 +587,12 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     first ground-truth signal over the same graph.
     """
     graph, shape, cluster_data = _build_graph(spec)
-    truths = _build_signals(spec, graph, cluster_data)
-    basis_holder = _Context(graph=graph, shape=shape, level=0.0, noise_kind=spec.noise_kind)
+    # prior samples and the band methods share one eigendecomposition
+    needs_basis = spec.signal_opts().get("source", "").strip() == "prior-sample" or any(
+        m.name in ("band-low", "band-high") for m in spec.methods
+    )
+    basis = eigendecompose(graph) if needs_basis else None
+    truths = _build_signals(spec, graph, cluster_data, basis)
 
     cells = []
     for mi, method in enumerate(spec.methods):
@@ -618,7 +608,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
             shape=shape,
             level=level,
             noise_kind=spec.noise_kind,
-            _basis=basis_holder._basis,
+            basis=basis,
         )
         fields = _noise_for_cell(spec, level)
         fn = METHOD_REGISTRY[method.name]
@@ -660,10 +650,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
             )
             for metric in spec.metrics
         ]
-
-    needs_basis = any(m.name in ("band-low", "band-high") for m in spec.methods)
-    if needs_basis:
-        basis_holder.basis()
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

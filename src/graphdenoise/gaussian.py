@@ -65,12 +65,7 @@ def denoise_gaussian(
         mean = np.full(graph.n, g.mean())
         return DenoiseResult(signal=mean, iterations=0)
     matrix = (sp.diags(np.ones(graph.n)) + tau * graph.laplacian).tocsr()
-    report = cg_solve(matrix, g, tol=tol, max_iter=max_iter)
-    return DenoiseResult(
-        signal=report.solution,
-        iterations=report.iterations,
-        trace=report.residual_history,
-    )
+    return cg_solve(matrix, g, tol=tol, max_iter=max_iter)
 
 
 def _moments(g: np.ndarray, graph: Graph) -> tuple[float, float]:

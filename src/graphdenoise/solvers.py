@@ -1,14 +1,14 @@
-"""Preconditioned conjugate-gradient solving for the denoisers' SDD systems.
+"""Preconditioned conjugate-gradient solving for every SPD system.
 
 Every estimator in the package reduces to systems of the form
-(I + tau*L) x = b or to a principal Laplacian submatrix L(U, U) x = b.
-Both are assembled as sparse CSR matrices and handed to :func:`cg_solve`,
-Jacobi (diagonal) preconditioned CG.
+(I + tau*L) x = b, to a principal Laplacian submatrix L(U, U) x = b, or,
+for the l0 support search, to the normal equations G(S, S) x = c(S) of
+the sparse regression on B(:, zeta) with G = B(:, zeta)' B(:, zeta).  All
+are assembled as sparse CSR matrices and handed to :func:`cg_solve`,
+Jacobi (diagonal) preconditioned CG from x = 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,49 +21,60 @@ from .errors import (
     SingularSystemError,
 )
 from .graphs import Graph, VertexSet, restrict_adjacency, restrict_laplacian
+from .result import DenoiseResult
 
-__all__ = ["SolveReport", "cg_solve", "harmonic_interpolate", "pcg"]
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    solution: np.ndarray
-    iterations: int
-    relative_residual: float
-    residual_history: np.ndarray
+__all__ = ["cg_solve", "harmonic_interpolate"]
 
 
-def pcg(
-    matvec,
-    b: np.ndarray,
-    diag: np.ndarray | None = None,
+def cg_solve(
+    matrix: sp.csr_matrix,
+    b,
     tol: float = 1e-10,
-    max_iter: int = 1000,
-    x0: np.ndarray | None = None,
-):
-    """Jacobi-preconditioned CG on a matrix-free SPD operator.
+    max_iter: int | None = None,
+) -> DenoiseResult:
+    """Solve matrix x = b for a symmetric positive definite CSR matrix.
 
-    Returns (x, iterations, relative_residual, residual_history).  Raises
-    :class:`NotPositiveDefiniteError` on a nonpositive curvature direction
-    and :class:`NumericalFailureError` on NaN/Inf.  Does not raise on
-    hitting ``max_iter``; the caller decides how to treat that.
+    Stops at a relative residual of ``tol``; the result's ``trace`` holds
+    the relative residual after each iteration.  Raises
+    :class:`NotPositiveDefiniteError` on a nonpositive diagonal entry or a
+    direction of nonpositive curvature, :class:`NumericalFailureError` on
+    NaN/Inf, :class:`InvalidArgumentError` on a non-finite right-hand side,
+    and :class:`ConvergenceError` (carrying the best iterate as a result
+    with ``converged=False``) if the tolerance is not met within
+    ``max_iter`` (default 10n).
     """
+    n = matrix.shape[0]
     b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1 or b.shape[0] != n:
+        raise InvalidArgumentError(
+            f"expected a length-{n} right-hand side, got shape {b.shape}"
+        )
+    if not np.all(np.isfinite(b)):
+        raise InvalidArgumentError("right-hand side must be finite")
+    if not tol > 0:
+        raise InvalidArgumentError("tol must be positive")
+    if max_iter is None:
+        max_iter = 10 * n
+    diag = matrix.diagonal()
+    if np.any(diag <= 0.0):
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite (diagonal minimum {diag.min():.3e})"
+        )
     bnorm = float(np.linalg.norm(b))
-    history: list[float] = []
     if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0, np.empty(0)
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - matvec(x) if np.any(x) else b.copy()
-    minv = None if diag is None else 1.0 / diag
-    z = r if minv is None else minv * r
+        return DenoiseResult(signal=np.zeros_like(b), iterations=0)
+    history: list[float] = []
+    x = np.zeros_like(b)
+    r = b.copy()
+    minv = 1.0 / diag
+    z = minv * r
     p = z.copy()
     rz = float(np.dot(r, z))
-    relres = float(np.linalg.norm(r)) / bnorm if bnorm else 0.0
+    relres = float(np.linalg.norm(r)) / bnorm
     best_x, best_res = x.copy(), relres
     k = 0
     while relres > tol and k < max_iter:
-        ap = matvec(p)
+        ap = matrix.dot(p)
         pap = float(np.dot(p, ap))
         if not np.isfinite(pap):
             raise NumericalFailureError(
@@ -85,56 +96,23 @@ def pcg(
             )
         if relres < best_res:
             best_x, best_res = x.copy(), relres
-        z = r if minv is None else minv * r
+        z = minv * r
         rz_new = float(np.dot(r, z))
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    if relres > tol:
-        x, relres = best_x, best_res
-    return x, k, relres, np.asarray(history)
-
-
-def cg_solve(
-    matrix: sp.csr_matrix,
-    b,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> SolveReport:
-    """Solve matrix x = b for a symmetric positive definite sparse matrix.
-
-    Stops at a relative residual of ``tol``.  Raises
-    :class:`NotPositiveDefiniteError` if CG meets a direction of
-    nonpositive curvature, :class:`InvalidArgumentError` on a non-finite
-    right-hand side, and :class:`ConvergenceError` (carrying the best
-    iterate's report) if the tolerance is not met within ``max_iter``
-    (default 10n).
-    """
-    n = matrix.shape[0]
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.shape[0] != n:
-        raise InvalidArgumentError(
-            f"expected a length-{n} right-hand side, got shape {b.shape}"
-        )
-    if not np.all(np.isfinite(b)):
-        raise InvalidArgumentError("right-hand side must be finite")
-    if not tol > 0:
-        raise InvalidArgumentError("tol must be positive")
-    if max_iter is None:
-        max_iter = 10 * n
-    x, k, relres, history = pcg(
-        matrix.dot, b, diag=matrix.diagonal(), tol=tol, max_iter=max_iter
+    if relres <= tol:
+        return DenoiseResult(signal=x, iterations=k, trace=np.asarray(history))
+    raise ConvergenceError(
+        f"CG did not reach tol={tol:g} in {max_iter} iterations "
+        f"(best relative residual {best_res:.3e})",
+        report=DenoiseResult(
+            signal=best_x,
+            iterations=k,
+            trace=np.asarray(history),
+            converged=False,
+        ),
     )
-    report = SolveReport(
-        solution=x, iterations=k, relative_residual=relres, residual_history=history
-    )
-    if relres > tol:
-        raise ConvergenceError(
-            f"CG did not reach tol={tol:g} in {max_iter} iterations "
-            f"(best relative residual {relres:.3e})",
-            report=report,
-        )
-    return report
 
 
 def harmonic_interpolate(
@@ -165,8 +143,7 @@ def harmonic_interpolate(
     if len(comp) == 0:
         return out
     rhs = restrict_adjacency(graph, comp, s) @ obs
-    report = cg_solve(
+    out[comp.members] = cg_solve(
         restrict_laplacian(graph, comp, comp), rhs, tol=tol, max_iter=max_iter
-    )
-    out[comp.members] = report.solution
+    ).signal
     return out

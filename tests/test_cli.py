@@ -277,6 +277,28 @@ class TestDenoiseCommand:
         src_vals = read_matrix(src).values
         assert np.all(got >= src_vals - 1e-12)  # feasibility: no shrinking
 
+    def test_unconverged_columns_counted_in_summary(self, tmp_path, rng, monkeypatch, capsys):
+        from graphdenoise import uniform
+
+        def worse_point(graph, kappa, linear, region, x0, **kwargs):
+            # doubling keeps every entry in its box but raises the log term
+            return 2.0 * x0, 0
+
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.uniform(1.0, 2.0, size=(9, 3)))
+        argv = [
+            "denoise", "uniform",
+            "--graph", "grid", "3x3",
+            "--input", str(src),
+            "--output", str(tmp_path / "o.csv"),
+            "--columns", "0,2",
+        ]
+        assert main(argv) == 0
+        assert "unconverged=" not in capsys.readouterr().err
+        monkeypatch.setattr(uniform, "minimize_box_qp", worse_point)
+        assert main(argv) == 0
+        assert "unconverged=2 " in capsys.readouterr().err
+
     def test_no_trust_l0_restores_constant_patch(self, tmp_path):
         vals = np.full((16, 1), 2.0)
         vals[5, 0] = 9.0
@@ -389,7 +411,8 @@ class TestExperimentCommand:
         assert any(row.startswith("projected-gradient,") for row in traces[1:])
 
     def test_benchmark_spec_decomposes_once(self, tmp_path, monkeypatch):
-        """The benchmark reuses the graph and signals the sweep built."""
+        """The benchmark reuses the graph and signals the sweep built, and
+        prior samples and band methods share one eigendecomposition."""
         from graphdenoise import experiments
 
         calls = []
@@ -400,8 +423,10 @@ class TestExperimentCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "eigendecompose", counting)
-        spec = Path(__file__).resolve().parent.parent / "specs" / "ccp_benchmark.spec"
-        out = tmp_path / "out"
-        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
-        assert len(calls) == 1
-        assert (out / "traces.csv").is_file()
+        for name in ("ccp_benchmark", "table4"):
+            calls.clear()
+            spec = Path(__file__).resolve().parent.parent / "specs" / f"{name}.spec"
+            out = tmp_path / name
+            assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+            assert len(calls) == 1, name
+            assert (out / "traces.csv").is_file() == (name == "ccp_benchmark")

@@ -27,7 +27,7 @@ class TestCgSolve:
         op = shifted_laplacian(p3, np.ones(3), 0.0)
         b = np.array([3.0, -1.0, 2.0])
         report = cg_solve(op, b)
-        assert np.allclose(report.solution, b)
+        assert np.allclose(report.signal, b)
         assert report.iterations <= 1
 
     def test_p3_against_dense_inverse(self, p3):
@@ -35,12 +35,12 @@ class TestCgSolve:
         b = np.array([1.0, 0.0, 0.0])
         report = cg_solve(op, b, tol=1e-12)
         expect = np.linalg.solve(np.eye(3) + dense_laplacian(p3), b)
-        assert np.allclose(report.solution, expect, atol=1e-10)
+        assert np.allclose(report.signal, expect, atol=1e-10)
 
     def test_zero_rhs(self, p3):
         op = shifted_laplacian(p3, np.ones(3), 2.0)
         report = cg_solve(op, np.zeros(3))
-        assert np.array_equal(report.solution, np.zeros(3))
+        assert np.array_equal(report.signal, np.zeros(3))
         assert report.iterations == 0
 
     def test_matches_dense_solves_on_random_graphs(self, rng):
@@ -51,7 +51,7 @@ class TestCgSolve:
             tau = float(rng.uniform(0.0, 3.0))
             op = shifted_laplacian(g, d, tau)
             b = rng.normal(size=n)
-            got = cg_solve(op, b, tol=1e-12, max_iter=50 * n).solution
+            got = cg_solve(op, b, tol=1e-12, max_iter=50 * n).signal
             expect = np.linalg.solve(np.diag(d) + tau * dense_laplacian(g), b)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
 
@@ -60,6 +60,8 @@ class TestCgSolve:
             cg_solve(shifted_laplacian(p3, -np.ones(3), 0.25), np.ones(3))
         with pytest.raises(NotPositiveDefiniteError):
             cg_solve(sp.diags([1.0, -1.0, 1.0]).tocsr(), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            cg_solve(shifted_laplacian(p3, -np.ones(3), 0.5), np.ones(3))
 
     def test_non_finite_rhs_rejected(self, p3):
         op = shifted_laplacian(p3, np.ones(3), 1.0)
@@ -75,17 +77,19 @@ class TestCgSolve:
             cg_solve(op, b, tol=1e-14, max_iter=2)
         report = err.value.report
         assert report.iterations == 2
-        assert report.solution.shape == (g.n,)
-        assert report.relative_residual > 1e-14
+        assert report.signal.shape == (g.n,)
+        assert not report.converged
+        assert report.trace.size == 2 and report.trace.min() > 1e-14
 
     def test_report_residual_is_true_residual(self, rng):
         g = random_connected_graph(25, 10, rng)
         op = shifted_laplacian(g, np.ones(g.n), 0.7)
         b = rng.normal(size=g.n)
         report = cg_solve(op, b, tol=1e-10)
-        resid = np.linalg.norm(op @ report.solution - b) / np.linalg.norm(b)
+        resid = np.linalg.norm(op @ report.signal - b) / np.linalg.norm(b)
         assert resid <= 1e-10
-        assert report.relative_residual == pytest.approx(resid, abs=1e-12)
+        assert report.converged
+        assert report.trace[-1] == pytest.approx(resid, abs=1e-12)
 
     def test_invalid_inputs(self, p3):
         op = shifted_laplacian(p3, np.ones(3), 1.0)
