@@ -29,7 +29,6 @@ from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, VertexSet, build_grid_graph, build_knn_graph
 from .matrixio import read_matrix, write_matrix
-from .result import DenoiseResult
 from .solvers import harmonic_interpolate
 from .uniform import ccp_denoise
 
@@ -240,8 +239,7 @@ def cmd_denoise(args) -> int:
         # interpolate: fill the masked set from the trusted complement
         zeta = _zeta_for_column(args.zeta, g, mask)
         known = zeta.complement(graph.n)
-        out = harmonic_interpolate(graph, known, g[known.members])
-        return c, DenoiseResult(signal=out, iterations=0), None
+        return c, harmonic_interpolate(graph, known, g[known.members]), None
 
     start = time.perf_counter()
     if threads > 1:

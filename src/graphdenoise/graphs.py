@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .errors import GraphDisconnectedError, InvalidArgumentError
 
@@ -190,13 +190,55 @@ def build_grid_graph(height: int, width: int) -> Graph:
     return Graph.from_edges(height * width, edges)
 
 
+def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's k nearest other points, ordered by (distance, index).
+
+    Candidates come from a KD-tree; their distances are recomputed by
+    summing squared coordinate differences in coordinate order, which is
+    bitwise the Euclidean distance of ``scipy.spatial.distance.cdist``.
+    A row whose k-th distance is within rounding of its farthest candidate
+    may have tied points the tree left out, so its query is widened until
+    the farthest candidate is strictly farther (or every point is a
+    candidate).  Returns the (n, k) neighbor ids and distances.
+    """
+    n = pts.shape[0]
+    tree = cKDTree(pts)
+    nbrs = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    rows = np.arange(n)
+    q = k + 2
+    while rows.size:
+        q = min(q, n)
+        _, cand = tree.query(pts[rows], k=q)
+        acc = np.zeros(cand.shape)
+        for j in range(pts.shape[1]):
+            acc += (pts[rows, j][:, None] - pts[cand, j]) ** 2
+        d = np.sqrt(acc)
+        d[cand == rows[:, None]] = np.inf  # a point is not its own neighbor
+        order = np.lexsort((cand, d), axis=-1)
+        cand = np.take_along_axis(cand, order, axis=-1)
+        d = np.take_along_axis(d, order, axis=-1)
+        # the tree's own distances are within a few ulp of these, so a
+        # point it left out is at least (1 - 1e-12) times the farthest
+        # finite candidate away
+        far = np.where(np.isfinite(d[:, -1]), d[:, -1], d[:, -2])
+        done = (far > d[:, k - 1] * (1.0 + 1e-12)) | (q == n)
+        nbrs[rows[done]] = cand[done, :k]
+        dist[rows[done]] = d[done, :k]
+        rows = rows[~done]
+        q *= 2
+    return nbrs, dist
+
+
 def build_knn_graph(points, k: int) -> Graph:
     """Symmetrized k-nearest-neighbor graph with an adaptive Gaussian kernel.
 
     The affinity between a and b is exp(-d(a,b)^2 / (sigma_a * sigma_b)),
     where sigma_a is the distance from a to its k-th nearest neighbor, and
-    the directed k-NN affinities are symmetrized as (W + W^T) / 2.  Distance
-    ties are broken by vertex index.  Raises
+    the directed k-NN affinities are symmetrized as (W + W^T) / 2.
+    Coincident points have affinity exp(0) = 1.  Distance ties are broken
+    by vertex index.  Neighbors come from a KD-tree, so the build costs
+    about O(n k log n) time and O(n k) memory.  Raises
     :class:`~graphdenoise.errors.GraphDisconnectedError` (naming the
     components) if the symmetrized graph is disconnected.
     """
@@ -208,17 +250,17 @@ def build_knn_graph(points, k: int) -> Graph:
         raise InvalidArgumentError("k must be positive")
     if k >= n:
         raise InvalidArgumentError(f"k={k} requires at least k+1={k + 1} points")
-    dist = cdist(pts, pts)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    nbrs = order[:, :k]
-    sigma = dist[np.arange(n), nbrs[:, -1]]
-    sigma = np.maximum(sigma, np.finfo(np.float64).tiny)
+    nbrs, dist = _nearest(pts, k)
+    sigma = dist[:, -1]
 
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = nbrs.ravel()
-    d2 = dist[rows, cols] ** 2
-    aff = np.exp(-d2 / (sigma[rows] * sigma[cols]))
+    d2 = dist.ravel() ** 2
+    # sigma is 0 for a point with k coincident neighbors: its pairs at
+    # distance 0 get exp(0) = 1, a pair at a positive distance exp(-inf) = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aff = np.exp(-d2 / (sigma[rows] * sigma[cols]))
+    aff[d2 == 0.0] = 1.0
     w_dir = sp.csr_matrix((aff, (rows, cols)), shape=(n, n))
     w_sym = (w_dir + w_dir.T) / 2.0
 

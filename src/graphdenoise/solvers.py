@@ -10,6 +10,8 @@ Jacobi (diagonal) preconditioned CG from x = 0.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -121,12 +123,14 @@ def harmonic_interpolate(
     obs,
     tol: float = 1e-10,
     max_iter: int | None = None,
-) -> np.ndarray:
+) -> DenoiseResult:
     """Extend values given on s to the whole graph with minimal energy.
 
     ``obs`` holds the known values in the order of ``s.members``.  On the
     complement every output value is the degree-weighted average of its
-    neighbors, so the result obeys the maximum principle.
+    neighbors, so the result obeys the maximum principle.  Returns the
+    :func:`cg_solve` result of the L(U, U) solve on the complement U, with
+    the full-length signal.
     """
     if s is None or len(s) == 0:
         raise SingularSystemError("cannot interpolate from an empty known set")
@@ -141,9 +145,10 @@ def harmonic_interpolate(
     out[s.members] = obs
     comp = s.complement(graph.n)
     if len(comp) == 0:
-        return out
+        return DenoiseResult(signal=out, iterations=0)
     rhs = restrict_adjacency(graph, comp, s) @ obs
-    out[comp.members] = cg_solve(
+    fit = cg_solve(
         restrict_laplacian(graph, comp, comp), rhs, tol=tol, max_iter=max_iter
-    ).signal
-    return out
+    )
+    out[comp.members] = fit.signal
+    return dataclasses.replace(fit, signal=out)

@@ -428,7 +428,7 @@ def test_criterion_8_structural_invariants(tmp_path):
             np.sort(rng.choice(n, size=ksize, replace=False)).astype(np.int64)
         )
         obs = rng.normal(size=ksize)
-        out = harmonic_interpolate(g, s, obs, tol=1e-12)
+        out = harmonic_interpolate(g, s, obs, tol=1e-12).signal
         assert out.min() >= obs.min() - 1e-9
         assert out.max() <= obs.max() + 1e-9
 

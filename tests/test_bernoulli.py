@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdenoise import (
     BernoulliConfig,
@@ -18,7 +21,7 @@ from graphdenoise import (
     lasso_coordinate_descent,
     no_trust_denoise,
 )
-from graphdenoise.bernoulli import lasso_kkt_violation
+from graphdenoise.bernoulli import _colour_classes, _StepwiseSearch, lasso_kkt_violation
 
 from conftest import dense_incidence, random_connected_graph
 
@@ -32,6 +35,40 @@ def exhaustive_l0_optimum(a_dense, y, tau):
             resid = y - a_dense[:, t] @ sol
             best = min(best, float(resid @ resid) + tau * r)
     return best
+
+
+def dense_cyclic_cd(a_dense, y, tau, tol=1e-15, max_sweeps=200000):
+    """Plain cyclic coordinate descent in column-index order."""
+    p = a_dense.shape[1]
+    x = np.zeros(p)
+    r = y.copy()
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in range(p):
+            col = a_dense[:, j]
+            sq = float(col @ col)
+            if sq == 0.0:
+                continue
+            rho = float(col @ r) + sq * x[j]
+            xj = math.copysign(max(abs(rho) - tau / 2.0, 0.0), rho) / sq
+            r -= (xj - x[j]) * col
+            max_delta = max(max_delta, abs(xj - x[j]))
+            x[j] = xj
+        if max_delta <= tol * max(1.0, float(np.max(np.abs(x)))):
+            return x
+    raise AssertionError("reference coordinate descent did not converge")
+
+
+def kkt_violation_loop(a, y, tau, x):
+    """Worst-coordinate KKT violation, one coordinate at a time."""
+    grad = 2.0 * (a.T @ (a @ x - y))
+    worst = 0.0
+    for j in range(a.shape[1]):
+        if x[j] != 0.0:
+            worst = max(worst, abs(grad[j] + tau * np.sign(x[j])))
+        else:
+            worst = max(worst, max(0.0, abs(grad[j]) - tau))
+    return worst
 
 
 class TestConfig:
@@ -126,6 +163,57 @@ class TestLasso:
         upd = lasso_coordinate_descent(a, y, 0.01, tol=1e-15, max_sweeps=1)
         assert not upd.converged
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 12),
+        tau=st.floats(0.05, 3.0),
+    )
+    def test_colour_classes_match_dense_cyclic_reference(self, seed, n, tau):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(n, int(rng.integers(0, 2 * n)), rng)
+        size = int(rng.integers(1, n))
+        zeta = VertexSet(
+            np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
+        )
+        a = incidence_columns(g, zeta)
+        y = rng.normal(size=g.m)
+        classes = _colour_classes(a)
+        assert sorted(np.concatenate(classes).tolist()) == list(range(size))
+        for cols in classes:
+            rows = a[:, cols].indices
+            assert rows.size == np.unique(rows).size
+        upd = lasso_coordinate_descent(a, y, tau, tol=1e-15, max_sweeps=200000)
+        assert upd.converged
+        assert lasso_kkt_violation(a, y, tau, upd.x) <= 1e-6
+        expect = dense_cyclic_cd(a.toarray(), y, tau)
+        expect[np.abs(expect) < 1e-10] = 0.0
+        assert np.max(np.abs(upd.x - expect)) <= 1e-8
+
+    def test_fully_conflicting_columns_are_singleton_classes(self):
+        a = sp.csc_matrix(np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]))
+        classes = _colour_classes(a)
+        assert [c.tolist() for c in classes] == [[0], [1], [2]]
+        y = np.array([1.0, -2.0])
+        upd = lasso_coordinate_descent(a, y, 0.3, tol=1e-15, max_sweeps=100000)
+        expect = dense_cyclic_cd(a.toarray(), y, 0.3)
+        assert np.max(np.abs(upd.x - expect)) <= 1e-8
+
+    def test_kkt_violation_matches_loop_reference(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(4, 20))
+            g = random_connected_graph(n, int(rng.integers(0, n)), rng)
+            zeta = VertexSet(
+                np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            )
+            a = incidence_columns(g, zeta)
+            y = rng.normal(size=g.m)
+            x = rng.normal(size=len(zeta)) * (rng.uniform(size=len(zeta)) < 0.5)
+            tau = float(rng.uniform(0.1, 2.0))
+            assert lasso_kkt_violation(a, y, tau, x) == kkt_violation_loop(
+                a, y, tau, x
+            )
+
     def test_tau_must_be_positive(self, p3):
         a = incidence_columns(p3, VertexSet.from_iterable([1]))
         with pytest.raises(InvalidArgumentError):
@@ -170,6 +258,28 @@ class TestL0Greedy:
         tau = 0.8
         upd = l0_greedy(sp.csc_matrix(a), y, tau)
         assert upd.support.tolist() == [0, 1, 2]
+
+    def test_refits_are_memoised_per_search(self, rng, monkeypatch):
+        from graphdenoise import bernoulli
+
+        cg_solve = bernoulli.cg_solve
+        calls = []
+
+        def counting_cg_solve(*args, **kwargs):
+            calls.append(1)
+            return cg_solve(*args, **kwargs)
+
+        monkeypatch.setattr(bernoulli, "cg_solve", counting_cg_solve)
+        g = random_connected_graph(10, 5, rng)
+        a = sp.csc_matrix(incidence_columns(g, VertexSet.from_iterable([1, 4, 6])))
+        search = _StepwiseSearch(a, rng.normal(size=g.m), 0.5)
+        s1, x1 = search.refit([2, 0])
+        s2, x2 = search.refit([0, 2])
+        assert len(calls) == 1
+        assert s1 == s2 == [0, 2] and s1 is not s2
+        assert x1 is x2 and not x1.flags.writeable
+        s1.append(1)
+        assert search.refit([2, 0])[0] == [0, 2]
 
     def test_zero_columns_never_enter_the_support(self):
         import scipy.sparse as sp
@@ -232,7 +342,8 @@ class TestBernoulliDenoise:
         out = bernoulli_denoise(sig, g, cfg)
         comp = zeta.complement(g.n)
         expect = harmonic_interpolate(g, comp, sig[comp.members])
-        assert np.array_equal(out.signal, expect)
+        assert np.array_equal(out.signal, expect.signal)
+        assert out.iterations == expect.iterations > 0
 
     def test_orientation_invariance(self, rng):
         """Flipping incidence-row orientations leaves the estimate unchanged."""

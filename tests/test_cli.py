@@ -79,6 +79,25 @@ class TestDenoiseCommand:
         got = read_matrix(out).values.ravel()
         assert got == pytest.approx([0.0, 1.0, 2.0], abs=1e-9)
 
+    def test_interpolate_reports_cg_iterations(self, tmp_path, rng, capsys):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(16, 2)))
+        mask = tmp_path / "mask.csv"
+        write_csv(mask, np.array([[1.0 if v in (5, 10) else 0.0] for v in range(16)]))
+        rc = main(
+            [
+                "denoise", "interpolate",
+                "--graph", "grid", "4x4",
+                "--input", str(src),
+                "--output", str(tmp_path / "o.csv"),
+                "--zeta", str(mask),
+            ]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        fields = dict(f.split("=", 1) for f in err.split() if "=" in f)
+        assert int(fields["iterations"]) > 0
+
     def test_missing_input_names_path(self, tmp_path, capsys):
         rc = main(
             [

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from graphdenoise import (
     Graph,
@@ -87,7 +90,76 @@ class TestConstruction:
                 assert len(err.value.components) == ncomp
 
 
+def knn_reference(points, k):
+    """Brute-force k-NN graph edges from the full distance matrix.
+
+    Neighbors by a stable sort of each row of cdist (ties by index),
+    affinity exp(-d^2 / (sigma_a sigma_b)) with 1 at d = 0, symmetrized
+    as (W + W^T) / 2, zero affinities dropped.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    dist = cdist(pts, pts)
+    np.fill_diagonal(dist, np.inf)
+    nbrs = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    sigma = dist[np.arange(n), nbrs[:, -1]]
+    rows = np.repeat(np.arange(n), k)
+    cols = nbrs.ravel()
+    d = dist[rows, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aff = np.where(d == 0.0, 1.0, np.exp(-(d**2) / (sigma[rows] * sigma[cols])))
+    w = np.zeros((n, n))
+    w[rows, cols] = aff
+    sym = (w + w.T) / 2.0
+    a, b = np.nonzero(np.triu(sym, k=1))
+    return a, b, sym[a, b]
+
+
 class TestKnn:
+    @pytest.mark.parametrize(
+        "case, k",
+        [("random", 3), ("random", 5), ("random", 12), ("lattice", 3),
+         ("lattice", 5), ("lattice", 10), ("duplicates", 5), ("duplicates", 8)],
+    )
+    def test_matches_brute_force_distance_matrix_bitwise(self, case, k):
+        rng = np.random.default_rng(k)
+        if case == "random":
+            pts = rng.normal(size=(400, 4)) * rng.uniform(0.1, 10.0, size=4)
+        elif case == "lattice":
+            # integer points: many neighbors at exactly the k-th distance
+            pts = np.array([(r, c) for r in range(15) for c in range(15)], float)
+        else:
+            # every point three times, plus exact lattice ties between them
+            base = rng.integers(0, 6, size=(60, 2)).astype(float)
+            pts = rng.permutation(np.repeat(np.unique(base, axis=0), 3, axis=0))
+        g = build_knn_graph(pts, k)
+        a, b, w = knn_reference(pts, k)
+        assert np.array_equal(g.edge_a, a)
+        assert np.array_equal(g.edge_b, b)
+        assert np.array_equal(g.edge_w, w)
+
+    def test_coincident_points_have_unit_affinity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # sigma = 0 for every point: each pair is coincident
+            g = build_knn_graph(np.zeros((4, 2)), 3)
+            assert g.m == 6 and np.all(g.edge_w == 1.0)
+            g = build_knn_graph([[0.0], [0.0], [1.0], [3.0]], 2)
+        got = {(a, b): w for a, b, w in zip(g.edge_a, g.edge_b, g.edge_w)}
+        assert got[(0, 1)] == 1.0
+
+    def test_coincident_cluster_disconnection_names_components(self):
+        # points 0-2 coincide, so their kernel width is 0 and point 3's
+        # affinity to them is exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphDisconnectedError) as err:
+                build_knn_graph([[0.0], [0.0], [0.0], [1.0]], 2)
+        assert {frozenset(c) for c in err.value.components} == {
+            frozenset({0, 1, 2}),
+            frozenset({3}),
+        }
+
     def test_three_collinear_equidistant_points(self):
         # kernel with k=1: sigma_a = 1 for all, so each directed weight is
         # exp(-1); symmetrizing halves the single-direction end pairs

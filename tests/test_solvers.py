@@ -103,18 +103,27 @@ class TestHarmonicInterpolate:
     def test_full_known_set_returns_observations(self, p3):
         s = VertexSet.from_iterable([0, 1, 2])
         obs = np.array([4.0, 5.0, 6.0])
-        assert np.array_equal(harmonic_interpolate(p3, s, obs), obs)
+        assert np.array_equal(harmonic_interpolate(p3, s, obs).signal, obs)
 
     def test_p3_midpoint_average(self, p3):
         s = VertexSet.from_iterable([0, 2])
-        out = harmonic_interpolate(p3, s, np.array([0.0, 2.0]))
+        out = harmonic_interpolate(p3, s, np.array([0.0, 2.0])).signal
         assert out[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_extension_from_one_corner(self):
         g = build_grid_graph(2, 2)
         s = VertexSet.from_iterable([0])
-        out = harmonic_interpolate(g, s, np.array([3.25]))
+        out = harmonic_interpolate(g, s, np.array([3.25])).signal
         assert np.allclose(out, 3.25, atol=1e-10)
+
+    def test_result_reports_the_cg_solve(self, rng):
+        g = random_connected_graph(20, 10, rng)
+        s = VertexSet.from_iterable(range(0, 20, 3))
+        res = harmonic_interpolate(g, s, rng.normal(size=len(s)), tol=1e-12)
+        assert res.converged and res.iterations > 0
+        assert res.trace.size == res.iterations and res.trace[-1] <= 1e-12
+        full = VertexSet.from_iterable(range(20))
+        assert harmonic_interpolate(g, full, np.ones(20)).iterations == 0
 
     def test_empty_known_set_rejected(self, p3):
         with pytest.raises(SingularSystemError):
@@ -129,7 +138,7 @@ class TestHarmonicInterpolate:
                 np.sort(rng.choice(n, size=ksize, replace=False)).astype(np.int64)
             )
             obs = rng.normal(size=ksize)
-            out = harmonic_interpolate(g, s, obs, tol=1e-12)
+            out = harmonic_interpolate(g, s, obs, tol=1e-12).signal
             assert np.array_equal(out[s.members], obs)
             comp = s.complement(n)
             if len(comp) == 0:
@@ -143,7 +152,7 @@ class TestHarmonicInterpolate:
         g = random_connected_graph(20, 10, rng)
         s = VertexSet.from_iterable(range(0, 20, 3))
         obs = rng.normal(size=len(s))
-        out = harmonic_interpolate(g, s, obs, tol=1e-12)
+        out = harmonic_interpolate(g, s, obs, tol=1e-12).signal
         base = dirichlet_energy(g, out)
         comp = s.complement(g.n)
         for _ in range(20):
@@ -160,7 +169,7 @@ class TestHarmonicInterpolate:
         g = random_connected_graph(25, 12, rng)
         s = VertexSet.from_iterable(range(0, 25, 2))
         obs = rng.normal(size=len(s))
-        out1 = harmonic_interpolate(g, s, obs, tol=1e-12)
+        out1 = harmonic_interpolate(g, s, obs, tol=1e-12).signal
         bnd = boundary(g, s)
         interior = [
             i for i, v in enumerate(s.members) if v not in bnd.members.tolist()
@@ -169,7 +178,7 @@ class TestHarmonicInterpolate:
             pytest.skip("no interior vertices in this draw")
         obs2 = obs.copy()
         obs2[interior] += rng.normal(size=len(interior))
-        out2 = harmonic_interpolate(g, s, obs2, tol=1e-12)
+        out2 = harmonic_interpolate(g, s, obs2, tol=1e-12).signal
         comp = s.complement(g.n)
         assert np.allclose(out1[comp.members], out2[comp.members], atol=1e-9)
         assert np.array_equal(out2[s.members], obs2)
