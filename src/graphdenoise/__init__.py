@@ -56,13 +56,11 @@ from .gaussian import (
 from .graphs import (
     Graph,
     VertexSet,
-    boundary,
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
     incidence_apply,
     incidence_columns,
-    incidence_transpose_apply,
     laplacian_apply,
     laplacian_squared_trace,
     laplacian_trace,

@@ -84,22 +84,7 @@ def nuclear_norm_denoise(g_signal, shape: GridShape, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise InvalidArgumentError("tau must be nonnegative")
-    g = np.asarray(g_signal, dtype=np.float64)
-    if g.ndim == 1:
-        if g.size != shape.n:
-            raise InvalidArgumentError(
-                f"signal length {g.size} does not match shape {shape.height}x{shape.width}"
-            )
-        mat = g.reshape(shape.height, shape.width)
-        flat = True
-    elif g.shape == (shape.height, shape.width):
-        mat = g
-        flat = False
-    else:
-        raise InvalidArgumentError(
-            f"signal shape {g.shape} does not match {shape.height}x{shape.width}"
-        )
+    mat = as_signal(g_signal, shape.n).reshape(shape.height, shape.width)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
-    out = (u * s) @ vt
-    return out.ravel() if flat else out
+    return ((u * s) @ vt).ravel()

@@ -41,13 +41,6 @@ SUPPORT_ZERO_THRESHOLD = 1e-10
 MODES = ("l1", "l0")
 
 
-def _canonical_mode(mode: str) -> str:
-    mode = {"l0-greedy": "l0"}.get(mode, mode)
-    if mode not in MODES:
-        raise InvalidArgumentError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
 @dataclass(frozen=True)
 class BernoulliConfig:
     """Suspicion set plus the sparsity penalty, given directly or via (p, kappa)."""
@@ -59,7 +52,10 @@ class BernoulliConfig:
     mode: str = "l1"
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", _canonical_mode(self.mode))
+        if self.mode not in MODES:
+            raise InvalidArgumentError(
+                f"mode must be one of {MODES}, got {self.mode!r}"
+            )
         has_tau = self.tau is not None
         if has_tau == (self.p is not None or self.kappa is not None):
             raise InvalidArgumentError(
@@ -445,7 +441,6 @@ def no_trust_denoise(g_signal, graph: Graph, tau: float, mode: str = "l1") -> De
     """Dropout estimate with every vertex suspected (zeta = V)."""
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
-    mode = _canonical_mode(mode)
     zeta = VertexSet(np.arange(graph.n, dtype=np.int64))
     cfg = BernoulliConfig(zeta=zeta, tau=tau, mode=mode)
     return bernoulli_denoise(g_signal, graph, cfg)

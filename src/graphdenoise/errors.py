@@ -37,10 +37,9 @@ class DegenerateSignalError(GraphDenoiseError):
 class NumericalFailureError(GraphDenoiseError):
     """An iteration produced NaN/Inf or diverged; carries diagnostics."""
 
-    def __init__(self, message, trace=None, best=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-        self.best = best
 
 
 class ConvergenceError(GraphDenoiseError):

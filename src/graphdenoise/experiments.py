@@ -11,28 +11,23 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import itertools
 import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, bernoulli, gaussian, uniform
+from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError
-from .graphs import (
-    Graph,
-    VertexSet,
-    as_signal,
-    build_grid_graph,
-    build_knn_graph,
-    dirichlet_energy,
-)
+from .graphs import Graph, VertexSet, as_signal, build_grid_graph, build_knn_graph
 from .matrixio import format_float, read_matrix
+from .result import DenoiseResult
 from .spectral import SpectralBasis, eigendecompose, sample_prior
 from .uniform import ccp_denoise, projected_gradient_denoise, uniform_loss
 
@@ -296,16 +291,6 @@ class ExperimentTable:
                     ]
                 )
 
-    def values(self, method: str, metric: str, level: float | None = None):
-        out = []
-        for r in self.rows:
-            if r.method != method or r.metric != metric:
-                continue
-            if level is not None and r.noise_level != level:
-                continue
-            out.append(r.value)
-        return out
-
 
 def _parse_scalar(tok: str):
     for cast in (int, float):
@@ -314,6 +299,27 @@ def _parse_scalar(tok: str):
         except ValueError:
             continue
     return tok
+
+
+_REQUIRED = object()
+
+
+def _spec_value(section: str, opts, key: str, cast=str, default=_REQUIRED):
+    """``cast(opts[key])``; a missing or unreadable value names its section and key."""
+    if key not in opts:
+        if default is _REQUIRED:
+            raise InvalidArgumentError(f"[{section}] needs {key}")
+        return default
+    try:
+        return cast(opts[key])
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"[{section}] {key}: cannot read {opts[key]!r}"
+        ) from None
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split())
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
@@ -332,16 +338,18 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             raise InvalidArgumentError(f"spec is missing the [{section}] section")
     exp = parser["experiment"]
     noise = parser["noise"]
-    kind = noise.get("kind", "").strip()
+    kind = _spec_value("noise", noise, "kind", default="").strip()
     if kind not in NOISE_KINDS:
         raise InvalidArgumentError(
             f"[noise] kind must be one of {NOISE_KINDS}, got {kind!r}"
         )
-    levels = tuple(float(t) for t in noise.get("levels", "0").split())
+    levels = _spec_value("noise", noise, "levels", _floats, (0.0,))
     if not levels:
         raise InvalidArgumentError("[noise] levels must be nonempty")
     noise_opts = tuple(
-        (k, float(v)) for k, v in noise.items() if k not in ("kind", "levels")
+        (k, _spec_value("noise", noise, k, float))
+        for k in noise
+        if k not in ("kind", "levels")
     )
     methods = []
     for section in parser.sections():
@@ -361,7 +369,9 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             if not vals:
                 raise InvalidArgumentError(f"[{section}] {key} has an empty grid")
         methods.append(MethodSpec(name=name, grid=grid))
-    metrics = tuple(parser["metrics"].get("names", "relative-error").split())
+    metrics = tuple(
+        _spec_value("metrics", parser["metrics"], "names", default="relative-error").split()
+    )
     for metric in metrics:
         if metric not in METRIC_REGISTRY:
             raise InvalidArgumentError(
@@ -371,9 +381,9 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         tuple(parser["benchmark"].items()) if "benchmark" in parser else None
     )
     return ExperimentSpec(
-        name=exp.get("name", path.stem),
-        seed=exp.getint("seed", 0),
-        repeats=exp.getint("repeats", 1),
+        name=_spec_value("experiment", exp, "name", default=path.stem),
+        seed=_spec_value("experiment", exp, "seed", int, 0),
+        repeats=_spec_value("experiment", exp, "repeats", int, 1),
         graph=tuple(parser["graph"].items()),
         signal=tuple(parser["signal"].items()),
         noise_kind=kind,
@@ -397,82 +407,81 @@ class _Context:
     graph: Graph
     shape: baselines.GridShape | None
     level: float
-    noise_kind: str
     basis: SpectralBasis | None
 
 
-def _method_noisy(noisy, ctx, params):
+# Each method gets the noisy signal, the cell's context and ``param``, a
+# reader of its [method.NAME] values: param(key, cast=str, default).
+
+
+def _method_noisy(noisy, ctx, param):
     return noisy.copy()
 
 
-def _method_gaussian(noisy, ctx, params):
-    tau = params.get("tau", "estimate")
-    if tau == "estimate":
+def _method_gaussian(noisy, ctx, param):
+    if param("tau", default="estimate") == "estimate":
         tau = gaussian.estimate_tau(noisy, ctx.graph)
-    return gaussian.denoise_gaussian(noisy, ctx.graph, float(tau)).signal
+    else:
+        tau = param("tau", float)
+    return gaussian.denoise_gaussian(noisy, ctx.graph, tau).signal
 
 
-def _method_local_average(noisy, ctx, params):
-    return baselines.local_average(noisy, ctx.graph, int(params["t"]))
+def _method_local_average(noisy, ctx, param):
+    return baselines.local_average(noisy, ctx.graph, param("t", int))
 
 
-def _method_magic(noisy, ctx, params):
-    return baselines.magic_filter(noisy, ctx.graph, int(params["t"]))
+def _method_magic(noisy, ctx, param):
+    return baselines.magic_filter(noisy, ctx.graph, param("t", int))
 
 
 def _method_band(keep):
-    def run(noisy, ctx, params):
-        k = min(int(params["k"]), ctx.graph.n)
+    def run(noisy, ctx, param):
+        k = min(param("k", int), ctx.graph.n)
         return baselines.band_filter(noisy, ctx.basis, k, keep=keep)
 
     return run
 
 
-def _method_nuclear(noisy, ctx, params):
+def _method_nuclear(noisy, ctx, param):
     if ctx.shape is None:
         raise InvalidArgumentError("nuclear method needs a grid graph")
-    return baselines.nuclear_norm_denoise(noisy, ctx.shape, float(params["tau"]))
+    return baselines.nuclear_norm_denoise(noisy, ctx.shape, param("tau", float))
 
 
-def _method_bernoulli(noisy, ctx, params):
-    zeta_mode = params.get("zeta", "zeros")
-    if zeta_mode != "zeros":
+def _method_bernoulli(noisy, ctx, param):
+    if param("zeta", default="zeros") != "zeros":
         raise InvalidArgumentError("experiment runner supports zeta = zeros only")
     zeta = VertexSet.from_mask(np.asarray(noisy) == 0.0)
-    p = params.get("p")
-    if p == "level":
-        p = ctx.level
+    mode = param("mode", default="l1")
+    p = param("p", default=None)
     if p is not None:
-        cfg = bernoulli.BernoulliConfig(
-            zeta=zeta,
-            p=float(p),
-            kappa=float(params.get("kappa", 1.0)),
-            mode=params.get("mode", "l1"),
-        )
+        p = ctx.level if p == "level" else param("p", float)
+        kappa = param("kappa", float, 1.0)
+        cfg = bernoulli.BernoulliConfig(zeta=zeta, p=p, kappa=kappa, mode=mode)
+    elif param("tau", default=None) is not None:
+        cfg = bernoulli.BernoulliConfig(zeta=zeta, tau=param("tau", float), mode=mode)
     else:
-        cfg = bernoulli.BernoulliConfig(
-            zeta=zeta, tau=float(params["tau"]), mode=params.get("mode", "l1")
-        )
+        raise InvalidArgumentError("[method.bernoulli] needs p or tau")
     return bernoulli.bernoulli_denoise(noisy, ctx.graph, cfg).signal
 
 
-def _method_uniform_ccp(noisy, ctx, params):
+def _method_uniform_ccp(noisy, ctx, param):
     result, _ = ccp_denoise(
         noisy,
         ctx.graph,
-        kappa=float(params.get("kappa", 1.0)),
-        max_outer=int(params.get("max_outer", 50)),
+        kappa=param("kappa", float, 1.0),
+        max_outer=param("max_outer", int, 50),
     )
     return result.signal
 
 
-def _method_uniform_pg(noisy, ctx, params):
+def _method_uniform_pg(noisy, ctx, param):
     result, _ = projected_gradient_denoise(
         noisy,
         ctx.graph,
-        kappa=float(params.get("kappa", 1.0)),
-        step=float(params.get("step", 1.0)),
-        max_iter=int(params.get("max_iter", 5000)),
+        kappa=param("kappa", float, 1.0),
+        step=param("step", float, 1.0),
+        max_iter=param("max_iter", int, 5000),
     )
     return result.signal
 
@@ -496,27 +505,38 @@ METRIC_REGISTRY = {
 }
 
 
+def _column_range(text: str) -> slice:
+    if not text:
+        return slice(None)
+    lo, hi = (int(t) for t in text.split(":"))
+    return slice(lo, hi)
+
+
+def _signal_count(spec: ExperimentSpec) -> int:
+    return _spec_value("signal", spec.signal_opts(), "count", int, 1)
+
+
 def _build_graph(spec: ExperimentSpec):
+    """The sweep's graph, its grid shape (grids only) and, for
+    synthetic-clusters graphs only, the (points, low, high) cluster data."""
     opts = spec.graph_opts()
-    kind = opts.get("kind", "").strip()
+    value = functools.partial(_spec_value, "graph", opts)
+    kind = value("kind", default="").strip()
     if kind == "grid":
-        h, w = int(opts["height"]), int(opts["width"])
+        h, w = value("height", int), value("width", int)
         return build_grid_graph(h, w), baselines.GridShape(h, w), None
     if kind == "knn-from-file":
-        pts = read_matrix(opts["path"]).values
-        return build_knn_graph(pts, int(opts.get("knn", 10))), None, pts
+        pts = read_matrix(value("path")).values
+        return build_knn_graph(pts, value("knn", int, 10)), None, None
     if kind == "synthetic-clusters":
-        c = int(opts.get("clusters", 5))
-        m = int(opts.get("points-per-cluster", 200))
-        spread = float(opts.get("spread", 1.0))
         points, low, high = make_cluster_data(
-            c,
-            m,
-            spread=spread,
+            value("clusters", int, 5),
+            value("points-per-cluster", int, 200),
+            spread=value("spread", float, 1.0),
             seed=spec.seed,
-            n_signals=int(dict(spec.signal).get("count", 3)),
+            n_signals=_signal_count(spec),
         )
-        graph = build_knn_graph(points, int(opts.get("knn", 10)))
+        graph = build_knn_graph(points, value("knn", int, 10))
         return graph, None, (points, low, high)
     raise InvalidArgumentError(f"unknown graph kind {kind!r}")
 
@@ -525,11 +545,12 @@ def _build_signals(
     spec: ExperimentSpec, graph: Graph, cluster_data, basis: SpectralBasis | None
 ) -> np.ndarray:
     opts = spec.signal_opts()
-    source = opts.get("source", "").strip()
-    count = int(opts.get("count", 1))
+    value = functools.partial(_spec_value, "signal", opts)
+    source = value("source", default="").strip()
+    count = _signal_count(spec)
     if source == "prior-sample":
-        kappa = float(opts.get("kappa", 1.0))
-        mean = float(opts.get("mean", 0.0))
+        kappa = value("kappa", float, 1.0)
+        mean = value("mean", float, 0.0)
         rng = derive_rng(spec.seed, "signals")
         signals = np.empty((count, graph.n))
         for j in range(count):
@@ -539,7 +560,7 @@ def _build_signals(
                 mean_coeff=mean * np.sqrt(graph.n),
                 rng_seed=rng.integers(0, 2**63 - 1),
             )
-        if opts.get("nonneg", "false").lower() in ("true", "1", "yes"):
+        if value("nonneg", default="false").lower() in ("true", "1", "yes"):
             for j in range(count):
                 lo, hi = signals[j].min(), signals[j].max()
                 signals[j] += 0.05 * (hi - lo) - lo
@@ -553,16 +574,12 @@ def _build_signals(
         sig = low if source == "cluster-low-freq" else high
         return sig[:count]
     if source == "file":
-        mat = read_matrix(opts["path"]).values
+        mat = read_matrix(value("path")).values
         if mat.shape[0] != graph.n:
             raise InvalidArgumentError(
                 f"signal file has {mat.shape[0]} rows, graph has {graph.n} vertices"
             )
-        cols = opts.get("columns")
-        if cols:
-            lo, hi = (int(t) for t in cols.split(":"))
-            mat = mat[:, lo:hi]
-        return mat.T.copy()
+        return mat[:, value("columns", _column_range, slice(None))].T.copy()
     raise InvalidArgumentError(f"unknown signal source {source!r}")
 
 
@@ -587,8 +604,19 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     first ground-truth signal over the same graph.
     """
     graph, shape, cluster_data = _build_graph(spec)
+    bench_opts = None
+    if spec.benchmark is not None:
+        # read before the sweep, so a malformed value fails before any work
+        value = functools.partial(_spec_value, "benchmark", dict(spec.benchmark))
+        bench_opts = dict(
+            kappa=value("kappa", float, 1.0),
+            max_outer=value("max-outer", int, 50),
+            pg_step=value("pg-step", float, None),
+            pg_max_iter=value("pg-max-iter", int, 5000),
+        )
     # prior samples and the band methods share one eigendecomposition
-    needs_basis = spec.signal_opts().get("source", "").strip() == "prior-sample" or any(
+    source = _spec_value("signal", spec.signal_opts(), "source", default="")
+    needs_basis = source.strip() == "prior-sample" or any(
         m.name in ("band-low", "band-high") for m in spec.methods
     )
     basis = eigendecompose(graph) if needs_basis else None
@@ -603,22 +631,17 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
 
     def run_cell(cell):
         mi, pi, li, rep, method, params, level = cell
-        ctx = _Context(
-            graph=graph,
-            shape=shape,
-            level=level,
-            noise_kind=spec.noise_kind,
-            basis=basis,
-        )
+        ctx = _Context(graph=graph, shape=shape, level=level, basis=basis)
         fields = _noise_for_cell(spec, level)
         fn = METHOD_REGISTRY[method.name]
+        param = functools.partial(_spec_value, f"method.{method.name}", params)
         start = time.perf_counter()
         sums = {metric: 0.0 for metric in spec.metrics}
         try:
             for j, truth in enumerate(truths):
                 rng = derive_rng(spec.seed, "cell", method.name, pi, li, rep, j)
                 noisy = add_noise(truth, NoiseSpec(kind=spec.noise_kind, **fields), rng=rng)
-                estimate = fn(noisy, ctx, params)
+                estimate = fn(noisy, ctx, param)
                 for metric in spec.metrics:
                     sums[metric] += METRIC_REGISTRY[metric](truth, estimate)
         except GraphDenoiseError as exc:
@@ -658,17 +681,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         results = [run_cell(c) for c in cells]
     rows = tuple(itertools.chain.from_iterable(results))
     benchmark = None
-    if spec.benchmark is not None:
-        opts = dict(spec.benchmark)
-        benchmark = ccp_vs_pg_benchmark(
-            truths[0],
-            graph,
-            kappa=float(opts.get("kappa", 1.0)),
-            seed=spec.seed,
-            max_outer=int(opts.get("max-outer", 50)),
-            pg_step=float(opts["pg-step"]) if "pg-step" in opts else None,
-            pg_max_iter=int(opts.get("pg-max-iter", 5000)),
-        )
+    if bench_opts is not None:
+        benchmark = ccp_vs_pg_benchmark(truths[0], graph, seed=spec.seed, **bench_opts)
     return ExperimentTable(rows=rows, benchmark=benchmark)
 
 
@@ -679,24 +693,25 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """Loss curves and summary numbers for the two uniform-noise solvers."""
+    """The two uniform-noise solvers' results on one corrupted signal.
+
+    Each result's ``trace`` is its loss curve.  The CCP returns its last
+    iterate, so its final loss is ``ccp.trace[-1]``; projected gradient
+    returns its best iterate, whose loss is ``pg.trace.min()``.
+    """
 
     truth_loss: float
     noisy: np.ndarray
-    ccp_losses: np.ndarray
-    ccp_final_loss: float
-    ccp_outer_iterations: int
+    ccp: DenoiseResult
     ccp_time_s: float
-    pg_losses: np.ndarray
-    pg_final_loss: float
-    pg_iterations: int
+    pg: DenoiseResult
     pg_time_s: float
 
     def trace_rows(self):
         rows = []
         for name, losses, total in (
-            ("ccp", self.ccp_losses, self.ccp_time_s),
-            ("projected-gradient", self.pg_losses, self.pg_time_s),
+            ("ccp", self.ccp.trace, self.ccp_time_s),
+            ("projected-gradient", self.pg.trace, self.pg_time_s),
         ):
             steps = max(len(losses) - 1, 1)
             for i, loss in enumerate(losses):
@@ -739,12 +754,8 @@ def ccp_vs_pg_benchmark(
     return BenchmarkReport(
         truth_loss=truth_loss,
         noisy=noisy,
-        ccp_losses=ccp_tr.losses,
-        ccp_final_loss=float(ccp_tr.losses[-1]),
-        ccp_outer_iterations=ccp_res.iterations,
+        ccp=ccp_res,
         ccp_time_s=ccp_tr.wall_time_s,
-        pg_losses=pg_tr.losses,
-        pg_final_loss=float(np.min(pg_tr.losses)),
-        pg_iterations=pg_res.iterations,
+        pg=pg_res,
         pg_time_s=pg_tr.wall_time_s,
     )

@@ -5,15 +5,6 @@ to the observation, computed by solving (I + tau*L) f = g.  The smoothing
 strength tau = 2*kappa*sigma^2 can be supplied directly as a tuning knob or
 estimated from the observed quadratic forms g'Lg and ||Lg||^2 by the method
 of moments.
-
-A note on the estimator's algebraic form: the closed-form ratio can be
-grouped either as
-
-    (tr(L) g'Lg - (n-1) ||Lg||^2) / (tr(L) ||Lg||^2 - tr(L^2) g'Lg)
-
-or with both numerator and denominator negated; the two are numerically
-identical and this module uses the second grouping, which falls straight
-out of solving the 2x2 moment system.
 """
 
 from __future__ import annotations
@@ -48,7 +39,6 @@ def denoise_gaussian(
     graph: Graph,
     tau: float,
     tol: float = 1e-10,
-    max_iter: int | None = None,
 ) -> DenoiseResult:
     """Solve (I + tau*L) f = g; equivalent to filtering with 1/(1 + tau*lambda).
 
@@ -65,7 +55,7 @@ def denoise_gaussian(
         mean = np.full(graph.n, g.mean())
         return DenoiseResult(signal=mean, iterations=0)
     matrix = (sp.diags(np.ones(graph.n)) + tau * graph.laplacian).tocsr()
-    return cg_solve(matrix, g, tol=tol, max_iter=max_iter)
+    return cg_solve(matrix, g, tol=tol)
 
 
 def _moments(g: np.ndarray, graph: Graph) -> tuple[float, float]:
@@ -74,15 +64,6 @@ def _moments(g: np.ndarray, graph: Graph) -> tuple[float, float]:
 
 
 def _tau_from_moments(m1: float, m2: float, graph: Graph) -> float:
-    n = graph.n
-    tr = laplacian_trace(graph)
-    tr2 = laplacian_squared_trace(graph)
-    det = tr * tr - (n - 1) * tr2
-    if det != 0.0:
-        sigma2 = (tr * m1 - (n - 1) * m2) / det
-        inv2kappa = (tr * m2 - tr2 * m1) / det
-        if sigma2 > 0.0 and inv2kappa > 0.0:
-            return sigma2 / inv2kappa
     sigma2, inv2kappa = nonneg_moment_fit(m1, m2, graph)
     if inv2kappa == 0.0:
         if sigma2 == 0.0:
@@ -100,22 +81,12 @@ def _tau_from_moments(m1: float, m2: float, graph: Graph) -> float:
 def estimate_tau(g_signal, graph: Graph) -> float:
     """Method-of-moments estimate of tau = 2*kappa*sigma^2 from one signal.
 
-    Solves the 2x2 system matching g'Lg and ||Lg||^2 to their model
-    expectations; if the implied (sigma^2, 1/(2*kappa)) are not both
-    positive, falls back to the nonnegative fit of
-    :func:`nonneg_moment_fit`.
+    Fits (sigma^2, 1/(2*kappa)) to g'Lg and ||Lg||^2 with
+    :func:`nonneg_moment_fit`: the exact 2x2 solve when both are
+    nonnegative, the nearer boundary ray otherwise.  This is
+    :func:`estimate_tau_multi` of the single signal.
     """
-    g = as_signal(g_signal, graph.n)
-    if np.ptp(g) == 0.0:
-        raise DegenerateSignalError(
-            "constant signal: both moment targets are zero"
-        )
-    m1, m2 = _moments(g, graph)
-    if m2 == 0.0:
-        raise DegenerateSignalError(
-            "constant signal: both moment targets are zero"
-        )
-    return _tau_from_moments(m1, m2, graph)
+    return estimate_tau_multi(as_signal(g_signal, graph.n), graph)
 
 
 def estimate_tau_multi(signals, graph: Graph) -> float:
@@ -125,7 +96,8 @@ def estimate_tau_multi(signals, graph: Graph) -> float:
     row.  A square (n, n) matrix is read as n rows; an (n, k) column matrix
     with k != n is rejected.  The two quadratic-form targets are averaged
     over the k signals before the backsolve, so the estimate is consistent
-    as k grows.
+    as k grows.  Raises :class:`DegenerateSignalError` when every signal is
+    constant.
     """
     arr = np.asarray(signals, dtype=np.float64)
     if arr.ndim == 1:
@@ -145,7 +117,8 @@ def estimate_tau_multi(signals, graph: Graph) -> float:
         m1_sum += m1
         m2_sum += m2
     m1_bar, m2_bar = m1_sum / k, m2_sum / k
-    if m2_bar == 0.0:
+    # rounding can leave ||Lg||^2 nonzero for a constant signal
+    if m2_bar == 0.0 or np.all(np.ptp(arr, axis=1) == 0.0):
         raise DegenerateSignalError("all signals constant: moment targets are zero")
     return _tau_from_moments(m1_bar, m2_bar, graph)
 

@@ -27,11 +27,9 @@ __all__ = [
     "build_knn_graph",
     "laplacian_apply",
     "incidence_apply",
-    "incidence_transpose_apply",
     "dirichlet_energy",
     "laplacian_trace",
     "laplacian_squared_trace",
-    "boundary",
     "restrict_laplacian",
     "restrict_adjacency",
     "incidence_columns",
@@ -288,15 +286,6 @@ def incidence_apply(g: Graph, f) -> np.ndarray:
     return g.incidence @ f
 
 
-def incidence_transpose_apply(g: Graph, e) -> np.ndarray:
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 1 or e.shape[0] != g.m:
-        raise InvalidArgumentError(
-            f"expected a length-{g.m} edge vector, got shape {e.shape}"
-        )
-    return g.incidence.T @ e
-
-
 def dirichlet_energy(g: Graph, f) -> float:
     """Smoothness energy sum_(a,b) w(a,b) (f(a) - f(b))^2."""
     f = as_signal(f, g.n)
@@ -313,18 +302,6 @@ def laplacian_squared_trace(g: Graph) -> float:
     """Trace of L^2: sum of deg(a)^2 plus, per vertex, its incident w(a,b)^2."""
     w2 = g.edge_w**2
     return float(np.dot(g.degrees, g.degrees) + 2.0 * w2.sum())
-
-
-def boundary(g: Graph, s: VertexSet) -> VertexSet:
-    """Members of s with at least one edge into the complement."""
-    _check_set(g, s)
-    in_s = s.mask(g.n)
-    a_in = in_s[g.edge_a]
-    b_in = in_s[g.edge_b]
-    out = np.zeros(g.n, dtype=bool)
-    out[g.edge_a[a_in & ~b_in]] = True
-    out[g.edge_b[b_in & ~a_in]] = True
-    return VertexSet.from_mask(out)
 
 
 def _check_set(g: Graph, s: VertexSet) -> np.ndarray:

@@ -31,10 +31,6 @@ class MatrixFile:
     maxval: int = 255
     pgm_binary: bool = True
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 def format_float(v: float) -> str:
     """Shortest decimal string that round-trips to the same float."""

@@ -24,14 +24,13 @@ class DenoiseResult:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    """Per-iteration bookkeeping for the descent-style denoisers.
+    """Bookkeeping the descent-style denoisers add to their result.
 
-    ``losses[0]`` is the loss at the (strictly feasible) initialization and
-    ``losses[t]`` the loss after outer iteration ``t``.  ``inner_iterations``
-    records the inner-solver work per outer step; it is empty for methods
-    without an inner solver.
+    Their losses are the result's ``trace``: the loss at the (strictly
+    feasible) initialization, then after each outer iteration.
+    ``inner_iterations`` records the inner-solver work per outer step; it
+    is empty for methods without an inner solver.
     """
 
-    losses: np.ndarray
     inner_iterations: tuple[int, ...] = ()
     wall_time_s: float = 0.0

@@ -122,7 +122,6 @@ def harmonic_interpolate(
     s: VertexSet,
     obs,
     tol: float = 1e-10,
-    max_iter: int | None = None,
 ) -> DenoiseResult:
     """Extend values given on s to the whole graph with minimal energy.
 
@@ -147,8 +146,6 @@ def harmonic_interpolate(
     if len(comp) == 0:
         return DenoiseResult(signal=out, iterations=0)
     rhs = restrict_adjacency(graph, comp, s) @ obs
-    fit = cg_solve(
-        restrict_laplacian(graph, comp, comp), rhs, tol=tol, max_iter=max_iter
-    )
+    fit = cg_solve(restrict_laplacian(graph, comp, comp), rhs, tol=tol)
     out[comp.members] = fit.signal
     return dataclasses.replace(fit, signal=out)

@@ -1,8 +1,9 @@
 """Dense spectral reference path: eigenbasis, transforms, filters, prior.
 
 The eigendecomposition here is the testing/reference route; production
-denoising goes through the sparse solvers.  It is capped at a configurable
-size because nothing in the package needs a full spectrum at scale.
+denoising goes through the sparse solvers.  It is capped at
+``DEFAULT_EIG_CAP`` vertices because nothing in the package needs a full
+spectrum at scale.
 """
 
 from __future__ import annotations
@@ -45,11 +46,14 @@ class SpectralBasis:
         return int(self.lambdas.size)
 
 
-def eigendecompose(g: Graph, cap: int = DEFAULT_EIG_CAP) -> SpectralBasis:
-    """Full dense eigendecomposition of the Laplacian (reference path)."""
-    if g.n > cap:
+def eigendecompose(g: Graph) -> SpectralBasis:
+    """Full dense eigendecomposition of the Laplacian (reference path).
+
+    Refused with :class:`TooLargeError` above ``DEFAULT_EIG_CAP`` vertices.
+    """
+    if g.n > DEFAULT_EIG_CAP:
         raise TooLargeError(
-            f"dense eigendecomposition refused for n={g.n} > cap={cap}; "
+            f"dense eigendecomposition refused for n={g.n} > cap={DEFAULT_EIG_CAP}; "
             "use the sparse solver path instead"
         )
     lam, psi = np.linalg.eigh(g.laplacian.toarray())

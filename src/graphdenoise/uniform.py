@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 STRICT_INIT_MARGIN = 1e-3
+# stopping rule of the CCP inner QP (see minimize_box_qp)
+_BOX_QP_TOL = 1e-8
+_BOX_QP_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,12 @@ class UniformFeasibleRegion:
     """Per-vertex interval constraints derived from an observation.
 
     g(a) > 0 pins f(a) to [g(a), inf); g(a) < 0 to (-inf, g(a)];
-    g(a) = 0 fixes f(a) = 0.  The observation itself is always feasible.
+    g(a) = 0 fixes f(a) = 0 (lower == upper == 0).  The observation itself
+    is always feasible.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    fixed_zero: np.ndarray
 
     @classmethod
     def from_observation(cls, g) -> "UniformFeasibleRegion":
@@ -54,7 +57,7 @@ class UniformFeasibleRegion:
         zero = g == 0.0
         lower = np.where(zero, 0.0, lower)
         upper = np.where(zero, 0.0, upper)
-        return cls(lower=lower, upper=upper, fixed_zero=zero)
+        return cls(lower=lower, upper=upper)
 
     def project(self, f: np.ndarray) -> np.ndarray:
         return np.clip(f, self.lower, self.upper)
@@ -104,8 +107,6 @@ def minimize_box_qp(
     linear: np.ndarray,
     region: UniformFeasibleRegion,
     x0: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 20000,
 ) -> tuple[np.ndarray, int]:
     """Minimize kappa * x'Lx + c'x over the box, starting from a feasible x0.
 
@@ -113,7 +114,8 @@ def minimize_box_qp(
     search along the projected direction; every accepted step decreases the
     objective, so the value at the returned point never exceeds the value
     at ``x0``.  Terminates when the unit-step projected gradient is below
-    ``tol`` (scaled by the linear term) or at ``max_iter``.
+    1e-8 (scaled by the linear term) or after 20000 steps.  Returns the
+    point and the number of steps taken.
     """
     x = region.project(np.asarray(x0, dtype=np.float64).copy())
     c = linear
@@ -122,9 +124,9 @@ def minimize_box_qp(
     grad = hx + c
     step = 1.0
     iters = 0
-    while iters < max_iter:
+    while iters < _BOX_QP_MAX_ITER:
         stationarity = np.max(np.abs(x - region.project(x - grad)))
-        if stationarity <= tol * scale:
+        if stationarity <= _BOX_QP_TOL * scale:
             break
         d = region.project(x - step * grad) - x
         dnorm2 = float(np.dot(d, d))
@@ -164,8 +166,6 @@ def ccp_denoise(
     max_outer: int = 50,
     tol: float = 1e-7,
     rng_seed: int | None = None,
-    inner_tol: float = 1e-8,
-    inner_max_iter: int = 20000,
 ) -> tuple[DenoiseResult, DescentTrace]:
     """Convex-concave procedure for the uniform-noise posterior.
 
@@ -188,9 +188,7 @@ def ccp_denoise(
     converged = False
     for _ in range(max_outer):
         coeff = _log_term_gradient(f)
-        f_new, inner = minimize_box_qp(
-            graph, kappa, coeff, region, f, tol=inner_tol, max_iter=inner_max_iter
-        )
+        f_new, inner = minimize_box_qp(graph, kappa, coeff, region, f)
         loss_new = uniform_loss(f_new, graph, kappa, region)
         if loss_new > losses[-1]:
             # inner solver made no usable progress; keep the current iterate.
@@ -205,7 +203,6 @@ def ccp_denoise(
             converged = True
             break
     trace = DescentTrace(
-        losses=np.asarray(losses),
         inner_iterations=tuple(inner_counts),
         wall_time_s=time.perf_counter() - start,
     )
@@ -266,10 +263,7 @@ def projected_gradient_denoise(
         if abs(losses[-2] - losses[-1]) <= threshold:
             converged = True
             break
-    trace = DescentTrace(
-        losses=np.asarray(losses),
-        wall_time_s=time.perf_counter() - start,
-    )
+    trace = DescentTrace(wall_time_s=time.perf_counter() - start)
     result = DenoiseResult(
         signal=best,
         iterations=len(losses) - 1,

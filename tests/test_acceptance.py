@@ -287,13 +287,13 @@ def test_criterion_6_ccp_properties():
     truth = sample_prior(basis, 1.0, rng_seed=7)
     truth = truth - truth.min() + 0.05 * (truth.max() - truth.min())
     rep = ccp_vs_pg_benchmark(truth, g, kappa=1.0, seed=0)
-    monotone = bool(np.all(np.diff(rep.ccp_losses) <= 1e-12))
-    beats = rep.ccp_final_loss <= rep.truth_loss and rep.pg_final_loss <= rep.truth_loss
-    few = rep.ccp_outer_iterations <= 50
+    monotone = bool(np.all(np.diff(rep.ccp.trace) <= 1e-12))
+    beats = rep.ccp.trace[-1] <= rep.truth_loss and rep.pg.trace.min() <= rep.truth_loss
+    few = rep.ccp.iterations <= 50
     elapsed = time.time() - start
     ok = monotone and beats and few and elapsed < 300.0
     report(6, "ccp descent benchmark", ok,
-           f"monotone={monotone} beats-truth={beats} outer={rep.ccp_outer_iterations}, "
+           f"monotone={monotone} beats-truth={beats} outer={rep.ccp.iterations}, "
            f"{elapsed:.0f}s")
     assert monotone
     assert beats

@@ -93,10 +93,12 @@ class TestConfig:
         assert BernoulliConfig(zeta=z, p=0.5, kappa=1.0).effective_tau == 0.0
 
     def test_mode_aliases(self):
+        """Only the two canonical mode names are accepted."""
         z = VertexSet.from_iterable([0])
-        assert BernoulliConfig(zeta=z, tau=1.0, mode="l0-greedy").mode == "l0"
-        with pytest.raises(InvalidArgumentError):
-            BernoulliConfig(zeta=z, tau=1.0, mode="l2")
+        assert BernoulliConfig(zeta=z, tau=1.0, mode="l0").mode == "l0"
+        for mode in ("l0-greedy", "l2"):
+            with pytest.raises(InvalidArgumentError):
+                BernoulliConfig(zeta=z, tau=1.0, mode=mode)
 
 
 class TestLasso:

@@ -449,3 +449,65 @@ class TestExperimentCommand:
             assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
             assert len(calls) == 1, name
             assert (out / "traces.csv").is_file() == (name == "ccp_benchmark")
+
+    def test_knn_from_file_graph_has_no_cluster_signals(self, tmp_path, rng, capsys):
+        """Cluster signals need the synthetic-clusters graph; a k-NN graph
+        read from a file does not supply them, whatever its size."""
+        for n in (60, 3):
+            pts = np.column_stack([np.arange(n, dtype=float), rng.normal(0, 0.1, n)])
+            write_csv(tmp_path / "pts.csv", pts)
+            spec = tmp_path / "knn.spec"
+            spec.write_text(
+                TINY_SPEC.replace(
+                    "kind = grid\nheight = 3\nwidth = 3",
+                    f"kind = knn-from-file\npath = {tmp_path / 'pts.csv'}\nknn = 2",
+                ).replace("source = prior-sample", "source = cluster-low-freq")
+            )
+            rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert "requires a synthetic-clusters graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            ("height = 3\n", "", "[graph] needs height"),
+            ("count = 2", "count = many", "[signal] count"),
+            ("levels = 0.5 1.0", "levels = low high", "[noise] levels"),
+            ("seed = 0", "seed = abc", "[experiment] seed"),
+            ("[metrics]", "[benchmark]\nmax-outer = lots\n\n[metrics]", "[benchmark] max-outer"),
+        ],
+        ids=["grid-without-height", "count-many", "levels", "seed", "benchmark"],
+    )
+    def test_malformed_spec_value_exit_2(self, tmp_path, capsys, old, new, named):
+        assert old in TINY_SPEC
+        spec = tmp_path / "bad.spec"
+        spec.write_text(TINY_SPEC.replace(old, new))
+        rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,named",
+        [
+            ("[method.bernoulli]\nmode = l1\n", "[method.bernoulli] needs p or tau"),
+            ("[method.band-low]\n", "[method.band-low] needs k"),
+            ("[method.gaussian]\ntau = abc\n", "[method.gaussian] tau: cannot read 'abc'"),
+        ],
+        ids=["bernoulli-without-tau-or-p", "band-low-without-k", "tau-abc"],
+    )
+    def test_malformed_method_parameter_is_an_error_row(
+        self, tmp_path, caplog, section, named
+    ):
+        """A bad method parameter fails that method's cells only."""
+        method = section.split("]")[0][len("[method."):]
+        spec = tmp_path / "bad.spec"
+        spec.write_text(TINY_SPEC.split("[method.gaussian]")[0] + section
+                        + "\n[method.local-average]\nt = 1\n")
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+        bad = [r for r in rows if r[0] == method]
+        assert bad and all(r[4] == "error" and r[5] == "nan" for r in bad)
+        good = [r for r in rows if r[0] == "local-average"]
+        assert good and all(r[4] == "relative-error" for r in good)
+        assert any(named in rec.getMessage() for rec in caplog.records)

@@ -218,7 +218,8 @@ class TestRunner:
             "[method.gaussian]\ntau = estimate\n", "[method.nuclear]\ntau = 1\n"
         ).replace(
             "kind = grid\nheight = 4\nwidth = 4",
-            "kind = synthetic-clusters\nclusters = 1\npoints-per-cluster = 40\nknn = 5",
+            # more neighbors than points per cluster keeps the graph connected
+            "kind = synthetic-clusters\nclusters = 2\npoints-per-cluster = 30\nknn = 35",
         )
         path = tmp_path / "fail.spec"
         path.write_text(spec_text)
@@ -227,6 +228,24 @@ class TestRunner:
         assert nuc and all(r.metric == "error" and np.isnan(r.value) for r in nuc)
         others = [r for r in table.rows if r.method == "local-average"]
         assert others and all(np.isfinite(r.value) for r in others)
+
+    def test_cluster_signal_count_defaults_to_one(self, tmp_path):
+        """The graph's cluster data and the signals read one count default."""
+        text = TINY_SPEC.replace(
+            "kind = grid\nheight = 4\nwidth = 4",
+            # more neighbors than points per cluster keeps the graph connected
+            "kind = synthetic-clusters\nclusters = 2\npoints-per-cluster = 30\nknn = 35",
+        ).replace("source = prior-sample\ncount = 2\n", "source = cluster-high-freq\n")
+
+        def values(spec_text):
+            path = tmp_path / "c.spec"
+            path.write_text(spec_text)
+            table = run_experiment(parse_experiment_spec(path))
+            return [(r.method, r.noise_level, r.metric, r.value) for r in table.rows]
+
+        without = values(text)
+        assert without == values(text.replace("cluster-high-freq\n", "cluster-high-freq\ncount = 1\n"))
+        assert without != values(text.replace("cluster-high-freq\n", "cluster-high-freq\ncount = 3\n"))
 
     def test_csv_shape(self, tmp_path):
         path = tmp_path / "tiny.spec"
@@ -248,11 +267,11 @@ class TestBenchmark:
         rep1 = ccp_vs_pg_benchmark(truth, g, kappa=1.0, seed=0)
         rep2 = ccp_vs_pg_benchmark(truth, g, kappa=1.0, seed=0)
         assert np.array_equal(rep1.noisy, rep2.noisy)
-        assert np.array_equal(rep1.ccp_losses, rep2.ccp_losses)
-        assert np.array_equal(rep1.pg_losses, rep2.pg_losses)
-        assert rep1.ccp_final_loss <= rep1.truth_loss
-        assert rep1.pg_final_loss <= rep1.truth_loss
-        assert rep1.ccp_outer_iterations <= 50
+        assert np.array_equal(rep1.ccp.trace, rep2.ccp.trace)
+        assert np.array_equal(rep1.pg.trace, rep2.pg.trace)
+        assert rep1.ccp.trace[-1] <= rep1.truth_loss
+        assert rep1.pg.trace.min() <= rep1.truth_loss
+        assert rep1.ccp.iterations <= 50
 
     def test_trace_csv(self, tmp_path):
         g = build_grid_graph(5, 5)
@@ -263,4 +282,4 @@ class TestBenchmark:
         rep.write_traces_csv(out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "method,iteration,loss,elapsed_s"
-        assert len(lines) == len(rep.ccp_losses) + len(rep.pg_losses) + 1
+        assert len(lines) == len(rep.ccp.trace) + len(rep.pg.trace) + 1

@@ -129,6 +129,15 @@ class TestEstimateTau:
         multi = estimate_tau_multi(np.tile(sig, (5, 1)), g)
         assert multi == pytest.approx(single, rel=1e-12, abs=1e-12)
 
+    def test_multi_constant_rows_degenerate(self):
+        """Rounding leaves ||Lg||^2 nonzero for a constant 0.1 on a grid,
+        so constancy itself must be checked."""
+        g = build_grid_graph(16, 16)
+        with pytest.raises(DegenerateSignalError):
+            estimate_tau_multi(np.full((3, g.n), 0.1), g)
+        with pytest.raises(DegenerateSignalError):
+            estimate_tau(np.full(g.n, 0.1), g)
+
     def test_multi_empty_rejected(self, p3):
         with pytest.raises(InvalidArgumentError):
             estimate_tau_multi(np.empty((0, 3)), p3)

@@ -9,13 +9,11 @@ from graphdenoise import (
     GraphDisconnectedError,
     InvalidArgumentError,
     VertexSet,
-    boundary,
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
     incidence_apply,
     incidence_columns,
-    incidence_transpose_apply,
     laplacian_apply,
     laplacian_squared_trace,
     laplacian_trace,
@@ -222,7 +220,7 @@ class TestOperators:
         g = random_connected_graph(20, 10, rng)
         for _ in range(5):
             f = rng.normal(size=g.n)
-            lhs = incidence_transpose_apply(g, incidence_apply(g, f))
+            lhs = g.incidence.T @ incidence_apply(g, f)
             rhs = laplacian_apply(g, f)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -237,8 +235,6 @@ class TestOperators:
     def test_length_mismatch_rejected(self, p3):
         with pytest.raises(InvalidArgumentError):
             laplacian_apply(p3, [1.0, 2.0])
-        with pytest.raises(InvalidArgumentError):
-            incidence_transpose_apply(p3, [1.0, 2.0, 3.0])
 
 
 class TestTraces:
@@ -272,14 +268,6 @@ class TestTraces:
 
 
 class TestSetsAndRestrictions:
-    def test_boundary_of_everything_and_nothing(self, p3):
-        assert len(boundary(p3, VertexSet.from_iterable(range(3)))) == 0
-        assert len(boundary(p3, VertexSet.from_iterable([]))) == 0
-
-    def test_boundary_p3(self, p3):
-        s = VertexSet.from_iterable([0, 2])
-        assert boundary(p3, s).members.tolist() == [0, 2]
-
     def test_full_restriction_is_whole_operator(self, p3):
         v = VertexSet.from_iterable(range(3))
         assert np.allclose(

@@ -42,7 +42,8 @@ class TestRegionAndLoss:
         assert not region.contains(np.array([1.5, -4.0, 0.0]))
         assert not region.contains(np.array([3.0, -0.5, 0.0]))
         assert not region.contains(np.array([3.0, -4.0, 0.1]))
-        assert region.fixed_zero.tolist() == [False, False, True]
+        fixed_zero = (region.lower == 0.0) & (region.upper == 0.0)
+        assert fixed_zero.tolist() == [False, False, True]
 
     def test_loss_hand_values(self):
         g2 = two_vertex_graph()
@@ -70,19 +71,19 @@ class TestCcp:
     def test_constant_positive_observation_is_stationary(self):
         g = build_grid_graph(2, 2)
         obs = np.full(4, 2.0)
-        res, trace = ccp_denoise(obs, g, kappa=1.0, tol=1e-10)
+        res, _ = ccp_denoise(obs, g, kappa=1.0, tol=1e-10)
         # the box corner f = g satisfies the first-order conditions: the
         # energy gradient vanishes and the log gradient pushes into the bound
         assert np.allclose(res.signal, obs, atol=1e-6)
-        assert np.all(np.diff(trace.losses) <= 1e-12)
+        assert np.all(np.diff(res.trace) <= 1e-12)
 
     def test_two_vertex_grid_search_oracle(self):
         g2 = two_vertex_graph()
         obs = np.array([1.0, 0.2])
-        res, trace = ccp_denoise(obs, g2, kappa=1.0, tol=1e-12)
+        res, _ = ccp_denoise(obs, g2, kappa=1.0, tol=1e-12)
         best_loss, best_f = grid_search_2d(obs, 1.0, 1.0)
         assert np.max(np.abs(res.signal - best_f)) <= 1e-2
-        assert trace.losses[-1] <= best_loss + 1e-6
+        assert res.trace[-1] <= best_loss + 1e-6
 
     def test_zero_entries_stay_zero(self, p3):
         obs = np.array([2.0, 0.0, 1.0])
@@ -96,7 +97,7 @@ class TestCcp:
             truth = rng.uniform(0.5, 3.0, size=n) * rng.choice([-1, 1], size=n)
             obs = truth * rng.uniform(0.0, 1.0, size=n)
             res, trace = ccp_denoise(obs, g, kappa=0.5, rng_seed=seed)
-            assert np.all(np.diff(trace.losses) <= 1e-12)
+            assert np.all(np.diff(res.trace) <= 1e-12)
             region = UniformFeasibleRegion.from_observation(obs)
             assert region.contains(res.signal, slack=1e-12)
             assert len(trace.inner_iterations) == res.iterations
@@ -112,10 +113,10 @@ class TestCcp:
         monkeypatch.setattr(uniform, "minimize_box_qp", worse_point)
         g = random_connected_graph(10, 5, rng)
         obs = rng.uniform(1.0, 2.0, size=g.n)
-        res, trace = ccp_denoise(obs, g, kappa=1.0)
+        res, _ = ccp_denoise(obs, g, kappa=1.0)
         assert not res.converged
         assert res.iterations == 0
-        assert trace.losses.size == 1
+        assert res.trace.size == 1
         assert UniformFeasibleRegion.from_observation(obs).contains(res.signal)
 
     def test_kappa_validation(self, p3):
@@ -126,12 +127,12 @@ class TestCcp:
 class TestProjectedGradient:
     def test_zero_iterations_returns_strict_interior_init(self, p3):
         obs = np.array([1.0, -2.0, 0.0])
-        res, trace = projected_gradient_denoise(obs, p3, kappa=1.0, max_iter=0)
+        res, _ = projected_gradient_denoise(obs, p3, kappa=1.0, max_iter=0)
         region = UniformFeasibleRegion.from_observation(obs)
         assert region.contains(res.signal)
         assert res.signal[0] > obs[0] and res.signal[1] < obs[1]
         assert res.signal[2] == 0.0
-        assert len(trace.losses) == 1
+        assert len(res.trace) == 1
 
     def test_final_loss_never_exceeds_initial(self, rng):
         for seed in range(5):
@@ -139,11 +140,11 @@ class TestProjectedGradient:
             g = random_connected_graph(n, int(rng.integers(0, n)), rng)
             truth = rng.uniform(0.5, 3.0, size=n)
             obs = truth * rng.uniform(0.0, 1.0, size=n)
-            res, trace = projected_gradient_denoise(
+            res, _ = projected_gradient_denoise(
                 obs, g, kappa=0.5, step=0.05, max_iter=500
             )
             final = uniform_loss(res.signal, g, 0.5)
-            assert final <= trace.losses[0] + 1e-12
+            assert final <= res.trace[0] + 1e-12
             region = UniformFeasibleRegion.from_observation(obs)
             assert region.contains(res.signal, slack=1e-12)
 
