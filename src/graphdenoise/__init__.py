@@ -55,7 +55,6 @@ from .gaussian import (
 )
 from .graphs import (
     Graph,
-    VertexSet,
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,

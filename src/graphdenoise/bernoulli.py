@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, InvalidArgumentError
-from .graphs import Graph, VertexSet, as_signal, incidence_apply, incidence_columns
+from .graphs import Graph, as_mask, as_signal, incidence_apply, incidence_columns
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
@@ -43,9 +43,12 @@ MODES = ("l1", "l0")
 
 @dataclass(frozen=True)
 class BernoulliConfig:
-    """Suspicion set plus the sparsity penalty, given directly or via (p, kappa)."""
+    """Suspicion set plus the sparsity penalty, given directly or via (p, kappa).
 
-    zeta: VertexSet
+    ``zeta`` is a length-n boolean vertex mask.
+    """
+
+    zeta: np.ndarray
     tau: float | None = None
     p: float | None = None
     kappa: float | None = None
@@ -411,27 +414,26 @@ def bernoulli_denoise(g_signal, graph: Graph, cfg: BernoulliConfig) -> DenoiseRe
     complement.
     """
     g = as_signal(g_signal, graph.n)
-    if len(cfg.zeta) and cfg.zeta.members[-1] >= graph.n:
-        raise InvalidArgumentError("zeta out of range")
-    if len(cfg.zeta) == 0:
+    zeta = as_mask(cfg.zeta, graph.n)
+    if not zeta.any():
         return DenoiseResult(signal=g.copy(), iterations=0)
     tau = cfg.effective_tau
     if tau <= 0.0:
-        comp = cfg.zeta.complement(graph.n)
-        if len(comp) == 0:
+        trusted = ~zeta
+        if not trusted.any():
             raise InvalidArgumentError(
                 "zeta covers every vertex with a nonpositive penalty: nothing "
                 "is trusted and every value would be discarded"
             )
-        return harmonic_interpolate(graph, comp, g[comp.members])
-    design = incidence_columns(graph, cfg.zeta)
+        return harmonic_interpolate(graph, trusted, g[trusted])
+    design = incidence_columns(graph, zeta)
     yv = -incidence_apply(graph, g)
     if cfg.mode == "l1":
         update = lasso_coordinate_descent(design, yv, tau)
     else:
         update = l0_greedy(design, yv, tau)
     f = g.copy()
-    f[cfg.zeta.members] += update.x
+    f[zeta] += update.x
     return DenoiseResult(
         signal=f, iterations=update.iterations, converged=update.converged
     )
@@ -441,6 +443,5 @@ def no_trust_denoise(g_signal, graph: Graph, tau: float, mode: str = "l1") -> De
     """Dropout estimate with every vertex suspected (zeta = V)."""
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
-    zeta = VertexSet(np.arange(graph.n, dtype=np.int64))
-    cfg = BernoulliConfig(zeta=zeta, tau=tau, mode=mode)
+    cfg = BernoulliConfig(zeta=np.ones(graph.n, dtype=bool), tau=tau, mode=mode)
     return bernoulli_denoise(g_signal, graph, cfg)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
-from .graphs import Graph, VertexSet, build_grid_graph, build_knn_graph
+from .graphs import Graph, build_grid_graph, build_knn_graph
 from .matrixio import read_matrix, write_matrix
 from .solvers import harmonic_interpolate
 from .uniform import ccp_denoise
@@ -41,6 +41,13 @@ _NUMERICAL_ERRORS = (
     ConvergenceError,
     SingularSystemError,
 )
+
+
+def _thread_count(text: str) -> int:
+    """Parse --threads: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _default_threads() -> int:
@@ -83,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate tau per column by the method of moments (gaussian model)",
     )
     den.add_argument("--seed", type=int, default=0)
-    den.add_argument("--threads", type=int, default=None)
+    den.add_argument("--threads", type=_thread_count, default=None)
 
     exp = sub.add_parser("experiment", help="run a declarative experiment spec")
     exp.add_argument("--spec", required=True)
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    exp.add_argument("--threads", type=int, default=None)
+    exp.add_argument("--threads", type=_thread_count, default=None)
     return parser
 
 
@@ -99,7 +106,12 @@ def _parse_graph_arg(tokens: list[str], n_rows: int, matrix: np.ndarray) -> Grap
         if len(tokens) != 2 or "x" not in tokens[1]:
             raise InvalidArgumentError("--graph grid needs a HxW argument")
         h_s, w_s = tokens[1].lower().split("x", 1)
-        h, w = int(h_s), int(w_s)
+        try:
+            h, w = int(h_s), int(w_s)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"--graph grid needs integers HxW, got {tokens[1]!r}"
+            ) from None
         if h * w != n_rows:
             raise InvalidArgumentError(
                 f"grid {h}x{w} has {h * w} vertices but the input has {n_rows} rows"
@@ -108,7 +120,13 @@ def _parse_graph_arg(tokens: list[str], n_rows: int, matrix: np.ndarray) -> Grap
     if kind == "knn":
         if len(tokens) != 2:
             raise InvalidArgumentError("--graph knn needs a neighbor count")
-        return build_knn_graph(matrix, int(tokens[1]))
+        try:
+            k = int(tokens[1])
+        except ValueError:
+            raise InvalidArgumentError(
+                f"--graph knn needs an integer neighbor count, got {tokens[1]!r}"
+            ) from None
+        return build_knn_graph(matrix, k)
     if kind == "edge-list":
         if len(tokens) != 2:
             raise InvalidArgumentError("--graph edge-list needs a file path")
@@ -120,7 +138,7 @@ def _read_edge_list(path: str, n: int) -> Graph:
     p = Path(path)
     if not p.exists():
         raise InvalidArgumentError(f"edge-list file not found: {p}")
-    edges = []
+    a, b, w = [], [], []
     for ln_no, line in enumerate(p.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -131,14 +149,14 @@ def _read_edge_list(path: str, n: int) -> Graph:
                 f"{p}: line {ln_no}: expected 'a b [w]', got {line!r}"
             )
         try:
-            a, b = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            a.append(int(parts[0]))
+            b.append(int(parts[1]))
+            w.append(float(parts[2]) if len(parts) == 3 else 1.0)
         except ValueError:
             raise InvalidArgumentError(
                 f"{p}: line {ln_no}: cannot parse {line!r}"
             ) from None
-        edges.append((a, b, w))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, a, b, w)
 
 
 def _parse_columns(arg: str | None, width: int) -> list[int]:
@@ -165,13 +183,8 @@ def _parse_columns(arg: str | None, width: int) -> list[int]:
     return cols
 
 
-def _zeta_for_column(arg: str | None, g: np.ndarray, mask_values) -> VertexSet:
-    if arg is None or arg == "zeros":
-        return VertexSet.from_mask(g == 0.0)
-    return VertexSet.from_mask(mask_values != 0.0)
-
-
-def _load_zeta_mask(arg: str | None, n: int):
+def _load_zeta_mask(arg: str | None, n: int) -> np.ndarray | None:
+    """The suspicion mask of a 0/1 mask file; None for 'zeros' (per column)."""
     if arg is None or arg == "zeros":
         return None
     path = Path(arg)
@@ -181,7 +194,7 @@ def _load_zeta_mask(arg: str | None, n: int):
         raise InvalidArgumentError(
             f"mask {path} has {flat.size} entries, expected {n}"
         )
-    return flat
+    return flat != 0.0
 
 
 def cmd_denoise(args) -> int:
@@ -211,7 +224,7 @@ def cmd_denoise(args) -> int:
     graph = _parse_graph_arg(args.graph, n_rows, matrix)
     cols = _parse_columns(args.columns, matrix.shape[1])
     mask = _load_zeta_mask(args.zeta, n_rows)
-    threads = args.threads if args.threads else _default_threads()
+    threads = args.threads if args.threads is not None else _default_threads()
     kappa = args.kappa if args.kappa is not None else 1.0
 
     summaries: list[str] = []
@@ -225,8 +238,10 @@ def cmd_denoise(args) -> int:
         if args.model == "uniform":
             res, _ = ccp_denoise(g, graph, kappa=kappa, rng_seed=args.seed)
             return c, res, None
+        if args.model == "no-trust":
+            return c, no_trust_denoise(g, graph, args.tau, mode=args.mode), None
+        zeta = (g == 0.0) if mask is None else mask
         if args.model == "bernoulli":
-            zeta = _zeta_for_column(args.zeta, g, mask)
             if args.tau is not None:
                 cfg = BernoulliConfig(zeta=zeta, tau=args.tau, mode=args.mode)
             else:
@@ -234,12 +249,8 @@ def cmd_denoise(args) -> int:
                     zeta=zeta, p=args.p, kappa=kappa, mode=args.mode
                 )
             return c, bernoulli_denoise(g, graph, cfg), None
-        if args.model == "no-trust":
-            return c, no_trust_denoise(g, graph, args.tau, mode=args.mode), None
         # interpolate: fill the masked set from the trusted complement
-        zeta = _zeta_for_column(args.zeta, g, mask)
-        known = zeta.complement(graph.n)
-        return c, harmonic_interpolate(graph, known, g[known.members]), None
+        return c, harmonic_interpolate(graph, ~zeta, g[~zeta]), None
 
     start = time.perf_counter()
     if threads > 1:
@@ -284,7 +295,7 @@ def cmd_experiment(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = args.threads if args.threads else _default_threads()
+    threads = args.threads if args.threads is not None else _default_threads()
     table = run_experiment(spec, threads=threads)
     table.to_csv(out_dir / "table.csv")
     if table.benchmark is not None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError
-from .graphs import Graph, VertexSet, as_signal, build_grid_graph, build_knn_graph
+from .graphs import Graph, as_signal, build_grid_graph, build_knn_graph
 from .matrixio import format_float, read_matrix
 from .result import DenoiseResult
 from .spectral import SpectralBasis, eigendecompose, sample_prior
@@ -74,7 +74,7 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """One corruption process: kind, parameters, and its own seed."""
+    """One corruption process: its kind and parameters."""
 
     kind: str
     sigma: float = 0.0
@@ -82,7 +82,6 @@ class NoiseSpec:
     fill: float = 0.0
     lo: float = 0.0
     hi: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -95,11 +94,9 @@ class NoiseSpec:
             raise InvalidArgumentError("p must be in [0, 1]")
 
 
-def add_noise(f, spec: NoiseSpec, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Corrupt a signal; deterministic for a fixed spec (and its seed)."""
+def add_noise(f, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+    """Corrupt a signal with draws from ``rng``."""
     f = np.asarray(f, dtype=np.float64)
-    if rng is None:
-        rng = derive_rng(spec.seed, "noise", spec.kind)
     if spec.kind == "gaussian":
         if spec.sigma == 0.0:
             return f.copy()
@@ -451,7 +448,7 @@ def _method_nuclear(noisy, ctx, param):
 def _method_bernoulli(noisy, ctx, param):
     if param("zeta", default="zeros") != "zeros":
         raise InvalidArgumentError("experiment runner supports zeta = zeros only")
-    zeta = VertexSet.from_mask(np.asarray(noisy) == 0.0)
+    zeta = np.asarray(noisy) == 0.0
     mode = param("mode", default="l1")
     p = param("p", default=None)
     if p is not None:

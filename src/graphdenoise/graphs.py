@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +21,6 @@ from .errors import GraphDisconnectedError, InvalidArgumentError
 
 __all__ = [
     "Graph",
-    "VertexSet",
     "build_grid_graph",
     "build_knn_graph",
     "laplacian_apply",
@@ -46,44 +44,18 @@ def as_signal(f, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """A sorted, deduplicated set of vertex ids."""
+def as_mask(s, n: int) -> np.ndarray:
+    """Validate a vertex set: a length-n boolean mask over the vertices.
 
-    members: np.ndarray
-
-    @classmethod
-    def from_iterable(cls, ids: Iterable[int], n: int | None = None) -> "VertexSet":
-        members = np.unique(np.asarray(list(ids), dtype=np.int64))
-        if members.size and members[0] < 0:
-            raise InvalidArgumentError("vertex ids must be nonnegative")
-        if n is not None and members.size and members[-1] >= n:
-            raise InvalidArgumentError(
-                f"vertex id {members[-1]} out of range for n={n}"
-            )
-        return cls(members)
-
-    @classmethod
-    def from_mask(cls, mask) -> "VertexSet":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(np.flatnonzero(mask).astype(np.int64))
-
-    def complement(self, n: int) -> "VertexSet":
-        mask = np.ones(n, dtype=bool)
-        mask[self.members] = False
-        return VertexSet(np.flatnonzero(mask).astype(np.int64))
-
-    def mask(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        out[self.members] = True
-        return out
-
-    def __len__(self) -> int:
-        return int(self.members.size)
-
-    def __contains__(self, v) -> bool:
-        i = np.searchsorted(self.members, v)
-        return bool(i < self.members.size and self.members[i] == v)
+    Integer arrays are rejected rather than read as indices or as 0/1 flags.
+    """
+    arr = np.asarray(s)
+    if arr.dtype != np.bool_ or arr.shape != (n,):
+        raise InvalidArgumentError(
+            f"expected a length-{n} boolean vertex mask, got {arr.dtype} "
+            f"array of shape {arr.shape}"
+        )
+    return arr
 
 
 @dataclass(frozen=True)
@@ -101,15 +73,26 @@ class Graph:
     edge_w: np.ndarray
 
     @classmethod
-    def from_edges(cls, n: int, edges: Sequence[tuple[int, int, float]]) -> "Graph":
+    def from_edges(cls, n: int, a, b, w) -> "Graph":
+        """Graph on n vertices with edges (a[i], b[i]) of weight w[i].
+
+        ``a`` and ``b`` are equal-length 1-D integer arrays of vertex ids and
+        ``w`` the matching weights; edges may come in either orientation
+        and in any order.
+        """
         if n < 1:
             raise InvalidArgumentError("graph needs at least one vertex")
-        edges = list(edges)
-        if not edges:
+        a, b, w = np.asarray(a), np.asarray(b), np.asarray(w, dtype=np.float64)
+        if a.ndim != 1 or a.shape != b.shape or a.shape != w.shape:
+            raise InvalidArgumentError(
+                "edge arrays must be 1-D and of equal length, got shapes "
+                f"{a.shape}, {b.shape} and {w.shape}"
+            )
+        if a.size == 0:
             raise InvalidArgumentError("graph needs at least one edge")
-        a = np.asarray([e[0] for e in edges], dtype=np.int64)
-        b = np.asarray([e[1] for e in edges], dtype=np.int64)
-        w = np.asarray([e[2] for e in edges], dtype=np.float64)
+        if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+            raise InvalidArgumentError("edge endpoints must be integer vertex ids")
+        a, b = a.astype(np.int64), b.astype(np.int64)
         if a.min() < 0 or b.min() < 0 or a.max() >= n or b.max() >= n:
             raise InvalidArgumentError("edge endpoint out of range")
         if np.any(a == b):
@@ -177,15 +160,10 @@ def build_grid_graph(height: int, width: int) -> Graph:
         raise InvalidArgumentError("grid dimensions must be positive")
     if height * width < 2:
         raise InvalidArgumentError("grid needs at least two vertices")
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            v = r * width + c
-            if c + 1 < width:
-                edges.append((v, v + 1, 1.0))
-            if r + 1 < height:
-                edges.append((v, v + width, 1.0))
-    return Graph.from_edges(height * width, edges)
+    ids = np.arange(height * width, dtype=np.int64).reshape(height, width)
+    a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return Graph.from_edges(height * width, a, b, np.ones(a.size))
 
 
 def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,14 +242,12 @@ def build_knn_graph(points, k: int) -> Graph:
 
     coo = sp.triu(w_sym, k=1).tocoo()
     keep = coo.data > 0.0  # drop affinities that underflowed to zero
-    edges = list(zip(coo.row[keep].tolist(), coo.col[keep].tolist(),
-                     coo.data[keep].tolist()))
-    if not edges:
+    if not keep.any():
         raise GraphDisconnectedError(
             "k-NN graph has no usable edges",
             components=[[i] for i in range(n)],
         )
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, coo.row[keep], coo.col[keep], coo.data[keep])
 
 
 def laplacian_apply(g: Graph, f) -> np.ndarray:
@@ -304,28 +280,20 @@ def laplacian_squared_trace(g: Graph) -> float:
     return float(np.dot(g.degrees, g.degrees) + 2.0 * w2.sum())
 
 
-def _check_set(g: Graph, s: VertexSet) -> np.ndarray:
-    idx = s.members
-    if idx.size and (idx[0] < 0 or idx[-1] >= g.n):
-        raise InvalidArgumentError("vertex set out of range")
-    return idx
-
-
-def restrict_laplacian(g: Graph, rows: VertexSet, cols: VertexSet) -> sp.csr_matrix:
-    """The submatrix L(rows, cols) as a sparse matrix."""
-    r = _check_set(g, rows)
-    c = _check_set(g, cols)
+def restrict_laplacian(g: Graph, rows, cols) -> sp.csr_matrix:
+    """The submatrix L(rows, cols) of two vertex masks, in vertex order."""
+    r = np.flatnonzero(as_mask(rows, g.n))
+    c = np.flatnonzero(as_mask(cols, g.n))
     return g.laplacian[r][:, c].tocsr()
 
 
-def restrict_adjacency(g: Graph, rows: VertexSet, cols: VertexSet) -> sp.csr_matrix:
-    """The submatrix A(rows, cols) as a sparse matrix."""
-    r = _check_set(g, rows)
-    c = _check_set(g, cols)
+def restrict_adjacency(g: Graph, rows, cols) -> sp.csr_matrix:
+    """The submatrix A(rows, cols) of two vertex masks, in vertex order."""
+    r = np.flatnonzero(as_mask(rows, g.n))
+    c = np.flatnonzero(as_mask(cols, g.n))
     return g.csr_adjacency[r][:, c].tocsr()
 
 
-def incidence_columns(g: Graph, cols: VertexSet) -> sp.csc_matrix:
-    """The column restriction B(:, cols) as a sparse matrix."""
-    c = _check_set(g, cols)
-    return g.incidence_csc[:, c]
+def incidence_columns(g: Graph, cols) -> sp.csc_matrix:
+    """The column restriction B(:, cols) of a vertex mask, in vertex order."""
+    return g.incidence_csc[:, np.flatnonzero(as_mask(cols, g.n))]

@@ -4,7 +4,8 @@ Delimited files hold observations in rows and signals in columns; an
 optional single header row is preserved on write, and every value must be
 finite.  Numeric output uses the shortest representation that parses back
 to the same float, so a denoise-write-read round trip is exact.  PGM files
-(P2 ascii or P5 binary) are treated as a single grid signal.
+(P2 ascii or P5 binary) are treated as a single grid signal whose pixels
+are integers in [0, maxval].
 """
 
 from __future__ import annotations
@@ -115,6 +116,13 @@ def _parse_pgm(path: Path) -> MatrixFile:
     width, height, maxval = tokens
     if maxval <= 0:
         raise InvalidArgumentError(f"{path}: bad maxval {maxval}")
+
+    def bad_pixel(k: int, pixel) -> InvalidArgumentError:
+        return InvalidArgumentError(
+            f"{path}: pixel {pixel!r} at row {k // width + 1}, column "
+            f"{k % width + 1} is not an integer in [0, {maxval}]"
+        )
+
     if binary:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -123,15 +131,21 @@ def _parse_pgm(path: Path) -> MatrixFile:
             data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
         except ValueError:
             raise InvalidArgumentError(f"{path}: truncated PGM payload") from None
+        over = np.flatnonzero(data > maxval)
+        if over.size:
+            raise bad_pixel(int(over[0]), int(data[over[0]]))
         values = data.reshape(height, width).astype(np.float64)
     else:
         body = raw[pos:].decode("ascii", errors="replace")
         nums = [t for t in re.split(r"\s+", body) if t and not t.startswith("#")]
         if len(nums) < width * height:
             raise InvalidArgumentError(f"{path}: truncated PGM payload")
-        values = np.asarray(
-            [float(v) for v in nums[: width * height]], dtype=np.float64
-        ).reshape(height, width)
+        pixels = []
+        for k, tok in enumerate(nums[: width * height]):
+            if not (tok.isdigit() and int(tok) <= maxval):
+                raise bad_pixel(k, tok)
+            pixels.append(int(tok))
+        values = np.asarray(pixels, dtype=np.float64).reshape(height, width)
     return MatrixFile(values=values, kind="pgm", maxval=maxval, pgm_binary=binary)
 
 

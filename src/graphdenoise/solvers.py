@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailureError,
     SingularSystemError,
 )
-from .graphs import Graph, VertexSet, restrict_adjacency, restrict_laplacian
+from .graphs import Graph, as_mask, restrict_adjacency, restrict_laplacian
 from .result import DenoiseResult
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
@@ -119,33 +119,33 @@ def cg_solve(
 
 def harmonic_interpolate(
     graph: Graph,
-    s: VertexSet,
+    known,
     obs,
     tol: float = 1e-10,
 ) -> DenoiseResult:
-    """Extend values given on s to the whole graph with minimal energy.
+    """Extend values on the known vertices to the whole graph with minimal energy.
 
-    ``obs`` holds the known values in the order of ``s.members``.  On the
-    complement every output value is the degree-weighted average of its
-    neighbors, so the result obeys the maximum principle.  Returns the
-    :func:`cg_solve` result of the L(U, U) solve on the complement U, with
-    the full-length signal.
+    ``known`` is a length-n boolean mask and ``obs`` holds the known values
+    in ascending vertex order (``signal[known]``).  On the rest every output
+    value is the degree-weighted average of its neighbors, so the result
+    obeys the maximum principle.  Returns the :func:`cg_solve` result of the
+    L(U, U) solve on the unknown set U, with the full-length signal.
     """
-    if s is None or len(s) == 0:
+    known = as_mask(known, graph.n)
+    n_known = int(np.count_nonzero(known))
+    if n_known == 0:
         raise SingularSystemError("cannot interpolate from an empty known set")
-    if s.members[-1] >= graph.n:
-        raise InvalidArgumentError("known set out of range")
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim != 1 or obs.shape[0] != len(s):
+    if obs.ndim != 1 or obs.shape[0] != n_known:
         raise InvalidArgumentError(
-            f"expected {len(s)} observed values, got shape {obs.shape}"
+            f"expected {n_known} observed values, got shape {obs.shape}"
         )
     out = np.empty(graph.n)
-    out[s.members] = obs
-    comp = s.complement(graph.n)
-    if len(comp) == 0:
+    out[known] = obs
+    unknown = ~known
+    if not unknown.any():
         return DenoiseResult(signal=out, iterations=0)
-    rhs = restrict_adjacency(graph, comp, s) @ obs
-    fit = cg_solve(restrict_laplacian(graph, comp, comp), rhs, tol=tol)
-    out[comp.members] = fit.signal
+    rhs = restrict_adjacency(graph, unknown, known) @ obs
+    fit = cg_solve(restrict_laplacian(graph, unknown, unknown), rhs, tol=tol)
+    out[unknown] = fit.signal
     return dataclasses.replace(fit, signal=out)

@@ -64,7 +64,14 @@ def random_connected_graph(n: int, extra: int, rng: np.random.Generator) -> Grap
             continue
         have.add((u, v))
         edges.append((u, v, float(rng.uniform(0.5, 2.0))))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, *zip(*edges))
+
+
+def vertex_mask(n: int, ids) -> np.ndarray:
+    """The length-n boolean mask of the vertex ids."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(ids)] = True
+    return mask
 
 
 @pytest.fixture

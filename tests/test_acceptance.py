@@ -14,7 +14,6 @@ import pytest
 
 from graphdenoise import (
     BernoulliConfig,
-    VertexSet,
     apply_filter,
     band_filter,
     bernoulli_denoise,
@@ -45,7 +44,12 @@ from graphdenoise.experiments import (
     relative_error,
 )
 
-from conftest import dense_incidence, dense_laplacian, random_connected_graph
+from conftest import (
+    dense_incidence,
+    dense_laplacian,
+    random_connected_graph,
+    vertex_mask,
+)
 
 
 def report(number, name, ok, detail):
@@ -203,7 +207,7 @@ def test_criterion_4_table3_trend():
                 r = derive_rng(seed, "table3-noise", fam, si)
                 noisy = truth.copy()
                 noisy[r.uniform(size=truth.shape) < 0.9] = 0.0
-                zeta = VertexSet.from_mask(noisy == 0.0)
+                zeta = noisy == 0.0
                 cfg = BernoulliConfig(zeta=zeta, p=0.9, kappa=1.0)
                 est = bernoulli_denoise(noisy, g, cfg).signal
                 corr[fam].append(pearson_correlation(truth, est))
@@ -248,7 +252,7 @@ def test_criterion_5_table4_trend():
         noisy = f.copy()
         noisy[r.uniform(size=f.shape) < 0.5] = 0.0
         errs["noisy"].append(relative_error(f, noisy))
-        zeta = VertexSet.from_mask(noisy == 0.0)
+        zeta = noisy == 0.0
         cfg = BernoulliConfig(zeta=zeta, p=0.5, kappa=1.0)
         errs["bernoulli"].append(
             relative_error(f, bernoulli_denoise(noisy, g, cfg).signal)
@@ -311,9 +315,7 @@ def test_criterion_7_small_instance_oracles():
         n = int(rng.integers(6, 14))
         g = random_connected_graph(n, int(rng.integers(1, 6)), rng)
         size = int(rng.integers(2, 9))
-        zeta = VertexSet(
-            np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
-        )
+        zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
         a_sparse = incidence_columns(g, zeta)
         a = a_sparse.toarray()
         sig = rng.normal(0.0, 2.0, size=n)
@@ -336,9 +338,7 @@ def test_criterion_7_small_instance_oracles():
         n = int(rng.integers(5, 20))
         g = random_connected_graph(n, int(rng.integers(1, 8)), rng)
         size = int(rng.integers(1, n))
-        zeta = VertexSet(
-            np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
-        )
+        zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
         a = incidence_columns(g, zeta)
         y = rng.normal(size=g.m)
         tau = float(rng.uniform(0.2, 2.0))
@@ -360,7 +360,7 @@ def test_criterion_7_small_instance_oracles():
                 best = (float(loss[idx]), np.array([a_[idx[0], 0], b_[0, idx[1]]]))
         return best
 
-    g2 = Graph.from_edges(2, [(0, 1, 1.0)])
+    g2 = Graph.from_edges(2, [0], [1], [1.0])
     obs2 = np.array([1.0, 0.2])
     _, f_star2 = grid_min_2d(obs2, 1.0, 1.0)
     res_c2, _ = ccp_denoise(obs2, g2, kappa=1.0, tol=1e-12)
@@ -424,9 +424,7 @@ def test_criterion_8_structural_invariants(tmp_path):
         n = int(rng.integers(4, 40))
         g = random_connected_graph(n, int(rng.integers(0, n)), rng)
         ksize = int(rng.integers(1, n))
-        s = VertexSet(
-            np.sort(rng.choice(n, size=ksize, replace=False)).astype(np.int64)
-        )
+        s = vertex_mask(n, rng.choice(n, size=ksize, replace=False))
         obs = rng.normal(size=ksize)
         out = harmonic_interpolate(g, s, obs, tol=1e-12).signal
         assert out.min() >= obs.min() - 1e-9
@@ -443,16 +441,17 @@ def test_criterion_8_structural_invariants(tmp_path):
     # orientation invariance of the dropout objective
     g = random_connected_graph(14, 8, rng)
     sig = rng.normal(size=g.n)
-    zeta = VertexSet.from_iterable([1, 3, 8, 11])
+    zeta = vertex_mask(g.n, [1, 3, 8, 11])
     for mode in ("l1", "l0"):
         cfg = BernoulliConfig(zeta=zeta, tau=0.7, mode=mode)
         base = bernoulli_denoise(sig, g, cfg).signal
         flip = rng.uniform(size=g.m) < 0.5
-        edges = [
-            ((b, a, w) if fl else (a, b, w))
-            for a, b, w, fl in zip(g.edge_a, g.edge_b, g.edge_w, flip)
-        ]
-        g_flipped = Graph.from_edges(g.n, edges)
+        g_flipped = Graph.from_edges(
+            g.n,
+            np.where(flip, g.edge_b, g.edge_a),
+            np.where(flip, g.edge_a, g.edge_b),
+            g.edge_w,
+        )
         assert np.array_equal(base, bernoulli_denoise(sig, g_flipped, cfg).signal)
 
     # determinism under --threads variation

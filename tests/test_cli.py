@@ -353,6 +353,42 @@ class TestDenoiseCommand:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "graph",
+        [["knn", "many"], ["knn", "2.5"], ["grid", "axb"], ["grid", "3x"]],
+        ids=["knn-many", "knn-2.5", "grid-axb", "grid-3x"],
+    )
+    def test_non_integer_graph_argument_exit_2(self, tmp_path, rng, capsys, graph):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(6, 2)))
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", *graph,
+                "--input", str(src),
+                "--output", str(tmp_path / "o.csv"),
+                "--tau", "1",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--graph {graph[0]}" in err and repr(graph[1]) in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, rng, capsys, threads):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(4, 2)))
+        spec = tmp_path / "t.spec"
+        spec.write_text(TINY_SPEC)
+        for argv in (
+            ["denoise", "gaussian", "--graph", "grid", "2x2", "--input", str(src),
+             "--output", str(tmp_path / "o.csv"), "--tau", "1"],
+            ["experiment", "--spec", str(spec), "--out", str(tmp_path / "exp")],
+        ):
+            assert main([*argv, "--threads", threads]) == 2
+            assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "exp").exists()
+
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "graphdenoise" in capsys.readouterr().out

@@ -8,7 +8,6 @@ from graphdenoise import (
     Graph,
     GraphDisconnectedError,
     InvalidArgumentError,
-    VertexSet,
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
@@ -20,6 +19,7 @@ from graphdenoise import (
     restrict_adjacency,
     restrict_laplacian,
 )
+from graphdenoise.graphs import as_mask
 
 from conftest import (
     dense_adjacency,
@@ -27,6 +27,7 @@ from conftest import (
     dense_laplacian,
     random_connected_graph,
     union_find_components,
+    vertex_mask,
 )
 
 
@@ -49,6 +50,22 @@ class TestConstruction:
         assert g.n == 1024
         assert g.m == 2 * 32 * 31  # 1984
 
+    @pytest.mark.parametrize("height,width", [(1, 2), (1, 9), (9, 1), (7, 5), (256, 256)])
+    def test_grid_matches_index_arithmetic(self, height, width):
+        """Edges (v, v+1) within rows and (v, v+width) across them, in
+        lexicographic order, all of unit weight."""
+        v = np.arange(height * width)
+        right = v[v % width != width - 1]
+        down = v[v < (height - 1) * width]
+        a = np.concatenate([right, down])
+        b = np.concatenate([right + 1, down + width])
+        order = np.lexsort((b, a))
+        g = build_grid_graph(height, width)
+        assert g.edge_a.dtype == np.int64 and g.edge_b.dtype == np.int64
+        assert np.array_equal(g.edge_a, a[order])
+        assert np.array_equal(g.edge_b, b[order])
+        assert np.array_equal(g.edge_w, np.ones(a.size))
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build_grid_graph(0, 5)
@@ -57,15 +74,30 @@ class TestConstruction:
 
     def test_duplicate_edges_and_self_loops_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            Graph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)])
+            Graph.from_edges(3, [0, 1, 1], [1, 0, 2], [1.0, 2.0, 1.0])
         with pytest.raises(InvalidArgumentError):
-            Graph.from_edges(3, [(0, 0, 1.0), (1, 2, 1.0)])
+            Graph.from_edges(3, [0, 1], [0, 2], [1.0, 1.0])
         with pytest.raises(InvalidArgumentError):
-            Graph.from_edges(3, [(0, 1, -1.0), (1, 2, 1.0)])
+            Graph.from_edges(3, [0, 1], [1, 2], [-1.0, 1.0])
+
+    def test_edge_arrays_validated(self):
+        ones = [1.0, 1.0]
+        for a, b, w in [
+            ([0, 1.7], [1, 2], ones),  # fractional id, not truncated
+            (np.array([0.0, 1.0]), [1, 2], ones),  # float ids
+            ([0, 1], [1, 2], [1.0]),  # length mismatch
+            ([0, 1, 0], [1, 2], [1.0, 1.0, 1.0]),
+            ([[0, 1]], [[1, 2]], [ones]),  # 2-D
+            ([], [], []),  # no edges
+        ]:
+            with pytest.raises(InvalidArgumentError):
+                Graph.from_edges(3, a, b, w)
+        g = Graph.from_edges(3, np.array([2, 0], dtype=np.int32), [1, 1], ones)
+        assert g.edge_a.tolist() == [0, 1] and g.edge_b.tolist() == [1, 2]
 
     def test_disconnected_rejected_with_components(self):
         with pytest.raises(GraphDisconnectedError) as err:
-            Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+            Graph.from_edges(4, [0, 2], [1, 3], [1.0, 1.0])
         comps = {frozenset(c) for c in err.value.components}
         assert comps == {frozenset({0, 1}), frozenset({2, 3})}
 
@@ -78,13 +110,13 @@ class TestConstruction:
                 u, v = sorted(int(x) for x in rng.integers(0, n, 2))
                 if u != v:
                     pairs.add((u, v))
-            edges = [(u, v, 1.0) for u, v in pairs]
-            ncomp = union_find_components(n, [(u, v) for u, v, _ in edges])
+            a, b = zip(*pairs)
+            ncomp = union_find_components(n, pairs)
             if ncomp == 1:
-                Graph.from_edges(n, edges)
+                Graph.from_edges(n, a, b, np.ones(len(a)))
             else:
                 with pytest.raises(GraphDisconnectedError) as err:
-                    Graph.from_edges(n, edges)
+                    Graph.from_edges(n, a, b, np.ones(len(a)))
                 assert len(err.value.components) == ncomp
 
 
@@ -250,9 +282,7 @@ class TestTraces:
     def test_weight_scaling(self, rng):
         g = random_connected_graph(10, 5, rng)
         c = 3.7
-        scaled = Graph.from_edges(
-            g.n, list(zip(g.edge_a, g.edge_b, c * g.edge_w))
-        )
+        scaled = Graph.from_edges(g.n, g.edge_a, g.edge_b, c * g.edge_w)
         assert laplacian_trace(scaled) == pytest.approx(c * laplacian_trace(g))
         assert laplacian_squared_trace(scaled) == pytest.approx(
             c**2 * laplacian_squared_trace(g)
@@ -269,7 +299,7 @@ class TestTraces:
 
 class TestSetsAndRestrictions:
     def test_full_restriction_is_whole_operator(self, p3):
-        v = VertexSet.from_iterable(range(3))
+        v = np.ones(3, dtype=bool)
         assert np.allclose(
             restrict_laplacian(p3, v, v).toarray(), dense_laplacian(p3)
         )
@@ -278,41 +308,53 @@ class TestSetsAndRestrictions:
         )
 
     def test_p3_scalar_restriction(self, p3):
-        s = VertexSet.from_iterable([1])
+        s = vertex_mask(3, [1])
         assert np.allclose(restrict_laplacian(p3, s, s).toarray(), [[2.0]])
 
     def test_p3_adjacency_restriction_apply(self, p3):
-        rows = VertexSet.from_iterable([1])
-        cols = VertexSet.from_iterable([0, 2])
+        rows = vertex_mask(3, [1])
+        cols = vertex_mask(3, [0, 2])
         out = restrict_adjacency(p3, rows, cols) @ np.array([1.0, 1.0])
         assert out == pytest.approx([2.0])
 
     def test_restrictions_match_dense_slices(self, rng):
         g = random_connected_graph(14, 7, rng)
-        rows = VertexSet.from_iterable([0, 3, 5, 9])
-        cols = VertexSet.from_iterable([1, 2, 5, 13])
+        rows = vertex_mask(g.n, [0, 3, 5, 9])
+        cols = vertex_mask(g.n, [1, 2, 5, 13])
         dl = dense_laplacian(g)
         da = dense_adjacency(g)
         assert np.allclose(
             restrict_laplacian(g, rows, cols).toarray(),
-            dl[np.ix_(rows.members, cols.members)],
+            dl[np.ix_(rows, cols)],
         )
         assert np.allclose(
             restrict_adjacency(g, rows, cols).toarray(),
-            da[np.ix_(rows.members, cols.members)],
+            da[np.ix_(rows, cols)],
         )
         db = dense_incidence(g)
         assert np.allclose(
-            incidence_columns(g, cols).toarray(), db[:, cols.members]
+            incidence_columns(g, cols).toarray(), db[:, cols]
         )
 
-    def test_vertex_set_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            VertexSet.from_iterable([0, 5], n=3)
-        s = VertexSet.from_iterable([2, 0, 2])
-        assert s.members.tolist() == [0, 2]
-        assert 2 in s and 1 not in s
-        assert s.complement(4).members.tolist() == [1, 3]
+    def test_vertex_set_validation(self, p3):
+        """Vertex sets are length-n boolean masks; nothing else is read as one."""
+        bad = [
+            np.array([0, 2]),  # an index array
+            np.array([1, 0, 1]),  # 0/1 integers of the right length
+            np.ones(2, dtype=bool),  # wrong length
+            np.ones(4, dtype=bool),
+            np.ones((3, 1), dtype=bool),  # 2-D
+            np.ones((1, 3), dtype=bool),
+        ]
+        for s in bad:
+            with pytest.raises(InvalidArgumentError):
+                as_mask(s, 3)
+            with pytest.raises(InvalidArgumentError):
+                restrict_laplacian(p3, s, np.ones(3, dtype=bool))
+            with pytest.raises(InvalidArgumentError):
+                incidence_columns(p3, s)
+        mask = np.array([True, False, True])
+        assert as_mask(mask, 3) is mask
 
 
 class TestStructuralInvariants:

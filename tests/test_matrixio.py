@@ -91,6 +91,19 @@ class TestPgm:
         with pytest.raises(InvalidArgumentError, match="truncated"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("pixel", ["x", "inf", "nan", "2.5", "-1", "300"])
+    def test_ascii_pixel_must_be_integer_in_range(self, tmp_path, pixel):
+        path = tmp_path / "img.pgm"
+        path.write_text(f"P2\n3 2\n255\n0 1 2\n3 {pixel} 5\n")
+        with pytest.raises(InvalidArgumentError, match="row 2, column 2"):
+            read_matrix(path)
+
+    def test_binary_pixel_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 2\n15\n" + bytes([1, 2, 200, 3]))
+        with pytest.raises(InvalidArgumentError, match="200.*row 2, column 1"):
+            read_matrix(path)
+
 
 class TestFormatFloat:
     def test_round_trips_exactly(self, rng):

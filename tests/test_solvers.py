@@ -7,14 +7,13 @@ from graphdenoise import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
     SingularSystemError,
-    VertexSet,
     build_grid_graph,
     cg_solve,
     dirichlet_energy,
     harmonic_interpolate,
 )
 
-from conftest import dense_laplacian, random_connected_graph
+from conftest import dense_laplacian, random_connected_graph, vertex_mask
 
 
 def shifted_laplacian(graph, d, tau):
@@ -101,63 +100,61 @@ class TestCgSolve:
 
 class TestHarmonicInterpolate:
     def test_full_known_set_returns_observations(self, p3):
-        s = VertexSet.from_iterable([0, 1, 2])
+        s = vertex_mask(3, [0, 1, 2])
         obs = np.array([4.0, 5.0, 6.0])
         assert np.array_equal(harmonic_interpolate(p3, s, obs).signal, obs)
 
     def test_p3_midpoint_average(self, p3):
-        s = VertexSet.from_iterable([0, 2])
+        s = vertex_mask(3, [0, 2])
         out = harmonic_interpolate(p3, s, np.array([0.0, 2.0])).signal
         assert out[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_extension_from_one_corner(self):
         g = build_grid_graph(2, 2)
-        s = VertexSet.from_iterable([0])
+        s = vertex_mask(4, [0])
         out = harmonic_interpolate(g, s, np.array([3.25])).signal
         assert np.allclose(out, 3.25, atol=1e-10)
 
     def test_result_reports_the_cg_solve(self, rng):
         g = random_connected_graph(20, 10, rng)
-        s = VertexSet.from_iterable(range(0, 20, 3))
-        res = harmonic_interpolate(g, s, rng.normal(size=len(s)), tol=1e-12)
+        s = vertex_mask(20, range(0, 20, 3))
+        res = harmonic_interpolate(g, s, rng.normal(size=s.sum()), tol=1e-12)
         assert res.converged and res.iterations > 0
         assert res.trace.size == res.iterations and res.trace[-1] <= 1e-12
-        full = VertexSet.from_iterable(range(20))
+        full = np.ones(20, dtype=bool)
         assert harmonic_interpolate(g, full, np.ones(20)).iterations == 0
 
     def test_empty_known_set_rejected(self, p3):
         with pytest.raises(SingularSystemError):
-            harmonic_interpolate(p3, VertexSet.from_iterable([]), np.array([]))
+            harmonic_interpolate(p3, np.zeros(3, dtype=bool), np.array([]))
 
     def test_harmonicity_and_maximum_principle(self, rng):
         for _ in range(20):
             n = int(rng.integers(6, 60))
             g = random_connected_graph(n, int(rng.integers(0, n)), rng)
             ksize = int(rng.integers(1, n))
-            s = VertexSet(
-                np.sort(rng.choice(n, size=ksize, replace=False)).astype(np.int64)
-            )
+            s = vertex_mask(n, rng.choice(n, size=ksize, replace=False))
             obs = rng.normal(size=ksize)
             out = harmonic_interpolate(g, s, obs, tol=1e-12).signal
-            assert np.array_equal(out[s.members], obs)
-            comp = s.complement(n)
-            if len(comp) == 0:
+            assert np.array_equal(out[s], obs)
+            comp = ~s
+            if not comp.any():
                 continue
             lap = dense_laplacian(g) @ out
-            assert np.max(np.abs(lap[comp.members])) <= 1e-7
-            assert out[comp.members].min() >= obs.min() - 1e-9
-            assert out[comp.members].max() <= obs.max() + 1e-9
+            assert np.max(np.abs(lap[comp])) <= 1e-7
+            assert out[comp].min() >= obs.min() - 1e-9
+            assert out[comp].max() <= obs.max() + 1e-9
 
     def test_minimizes_energy_among_feasible(self, rng):
         g = random_connected_graph(20, 10, rng)
-        s = VertexSet.from_iterable(range(0, 20, 3))
-        obs = rng.normal(size=len(s))
+        s = vertex_mask(g.n, range(0, 20, 3))
+        obs = rng.normal(size=s.sum())
         out = harmonic_interpolate(g, s, obs, tol=1e-12).signal
         base = dirichlet_energy(g, out)
-        comp = s.complement(g.n)
+        comp = ~s
         for _ in range(20):
             delta = np.zeros(g.n)
-            delta[comp.members] = rng.normal(size=len(comp))
+            delta[comp] = rng.normal(size=comp.sum())
             perturbed = out + 1e-3 * delta
             assert dirichlet_energy(g, perturbed) >= base - 1e-12
 
@@ -165,18 +162,16 @@ class TestHarmonicInterpolate:
         """Editing observations away from the boundary only moves those
         vertices' own outputs."""
         g = random_connected_graph(25, 12, rng)
-        s = VertexSet.from_iterable(range(0, 25, 2))
-        obs = rng.normal(size=len(s))
+        s = vertex_mask(g.n, range(0, 25, 2))
+        obs = rng.normal(size=s.sum())
         out1 = harmonic_interpolate(g, s, obs, tol=1e-12).signal
-        in_s = s.mask(g.n)
-        cut = in_s[g.edge_a] != in_s[g.edge_b]
+        cut = s[g.edge_a] != s[g.edge_b]
         boundary = set(g.edge_a[cut].tolist()) | set(g.edge_b[cut].tolist())
-        interior = [i for i, v in enumerate(s.members) if v not in boundary]
+        interior = [i for i, v in enumerate(np.flatnonzero(s)) if v not in boundary]
         if not interior:
             pytest.skip("no interior vertices in this draw")
         obs2 = obs.copy()
         obs2[interior] += rng.normal(size=len(interior))
         out2 = harmonic_interpolate(g, s, obs2, tol=1e-12).signal
-        comp = s.complement(g.n)
-        assert np.allclose(out1[comp.members], out2[comp.members], atol=1e-9)
-        assert np.array_equal(out2[s.members], obs2)
+        assert np.allclose(out1[~s], out2[~s], atol=1e-9)
+        assert np.array_equal(out2[s], obs2)

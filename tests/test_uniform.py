@@ -15,7 +15,7 @@ from conftest import dense_laplacian, random_connected_graph
 
 
 def two_vertex_graph():
-    return Graph.from_edges(2, [(0, 1, 1.0)])
+    return Graph.from_edges(2, [0], [1], [1.0])
 
 
 def grid_search_2d(gsig, w, kappa, span=5.0, step=1e-3):
