@@ -10,19 +10,17 @@ and a reproducible experiment harness round out the library.
 __version__ = "0.1.0"
 
 from .baselines import (
-    GridShape,
     band_filter,
     local_average,
     magic_filter,
     nuclear_norm_denoise,
 )
 from .bernoulli import (
-    BernoulliConfig,
     SparseUpdate,
     bernoulli_denoise,
+    dropout_penalty,
     l0_greedy,
     lasso_coordinate_descent,
-    no_trust_denoise,
 )
 from .errors import (
     ConvergenceError,
@@ -32,13 +30,11 @@ from .errors import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    SingularSystemError,
     TooLargeError,
 )
 from .experiments import (
     ExperimentSpec,
     ExperimentTable,
-    NoiseSpec,
     add_noise,
     ccp_vs_pg_benchmark,
     make_cluster_data,
@@ -50,7 +46,6 @@ from .experiments import (
 from .gaussian import (
     denoise_gaussian,
     estimate_tau,
-    estimate_tau_multi,
     nonneg_moment_fit,
 )
 from .graphs import (

@@ -3,8 +3,6 @@ and singular-value soft-thresholding for grid signals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -12,28 +10,11 @@ from .graphs import Graph, as_signal
 from .spectral import SpectralBasis, gft, igft
 
 __all__ = [
-    "GridShape",
     "local_average",
     "magic_filter",
     "band_filter",
     "nuclear_norm_denoise",
 ]
-
-
-@dataclass(frozen=True)
-class GridShape:
-    """Lets a grid-graph signal be viewed as a height-by-width matrix."""
-
-    height: int
-    width: int
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise InvalidArgumentError("grid shape must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.height * self.width
 
 
 def local_average(g_signal, graph: Graph, t: int) -> np.ndarray:
@@ -76,15 +57,18 @@ def band_filter(g_signal, basis: SpectralBasis, k: int, keep: str = "low") -> np
     return igft(basis, out)
 
 
-def nuclear_norm_denoise(g_signal, shape: GridShape, tau: float) -> np.ndarray:
+def nuclear_norm_denoise(g_signal, height: int, width: int, tau: float) -> np.ndarray:
     """Singular-value soft-thresholding of the signal viewed as a matrix.
 
-    Solves argmin_f 0.5 ||f - g||^2 + tau ||f||_* by shrinking every
-    singular value to max(sigma_i - tau, 0).
+    The grid signal is read row by row as a height-by-width matrix.  Solves
+    argmin_f 0.5 ||f - g||^2 + tau ||f||_* by shrinking every singular
+    value to max(sigma_i - tau, 0).
     """
+    if height < 1 or width < 1:
+        raise InvalidArgumentError("grid shape must be positive")
     if tau < 0:
         raise InvalidArgumentError("tau must be nonnegative")
-    mat = as_signal(g_signal, shape.n).reshape(shape.height, shape.width)
+    mat = as_signal(g_signal, height * width).reshape(height, width)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     return ((u * s) @ vt).ravel()

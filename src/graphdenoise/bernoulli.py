@@ -28,10 +28,9 @@ from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
 __all__ = [
-    "BernoulliConfig",
     "SparseUpdate",
     "bernoulli_denoise",
-    "no_trust_denoise",
+    "dropout_penalty",
     "lasso_coordinate_descent",
     "l0_greedy",
     "lasso_kkt_violation",
@@ -41,42 +40,17 @@ SUPPORT_ZERO_THRESHOLD = 1e-10
 MODES = ("l1", "l0")
 
 
-@dataclass(frozen=True)
-class BernoulliConfig:
-    """Suspicion set plus the sparsity penalty, given directly or via (p, kappa).
+def dropout_penalty(p: float, kappa: float) -> float:
+    """The dropout model's sparsity weight tau = (log(1-p) - log p) / kappa.
 
-    ``zeta`` is a length-n boolean vertex mask.
+    ``p`` is the dropout probability in (0, 1) and ``kappa`` > 0 the prior
+    smoothness weight; the weight is nonpositive once p >= 1/2.
     """
-
-    zeta: np.ndarray
-    tau: float | None = None
-    p: float | None = None
-    kappa: float | None = None
-    mode: str = "l1"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidArgumentError(
-                f"mode must be one of {MODES}, got {self.mode!r}"
-            )
-        has_tau = self.tau is not None
-        if has_tau == (self.p is not None or self.kappa is not None):
-            raise InvalidArgumentError(
-                "supply exactly one of tau or the pair (p, kappa)"
-            )
-        if not has_tau:
-            if self.p is None or self.kappa is None:
-                raise InvalidArgumentError("p and kappa must be supplied together")
-            if not (0.0 < self.p < 1.0):
-                raise InvalidArgumentError("p must be in (0, 1)")
-            if not self.kappa > 0:
-                raise InvalidArgumentError("kappa must be positive")
-
-    @property
-    def effective_tau(self) -> float:
-        if self.tau is not None:
-            return float(self.tau)
-        return (math.log(1.0 - self.p) - math.log(self.p)) / self.kappa
+    if not (0.0 < p < 1.0):
+        raise InvalidArgumentError("p must be in (0, 1)")
+    if not kappa > 0:
+        raise InvalidArgumentError("kappa must be positive")
+    return (math.log(1.0 - p) - math.log(p)) / kappa
 
 
 @dataclass(frozen=True)
@@ -405,30 +379,30 @@ def l0_greedy(design, target, tau: float) -> SparseUpdate:
     return SparseUpdate.from_raw(x, search.moves)
 
 
-def bernoulli_denoise(g_signal, graph: Graph, cfg: BernoulliConfig) -> DenoiseResult:
+def bernoulli_denoise(
+    g_signal, graph: Graph, zeta, tau: float, mode: str = "l1"
+) -> DenoiseResult:
     """Dropout-model estimate; trusted vertices are passed through bitwise.
 
-    With a positive penalty (p < 1/2) the suspicious entries move by the
-    sparse-regression deviation; with a nonpositive penalty (p >= 1/2) every
-    suspicious entry is refilled by harmonic interpolation from the trusted
-    complement.
+    ``zeta`` is the length-n boolean suspicion mask and ``tau`` the penalty
+    weight (:func:`dropout_penalty` of (p, kappa)); ``mode`` picks the l1 or
+    l0 penalty.  With a positive penalty (p < 1/2) the suspicious entries
+    move by the sparse-regression deviation; with a nonpositive penalty
+    (p >= 1/2) every suspicious entry is refilled by harmonic interpolation
+    from the trusted complement.  An all-true mask suspects every vertex.
     """
+    if mode not in MODES:
+        raise InvalidArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     g = as_signal(g_signal, graph.n)
-    zeta = as_mask(cfg.zeta, graph.n)
+    zeta = as_mask(zeta, graph.n)
     if not zeta.any():
         return DenoiseResult(signal=g.copy(), iterations=0)
-    tau = cfg.effective_tau
     if tau <= 0.0:
         trusted = ~zeta
-        if not trusted.any():
-            raise InvalidArgumentError(
-                "zeta covers every vertex with a nonpositive penalty: nothing "
-                "is trusted and every value would be discarded"
-            )
         return harmonic_interpolate(graph, trusted, g[trusted])
     design = incidence_columns(graph, zeta)
     yv = -incidence_apply(graph, g)
-    if cfg.mode == "l1":
+    if mode == "l1":
         update = lasso_coordinate_descent(design, yv, tau)
     else:
         update = l0_greedy(design, yv, tau)
@@ -437,11 +411,3 @@ def bernoulli_denoise(g_signal, graph: Graph, cfg: BernoulliConfig) -> DenoiseRe
     return DenoiseResult(
         signal=f, iterations=update.iterations, converged=update.converged
     )
-
-
-def no_trust_denoise(g_signal, graph: Graph, tau: float, mode: str = "l1") -> DenoiseResult:
-    """Dropout estimate with every vertex suspected (zeta = V)."""
-    if not tau > 0:
-        raise InvalidArgumentError("tau must be positive")
-    cfg = BernoulliConfig(zeta=np.ones(graph.n, dtype=bool), tau=tau, mode=mode)
-    return bernoulli_denoise(g_signal, graph, cfg)

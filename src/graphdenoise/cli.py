@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,14 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bernoulli import BernoulliConfig, bernoulli_denoise, no_trust_denoise
+from .bernoulli import bernoulli_denoise, dropout_penalty
 from .errors import (
     ConvergenceError,
     GraphDenoiseError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    SingularSystemError,
 )
 from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
@@ -33,13 +31,11 @@ from .solvers import harmonic_interpolate
 from .uniform import ccp_denoise
 
 MODELS = ("gaussian", "uniform", "bernoulli", "no-trust", "interpolate")
-THREADS_ENV = "GRAPHDENOISE_THREADS"
 
 _NUMERICAL_ERRORS = (
     NumericalFailureError,
     NotPositiveDefiniteError,
     ConvergenceError,
-    SingularSystemError,
 )
 
 
@@ -48,13 +44,6 @@ def _thread_count(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate tau per column by the method of moments (gaussian model)",
     )
     den.add_argument("--seed", type=int, default=0)
-    den.add_argument("--threads", type=_thread_count, default=None)
+    den.add_argument("--threads", type=_thread_count, default=1)
 
     exp = sub.add_parser("experiment", help="run a declarative experiment spec")
     exp.add_argument("--spec", required=True)
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    exp.add_argument("--threads", type=_thread_count, default=None)
+    exp.add_argument("--threads", type=_thread_count, default=1)
     return parser
 
 
@@ -156,6 +145,11 @@ def _read_edge_list(path: str, n: int) -> Graph:
             raise InvalidArgumentError(
                 f"{p}: line {ln_no}: cannot parse {line!r}"
             ) from None
+        for v in (a[-1], b[-1]):
+            if not 0 <= v < n:
+                raise InvalidArgumentError(
+                    f"{p}: line {ln_no}: vertex id {v} out of range [0, {n})"
+                )
     return Graph.from_edges(n, a, b, w)
 
 
@@ -188,11 +182,21 @@ def _load_zeta_mask(arg: str | None, n: int) -> np.ndarray | None:
     if arg is None or arg == "zeros":
         return None
     path = Path(arg)
-    mat = read_matrix(path).values
+    mfile = read_matrix(path)
+    mat = mfile.values
     flat = mat.ravel()
     if flat.size != n:
         raise InvalidArgumentError(
             f"mask {path} has {flat.size} entries, expected {n}"
+        )
+    bad = np.argwhere((mat != 0.0) & (mat != 1.0))
+    if bad.size:
+        i, j = bad[0]
+        # rows are counted as read_matrix counts them, header included
+        row = i + 1 + (mfile.header is not None)
+        raise InvalidArgumentError(
+            f"mask {path}: entry {float(mat[i, j])!r} at row {row}, column "
+            f"{j + 1} is not 0 or 1"
         )
     return flat != 0.0
 
@@ -224,8 +228,14 @@ def cmd_denoise(args) -> int:
     graph = _parse_graph_arg(args.graph, n_rows, matrix)
     cols = _parse_columns(args.columns, matrix.shape[1])
     mask = _load_zeta_mask(args.zeta, n_rows)
-    threads = args.threads if args.threads is not None else _default_threads()
+    if args.model == "no-trust":  # every vertex is suspected
+        mask = np.ones(n_rows, dtype=bool)
     kappa = args.kappa if args.kappa is not None else 1.0
+    # the dropout models' penalty weight, given as --tau or as --p/--kappa
+    if args.model == "bernoulli" and args.tau is None:
+        penalty = dropout_penalty(args.p, kappa)
+    else:
+        penalty = args.tau
 
     summaries: list[str] = []
 
@@ -238,23 +248,15 @@ def cmd_denoise(args) -> int:
         if args.model == "uniform":
             res, _ = ccp_denoise(g, graph, kappa=kappa, rng_seed=args.seed)
             return c, res, None
-        if args.model == "no-trust":
-            return c, no_trust_denoise(g, graph, args.tau, mode=args.mode), None
         zeta = (g == 0.0) if mask is None else mask
-        if args.model == "bernoulli":
-            if args.tau is not None:
-                cfg = BernoulliConfig(zeta=zeta, tau=args.tau, mode=args.mode)
-            else:
-                cfg = BernoulliConfig(
-                    zeta=zeta, p=args.p, kappa=kappa, mode=args.mode
-                )
-            return c, bernoulli_denoise(g, graph, cfg), None
+        if args.model in ("bernoulli", "no-trust"):
+            return c, bernoulli_denoise(g, graph, zeta, penalty, args.mode), None
         # interpolate: fill the masked set from the trusted complement
         return c, harmonic_interpolate(graph, ~zeta, g[~zeta]), None
 
     start = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(work, cols))
     else:
         results = [work(c) for c in cols]
@@ -295,8 +297,7 @@ def cmd_experiment(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = args.threads if args.threads is not None else _default_threads()
-    table = run_experiment(spec, threads=threads)
+    table = run_experiment(spec, threads=args.threads)
     table.to_csv(out_dir / "table.csv")
     if table.benchmark is not None:
         table.benchmark.write_traces_csv(out_dir / "traces.csv")

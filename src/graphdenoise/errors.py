@@ -26,10 +26,6 @@ class NotPositiveDefiniteError(GraphDenoiseError):
     """A linear operator required to be SPD is singular or indefinite."""
 
 
-class SingularSystemError(GraphDenoiseError):
-    """A restricted linear system has no unique solution."""
-
-
 class DegenerateSignalError(GraphDenoiseError):
     """The signal carries no usable information for the requested estimate."""
 

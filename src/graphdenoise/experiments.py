@@ -32,7 +32,6 @@ from .spectral import SpectralBasis, eigendecompose, sample_prior
 from .uniform import ccp_denoise, projected_gradient_denoise, uniform_loss
 
 __all__ = [
-    "NoiseSpec",
     "add_noise",
     "relative_error",
     "pearson_correlation",
@@ -72,50 +71,46 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """One corruption process: its kind and parameters."""
+def add_noise(
+    f,
+    kind: str,
+    level: float,
+    rng: np.random.Generator,
+    fill: float = 0.0,
+    lo: float = 0.0,
+    hi: float = 1.0,
+) -> np.ndarray:
+    """Corrupt a signal with draws from ``rng``.
 
-    kind: str
-    sigma: float = 0.0
-    p: float = 0.0
-    fill: float = 0.0
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise InvalidArgumentError(
-                f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}"
-            )
-        if self.sigma < 0:
-            raise InvalidArgumentError("sigma must be nonnegative")
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidArgumentError("p must be in [0, 1]")
-
-
-def add_noise(f, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Corrupt a signal with draws from ``rng``."""
+    ``level`` is the standard deviation sigma for ``gaussian`` and the
+    corruption probability p for ``bernoulli-dropout`` and ``salt-pepper``;
+    ``uniform-scale`` ignores it.  Dropped entries take ``fill``, salt
+    entries ``hi`` and pepper entries ``lo``.
+    """
+    if kind not in NOISE_KINDS:
+        raise InvalidArgumentError(
+            f"noise kind must be one of {NOISE_KINDS}, got {kind!r}"
+        )
     f = np.asarray(f, dtype=np.float64)
-    if spec.kind == "gaussian":
-        if spec.sigma == 0.0:
+    if kind == "gaussian":
+        if level < 0:
+            raise InvalidArgumentError("sigma must be nonnegative")
+        if level == 0.0:
             return f.copy()
-        return f + spec.sigma * rng.standard_normal(f.shape)
-    if spec.kind == "uniform-scale":
+        return f + level * rng.standard_normal(f.shape)
+    if kind == "uniform-scale":
         return rng.uniform(0.0, 1.0, size=f.shape) * f
-    if spec.kind == "bernoulli-dropout":
-        out = f.copy()
-        if spec.p > 0.0:
-            hit = rng.uniform(size=f.shape) < spec.p
-            out[hit] = spec.fill
-        return out
-    # salt-pepper
+    if not 0.0 <= level <= 1.0:
+        raise InvalidArgumentError("p must be in [0, 1]")
     out = f.copy()
-    if spec.p > 0.0:
-        hit = rng.uniform(size=f.shape) < spec.p
-        salt = rng.uniform(size=f.shape) < 0.5
-        out[hit & salt] = spec.hi
-        out[hit & ~salt] = spec.lo
+    if level > 0.0:
+        hit = rng.uniform(size=f.shape) < level
+        if kind == "bernoulli-dropout":
+            out[hit] = fill
+        else:
+            salt = rng.uniform(size=f.shape) < 0.5
+            out[hit & salt] = hi
+            out[hit & ~salt] = lo
     return out
 
 
@@ -402,7 +397,7 @@ class _Context:
     """Shared immutable state handed to every method call."""
 
     graph: Graph
-    shape: baselines.GridShape | None
+    shape: tuple[int, int] | None  # (height, width) of a grid graph
     level: float
     basis: SpectralBasis | None
 
@@ -442,7 +437,7 @@ def _method_band(keep):
 def _method_nuclear(noisy, ctx, param):
     if ctx.shape is None:
         raise InvalidArgumentError("nuclear method needs a grid graph")
-    return baselines.nuclear_norm_denoise(noisy, ctx.shape, param("tau", float))
+    return baselines.nuclear_norm_denoise(noisy, *ctx.shape, param("tau", float))
 
 
 def _method_bernoulli(noisy, ctx, param):
@@ -453,13 +448,12 @@ def _method_bernoulli(noisy, ctx, param):
     p = param("p", default=None)
     if p is not None:
         p = ctx.level if p == "level" else param("p", float)
-        kappa = param("kappa", float, 1.0)
-        cfg = bernoulli.BernoulliConfig(zeta=zeta, p=p, kappa=kappa, mode=mode)
+        tau = bernoulli.dropout_penalty(p, param("kappa", float, 1.0))
     elif param("tau", default=None) is not None:
-        cfg = bernoulli.BernoulliConfig(zeta=zeta, tau=param("tau", float), mode=mode)
+        tau = param("tau", float)
     else:
         raise InvalidArgumentError("[method.bernoulli] needs p or tau")
-    return bernoulli.bernoulli_denoise(noisy, ctx.graph, cfg).signal
+    return bernoulli.bernoulli_denoise(noisy, ctx.graph, zeta, tau, mode).signal
 
 
 def _method_uniform_ccp(noisy, ctx, param):
@@ -521,7 +515,7 @@ def _build_graph(spec: ExperimentSpec):
     kind = value("kind", default="").strip()
     if kind == "grid":
         h, w = value("height", int), value("width", int)
-        return build_grid_graph(h, w), baselines.GridShape(h, w), None
+        return build_grid_graph(h, w), (h, w), None
     if kind == "knn-from-file":
         pts = read_matrix(value("path")).values
         return build_knn_graph(pts, value("knn", int, 10)), None, None
@@ -580,17 +574,6 @@ def _build_signals(
     raise InvalidArgumentError(f"unknown signal source {source!r}")
 
 
-def _noise_for_cell(spec: ExperimentSpec, level: float) -> dict:
-    opts = dict(spec.noise_opts)
-    fields = {"fill": opts.get("fill", 0.0), "lo": opts.get("lo", 0.0),
-              "hi": opts.get("hi", 1.0)}
-    if spec.noise_kind == "gaussian":
-        fields["sigma"] = level
-    elif spec.noise_kind in ("bernoulli-dropout", "salt-pepper"):
-        fields["p"] = level
-    return fields
-
-
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     """Run the sweep and return one row per (method, params, level, metric, repeat).
 
@@ -618,6 +601,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     )
     basis = eigendecompose(graph) if needs_basis else None
     truths = _build_signals(spec, graph, cluster_data, basis)
+    noise_opts = {k: v for k, v in spec.noise_opts if k in ("fill", "lo", "hi")}
 
     cells = []
     for mi, method in enumerate(spec.methods):
@@ -629,7 +613,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     def run_cell(cell):
         mi, pi, li, rep, method, params, level = cell
         ctx = _Context(graph=graph, shape=shape, level=level, basis=basis)
-        fields = _noise_for_cell(spec, level)
         fn = METHOD_REGISTRY[method.name]
         param = functools.partial(_spec_value, f"method.{method.name}", params)
         start = time.perf_counter()
@@ -637,7 +620,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         try:
             for j, truth in enumerate(truths):
                 rng = derive_rng(spec.seed, "cell", method.name, pi, li, rep, j)
-                noisy = add_noise(truth, NoiseSpec(kind=spec.noise_kind, **fields), rng=rng)
+                noisy = add_noise(truth, spec.noise_kind, level, rng, **noise_opts)
                 estimate = fn(noisy, ctx, param)
                 for metric in spec.metrics:
                     sums[metric] += METRIC_REGISTRY[metric](truth, estimate)
@@ -739,7 +722,7 @@ def ccp_vs_pg_benchmark(
     """
     truth = as_signal(truth, graph.n)
     rng = derive_rng(seed, "ccp-benchmark")
-    noisy = add_noise(truth, NoiseSpec(kind="uniform-scale"), rng=rng)
+    noisy = add_noise(truth, "uniform-scale", 0.0, rng)
     truth_loss = uniform_loss(truth, graph, kappa)
     ccp_res, ccp_tr = ccp_denoise(noisy, graph, kappa=kappa, max_outer=max_outer)
     if pg_step is None:

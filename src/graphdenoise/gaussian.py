@@ -29,7 +29,6 @@ from .solvers import cg_solve
 __all__ = [
     "denoise_gaussian",
     "estimate_tau",
-    "estimate_tau_multi",
     "nonneg_moment_fit",
 ]
 
@@ -78,34 +77,25 @@ def _tau_from_moments(m1: float, m2: float, graph: Graph) -> float:
     return sigma2 / inv2kappa
 
 
-def estimate_tau(g_signal, graph: Graph) -> float:
-    """Method-of-moments estimate of tau = 2*kappa*sigma^2 from one signal.
+def estimate_tau(signals, graph: Graph) -> float:
+    """Method-of-moments estimate of tau = 2*kappa*sigma^2.
 
-    Fits (sigma^2, 1/(2*kappa)) to g'Lg and ||Lg||^2 with
-    :func:`nonneg_moment_fit`: the exact 2x2 solve when both are
-    nonnegative, the nearer boundary ray otherwise.  This is
-    :func:`estimate_tau_multi` of the single signal.
-    """
-    return estimate_tau_multi(as_signal(g_signal, graph.n), graph)
-
-
-def estimate_tau_multi(signals, graph: Graph) -> float:
-    """Moment estimate pooled over independently generated signals.
-
-    Accepts one length-n signal or a (k, n) matrix with one signal per
-    row.  A square (n, n) matrix is read as n rows; an (n, k) column matrix
-    with k != n is rejected.  The two quadratic-form targets are averaged
-    over the k signals before the backsolve, so the estimate is consistent
-    as k grows.  Raises :class:`DegenerateSignalError` when every signal is
+    Accepts one length-n signal or a (k, n) matrix with one signal per row
+    (independently generated signals).  A square (n, n) matrix is read as
+    n rows; an (n, k) column matrix with k != n is rejected.  The two
+    quadratic-form targets g'Lg and ||Lg||^2 are averaged over the k
+    signals, so the estimate is consistent as k grows, and (sigma^2,
+    1/(2*kappa)) is fitted to them with :func:`nonneg_moment_fit`: the
+    exact 2x2 solve when both are nonnegative, the nearer boundary ray
+    otherwise.  Raises :class:`DegenerateSignalError` when every signal is
     constant.
     """
-    arr = np.asarray(signals, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    given = np.asarray(signals, dtype=np.float64)
+    arr = given[None, :] if given.ndim == 1 else given
     if arr.ndim != 2 or arr.shape[1] != graph.n:
         raise InvalidArgumentError(
             f"signals must be a length-{graph.n} vector or a (k, {graph.n}) "
-            f"row matrix, got shape {arr.shape}"
+            f"row matrix, got shape {given.shape}"
         )
     k = arr.shape[0]
     if k == 0:

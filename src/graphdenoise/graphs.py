@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import GraphDisconnectedError, InvalidArgumentError
 
@@ -177,6 +176,9 @@ def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the farthest candidate is strictly farther (or every point is a
     candidate).  Returns the (n, k) neighbor ids and distances.
     """
+    # imported here: scipy.spatial is slow to load and only k-NN builds use it
+    from scipy.spatial import cKDTree
+
     n = pts.shape[0]
     tree = cKDTree(pts)
     nbrs = np.empty((n, k), dtype=np.int64)

@@ -20,7 +20,6 @@ from .errors import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    SingularSystemError,
 )
 from .graphs import Graph, as_mask, restrict_adjacency, restrict_laplacian
 from .result import DenoiseResult
@@ -129,12 +128,13 @@ def harmonic_interpolate(
     in ascending vertex order (``signal[known]``).  On the rest every output
     value is the degree-weighted average of its neighbors, so the result
     obeys the maximum principle.  Returns the :func:`cg_solve` result of the
-    L(U, U) solve on the unknown set U, with the full-length signal.
+    L(U, U) solve on the unknown set U, with the full-length signal.  An
+    empty known set is an :class:`InvalidArgumentError`.
     """
     known = as_mask(known, graph.n)
     n_known = int(np.count_nonzero(known))
     if n_known == 0:
-        raise SingularSystemError("cannot interpolate from an empty known set")
+        raise InvalidArgumentError("cannot interpolate from an empty known set")
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 1 or obs.shape[0] != n_known:
         raise InvalidArgumentError(

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from graphdenoise import (
-    BernoulliConfig,
     apply_filter,
     band_filter,
     bernoulli_denoise,
@@ -22,9 +21,9 @@ from graphdenoise import (
     ccp_denoise,
     ccp_vs_pg_benchmark,
     denoise_gaussian,
+    dropout_penalty,
     eigendecompose,
     estimate_tau,
-    estimate_tau_multi,
     incidence_columns,
     l0_greedy,
     lasso_coordinate_descent,
@@ -35,7 +34,7 @@ from graphdenoise import (
     sample_prior,
     uniform_loss,
 )
-from graphdenoise import GridShape, Graph
+from graphdenoise import Graph
 from graphdenoise.bernoulli import lasso_kkt_violation
 from graphdenoise.experiments import (
     derive_rng,
@@ -100,7 +99,7 @@ def test_criterion_2_moment_estimator_consistency():
     estimator or in the traces it uses.
 
     The signal matrix is (K, n) with K != n, so the row orientation that
-    ``estimate_tau_multi`` reads is not a guess.
+    ``estimate_tau`` reads is not a guess.
     """
     start = time.time()
     n = 500
@@ -118,7 +117,7 @@ def test_criterion_2_moment_estimator_consistency():
                 basis, kappa, rng_seed=int(stream.integers(0, 2**62))
             )
             signals[j] = f + np.sqrt(sigma2) * stream.standard_normal(n)
-        tau_hat = estimate_tau_multi(signals, graph)
+        tau_hat = estimate_tau(signals, graph)
         errors[tau_true] = (tau_hat - tau_true) / tau_true
     elapsed = time.time() - start
     ok = all(abs(e) <= 0.05 for e in errors.values()) and elapsed < 60.0
@@ -158,7 +157,6 @@ def test_criterion_3_table1_trend():
             for _ in range(100)
         ]
     )
-    shape = GridShape(32, 32)
     summaries = []
     ok = True
     for sigma in (50.0, 100.0):
@@ -179,7 +177,7 @@ def test_criterion_3_table1_trend():
             for v in (1, 25, 50):
                 errs[f"nn{v}"].append(
                     relative_error(
-                        truth, nuclear_norm_denoise(noisy, shape, float(v))
+                        truth, nuclear_norm_denoise(noisy, 32, 32, float(v))
                     )
                 )
         med = {k: float(np.median(v)) for k, v in errs.items()}
@@ -208,8 +206,7 @@ def test_criterion_4_table3_trend():
                 noisy = truth.copy()
                 noisy[r.uniform(size=truth.shape) < 0.9] = 0.0
                 zeta = noisy == 0.0
-                cfg = BernoulliConfig(zeta=zeta, p=0.9, kappa=1.0)
-                est = bernoulli_denoise(noisy, g, cfg).signal
+                est = bernoulli_denoise(noisy, g, zeta, dropout_penalty(0.9, 1.0)).signal
                 corr[fam].append(pearson_correlation(truth, est))
                 for t in (1, 5, 10):
                     magic_corr[(t, fam)].append(
@@ -253,9 +250,9 @@ def test_criterion_5_table4_trend():
         noisy[r.uniform(size=f.shape) < 0.5] = 0.0
         errs["noisy"].append(relative_error(f, noisy))
         zeta = noisy == 0.0
-        cfg = BernoulliConfig(zeta=zeta, p=0.5, kappa=1.0)
+        tau = dropout_penalty(0.5, 1.0)
         errs["bernoulli"].append(
-            relative_error(f, bernoulli_denoise(noisy, g, cfg).signal)
+            relative_error(f, bernoulli_denoise(noisy, g, zeta, tau).signal)
         )
         for t in (1, 2, 5):
             errs[f"avg{t}"].append(relative_error(f, local_average(noisy, g, t)))
@@ -443,8 +440,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     sig = rng.normal(size=g.n)
     zeta = vertex_mask(g.n, [1, 3, 8, 11])
     for mode in ("l1", "l0"):
-        cfg = BernoulliConfig(zeta=zeta, tau=0.7, mode=mode)
-        base = bernoulli_denoise(sig, g, cfg).signal
+        base = bernoulli_denoise(sig, g, zeta, 0.7, mode).signal
         flip = rng.uniform(size=g.m) < 0.5
         g_flipped = Graph.from_edges(
             g.n,
@@ -452,7 +448,7 @@ def test_criterion_8_structural_invariants(tmp_path):
             np.where(flip, g.edge_a, g.edge_b),
             g.edge_w,
         )
-        assert np.array_equal(base, bernoulli_denoise(sig, g_flipped, cfg).signal)
+        assert np.array_equal(base, bernoulli_denoise(sig, g_flipped, zeta, 0.7, mode).signal)
 
     # determinism under --threads variation
     src = tmp_path / "g.csv"

@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdenoise import (
-    BernoulliConfig,
     Graph,
     InvalidArgumentError,
     bernoulli_denoise,
     build_grid_graph,
+    dropout_penalty,
     harmonic_interpolate,
     incidence_apply,
     incidence_columns,
     l0_greedy,
     lasso_coordinate_descent,
-    no_trust_denoise,
 )
 from graphdenoise.bernoulli import _colour_classes, _StepwiseSearch, lasso_kkt_violation
 
@@ -71,33 +70,26 @@ def kkt_violation_loop(a, y, tau, x):
 
 
 class TestConfig:
-    def test_exactly_one_parameterization(self):
-        z = np.array([True])
-        with pytest.raises(InvalidArgumentError):
-            BernoulliConfig(zeta=z)
-        with pytest.raises(InvalidArgumentError):
-            BernoulliConfig(zeta=z, tau=1.0, p=0.3, kappa=1.0)
-        with pytest.raises(InvalidArgumentError):
-            BernoulliConfig(zeta=z, p=0.3)
-
     def test_tau_sign_follows_p(self):
-        z = np.array([True])
-        low = BernoulliConfig(zeta=z, p=0.2, kappa=2.0)
-        assert low.effective_tau == pytest.approx(
-            (math.log(0.8) - math.log(0.2)) / 2.0
-        )
-        assert low.effective_tau > 0
-        high = BernoulliConfig(zeta=z, p=0.8, kappa=2.0)
-        assert high.effective_tau < 0
-        assert BernoulliConfig(zeta=z, p=0.5, kappa=1.0).effective_tau == 0.0
+        low = dropout_penalty(0.2, 2.0)
+        assert low == (math.log(0.8) - math.log(0.2)) / 2.0
+        assert low > 0
+        assert dropout_penalty(0.8, 2.0) < 0
+        assert dropout_penalty(0.5, 1.0) == 0.0
 
-    def test_mode_aliases(self):
+    def test_penalty_rejects_p_outside_open_interval_and_nonpositive_kappa(self):
+        for p, kappa in ((0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (0.3, 0.0), (0.3, -1.0)):
+            with pytest.raises(InvalidArgumentError):
+                dropout_penalty(p, kappa)
+
+    def test_mode_aliases(self, p3):
         """Only the two canonical mode names are accepted."""
-        z = np.array([True])
-        assert BernoulliConfig(zeta=z, tau=1.0, mode="l0").mode == "l0"
+        z = vertex_mask(3, [1])
+        g = np.array([0.0, 5.0, 0.0])
+        assert np.allclose(bernoulli_denoise(g, p3, z, 1.0, mode="l0").signal, 0.0, atol=1e-9)
         for mode in ("l0-greedy", "l2"):
             with pytest.raises(InvalidArgumentError):
-                BernoulliConfig(zeta=z, tau=1.0, mode=mode)
+                bernoulli_denoise(g, p3, z, 1.0, mode=mode)
 
 
 class TestLasso:
@@ -286,53 +278,44 @@ class TestL0Greedy:
 
 class TestBernoulliDenoise:
     def test_huge_tau_returns_observation(self, p3):
-        cfg = BernoulliConfig(
-            zeta=vertex_mask(3, [0, 1, 2]), tau=1e9, mode="l1"
-        )
         g = np.array([0.3, 5.0, -2.0])
-        out = bernoulli_denoise(g, p3, cfg)
+        out = bernoulli_denoise(g, p3, vertex_mask(3, [0, 1, 2]), 1e9, mode="l1")
         assert np.array_equal(out.signal, g)
 
     def test_high_p_harmonic_branch_p3(self, p3):
-        cfg = BernoulliConfig(zeta=vertex_mask(3, [1]), p=0.7, kappa=1.0)
-        out = bernoulli_denoise(np.array([0.0, 5.0, 2.0]), p3, cfg)
+        tau = dropout_penalty(0.7, 1.0)
+        out = bernoulli_denoise(np.array([0.0, 5.0, 2.0]), p3, vertex_mask(3, [1]), tau)
         assert out.signal[1] == pytest.approx(1.0, abs=1e-10)
         assert out.signal[0] == 0.0 and out.signal[2] == 2.0
 
     def test_l0_enumerated_example(self, p3):
         # keeping x = 0 leaves edge energy 50; zeroing the middle spike
         # costs tau = 1 and removes all energy
-        cfg = BernoulliConfig(zeta=vertex_mask(3, [1]), tau=1.0, mode="l0")
-        out = bernoulli_denoise(np.array([0.0, 5.0, 0.0]), p3, cfg)
+        out = bernoulli_denoise(np.array([0.0, 5.0, 0.0]), p3, vertex_mask(3, [1]), 1.0, mode="l0")
         assert np.allclose(out.signal, 0.0, atol=1e-9)
 
     def test_empty_zeta_returns_observation(self, p3, rng):
         g = rng.normal(size=3)
-        cfg = BernoulliConfig(zeta=vertex_mask(3, []), tau=1.0)
-        assert np.array_equal(bernoulli_denoise(g, p3, cfg).signal, g)
+        assert np.array_equal(bernoulli_denoise(g, p3, vertex_mask(3, []), 1.0).signal, g)
 
     def test_full_zeta_nonpositive_tau_invalid(self, p3):
-        cfg = BernoulliConfig(
-            zeta=vertex_mask(3, [0, 1, 2]), p=0.8, kappa=1.0
-        )
+        tau = dropout_penalty(0.8, 1.0)
         with pytest.raises(InvalidArgumentError):
-            bernoulli_denoise(np.ones(3), p3, cfg)
+            bernoulli_denoise(np.ones(3), p3, vertex_mask(3, [0, 1, 2]), tau)
 
     def test_trusted_set_exact_bitwise(self, rng):
         for mode in ("l1", "l0"):
             g = random_connected_graph(15, 8, rng)
             sig = rng.normal(size=g.n)
             zeta = vertex_mask(g.n, [1, 4, 7])
-            cfg = BernoulliConfig(zeta=zeta, tau=0.5, mode=mode)
-            out = bernoulli_denoise(sig, g, cfg)
+            out = bernoulli_denoise(sig, g, zeta, 0.5, mode=mode)
             assert np.array_equal(out.signal[~zeta], sig[~zeta])
 
     def test_high_p_branch_equals_harmonic_interpolation(self, rng):
         g = random_connected_graph(20, 10, rng)
         sig = rng.normal(size=g.n)
         zeta = vertex_mask(g.n, [0, 3, 8, 15])
-        cfg = BernoulliConfig(zeta=zeta, p=0.9, kappa=1.0)
-        out = bernoulli_denoise(sig, g, cfg)
+        out = bernoulli_denoise(sig, g, zeta, dropout_penalty(0.9, 1.0))
         expect = harmonic_interpolate(g, ~zeta, sig[~zeta])
         assert np.array_equal(out.signal, expect.signal)
         assert out.iterations == expect.iterations > 0
@@ -344,8 +327,7 @@ class TestBernoulliDenoise:
         sig = rng.normal(size=n)
         zeta = vertex_mask(g.n, [2, 5, 6, 9])
         for mode in ("l1", "l0"):
-            cfg = BernoulliConfig(zeta=zeta, tau=0.8, mode=mode)
-            base = bernoulli_denoise(sig, g, cfg).signal
+            base = bernoulli_denoise(sig, g, zeta, 0.8, mode=mode).signal
             # rebuild the graph with a subset of edges listed head-first;
             # canonicalization restores a < b, so the stored operator is
             # identical and the estimate must be bitwise equal
@@ -356,7 +338,7 @@ class TestBernoulliDenoise:
                 np.where(flip, g.edge_a, g.edge_b),
                 g.edge_w,
             )
-            flipped = bernoulli_denoise(sig, g2, cfg).signal
+            flipped = bernoulli_denoise(sig, g2, zeta, 0.8, mode=mode).signal
             assert np.array_equal(base, flipped)
             # the objective itself only sees B through a squared norm: check
             # against an explicitly sign-flipped dense design
@@ -377,18 +359,23 @@ class TestBernoulliDenoise:
             assert np.allclose(ref, base, atol=1e-9)
 
 
+def no_trust(sig, g, tau, mode="l1"):
+    """The dropout estimate with every vertex suspected (zeta = V)."""
+    return bernoulli_denoise(sig, g, np.ones(g.n, dtype=bool), tau, mode=mode)
+
+
 class TestNoTrust:
     def test_smooth_observation_unchanged(self, rng):
         g = random_connected_graph(10, 4, rng)
         sig = np.full(g.n, 2.5)
         for mode in ("l1", "l0"):
-            out = no_trust_denoise(sig, g, 0.5, mode=mode)
+            out = no_trust(sig, g, 0.5, mode=mode)
             assert np.allclose(out.signal, sig, atol=1e-12)
 
     def test_huge_tau_returns_observation(self, rng):
         g = random_connected_graph(8, 4, rng)
         sig = rng.normal(size=g.n)
-        out = no_trust_denoise(sig, g, 1e9, mode="l1")
+        out = no_trust(sig, g, 1e9, mode="l1")
         assert np.array_equal(out.signal, sig)
 
     def test_salt_and_pepper_on_constant_patch(self):
@@ -397,12 +384,12 @@ class TestNoTrust:
         noisy = truth.copy()
         noisy[5] = 9.0
         noisy[10] = -3.0
-        out = no_trust_denoise(noisy, g, 0.5, mode="l0")
+        out = no_trust(noisy, g, 0.5, mode="l0")
         assert np.allclose(out.signal, truth, atol=1e-8)
 
     def test_tau_validation(self, p3):
         with pytest.raises(InvalidArgumentError):
-            no_trust_denoise(np.ones(3), p3, 0.0)
+            no_trust(np.ones(3), p3, 0.0)
 
     def test_update_has_no_constant_component_under_full_support(self):
         """When every coordinate moves, the mean of the update is pinned to
@@ -411,7 +398,7 @@ class TestNoTrust:
         full = 0
         for seed in range(10):
             basis_sig = np.random.default_rng(seed).normal(size=9)
-            out = no_trust_denoise(basis_sig, g, 1e-300, mode="l0")
+            out = no_trust(basis_sig, g, 1e-300, mode="l0")
             x = out.signal - basis_sig
             if np.count_nonzero(x) == 9:
                 full += 1

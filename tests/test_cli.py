@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -261,8 +264,23 @@ class TestDenoiseCommand:
         assert rc == 0
         assert read_matrix(out).values.tolist() == [[10.0, 200.0, 30.0]]
 
-    def test_numerical_failure_exit_code(self, tmp_path, rng):
-        # interpolating with every vertex unknown has no trusted values
+    def test_numerical_failure_exit_code(self, tmp_path):
+        # at tau = 1e16 round-off makes CG meet a direction of nonpositive
+        # curvature in I + tau L
+        src = tmp_path / "g.csv"
+        write_csv(src, np.random.default_rng(0).normal(size=(64, 1)))
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", "grid", "8x8",
+                "--input", str(src),
+                "--output", str(tmp_path / "o.csv"),
+                "--tau", "1e16",
+            ]
+        )
+        assert rc == 3
+
+    def test_all_masked_interpolate_exit_2(self, tmp_path, rng, capsys):
         src = tmp_path / "g.csv"
         write_csv(src, rng.normal(size=(4, 1)))
         mask = tmp_path / "mask.csv"
@@ -276,7 +294,43 @@ class TestDenoiseCommand:
                 "--zeta", str(mask),
             ]
         )
-        assert rc == 3
+        assert rc == 2
+        assert "empty known set" in capsys.readouterr().err
+
+    def test_mask_entry_not_zero_or_one_exit_2(self, tmp_path, rng, capsys):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(3, 1)))
+        mask = tmp_path / "mask.csv"
+        write_csv(mask, np.array([[0.0], [0.5], [2.0]]))
+        rc = main(
+            [
+                "denoise", "interpolate",
+                "--graph", "grid", "3x1",
+                "--input", str(src),
+                "--output", str(tmp_path / "o.csv"),
+                "--zeta", str(mask),
+            ]
+        )
+        assert rc == 2
+        assert "entry 0.5 at row 2, column 1 is not 0 or 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vertex", ["5", "-1", "100000000000000000000000"])
+    def test_edge_list_id_out_of_range_names_line(self, tmp_path, rng, capsys, vertex):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(3, 1)))
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 1\n1 {vertex}\n")
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", "edge-list", str(edges),
+                "--input", str(src),
+                "--output", str(tmp_path / "o.csv"),
+                "--tau", "1",
+            ]
+        )
+        assert rc == 2
+        assert f"line 2: vertex id {vertex} out of range [0, 3)" in capsys.readouterr().err
 
     def test_uniform_model_runs_ccp(self, tmp_path, rng):
         src = tmp_path / "g.csv"
@@ -337,22 +391,6 @@ class TestDenoiseCommand:
         assert rc == 0
         assert read_matrix(out).values == pytest.approx(np.full((16, 1), 2.0), abs=1e-8)
 
-    def test_threads_default_from_environment(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setenv("GRAPHDENOISE_THREADS", "3")
-        src = tmp_path / "g.csv"
-        write_csv(src, rng.normal(size=(4, 4)))
-        out = tmp_path / "o.csv"
-        rc = main(
-            [
-                "denoise", "gaussian",
-                "--graph", "grid", "2x2",
-                "--input", str(src),
-                "--output", str(out),
-                "--tau", "0.3",
-            ]
-        )
-        assert rc == 0
-
     @pytest.mark.parametrize(
         "graph",
         [["knn", "many"], ["knn", "2.5"], ["grid", "axb"], ["grid", "3x"]],
@@ -392,6 +430,17 @@ class TestDenoiseCommand:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "graphdenoise" in capsys.readouterr().out
+
+    def test_import_leaves_scipy_spatial_unloaded(self):
+        """Only k-NN builds need scipy.spatial; the CLI must not load it at import."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, graphdenoise.cli; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestExperimentCommand:

@@ -3,7 +3,6 @@ import pytest
 
 from graphdenoise import (
     InvalidArgumentError,
-    NoiseSpec,
     add_noise,
     build_grid_graph,
     build_knn_graph,
@@ -54,30 +53,27 @@ t = 1
 class TestNoise:
     def test_dropout_p_one_zeroes_everything(self, rng):
         f = rng.normal(size=50)
-        spec = NoiseSpec(kind="bernoulli-dropout", p=1.0)
-        out = add_noise(f, spec, rng=derive_rng(3, "noise", spec.kind))
+        kind = "bernoulli-dropout"
+        out = add_noise(f, kind, 1.0, rng=derive_rng(3, "noise", kind))
         assert np.array_equal(out, np.zeros(50))
 
     def test_identity_cases(self, rng):
         f = rng.normal(size=20)
-        for spec in (
-            NoiseSpec(kind="gaussian", sigma=0.0),
-            NoiseSpec(kind="bernoulli-dropout", p=0.0),
-        ):
-            out = add_noise(f, spec, rng=derive_rng(1, "noise", spec.kind))
+        for kind in ("gaussian", "bernoulli-dropout"):
+            out = add_noise(f, kind, 0.0, rng=derive_rng(1, "noise", kind))
             assert np.array_equal(out, f)
 
     def test_uniform_scale_range(self, rng):
         f = rng.uniform(0.5, 2.0, size=200)
         out = add_noise(
-            f, NoiseSpec(kind="uniform-scale"), rng=derive_rng(9, "noise", "uniform-scale")
+            f, "uniform-scale", 0.0, rng=derive_rng(9, "noise", "uniform-scale")
         )
         assert np.all(out >= 0.0) and np.all(out <= f)
 
     def test_salt_pepper_values(self, rng):
         f = np.full(500, 0.5)
-        spec = NoiseSpec(kind="salt-pepper", p=0.5, lo=-1.0, hi=2.0)
-        out = add_noise(f, spec, rng=derive_rng(4, "noise", spec.kind))
+        kind = "salt-pepper"
+        out = add_noise(f, kind, 0.5, rng=derive_rng(4, "noise", kind), lo=-1.0, hi=2.0)
         changed = out != 0.5
         assert changed.any()
         assert set(np.unique(out[changed])) <= {-1.0, 2.0}
@@ -85,18 +81,20 @@ class TestNoise:
     def test_gaussian_moments_monte_carlo(self):
         n = 100_000
         f = np.zeros(n)
-        spec = NoiseSpec(kind="gaussian", sigma=2.0)
-        out = add_noise(f, spec, rng=derive_rng(11, "noise", spec.kind))
+        out = add_noise(f, "gaussian", 2.0, rng=derive_rng(11, "noise", "gaussian"))
         assert abs(out.mean()) <= 3 * 2.0 / np.sqrt(n)
         assert out.var() == pytest.approx(4.0, rel=0.05)
 
     def test_validation(self):
+        f, rng = np.zeros(3), derive_rng(0, "noise")
         with pytest.raises(InvalidArgumentError):
-            NoiseSpec(kind="poisson")
+            add_noise(f, "poisson", 0.0, rng)
         with pytest.raises(InvalidArgumentError):
-            NoiseSpec(kind="gaussian", sigma=-1.0)
+            add_noise(f, "gaussian", -1.0, rng)
         with pytest.raises(InvalidArgumentError):
-            NoiseSpec(kind="bernoulli-dropout", p=1.5)
+            add_noise(f, "bernoulli-dropout", 1.5, rng)
+        with pytest.raises(InvalidArgumentError):
+            add_noise(f, "salt-pepper", 1.5, rng)
 
 
 class TestMetrics:

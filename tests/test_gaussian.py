@@ -9,7 +9,6 @@ from graphdenoise import (
     dirichlet_energy,
     eigendecompose,
     estimate_tau,
-    estimate_tau_multi,
     laplacian_squared_trace,
     laplacian_trace,
     nonneg_moment_fit,
@@ -119,14 +118,14 @@ class TestEstimateTau:
         for j in range(k):
             f = sample_prior(basis, kappa, rng_seed=10_000 + j)
             signals[j] = f + np.sqrt(sigma2) * master.standard_normal(g.n)
-        tau_hat = estimate_tau_multi(signals, g)
+        tau_hat = estimate_tau(signals, g)
         assert 0.45 <= tau_hat <= 0.55
 
     def test_multi_reduces_to_single_on_duplicates(self, rng):
         g = random_connected_graph(12, 6, rng)
         sig = rng.normal(size=g.n)
         single = estimate_tau(sig, g)
-        multi = estimate_tau_multi(np.tile(sig, (5, 1)), g)
+        multi = estimate_tau(np.tile(sig, (5, 1)), g)
         assert multi == pytest.approx(single, rel=1e-12, abs=1e-12)
 
     def test_multi_constant_rows_degenerate(self):
@@ -134,29 +133,29 @@ class TestEstimateTau:
         so constancy itself must be checked."""
         g = build_grid_graph(16, 16)
         with pytest.raises(DegenerateSignalError):
-            estimate_tau_multi(np.full((3, g.n), 0.1), g)
+            estimate_tau(np.full((3, g.n), 0.1), g)
         with pytest.raises(DegenerateSignalError):
             estimate_tau(np.full(g.n, 0.1), g)
 
     def test_multi_empty_rejected(self, p3):
         with pytest.raises(InvalidArgumentError):
-            estimate_tau_multi(np.empty((0, 3)), p3)
+            estimate_tau(np.empty((0, 3)), p3)
 
     def test_multi_square_matrix_read_as_rows(self, rng):
         g = random_connected_graph(12, 6, rng)
         sig = rng.normal(size=g.n)
         # as rows this is n copies of sig; as columns every signal is constant
         square = np.tile(sig, (g.n, 1))
-        assert estimate_tau_multi(square, g) == pytest.approx(
+        assert estimate_tau(square, g) == pytest.approx(
             estimate_tau(sig, g), rel=1e-12, abs=1e-12
         )
 
     def test_multi_column_matrix_rejected(self, rng):
         g = random_connected_graph(12, 6, rng)
         with pytest.raises(InvalidArgumentError):
-            estimate_tau_multi(rng.normal(size=(g.n, 3)), g)
+            estimate_tau(rng.normal(size=(g.n, 3)), g)
         with pytest.raises(InvalidArgumentError):
-            estimate_tau_multi(rng.normal(size=(2, 3, g.n)), g)
+            estimate_tau(rng.normal(size=(2, 3, g.n)), g)
 
 
 class TestNonnegMomentFit:

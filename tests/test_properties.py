@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdenoise import (
-    BernoulliConfig,
     Graph,
     bernoulli_denoise,
     denoise_gaussian,
+    dropout_penalty,
     harmonic_interpolate,
 )
 
@@ -59,7 +59,7 @@ def test_dropout_estimate_is_invariant_to_edge_orientation(seed, n, mode, p, dat
     g, rng = _graph(seed, n)
     # p >= 1/2 refills zeta from its complement, which must be nonempty
     zeta = _subset(rng, n, data.draw(st.integers(0, n - 1)))
-    cfg = BernoulliConfig(zeta=zeta, p=p, kappa=1.0, mode=mode)
+    tau = dropout_penalty(p, 1.0)
     sig = rng.normal(size=n)
     flip = rng.uniform(size=g.m) < 0.5
     flipped = Graph.from_edges(
@@ -68,5 +68,5 @@ def test_dropout_estimate_is_invariant_to_edge_orientation(seed, n, mode, p, dat
         np.where(flip, g.edge_a, g.edge_b),
         g.edge_w,
     )
-    base = bernoulli_denoise(sig, g, cfg).signal
-    assert np.array_equal(base, bernoulli_denoise(sig, flipped, cfg).signal)
+    base = bernoulli_denoise(sig, g, zeta, tau, mode).signal
+    assert np.array_equal(base, bernoulli_denoise(sig, flipped, zeta, tau, mode).signal)
