@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graphs import Graph, as_signal
-from .spectral import SpectralBasis, gft, igft
+from .spectral import SpectralBasis, apply_filter
 
 __all__ = [
     "local_average",
@@ -43,18 +43,18 @@ def magic_filter(g_signal, graph: Graph, t: int) -> np.ndarray:
 
 
 def band_filter(g_signal, basis: SpectralBasis, k: int, keep: str = "low") -> np.ndarray:
-    """Keep exactly the k lowest (or highest) frequency coefficients."""
+    """Keep exactly the k lowest (or highest) frequency coefficients: the
+    0/1 response of :func:`apply_filter` over that band."""
     if keep not in ("low", "high"):
         raise InvalidArgumentError("keep must be 'low' or 'high'")
     if not 0 <= k <= basis.n:
         raise InvalidArgumentError(f"k must be in [0, {basis.n}]")
-    coeffs = gft(basis, g_signal)
-    out = np.zeros_like(coeffs)
+    response = np.zeros(basis.n)
     if keep == "low":
-        out[:k] = coeffs[:k]
-    elif k > 0:
-        out[-k:] = coeffs[-k:]
-    return igft(basis, out)
+        response[:k] = 1.0
+    else:
+        response[basis.n - k :] = 1.0
+    return apply_filter(basis, response, g_signal)
 
 
 def nuclear_norm_denoise(g_signal, height: int, width: int, tau: float) -> np.ndarray:

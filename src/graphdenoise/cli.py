@@ -27,10 +27,7 @@ from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, build_grid_graph, build_knn_graph
 from .matrixio import read_matrix, write_matrix
-from .solvers import harmonic_interpolate
 from .uniform import ccp_denoise
-
-MODELS = ("gaussian", "uniform", "bernoulli", "no-trust", "interpolate")
 
 _NUMERICAL_ERRORS = (
     NumericalFailureError,
@@ -57,29 +54,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     den = sub.add_parser("denoise", help="denoise the columns of a matrix file")
-    den.add_argument("model", choices=MODELS)
-    den.add_argument(
+    models = den.add_subparsers(dest="model", required=True)
+    # the options every model takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
         "--graph",
         nargs="+",
         required=True,
         metavar=("KIND", "ARG"),
         help="grid HxW | knn K | edge-list FILE",
     )
-    den.add_argument("--input", required=True, help="matrix file (delimited or PGM)")
-    den.add_argument("--output", required=True, help="where to write the result")
-    den.add_argument("--columns", help="column selection: I, A:B, or I,J,K")
-    den.add_argument("--tau", type=float, help="smoothing / penalty strength")
-    den.add_argument("--kappa", type=float, help="prior smoothness weight")
-    den.add_argument("--p", type=float, help="dropout probability in (0,1)")
-    den.add_argument("--mode", choices=("l1", "l0"), default="l1")
-    den.add_argument("--zeta", help="suspicion set: 'zeros' or a 0/1 mask file")
-    den.add_argument(
-        "--estimate-tau",
-        action="store_true",
-        help="estimate tau per column by the method of moments (gaussian model)",
-    )
-    den.add_argument("--seed", type=int, default=0)
-    den.add_argument("--threads", type=_thread_count, default=1)
+    common.add_argument("--input", required=True, help="matrix file (delimited or PGM)")
+    common.add_argument("--output", required=True, help="where to write the result")
+    common.add_argument("--columns", help="column selection: I, A:B, or I,J,K")
+    common.add_argument("--threads", type=_thread_count, default=1)
+    zeta_help = "suspicion set: 'zeros' or a 0/1 mask file"
+
+    gauss = models.add_parser("gaussian", parents=[common])
+    tau = gauss.add_mutually_exclusive_group(required=True)
+    tau.add_argument("--tau", type=float, help="smoothing strength")
+    tau.add_argument("--estimate-tau", action="store_true", help="per-column estimate")
+
+    uni = models.add_parser("uniform", parents=[common])
+    uni.add_argument("--kappa", type=float, default=1.0, help="prior smoothness weight")
+    uni.add_argument("--seed", type=int, default=0, help="seed of the CCP start point")
+
+    ber = models.add_parser("bernoulli", parents=[common])
+    weight = ber.add_mutually_exclusive_group(required=True)
+    weight.add_argument("--tau", type=float, help="penalty weight")
+    weight.add_argument("--p", type=float, help="dropout probability in (0,1)")
+    ber.add_argument("--kappa", type=float, help="with --p (default 1.0)")
+    ber.add_argument("--mode", choices=("l1", "l0"), default="l1")
+    ber.add_argument("--zeta", help=zeta_help)
+
+    trust = models.add_parser("no-trust", parents=[common])
+    trust.add_argument("--tau", type=float, required=True, help="penalty weight")
+    trust.add_argument("--mode", choices=("l1", "l0"), default="l1")
+
+    interp = models.add_parser("interpolate", parents=[common])
+    interp.add_argument("--zeta", help=zeta_help)
+    # the dropout model with no penalty: a harmonic refill of the suspicion set
+    interp.set_defaults(tau=0.0, mode="l1")
 
     exp = sub.add_parser("experiment", help="run a declarative experiment spec")
     exp.add_argument("--spec", required=True)
@@ -202,22 +217,8 @@ def _load_zeta_mask(arg: str | None, n: int) -> np.ndarray | None:
 
 
 def cmd_denoise(args) -> int:
-    if args.model == "gaussian":
-        if (args.tau is not None) == bool(args.estimate_tau):
-            raise InvalidArgumentError(
-                "gaussian model needs exactly one of --tau or --estimate-tau"
-            )
-    elif args.estimate_tau:
-        raise InvalidArgumentError("--estimate-tau applies to the gaussian model only")
-    if args.model in ("no-trust",) and args.tau is None:
-        raise InvalidArgumentError("no-trust model needs --tau")
-    if args.model == "bernoulli":
-        has_tau = args.tau is not None
-        has_pk = args.p is not None
-        if has_tau == has_pk:
-            raise InvalidArgumentError(
-                "bernoulli model needs exactly one of --tau or --p (with --kappa)"
-            )
+    if args.model == "bernoulli" and args.kappa is not None and args.p is None:
+        raise InvalidArgumentError("bernoulli --kappa goes with --p, not --tau")
 
     infile = read_matrix(args.input)
     if infile.kind == "pgm":
@@ -227,15 +228,16 @@ def cmd_denoise(args) -> int:
     n_rows = matrix.shape[0]
     graph = _parse_graph_arg(args.graph, n_rows, matrix)
     cols = _parse_columns(args.columns, matrix.shape[1])
-    mask = _load_zeta_mask(args.zeta, n_rows)
+    # the dropout family (bernoulli, no-trust, interpolate): the suspicion
+    # mask, None for each column's zeros, and the penalty weight
+    mask = None
     if args.model == "no-trust":  # every vertex is suspected
         mask = np.ones(n_rows, dtype=bool)
-    kappa = args.kappa if args.kappa is not None else 1.0
-    # the dropout models' penalty weight, given as --tau or as --p/--kappa
-    if args.model == "bernoulli" and args.tau is None:
-        penalty = dropout_penalty(args.p, kappa)
-    else:
-        penalty = args.tau
+    elif "zeta" in args:
+        mask = _load_zeta_mask(args.zeta, n_rows)
+    penalty = getattr(args, "tau", None)
+    if getattr(args, "p", None) is not None:
+        penalty = dropout_penalty(args.p, 1.0 if args.kappa is None else args.kappa)
 
     summaries: list[str] = []
 
@@ -246,13 +248,10 @@ def cmd_denoise(args) -> int:
             res = denoise_gaussian(g, graph, tau)
             return c, res, tau if args.estimate_tau else None
         if args.model == "uniform":
-            res, _ = ccp_denoise(g, graph, kappa=kappa, rng_seed=args.seed)
+            res, _ = ccp_denoise(g, graph, kappa=args.kappa, rng_seed=args.seed)
             return c, res, None
         zeta = (g == 0.0) if mask is None else mask
-        if args.model in ("bernoulli", "no-trust"):
-            return c, bernoulli_denoise(g, graph, zeta, penalty, args.mode), None
-        # interpolate: fill the masked set from the trusted complement
-        return c, harmonic_interpolate(graph, ~zeta, g[~zeta]), None
+        return c, bernoulli_denoise(g, graph, zeta, penalty, args.mode), None
 
     start = time.perf_counter()
     if args.threads > 1:

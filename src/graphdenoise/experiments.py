@@ -227,11 +227,11 @@ class ExperimentSpec:
     metrics: tuple[str, ...]
     benchmark: tuple[tuple[str, str], ...] | None = None
 
-    def graph_opts(self) -> dict:
-        return dict(self.graph)
+    def graph_opts(self) -> _Section:
+        return _Section("graph", self.graph)
 
-    def signal_opts(self) -> dict:
-        return dict(self.signal)
+    def signal_opts(self) -> _Section:
+        return _Section("signal", self.signal)
 
 
 @dataclass(frozen=True)
@@ -293,20 +293,39 @@ def _parse_scalar(tok: str):
     return tok
 
 
+class _Section(dict):
+    """The values of one spec section; it records which keys were looked up."""
+
+    def __init__(self, name: str, items):
+        super().__init__(items)
+        self.name = name
+        self.looked_up: set[str] = set()
+
+    def __contains__(self, key) -> bool:
+        self.looked_up.add(key)
+        return super().__contains__(key)
+
+    def check_all_read(self) -> None:
+        """A key nothing looked up is a typo or a value no code uses."""
+        for key in self:
+            if key not in self.looked_up:
+                raise InvalidArgumentError(f"[{self.name}] {key}: unknown key")
+
+
 _REQUIRED = object()
 
 
-def _spec_value(section: str, opts, key: str, cast=str, default=_REQUIRED):
+def _spec_value(opts: _Section, key: str, cast=str, default=_REQUIRED):
     """``cast(opts[key])``; a missing or unreadable value names its section and key."""
     if key not in opts:
         if default is _REQUIRED:
-            raise InvalidArgumentError(f"[{section}] needs {key}")
+            raise InvalidArgumentError(f"[{opts.name}] needs {key}")
         return default
     try:
         return cast(opts[key])
     except (TypeError, ValueError):
         raise InvalidArgumentError(
-            f"[{section}] {key}: cannot read {opts[key]!r}"
+            f"[{opts.name}] {key}: cannot read {opts[key]!r}"
         ) from None
 
 
@@ -328,21 +347,20 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     for section in ("experiment", "graph", "signal", "noise", "metrics"):
         if section not in parser:
             raise InvalidArgumentError(f"spec is missing the [{section}] section")
-    exp = parser["experiment"]
-    noise = parser["noise"]
-    kind = _spec_value("noise", noise, "kind", default="").strip()
+    exp = _Section("experiment", parser["experiment"])
+    noise = _Section("noise", parser["noise"])
+    kind = _spec_value(noise, "kind", default="").strip()
     if kind not in NOISE_KINDS:
         raise InvalidArgumentError(
             f"[noise] kind must be one of {NOISE_KINDS}, got {kind!r}"
         )
-    levels = _spec_value("noise", noise, "levels", _floats, (0.0,))
+    levels = _spec_value(noise, "levels", _floats, (0.0,))
     if not levels:
         raise InvalidArgumentError("[noise] levels must be nonempty")
     noise_opts = tuple(
-        (k, _spec_value("noise", noise, k, float))
-        for k in noise
-        if k not in ("kind", "levels")
+        (k, _spec_value(noise, k, float)) for k in ("fill", "lo", "hi") if k in noise
     )
+    noise.check_all_read()
     methods = []
     for section in parser.sections():
         if not section.startswith("method."):
@@ -361,9 +379,9 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             if not vals:
                 raise InvalidArgumentError(f"[{section}] {key} has an empty grid")
         methods.append(MethodSpec(name=name, grid=grid))
-    metrics = tuple(
-        _spec_value("metrics", parser["metrics"], "names", default="relative-error").split()
-    )
+    metric_opts = _Section("metrics", parser["metrics"])
+    metrics = tuple(_spec_value(metric_opts, "names", default="relative-error").split())
+    metric_opts.check_all_read()
     for metric in metrics:
         if metric not in METRIC_REGISTRY:
             raise InvalidArgumentError(
@@ -372,10 +390,10 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     benchmark = (
         tuple(parser["benchmark"].items()) if "benchmark" in parser else None
     )
-    return ExperimentSpec(
-        name=_spec_value("experiment", exp, "name", default=path.stem),
-        seed=_spec_value("experiment", exp, "seed", int, 0),
-        repeats=_spec_value("experiment", exp, "repeats", int, 1),
+    spec = ExperimentSpec(
+        name=_spec_value(exp, "name", default=path.stem),
+        seed=_spec_value(exp, "seed", int, 0),
+        repeats=_spec_value(exp, "repeats", int, 1),
         graph=tuple(parser["graph"].items()),
         signal=tuple(parser["signal"].items()),
         noise_kind=kind,
@@ -385,6 +403,8 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         metrics=metrics,
         benchmark=benchmark,
     )
+    exp.check_all_read()
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +477,7 @@ def _method_bernoulli(noisy, ctx, param):
 
 
 def _method_uniform_ccp(noisy, ctx, param):
-    result, _ = ccp_denoise(
-        noisy,
-        ctx.graph,
-        kappa=param("kappa", float, 1.0),
-        max_outer=param("max_outer", int, 50),
-    )
+    result, _ = ccp_denoise(noisy, ctx.graph, kappa=param("kappa", float, 1.0))
     return result.signal
 
 
@@ -471,8 +486,7 @@ def _method_uniform_pg(noisy, ctx, param):
         noisy,
         ctx.graph,
         kappa=param("kappa", float, 1.0),
-        step=param("step", float, 1.0),
-        max_iter=param("max_iter", int, 5000),
+        step=param("step", float, None),
     )
     return result.signal
 
@@ -503,15 +517,14 @@ def _column_range(text: str) -> slice:
     return slice(lo, hi)
 
 
-def _signal_count(spec: ExperimentSpec) -> int:
-    return _spec_value("signal", spec.signal_opts(), "count", int, 1)
+def _signal_count(signal: _Section) -> int:
+    return _spec_value(signal, "count", int, 1)
 
 
-def _build_graph(spec: ExperimentSpec):
+def _build_graph(spec: ExperimentSpec, opts: _Section, signal: _Section):
     """The sweep's graph, its grid shape (grids only) and, for
     synthetic-clusters graphs only, the (points, low, high) cluster data."""
-    opts = spec.graph_opts()
-    value = functools.partial(_spec_value, "graph", opts)
+    value = functools.partial(_spec_value, opts)
     kind = value("kind", default="").strip()
     if kind == "grid":
         h, w = value("height", int), value("width", int)
@@ -525,7 +538,7 @@ def _build_graph(spec: ExperimentSpec):
             value("points-per-cluster", int, 200),
             spread=value("spread", float, 1.0),
             seed=spec.seed,
-            n_signals=_signal_count(spec),
+            n_signals=_signal_count(signal),
         )
         graph = build_knn_graph(points, value("knn", int, 10))
         return graph, None, (points, low, high)
@@ -533,13 +546,16 @@ def _build_graph(spec: ExperimentSpec):
 
 
 def _build_signals(
-    spec: ExperimentSpec, graph: Graph, cluster_data, basis: SpectralBasis | None
+    spec: ExperimentSpec,
+    opts: _Section,
+    graph: Graph,
+    cluster_data,
+    basis: SpectralBasis | None,
 ) -> np.ndarray:
-    opts = spec.signal_opts()
-    value = functools.partial(_spec_value, "signal", opts)
+    value = functools.partial(_spec_value, opts)
     source = value("source", default="").strip()
-    count = _signal_count(spec)
     if source == "prior-sample":
+        count = _signal_count(opts)
         kappa = value("kappa", float, 1.0)
         mean = value("mean", float, 0.0)
         rng = derive_rng(spec.seed, "signals")
@@ -563,7 +579,7 @@ def _build_signals(
             )
         _, low, high = cluster_data
         sig = low if source == "cluster-low-freq" else high
-        return sig[:count]
+        return sig[: _signal_count(opts)]
     if source == "file":
         mat = read_matrix(value("path")).values
         if mat.shape[0] != graph.n:
@@ -583,25 +599,25 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     A ``[benchmark]`` section also runs :func:`ccp_vs_pg_benchmark` on the
     first ground-truth signal over the same graph.
     """
-    graph, shape, cluster_data = _build_graph(spec)
-    bench_opts = None
+    graph_opts, signal_opts = spec.graph_opts(), spec.signal_opts()
+    graph, shape, cluster_data = _build_graph(spec, graph_opts, signal_opts)
     if spec.benchmark is not None:
-        # read before the sweep, so a malformed value fails before any work
-        value = functools.partial(_spec_value, "benchmark", dict(spec.benchmark))
-        bench_opts = dict(
-            kappa=value("kappa", float, 1.0),
-            max_outer=value("max-outer", int, 50),
-            pg_step=value("pg-step", float, None),
-            pg_max_iter=value("pg-max-iter", int, 5000),
-        )
+        # read before the sweep, so a bad section fails before any work
+        bench_opts = _Section("benchmark", spec.benchmark)
+        bench_kappa = _spec_value(bench_opts, "kappa", float, 1.0)
+        bench_opts.check_all_read()
     # prior samples and the band methods share one eigendecomposition
-    source = _spec_value("signal", spec.signal_opts(), "source", default="")
+    source = _spec_value(signal_opts, "source", default="")
     needs_basis = source.strip() == "prior-sample" or any(
         m.name in ("band-low", "band-high") for m in spec.methods
     )
     basis = eigendecompose(graph) if needs_basis else None
-    truths = _build_signals(spec, graph, cluster_data, basis)
-    noise_opts = {k: v for k, v in spec.noise_opts if k in ("fill", "lo", "hi")}
+    truths = _build_signals(spec, signal_opts, graph, cluster_data, basis)
+    if len(truths) == 0:
+        raise InvalidArgumentError("[signal] selects no signals")
+    graph_opts.check_all_read()
+    signal_opts.check_all_read()
+    noise_opts = dict(spec.noise_opts)
 
     cells = []
     for mi, method in enumerate(spec.methods):
@@ -614,7 +630,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         mi, pi, li, rep, method, params, level = cell
         ctx = _Context(graph=graph, shape=shape, level=level, basis=basis)
         fn = METHOD_REGISTRY[method.name]
-        param = functools.partial(_spec_value, f"method.{method.name}", params)
+        method_opts = _Section(f"method.{method.name}", params)
+        param = functools.partial(_spec_value, method_opts)
         start = time.perf_counter()
         sums = {metric: 0.0 for metric in spec.metrics}
         try:
@@ -624,21 +641,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
                 estimate = fn(noisy, ctx, param)
                 for metric in spec.metrics:
                     sums[metric] += METRIC_REGISTRY[metric](truth, estimate)
+            method_opts.check_all_read()
+            values = [(m, sums[m] / len(truths)) for m in spec.metrics]
         except GraphDenoiseError as exc:
             logger.warning("method %s failed: %s", method.name, exc)
-            elapsed = time.perf_counter() - start
-            return [
-                TableRow(
-                    method=method.name,
-                    param_json=json.dumps(params, sort_keys=True),
-                    noise_kind=spec.noise_kind,
-                    noise_level=level,
-                    metric="error",
-                    value=float("nan"),
-                    runtime_s=elapsed,
-                    seed=spec.seed,
-                )
-            ]
+            values = [("error", float("nan"))]
         elapsed = time.perf_counter() - start
         return [
             TableRow(
@@ -647,11 +654,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
                 noise_kind=spec.noise_kind,
                 noise_level=level,
                 metric=metric,
-                value=sums[metric] / max(len(truths), 1),
+                value=value,
                 runtime_s=elapsed,
                 seed=spec.seed,
             )
-            for metric in spec.metrics
+            for metric, value in values
         ]
 
     if threads > 1:
@@ -661,8 +668,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         results = [run_cell(c) for c in cells]
     rows = tuple(itertools.chain.from_iterable(results))
     benchmark = None
-    if bench_opts is not None:
-        benchmark = ccp_vs_pg_benchmark(truths[0], graph, seed=spec.seed, **bench_opts)
+    if spec.benchmark is not None:
+        benchmark = ccp_vs_pg_benchmark(truths[0], graph, bench_kappa, seed=spec.seed)
     return ExperimentTable(rows=rows, benchmark=benchmark)
 
 
@@ -707,30 +714,16 @@ class BenchmarkReport:
 
 
 def ccp_vs_pg_benchmark(
-    truth,
-    graph: Graph,
-    kappa: float = 1.0,
-    seed: int = 0,
-    max_outer: int = 50,
-    pg_step: float | None = None,
-    pg_max_iter: int = 5000,
+    truth, graph: Graph, kappa: float = 1.0, seed: int = 0
 ) -> BenchmarkReport:
-    """Corrupt the signal with uniform scaling noise and run both solvers.
-
-    ``pg_step=None`` picks a stable step from the Gershgorin bound on the
-    quadratic term's curvature; pass an explicit step to override.
-    """
+    """Corrupt the signal with uniform scaling noise and run both solvers,
+    projected gradient at its default stable step."""
     truth = as_signal(truth, graph.n)
     rng = derive_rng(seed, "ccp-benchmark")
     noisy = add_noise(truth, "uniform-scale", 0.0, rng)
     truth_loss = uniform_loss(truth, graph, kappa)
-    ccp_res, ccp_tr = ccp_denoise(noisy, graph, kappa=kappa, max_outer=max_outer)
-    if pg_step is None:
-        lmax_bound = 2.0 * float(graph.degrees.max())
-        pg_step = min(1.0, 1.0 / (2.0 * kappa * lmax_bound))
-    pg_res, pg_tr = projected_gradient_denoise(
-        noisy, graph, kappa=kappa, step=pg_step, max_iter=pg_max_iter
-    )
+    ccp_res, ccp_tr = ccp_denoise(noisy, graph, kappa=kappa)
+    pg_res, pg_tr = projected_gradient_denoise(noisy, graph, kappa=kappa)
     return BenchmarkReport(
         truth_loss=truth_loss,
         noisy=noisy,

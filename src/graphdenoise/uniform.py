@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 STRICT_INIT_MARGIN = 1e-3
+# outer-step cap of the CCP (see ccp_denoise)
+_CCP_MAX_OUTER = 50
 # stopping rule of the CCP inner QP (see minimize_box_qp)
 _BOX_QP_TOL = 1e-8
 _BOX_QP_MAX_ITER = 20000
@@ -163,7 +165,6 @@ def ccp_denoise(
     g_signal,
     graph: Graph,
     kappa: float = 1.0,
-    max_outer: int = 50,
     tol: float = 1e-7,
     rng_seed: int | None = None,
 ) -> tuple[DenoiseResult, DescentTrace]:
@@ -172,7 +173,7 @@ def ccp_denoise(
     Each outer step minimizes kappa * f'Lf + sum f(a)/|f_t(a)| over the box,
     warm-started at the previous iterate, which guarantees the true loss is
     nonincreasing.  Stops when the loss change drops below
-    ``tol * |loss(f0)|`` or after ``max_outer`` steps; non-convergence is
+    ``tol * |loss(f0)|`` or after 50 steps; non-convergence is
     reported through the ``converged`` flag, not an exception.
     """
     g = as_signal(g_signal, graph.n)
@@ -186,7 +187,7 @@ def ccp_denoise(
     inner_counts: list[int] = []
     threshold = tol * abs(losses[0])
     converged = False
-    for _ in range(max_outer):
+    for _ in range(_CCP_MAX_OUTER):
         coeff = _log_term_gradient(f)
         f_new, inner = minimize_box_qp(graph, kappa, coeff, region, f)
         loss_new = uniform_loss(f_new, graph, kappa, region)
@@ -219,13 +220,16 @@ def projected_gradient_denoise(
     g_signal,
     graph: Graph,
     kappa: float = 1.0,
-    step: float = 1.0,
+    step: float | None = None,
     max_iter: int = 5000,
     tol: float = 1e-7,
 ) -> tuple[DenoiseResult, DescentTrace]:
     """Projected gradient descent on the uniform-noise posterior.
 
     Fixed step, projection onto the per-vertex intervals after every move.
+    ``step=None`` takes min(1, 1 / (2 * kappa * 2 * max degree)), a stable
+    step because 2 * max degree bounds the largest Laplacian eigenvalue
+    (Gershgorin).
     Not a guaranteed descent method; the best iterate seen is what is
     returned, so the reported loss never exceeds the initialization's.
     Raises :class:`NumericalFailureError` (carrying the loss trace) if the
@@ -234,6 +238,9 @@ def projected_gradient_denoise(
     g = as_signal(g_signal, graph.n)
     if not kappa > 0:
         raise InvalidArgumentError("kappa must be positive")
+    if step is None:
+        lmax_bound = 2.0 * float(graph.degrees.max())
+        step = min(1.0, 1.0 / (2.0 * kappa * lmax_bound))
     if not step > 0:
         raise InvalidArgumentError("step must be positive")
     start = time.perf_counter()

@@ -168,6 +168,53 @@ class TestDenoiseCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["gaussian", "--tau", "1", "--p", "0.3"],
+            ["no-trust", "--tau", "1", "--p", "0.3"],
+            ["bernoulli", "--tau", "1", "--kappa", "5"],
+            ["uniform", "--tau", "4"],
+            ["interpolate", "--seed", "3"],
+            ["gaussian"],
+            ["bernoulli", "--tau", "1", "--p", "0.3"],
+        ],
+        ids=[
+            "gaussian-p", "no-trust-p", "bernoulli-tau-kappa", "uniform-tau",
+            "interpolate-seed", "gaussian-neither", "bernoulli-tau-and-p",
+        ],
+    )
+    def test_option_the_model_does_not_read_exit_2(self, tmp_path, rng, options):
+        """Each model takes only its own options, and the one-of groups hold."""
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.uniform(1.0, 2.0, size=(3, 1)))
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "denoise", options[0],
+                "--graph", "grid", "3x1",
+                "--input", str(src),
+                "--output", str(out),
+                *options[1:],
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+
+    def test_interpolate_is_bernoulli_without_penalty(self, tmp_path, rng):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(16, 3)))
+        mask = tmp_path / "mask.csv"
+        write_csv(mask, np.array([[1.0 if v in (2, 5, 11) else 0.0] for v in range(16)]))
+        outs = []
+        for options in (["interpolate"], ["bernoulli", "--tau", "0"]):
+            out = tmp_path / f"{options[0]}.csv"
+            argv = ["denoise", options[0], "--graph", "grid", "4x4", "--input", str(src),
+                    "--output", str(out), "--zeta", str(mask), *options[1:]]
+            assert main(argv) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_estimate_tau_summary_on_stderr(self, tmp_path, rng, capsys):
         src = tmp_path / "g.csv"
         write_csv(src, rng.normal(size=(9, 2)) + 5.0)
@@ -559,9 +606,23 @@ class TestExperimentCommand:
             ("count = 2", "count = many", "[signal] count"),
             ("levels = 0.5 1.0", "levels = low high", "[noise] levels"),
             ("seed = 0", "seed = abc", "[experiment] seed"),
+            ("count = 2", "count = 0", "[signal] selects no signals"),
             ("[metrics]", "[benchmark]\nmax-outer = lots\n\n[metrics]", "[benchmark] max-outer"),
+            # a key nothing reads, such as a typo, is an error, not ignored
+            ("repeats = 2\n", "repeats = 2\nrepeat = 3\n", "[experiment] repeat: unknown key"),
+            ("width = 3\n", "width = 3\nheigth = 9\n", "[graph] heigth: unknown key"),
+            ("count = 2\n", "count = 2\nkapa = 5\n", "[signal] kapa: unknown key"),
+            ("levels = 0.5 1.0\n", "levels = 0.5 1.0\nsigma = 3\n", "[noise] sigma: unknown key"),
+            ("names = relative-error\n", "names = relative-error\nname = pearson\n",
+             "[metrics] name: unknown key"),
+            ("[metrics]", "[benchmark]\npg-step = 0.1\n\n[metrics]",
+             "[benchmark] pg-step: unknown key"),
         ],
-        ids=["grid-without-height", "count-many", "levels", "seed", "benchmark"],
+        ids=[
+            "grid-without-height", "count-many", "levels", "seed", "count-0", "benchmark",
+            "unread-experiment", "unread-graph", "unread-signal", "unread-noise",
+            "unread-metrics", "unread-benchmark",
+        ],
     )
     def test_malformed_spec_value_exit_2(self, tmp_path, capsys, old, new, named):
         assert old in TINY_SPEC
@@ -577,8 +638,9 @@ class TestExperimentCommand:
             ("[method.bernoulli]\nmode = l1\n", "[method.bernoulli] needs p or tau"),
             ("[method.band-low]\n", "[method.band-low] needs k"),
             ("[method.gaussian]\ntau = abc\n", "[method.gaussian] tau: cannot read 'abc'"),
+            ("[method.gaussian]\ntua = 5\n", "[method.gaussian] tua: unknown key"),
         ],
-        ids=["bernoulli-without-tau-or-p", "band-low-without-k", "tau-abc"],
+        ids=["bernoulli-without-tau-or-p", "band-low-without-k", "tau-abc", "gaussian-tua"],
     )
     def test_malformed_method_parameter_is_an_error_row(
         self, tmp_path, caplog, section, named

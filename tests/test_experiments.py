@@ -231,7 +231,7 @@ class TestRunner:
             "kind = grid\nheight = 4\nwidth = 4",
             # more neighbors than points per cluster keeps the graph connected
             "kind = synthetic-clusters\nclusters = 2\npoints-per-cluster = 30\nknn = 35",
-        ).replace("source = prior-sample\ncount = 2\n", "source = cluster-high-freq\n")
+        ).replace("source = prior-sample\ncount = 2\nkappa = 1.0\n", "source = cluster-high-freq\n")
 
         def values(spec_text):
             path = tmp_path / "c.spec"
@@ -242,6 +242,18 @@ class TestRunner:
         without = values(text)
         assert without == values(text.replace("cluster-high-freq\n", "cluster-high-freq\ncount = 1\n"))
         assert without != values(text.replace("cluster-high-freq\n", "cluster-high-freq\ncount = 3\n"))
+
+    def test_unread_method_key_fails_that_method_only(self, tmp_path, caplog):
+        """bernoulli reads p when it has p, so a tau beside it is unread."""
+        path = tmp_path / "both.spec"
+        path.write_text(TINY_SPEC + "\n[method.bernoulli]\np = 0.3\ntau = 1\n")
+        table = run_experiment(parse_experiment_spec(path))
+        bern = [r for r in table.rows if r.method == "bernoulli"]
+        assert len(bern) == 3
+        assert all(r.metric == "error" and np.isnan(r.value) for r in bern)
+        others = [r for r in table.rows if r.method != "bernoulli"]
+        assert len(others) == 6 and all(r.metric == "relative-error" for r in others)
+        assert "[method.bernoulli] tau: unknown key" in caplog.text
 
     def test_csv_shape(self, tmp_path):
         path = tmp_path / "tiny.spec"

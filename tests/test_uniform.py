@@ -161,6 +161,15 @@ class TestProjectedGradient:
         with pytest.raises(InvalidArgumentError):
             projected_gradient_denoise(np.ones(3), p3, kappa=1.0, step=0.0)
 
+    def test_default_step_descends_on_a_grid(self, rng):
+        """The default step comes from the Gershgorin bound; a fixed step of
+        1.0 diverges on this grid."""
+        g = build_grid_graph(16, 16)
+        obs = rng.uniform(1.0, 2.0, size=g.n) * rng.uniform(size=g.n)
+        res, _ = projected_gradient_denoise(obs, g, kappa=1.0)
+        assert res.converged
+        assert uniform_loss(res.signal, g, 1.0) < res.trace[0]
+
 
 class TestBothReachTruthLoss:
     def test_prior_instance_benchmark_property(self, rng):
