@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError, NotPositiveDefiniteError
 from .graphs import Graph, as_mask, as_signal, incidence_apply, incidence_columns
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
@@ -190,12 +190,15 @@ class _StepwiseSearch:
         self.p = csc.shape[1]
         self.moves = 0
         self.fits: dict[tuple[int, ...], np.ndarray] = {}
+        self.stopped_short: set[tuple[int, ...]] = set()
 
     def refit(self, support):
         """The sorted support and its least-squares coefficients.
 
         The search revisits the same supports many times, so each fit is
-        kept (read-only) for the life of the search.
+        kept (read-only) for the life of the search.  A fit that stops short,
+        at the CG cap (best iterate kept) or at nonpositive curvature (zero
+        coefficients kept), is recorded in ``stopped_short``.
         """
         key = tuple(sorted(support))
         x = self.fits.get(key)
@@ -205,15 +208,18 @@ class _StepwiseSearch:
             else:
                 s = list(key)
                 try:
-                    fit = cg_solve(
+                    x = cg_solve(
                         self.gram[s][:, s],
                         self.c[s],
                         tol=1e-12,
                         max_iter=max(200, 10 * len(s)),
-                    )
+                    ).signal
                 except ConvergenceError as exc:
-                    fit = exc.report
-                x = fit.signal
+                    x = exc.report.signal
+                    self.stopped_short.add(key)
+                except NotPositiveDefiniteError:
+                    x = np.zeros(len(s))
+                    self.stopped_short.add(key)
             x.flags.writeable = False
             self.fits[key] = x
         return list(key), x
@@ -353,8 +359,9 @@ def l0_greedy(design, target, tau: float) -> SparseUpdate:
     most 64 columns, descends from the full support (of the nonzero
     columns) and from complements of found supports with bounded exchange
     moves.  Zero columns never enter a support.  The best support found
-    wins; the result is never worse than keeping x = 0.  Still a heuristic:
-    global optimality is not guaranteed.
+    wins; the result is never worse than keeping x = 0, and it reports
+    ``converged=False`` when its support's least-squares fit stopped short.
+    Still a heuristic: global optimality is not guaranteed.
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
@@ -376,7 +383,12 @@ def l0_greedy(design, target, tau: float) -> SparseUpdate:
             1.0, float(abs(csc).max())
         ):
             x -= x.mean()
-    return SparseUpdate.from_raw(x, search.moves)
+    # the search scores a fit by y'y - c(S)'x, which holds only for an exact
+    # fit; a point truly worse than x = 0 gives way to it
+    r = csc @ x - y
+    if float(r @ r) + tau * len(s) > search.yy:
+        return SparseUpdate.from_raw(np.zeros(csc.shape[1]), search.moves)
+    return SparseUpdate.from_raw(x, search.moves, tuple(s) not in search.stopped_short)
 
 
 def bernoulli_denoise(

@@ -26,7 +26,7 @@ from .errors import (
 from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, build_grid_graph, build_knn_graph
-from .matrixio import read_matrix, write_matrix
+from .matrixio import read_mask, read_matrix, select_columns, write_matrix
 from .uniform import ccp_denoise
 
 _NUMERICAL_ERRORS = (
@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--input", required=True, help="matrix file (delimited or PGM)")
     common.add_argument("--output", required=True, help="where to write the result")
-    common.add_argument("--columns", help="column selection: I, A:B, or I,J,K")
+    common.add_argument(
+        "--columns", default=":", help="column selection: I, A:B, or I,J,K (default all)"
+    )
     common.add_argument("--threads", type=_thread_count, default=1)
     zeta_help = "suspicion set: 'zeros' or a 0/1 mask file"
 
@@ -168,73 +170,22 @@ def _read_edge_list(path: str, n: int) -> Graph:
     return Graph.from_edges(n, a, b, w)
 
 
-def _parse_columns(arg: str | None, width: int) -> list[int]:
-    if arg is None:
-        return list(range(width))
-    arg = arg.strip()
-    try:
-        if ":" in arg:
-            lo_s, hi_s = arg.split(":", 1)
-            lo = int(lo_s) if lo_s else 0
-            hi = int(hi_s) if hi_s else width
-            cols = list(range(lo, hi))
-        elif "," in arg:
-            cols = [int(t) for t in arg.split(",")]
-        else:
-            cols = [int(arg)]
-    except ValueError:
-        raise InvalidArgumentError(f"cannot parse column range {arg!r}") from None
-    for c in cols:
-        if not 0 <= c < width:
-            raise InvalidArgumentError(f"column {c} out of range [0, {width})")
-    if not cols:
-        raise InvalidArgumentError("empty column selection")
-    return cols
-
-
-def _load_zeta_mask(arg: str | None, n: int) -> np.ndarray | None:
-    """The suspicion mask of a 0/1 mask file; None for 'zeros' (per column)."""
-    if arg is None or arg == "zeros":
-        return None
-    path = Path(arg)
-    mfile = read_matrix(path)
-    mat = mfile.values
-    flat = mat.ravel()
-    if flat.size != n:
-        raise InvalidArgumentError(
-            f"mask {path} has {flat.size} entries, expected {n}"
-        )
-    bad = np.argwhere((mat != 0.0) & (mat != 1.0))
-    if bad.size:
-        i, j = bad[0]
-        # rows are counted as read_matrix counts them, header included
-        row = i + 1 + (mfile.header is not None)
-        raise InvalidArgumentError(
-            f"mask {path}: entry {float(mat[i, j])!r} at row {row}, column "
-            f"{j + 1} is not 0 or 1"
-        )
-    return flat != 0.0
-
-
 def cmd_denoise(args) -> int:
     if args.model == "bernoulli" and args.kappa is not None and args.p is None:
         raise InvalidArgumentError("bernoulli --kappa goes with --p, not --tau")
 
     infile = read_matrix(args.input)
-    if infile.kind == "pgm":
-        matrix = infile.values.reshape(-1, 1)
-    else:
-        matrix = infile.values
-    n_rows = matrix.shape[0]
+    matrix = infile.signals
+    n_rows, width = matrix.shape
     graph = _parse_graph_arg(args.graph, n_rows, matrix)
-    cols = _parse_columns(args.columns, matrix.shape[1])
+    cols = select_columns(args.columns, width)
     # the dropout family (bernoulli, no-trust, interpolate): the suspicion
     # mask, None for each column's zeros, and the penalty weight
     mask = None
     if args.model == "no-trust":  # every vertex is suspected
         mask = np.ones(n_rows, dtype=bool)
-    elif "zeta" in args:
-        mask = _load_zeta_mask(args.zeta, n_rows)
+    elif getattr(args, "zeta", None) not in (None, "zeros"):
+        mask = read_mask(args.zeta, n_rows)
     penalty = getattr(args, "tau", None)
     if getattr(args, "p", None) is not None:
         penalty = dropout_penalty(args.p, 1.0 if args.kappa is None else args.kappa)
@@ -283,10 +234,7 @@ def cmd_denoise(args) -> int:
     summaries.append(f"time={elapsed:.3f}s")
     print(f"{args.model}: " + " ".join(summaries), file=sys.stderr)
 
-    if infile.kind == "pgm":
-        write_matrix(args.output, out.reshape(infile.values.shape), infile)
-    else:
-        write_matrix(args.output, out, infile)
+    write_matrix(args.output, out, infile)
     return 0
 
 

@@ -1,5 +1,16 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "GraphDenoiseError",
+    "InvalidArgumentError",
+    "GraphDisconnectedError",
+    "TooLargeError",
+    "NotPositiveDefiniteError",
+    "DegenerateSignalError",
+    "NumericalFailureError",
+    "ConvergenceError",
+]
+
 
 class GraphDenoiseError(Exception):
     """Base class for all errors raised by this package."""

@@ -26,7 +26,7 @@ import numpy as np
 from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError
 from .graphs import Graph, as_signal, build_grid_graph, build_knn_graph
-from .matrixio import format_float, read_matrix
+from .matrixio import format_float, read_matrix, select_columns
 from .result import DenoiseResult
 from .spectral import SpectralBasis, eigendecompose, sample_prior
 from .uniform import ccp_denoise, projected_gradient_denoise, uniform_loss
@@ -323,9 +323,10 @@ def _spec_value(opts: _Section, key: str, cast=str, default=_REQUIRED):
         return default
     try:
         return cast(opts[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
+        why = f" ({exc})" if isinstance(exc, InvalidArgumentError) else ""
         raise InvalidArgumentError(
-            f"[{opts.name}] {key}: cannot read {opts[key]!r}"
+            f"[{opts.name}] {key}: cannot read {opts[key]!r}{why}"
         ) from None
 
 
@@ -344,9 +345,13 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             parser.read_file(fh, source=str(path))
     except configparser.Error as exc:
         raise InvalidArgumentError(f"malformed spec: {exc}") from exc
-    for section in ("experiment", "graph", "signal", "noise", "metrics"):
+    required = ("experiment", "graph", "signal", "noise", "metrics")
+    for section in required:
         if section not in parser:
             raise InvalidArgumentError(f"spec is missing the [{section}] section")
+    for section in parser.sections():
+        if section not in (*required, "benchmark") and not section.startswith("method."):
+            raise InvalidArgumentError(f"[{section}]: unknown section")
     exp = _Section("experiment", parser["experiment"])
     noise = _Section("noise", parser["noise"])
     kind = _spec_value(noise, "kind", default="").strip()
@@ -510,13 +515,6 @@ METRIC_REGISTRY = {
 }
 
 
-def _column_range(text: str) -> slice:
-    if not text:
-        return slice(None)
-    lo, hi = (int(t) for t in text.split(":"))
-    return slice(lo, hi)
-
-
 def _signal_count(signal: _Section) -> int:
     return _spec_value(signal, "count", int, 1)
 
@@ -581,12 +579,13 @@ def _build_signals(
         sig = low if source == "cluster-low-freq" else high
         return sig[: _signal_count(opts)]
     if source == "file":
-        mat = read_matrix(value("path")).values
+        mat = read_matrix(value("path")).signals
         if mat.shape[0] != graph.n:
             raise InvalidArgumentError(
                 f"signal file has {mat.shape[0]} rows, graph has {graph.n} vertices"
             )
-        return mat[:, value("columns", _column_range, slice(None))].T.copy()
+        columns = functools.partial(select_columns, width=mat.shape[1])
+        return mat[:, value("columns", columns, slice(None))].T.copy()
     raise InvalidArgumentError(f"unknown signal source {source!r}")
 
 
@@ -688,7 +687,6 @@ class BenchmarkReport:
     """
 
     truth_loss: float
-    noisy: np.ndarray
     ccp: DenoiseResult
     ccp_time_s: float
     pg: DenoiseResult
@@ -726,7 +724,6 @@ def ccp_vs_pg_benchmark(
     pg_res, pg_tr = projected_gradient_denoise(noisy, graph, kappa=kappa)
     return BenchmarkReport(
         truth_loss=truth_loss,
-        noisy=noisy,
         ccp=ccp_res,
         ccp_time_s=ccp_tr.wall_time_s,
         pg=pg_res,

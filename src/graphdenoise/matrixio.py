@@ -1,4 +1,4 @@
-"""Reading and writing signal matrices: delimited text and PGM images.
+"""Signal files: delimited text and PGM images, column selections and masks.
 
 Delimited files hold observations in rows and signals in columns; an
 optional single header row is preserved on write, and every value must be
@@ -18,7 +18,14 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["MatrixFile", "read_matrix", "write_matrix", "format_float"]
+__all__ = [
+    "MatrixFile",
+    "read_matrix",
+    "write_matrix",
+    "format_float",
+    "select_columns",
+    "read_mask",
+]
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,12 @@ class MatrixFile:
     header: tuple[str, ...] | None = None
     maxval: int = 255
     pgm_binary: bool = True
+
+    @property
+    def signals(self) -> np.ndarray:
+        """One signal per column; an image is one column of its pixels in
+        row-major (grid vertex) order."""
+        return self.values.reshape(-1, 1) if self.kind == "pgm" else self.values
 
 
 def format_float(v: float) -> str:
@@ -160,11 +173,11 @@ def read_matrix(path) -> MatrixFile:
 
 
 def write_matrix(path, values: np.ndarray, like: MatrixFile) -> None:
-    """Write a matrix in the same format as the file it was read from."""
+    """Write signals laid out as ``like.signals`` in the format of ``like``."""
     path = Path(path)
     values = np.asarray(values, dtype=np.float64)
     if like.kind == "pgm":
-        clipped = np.clip(np.rint(values), 0, like.maxval)
+        clipped = np.clip(np.rint(values), 0, like.maxval).reshape(like.values.shape)
         if like.pgm_binary:
             dtype = np.dtype(">u2") if like.maxval > 255 else np.dtype("u1")
             h, w = clipped.shape
@@ -184,3 +197,48 @@ def write_matrix(path, values: np.ndarray, like: MatrixFile) -> None:
     for row in values:
         out.append(sep.join(format_float(v) for v in row))
     path.write_text("\n".join(out) + "\n")
+
+
+def select_columns(text: str, width: int) -> list[int]:
+    """The columns ``text`` selects: ``I``, ``A:B`` (either end may be
+    open) or ``I,J,K``, each index in [0, width)."""
+    text = text.strip()
+    try:
+        if ":" in text:
+            lo_s, hi_s = text.split(":", 1)
+            lo = int(lo_s) if lo_s else 0
+            hi = int(hi_s) if hi_s else width
+            cols = list(range(lo, hi))
+        elif "," in text:
+            cols = [int(t) for t in text.split(",")]
+        else:
+            cols = [int(text)]
+    except ValueError:
+        raise InvalidArgumentError(f"cannot parse column range {text!r}") from None
+    for c in cols:
+        if not 0 <= c < width:
+            raise InvalidArgumentError(f"column {c} out of range [0, {width})")
+    if not cols:
+        raise InvalidArgumentError("empty column selection")
+    return cols
+
+
+def read_mask(path, n: int) -> np.ndarray:
+    """The boolean mask of a 0/1 file with one entry per vertex."""
+    mfile = read_matrix(path)
+    mat = mfile.values
+    flat = mat.ravel()
+    if flat.size != n:
+        raise InvalidArgumentError(
+            f"mask {path} has {flat.size} entries, expected {n}"
+        )
+    bad = np.argwhere((mat != 0.0) & (mat != 1.0))
+    if bad.size:
+        i, j = bad[0]
+        # rows are counted as _parse_delimited counts them, header included
+        row = i + 1 + (mfile.header is not None)
+        raise InvalidArgumentError(
+            f"mask {path}: entry {float(mat[i, j])!r} at row {row}, column "
+            f"{j + 1} is not 0 or 1"
+        )
+    return flat != 0.0

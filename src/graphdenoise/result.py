@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = ["DenoiseResult", "DescentTrace"]
+
 
 @dataclass(frozen=True)
 class DenoiseResult:

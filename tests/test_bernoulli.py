@@ -275,6 +275,24 @@ class TestL0Greedy:
         assert upd.support.tolist() == [0, 2]
         assert upd.x.tolist() == pytest.approx([0.5, 0.0, 1.0, 0.0], abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "seed,converged", [(17, True), (22, True), (86, True), (285, True), (113, False)]
+    )
+    def test_ill_conditioned_design_keeps_the_promises(self, seed, converged):
+        """Every column is one shared column plus 1e-8..1e-5 noise, so refits
+        meet nonpositive curvature (17, 22) or stop at their cap.  The result
+        is never worse than x = 0 (86 and 285 ended far above it), and a
+        support whose fit stopped short is not reported converged (113)."""
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 12))
+        eps = 10 ** rng.uniform(-8, -5)
+        a = rng.standard_normal((40, 1)) + eps * rng.standard_normal((40, p))
+        y = rng.standard_normal(40)
+        upd = l0_greedy(a, y, 1e-6)
+        r = a @ upd.x - y
+        assert float(r @ r) + 1e-6 * upd.support.size <= float(y @ y) * (1 + 1e-12)
+        assert upd.converged == converged
+
 
 class TestBernoulliDenoise:
     def test_huge_tau_returns_observation(self, p3):

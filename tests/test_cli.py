@@ -274,6 +274,31 @@ class TestDenoiseCommand:
         assert got[2, 1] == pytest.approx(2.0, abs=1e-9)
         assert got[2, 2] == 0.0  # column outside the selection is untouched
 
+    def test_knn_graph_single_column(self, tmp_path, rng):
+        """`--graph knn K` builds the graph over the input's rows, and
+        `--columns I` denoises that column alone."""
+        from graphdenoise import build_knn_graph, denoise_gaussian
+
+        values = rng.normal(size=(12, 3))
+        src = tmp_path / "g.csv"
+        write_csv(src, values)
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", "knn", "3",
+                "--input", str(src),
+                "--output", str(out),
+                "--columns", "1",
+                "--tau", "0.5",
+            ]
+        )
+        assert rc == 0
+        got = read_matrix(out).values
+        expected = denoise_gaussian(values[:, 1], build_knn_graph(values, 3), 0.5).signal
+        assert np.array_equal(got[:, 1], expected)
+        assert np.array_equal(got[:, [0, 2]], values[:, [0, 2]])
+
     def test_edge_list_graph(self, tmp_path):
         edges = tmp_path / "g.edges"
         edges.write_text("# path on three vertices\n0 1 1.0\n1 2 1.0\n")
@@ -525,6 +550,68 @@ class TestExperimentCommand:
         # 2 methods (2 + 1 combos) x 2 levels x 1 metric x 2 repeats
         assert len(a) == (2 + 1) * 2 * 2
 
+    def test_seed_option_overrides_the_spec_seed(self, tmp_path):
+        def table(spec_text, *extra):
+            spec = tmp_path / "s.spec"
+            spec.write_text(spec_text)
+            out = tmp_path / "out"
+            assert main(["experiment", "--spec", str(spec), "--out", str(out), *extra]) == 0
+            rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+            return [r[:6] + r[7:] for r in rows]  # without runtime_s
+
+        overridden = table(TINY_SPEC, "--seed", "7")
+        assert overridden == table(TINY_SPEC.replace("seed = 0", "seed = 7"))
+        assert all(r[-1] == "7" for r in overridden)
+        assert overridden != table(TINY_SPEC)
+
+    def test_file_source_reads_an_image_as_one_grid_signal(self, tmp_path):
+        img = tmp_path / "img.pgm"
+        img.write_text("P2\n4 4\n255\n" + "\n".join(
+            " ".join(str(10 * r + 20 * c + 5) for c in range(4)) for r in range(4)
+        ) + "\n")
+        spec = tmp_path / "img.spec"
+        spec.write_text(
+            TINY_SPEC.replace("height = 3\nwidth = 3", "height = 4\nwidth = 4")
+            .replace("source = prior-sample\ncount = 2\nkappa = 1.0",
+                     f"source = file\npath = {img}")
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 12 and all(r[4] == "relative-error" for r in rows)
+
+    @pytest.mark.parametrize("columns,kept", [("1", [1]), ("0,2", [0, 2]), ("1:", [1, 2])])
+    def test_file_source_columns(self, tmp_path, rng, columns, kept):
+        """A selection gives the table of a file holding only those columns."""
+        values = rng.normal(size=(9, 3))
+
+        def table(spec_name, matrix, extra):
+            write_csv(tmp_path / f"{spec_name}.csv", matrix)
+            spec = tmp_path / f"{spec_name}.spec"
+            spec.write_text(TINY_SPEC.replace(
+                "source = prior-sample\ncount = 2\nkappa = 1.0",
+                f"source = file\npath = {tmp_path / spec_name}.csv{extra}",
+            ))
+            out = tmp_path / spec_name
+            assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+            rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+            return [r[:6] for r in rows]
+
+        selected = table("all", values, f"\ncolumns = {columns}")
+        assert selected == table("kept", values[:, kept], "")
+
+    @pytest.mark.parametrize("columns", ["0:999", "-2:-1", "3", "a:b"])
+    def test_file_source_bad_columns_exit_2(self, tmp_path, rng, capsys, columns):
+        write_csv(tmp_path / "g.csv", rng.normal(size=(9, 3)))
+        spec = tmp_path / "f.spec"
+        spec.write_text(TINY_SPEC.replace(
+            "source = prior-sample\ncount = 2\nkappa = 1.0",
+            f"source = file\npath = {tmp_path / 'g.csv'}\ncolumns = {columns}",
+        ))
+        rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"[signal] columns: cannot read {columns!r}" in capsys.readouterr().err
+
     def test_empty_methods_header_only(self, tmp_path):
         spec = tmp_path / "e.spec"
         spec.write_text(TINY_SPEC.split("[method.gaussian]")[0])
@@ -617,11 +704,16 @@ class TestExperimentCommand:
              "[metrics] name: unknown key"),
             ("[metrics]", "[benchmark]\npg-step = 0.1\n\n[metrics]",
              "[benchmark] pg-step: unknown key"),
+            # so is a section nothing reads
+            ("[method.gaussian]", "[methods.gaussian]", "[methods.gaussian]: unknown section"),
+            ("[metrics]", "[benchmarks]\nkappa = 1.0\n\n[metrics]",
+             "[benchmarks]: unknown section"),
         ],
         ids=[
             "grid-without-height", "count-many", "levels", "seed", "count-0", "benchmark",
             "unread-experiment", "unread-graph", "unread-signal", "unread-noise",
-            "unread-metrics", "unread-benchmark",
+            "unread-metrics", "unread-benchmark", "unknown-method-section",
+            "unknown-benchmark-section",
         ],
     )
     def test_malformed_spec_value_exit_2(self, tmp_path, capsys, old, new, named):

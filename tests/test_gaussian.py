@@ -72,6 +72,14 @@ class TestEstimateTau:
         with pytest.raises(DegenerateSignalError):
             estimate_tau(np.full(3, 1.5), p3)
 
+    def test_both_parameters_zero_falls_back_to_tau_zero(self):
+        """A signal a few ulps from constant: g'Lg rounds negative, so both
+        moment parameters fit to zero and the estimate is tau = 0."""
+        g = build_grid_graph(2, 2)
+        sig = 3.0 + np.spacing(3.0) * np.arange(4.0)
+        with pytest.warns(UserWarning, match="falling back to tau=0"):
+            assert estimate_tau(sig, g) == 0.0
+
     def test_p3_hand_instance_moment_ratio(self, p3):
         """Dense-oracle check of the closed-form ratio on g = (1, 0, -1).
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from graphdenoise import InvalidArgumentError
-from graphdenoise.matrixio import format_float, read_matrix, write_matrix
+from graphdenoise.matrixio import (
+    format_float,
+    read_mask,
+    read_matrix,
+    select_columns,
+    write_matrix,
+)
 
 
 class TestDelimited:
@@ -103,6 +109,72 @@ class TestPgm:
         path.write_bytes(b"P5\n2 2\n15\n" + bytes([1, 2, 200, 3]))
         with pytest.raises(InvalidArgumentError, match="200.*row 2, column 1"):
             read_matrix(path)
+
+
+class TestSignals:
+    def test_image_is_one_column_in_row_major_order(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_text("P2\n3 2\n15\n1 2 3\n4 5 6\n")
+        mf = read_matrix(path)
+        assert mf.signals.tolist() == [[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]]
+        out = tmp_path / "o.pgm"
+        write_matrix(out, mf.signals[::-1], mf)
+        assert read_matrix(out).values.tolist() == [[6.0, 5.0, 4.0], [3.0, 2.0, 1.0]]
+
+    def test_delimited_signals_are_the_columns(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n5,6\n")
+        mf = read_matrix(path)
+        assert mf.signals is mf.values and mf.signals.shape == (3, 2)
+
+
+class TestSelectColumns:
+    @pytest.mark.parametrize(
+        "text,cols",
+        [
+            ("1", [1]),
+            (" 2 ", [2]),
+            ("0,2", [0, 2]),
+            ("1:3", [1, 2]),
+            (":2", [0, 1]),
+            ("1:", [1, 2, 3]),
+            (":", [0, 1, 2, 3]),
+        ],
+    )
+    def test_grammar(self, text, cols):
+        assert select_columns(text, 4) == cols
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0:999", "column 4 out of range"),
+            ("-2:-1", "column -2 out of range"),
+            ("4", "column 4 out of range"),
+            ("1,9", "column 9 out of range"),
+            ("2:2", "empty column selection"),
+            ("a", "cannot parse"),
+            ("", "cannot parse"),
+            ("0:1:2", "cannot parse"),
+        ],
+    )
+    def test_bad_selection_rejected(self, text, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            select_columns(text, 4)
+
+
+class TestReadMask:
+    def test_row_numbers_count_the_header(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_text("suspect\n0\n1\n7\n")
+        with pytest.raises(InvalidArgumentError, match="entry 7.0 at row 4, column 1"):
+            read_mask(path, 3)
+
+    def test_entry_count_must_match(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_text("0 1\n1 0\n")
+        assert read_mask(path, 4).tolist() == [False, True, True, False]
+        with pytest.raises(InvalidArgumentError, match="has 4 entries, expected 3"):
+            read_mask(path, 3)
 
 
 class TestFormatFloat:

@@ -4,8 +4,11 @@ A name in a module's ``__all__`` earns its place by use in the package (a
 name or attribute reference found in the syntax tree of a module; the
 re-exports in ``__init__`` do not count) or by being named in the README,
 as API or as a reference oracle.  Tests alone do not keep a name.  The
-options of each ``denoise`` model are counted the same way: the parser and
-the README's per-model table must name the same ones.
+public members of an exported class (annotated fields, methods and
+properties) are counted too: each is read as an attribute in the package or
+named in the README as ``Class.member``.  The options of each ``denoise``
+model are counted the same way: the parser and the README's per-model table
+must name the same ones.
 """
 
 import argparse
@@ -48,6 +51,33 @@ REFERENCES = set().union(
 EXPORTS = [
     (mod, name) for mod, tree in MODULES.items() for name in _exported(tree)
 ]
+ATTRIBUTE_READS = {
+    node.attr
+    for mod, tree in MODULES.items()
+    if mod != "__init__"
+    for node in ast.walk(tree)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+}
+
+
+def _public_members(cls: ast.ClassDef) -> list[str]:
+    """Annotated fields, methods and properties not named with a leading _."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+    return [n for n in names if not n.startswith("_")]
+
+
+MEMBERS = [
+    (node.name, member)
+    for mod, tree in MODULES.items()
+    for node in tree.body
+    if isinstance(node, ast.ClassDef) and node.name in _exported(tree)
+    for member in _public_members(node)
+]
 
 
 def test_census_finds_the_exports():
@@ -59,6 +89,18 @@ def test_public_name_is_used_or_documented(mod, name):
     documented = re.search(rf"`{re.escape(name)}\b", README) is not None
     assert name in REFERENCES or documented, (
         f"{mod}.{name} is neither used in the package nor named in the README"
+    )
+
+
+def test_census_finds_the_members():
+    assert len(MEMBERS) > 30
+
+
+@pytest.mark.parametrize("cls,member", MEMBERS, ids=[f"{c}.{m}" for c, m in MEMBERS])
+def test_public_member_is_read_or_documented(cls, member):
+    documented = f"`{cls}.{member}`" in README
+    assert member in ATTRIBUTE_READS or documented, (
+        f"{cls}.{member} is neither read in the package nor named in the README"
     )
 
 
