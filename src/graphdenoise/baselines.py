@@ -57,18 +57,18 @@ def band_filter(g_signal, basis: SpectralBasis, k: int, keep: str = "low") -> np
     return apply_filter(basis, response, g_signal)
 
 
-def nuclear_norm_denoise(g_signal, height: int, width: int, tau: float) -> np.ndarray:
+def nuclear_norm_denoise(g_signal, graph: Graph, tau: float) -> np.ndarray:
     """Singular-value soft-thresholding of the signal viewed as a matrix.
 
-    The grid signal is read row by row as a height-by-width matrix.  Solves
-    argmin_f 0.5 ||f - g||^2 + tau ||f||_* by shrinking every singular
-    value to max(sigma_i - tau, 0).
+    The signal on a grid graph is read row by row as a height-by-width
+    matrix.  Solves argmin_f 0.5 ||f - g||^2 + tau ||f||_* by shrinking
+    every singular value to max(sigma_i - tau, 0).
     """
-    if height < 1 or width < 1:
-        raise InvalidArgumentError("grid shape must be positive")
+    if graph.grid_shape is None:
+        raise InvalidArgumentError("nuclear_norm_denoise needs a grid graph")
     if tau < 0:
         raise InvalidArgumentError("tau must be nonnegative")
-    mat = as_signal(g_signal, height * width).reshape(height, width)
+    mat = as_signal(g_signal, graph.n).reshape(graph.grid_shape)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     return ((u * s) @ vt).ravel()

@@ -169,7 +169,9 @@ class _StepwiseSearch:
 
     Works in coefficient space: the Gram matrix G = A'A, c = A'y and y'y
     are formed once, each refit is a CG solve of G(S, S) x = c(S), and the
-    residual enters only through r'r = y'y - c(S)'x and A'r = c - G(:, S) x.
+    correlations are A'r = c - G(:, S) x.  Each fit is scored by its true
+    residual ||A(:, S) x - y||^2, which stays right for a fit that stopped
+    short, where y'y - c(S)'x does not.
     """
 
     # designs wider than this skip the expensive full-support and
@@ -180,6 +182,7 @@ class _StepwiseSearch:
     N_SINGLE_STARTS = 7
 
     def __init__(self, csc, y, tau):
+        self.csc, self.y = csc, y
         self.gram = (csc.T @ csc).tocsr()
         self.c = csc.T @ y
         self.yy = float(y @ y)
@@ -189,20 +192,20 @@ class _StepwiseSearch:
         self.tau = tau
         self.p = csc.shape[1]
         self.moves = 0
-        self.fits: dict[tuple[int, ...], np.ndarray] = {}
+        self.fits: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
         self.stopped_short: set[tuple[int, ...]] = set()
 
     def refit(self, support):
         """The sorted support and its least-squares coefficients.
 
         The search revisits the same supports many times, so each fit is
-        kept (read-only) for the life of the search.  A fit that stops short,
-        at the CG cap (best iterate kept) or at nonpositive curvature (zero
-        coefficients kept), is recorded in ``stopped_short``.
+        kept (read-only), with its residual sum of squares, for the life of
+        the search.  A fit that stops short, at the CG cap (best iterate
+        kept) or at nonpositive curvature (zero coefficients kept), is
+        recorded in ``stopped_short``.
         """
         key = tuple(sorted(support))
-        x = self.fits.get(key)
-        if x is None:
+        if key not in self.fits:
             if not key:
                 x = np.empty(0)
             else:
@@ -221,11 +224,14 @@ class _StepwiseSearch:
                     x = np.zeros(len(s))
                     self.stopped_short.add(key)
             x.flags.writeable = False
-            self.fits[key] = x
-        return list(key), x
+            full = np.zeros(self.p)
+            full[list(key)] = x
+            r = self.csc @ full - self.y
+            self.fits[key] = (x, float(r @ r))
+        return list(key), self.fits[key][0]
 
-    def rss(self, s, x):
-        return self.yy - float(self.c[s] @ x)
+    def rss(self, s):
+        return self.fits[tuple(s)][1]
 
     def correlation(self, s, x):
         """A'r for the residual r of the fit (s, x)."""
@@ -235,7 +241,7 @@ class _StepwiseSearch:
 
     def objective(self, support):
         s, x = self.refit(support)
-        return self.rss(s, x) + self.tau * len(s)
+        return self.rss(s) + self.tau * len(s)
 
     def gains(self, support, corr):
         g = np.where(self.usable, corr**2 / self.col_sq, -np.inf)
@@ -261,7 +267,7 @@ class _StepwiseSearch:
                 for c in np.argsort(-g, kind="stable")[: self.PAIR_CANDIDATES]
                 if np.isfinite(g[c])
             ]
-            cur = self.rss(s, x) + self.tau * len(support)
+            cur = self.rss(s) + self.tau * len(support)
             best = (cur, None)
             for i in range(len(cand)):
                 for j2 in range(i + 1, len(cand)):
@@ -294,7 +300,7 @@ class _StepwiseSearch:
         support = list(support)
         for _ in range(20):
             s, x = self.refit(support)
-            cur = self.rss(s, x) + self.tau * len(s)
+            cur = self.rss(s) + self.tau * len(s)
             corr = np.abs(self.correlation(s, x))
             corr[s] = -np.inf
             cand = np.argsort(-corr, kind="stable")[: self.SWAP_CANDIDATES]
@@ -328,7 +334,7 @@ class _StepwiseSearch:
         columns = np.flatnonzero(self.usable).tolist()
         if small:
             starts.append(columns)
-        best = (np.inf, [])
+        best = (self.yy, [])  # x = 0
         for start in starts:
             base = self.prune(start) if len(start) > 1 else self.forward(start)
             candidates = [base]
@@ -358,10 +364,11 @@ def l0_greedy(design, target, tau: float) -> SparseUpdate:
     escapes stalls with bounded pairwise additions, and, on designs of at
     most 64 columns, descends from the full support (of the nonzero
     columns) and from complements of found supports with bounded exchange
-    moves.  Zero columns never enter a support.  The best support found
-    wins; the result is never worse than keeping x = 0, and it reports
-    ``converged=False`` when its support's least-squares fit stopped short.
-    Still a heuristic: global optimality is not guaranteed.
+    moves.  Zero columns never enter a support.  Supports are ranked by
+    their true objective, x = 0 being the first candidate, so the result is
+    never worse than x = 0; it reports ``converged=False`` when its
+    support's least-squares fit stopped short.  Still a heuristic: global
+    optimality is not guaranteed.
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
@@ -383,11 +390,6 @@ def l0_greedy(design, target, tau: float) -> SparseUpdate:
             1.0, float(abs(csc).max())
         ):
             x -= x.mean()
-    # the search scores a fit by y'y - c(S)'x, which holds only for an exact
-    # fit; a point truly worse than x = 0 gives way to it
-    r = csc @ x - y
-    if float(r @ r) + tau * len(s) > search.yy:
-        return SparseUpdate.from_raw(np.zeros(csc.shape[1]), search.moves)
     return SparseUpdate.from_raw(x, search.moves, tuple(s) not in search.stopped_short)
 
 

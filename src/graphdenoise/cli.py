@@ -175,9 +175,9 @@ def cmd_denoise(args) -> int:
         raise InvalidArgumentError("bernoulli --kappa goes with --p, not --tau")
 
     infile = read_matrix(args.input)
-    matrix = infile.signals
-    n_rows, width = matrix.shape
-    graph = _parse_graph_arg(args.graph, n_rows, matrix)
+    n_rows, width = infile.signals.shape
+    graph = _parse_graph_arg(args.graph, n_rows, infile.signals)
+    matrix = infile.signals_for(graph)
     cols = select_columns(args.columns, width)
     # the dropout family (bernoulli, no-trust, interpolate): the suspicion
     # mask, None for each column's zeros, and the penalty weight

@@ -395,10 +395,13 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     benchmark = (
         tuple(parser["benchmark"].items()) if "benchmark" in parser else None
     )
+    repeats = _spec_value(exp, "repeats", int, 1)
+    if repeats < 1:
+        raise InvalidArgumentError(f"[experiment] repeats must be at least 1, got {repeats}")
     spec = ExperimentSpec(
         name=_spec_value(exp, "name", default=path.stem),
         seed=_spec_value(exp, "seed", int, 0),
-        repeats=_spec_value(exp, "repeats", int, 1),
+        repeats=repeats,
         graph=tuple(parser["graph"].items()),
         signal=tuple(parser["signal"].items()),
         noise_kind=kind,
@@ -422,7 +425,6 @@ class _Context:
     """Shared immutable state handed to every method call."""
 
     graph: Graph
-    shape: tuple[int, int] | None  # (height, width) of a grid graph
     level: float
     basis: SpectralBasis | None
 
@@ -460,9 +462,7 @@ def _method_band(keep):
 
 
 def _method_nuclear(noisy, ctx, param):
-    if ctx.shape is None:
-        raise InvalidArgumentError("nuclear method needs a grid graph")
-    return baselines.nuclear_norm_denoise(noisy, *ctx.shape, param("tau", float))
+    return baselines.nuclear_norm_denoise(noisy, ctx.graph, param("tau", float))
 
 
 def _method_bernoulli(noisy, ctx, param):
@@ -520,16 +520,15 @@ def _signal_count(signal: _Section) -> int:
 
 
 def _build_graph(spec: ExperimentSpec, opts: _Section, signal: _Section):
-    """The sweep's graph, its grid shape (grids only) and, for
-    synthetic-clusters graphs only, the (points, low, high) cluster data."""
+    """The sweep's graph and, for synthetic-clusters graphs only, the
+    (low, high) cluster signals."""
     value = functools.partial(_spec_value, opts)
     kind = value("kind", default="").strip()
     if kind == "grid":
-        h, w = value("height", int), value("width", int)
-        return build_grid_graph(h, w), (h, w), None
+        return build_grid_graph(value("height", int), value("width", int)), None
     if kind == "knn-from-file":
         pts = read_matrix(value("path")).values
-        return build_knn_graph(pts, value("knn", int, 10)), None, None
+        return build_knn_graph(pts, value("knn", int, 10)), None
     if kind == "synthetic-clusters":
         points, low, high = make_cluster_data(
             value("clusters", int, 5),
@@ -538,8 +537,7 @@ def _build_graph(spec: ExperimentSpec, opts: _Section, signal: _Section):
             seed=spec.seed,
             n_signals=_signal_count(signal),
         )
-        graph = build_knn_graph(points, value("knn", int, 10))
-        return graph, None, (points, low, high)
+        return build_knn_graph(points, value("knn", int, 10)), (low, high)
     raise InvalidArgumentError(f"unknown graph kind {kind!r}")
 
 
@@ -547,7 +545,7 @@ def _build_signals(
     spec: ExperimentSpec,
     opts: _Section,
     graph: Graph,
-    cluster_data,
+    cluster_signals,
     basis: SpectralBasis | None,
 ) -> np.ndarray:
     value = functools.partial(_spec_value, opts)
@@ -571,19 +569,15 @@ def _build_signals(
                 signals[j] += 0.05 * (hi - lo) - lo
         return signals
     if source in ("cluster-low-freq", "cluster-high-freq"):
-        if cluster_data is None:
+        if cluster_signals is None:
             raise InvalidArgumentError(
                 f"signal source {source!r} requires a synthetic-clusters graph"
             )
-        _, low, high = cluster_data
+        low, high = cluster_signals
         sig = low if source == "cluster-low-freq" else high
         return sig[: _signal_count(opts)]
     if source == "file":
-        mat = read_matrix(value("path")).signals
-        if mat.shape[0] != graph.n:
-            raise InvalidArgumentError(
-                f"signal file has {mat.shape[0]} rows, graph has {graph.n} vertices"
-            )
+        mat = read_matrix(value("path")).signals_for(graph)
         columns = functools.partial(select_columns, width=mat.shape[1])
         return mat[:, value("columns", columns, slice(None))].T.copy()
     raise InvalidArgumentError(f"unknown signal source {source!r}")
@@ -599,7 +593,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     first ground-truth signal over the same graph.
     """
     graph_opts, signal_opts = spec.graph_opts(), spec.signal_opts()
-    graph, shape, cluster_data = _build_graph(spec, graph_opts, signal_opts)
+    graph, cluster_signals = _build_graph(spec, graph_opts, signal_opts)
     if spec.benchmark is not None:
         # read before the sweep, so a bad section fails before any work
         bench_opts = _Section("benchmark", spec.benchmark)
@@ -611,7 +605,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         m.name in ("band-low", "band-high") for m in spec.methods
     )
     basis = eigendecompose(graph) if needs_basis else None
-    truths = _build_signals(spec, signal_opts, graph, cluster_data, basis)
+    truths = _build_signals(spec, signal_opts, graph, cluster_signals, basis)
     if len(truths) == 0:
         raise InvalidArgumentError("[signal] selects no signals")
     graph_opts.check_all_read()
@@ -627,7 +621,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
 
     def run_cell(cell):
         mi, pi, li, rep, method, params, level = cell
-        ctx = _Context(graph=graph, shape=shape, level=level, basis=basis)
+        ctx = _Context(graph=graph, level=level, basis=basis)
         fn = METHOD_REGISTRY[method.name]
         method_opts = _Section(f"method.{method.name}", params)
         param = functools.partial(_spec_value, method_opts)

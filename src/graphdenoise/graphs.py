@@ -64,12 +64,14 @@ class Graph:
     ``edge_a < edge_b`` for every stored edge; this fixed orientation is
     also used by the incidence matrix (+sqrt(w) at the tail, -sqrt(w) at the
     head).  Construction validates weights, simplicity and connectivity.
+    ``grid_shape`` is (height, width) from :func:`build_grid_graph`, else None.
     """
 
     n: int
     edge_a: np.ndarray
     edge_b: np.ndarray
     edge_w: np.ndarray
+    grid_shape: tuple[int, int] | None = None
 
     @classmethod
     def from_edges(cls, n: int, a, b, w) -> "Graph":
@@ -162,7 +164,9 @@ def build_grid_graph(height: int, width: int) -> Graph:
     ids = np.arange(height * width, dtype=np.int64).reshape(height, width)
     a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    return Graph.from_edges(height * width, a, b, np.ones(a.size))
+    # canonical edge order, and a grid is connected: from_edges would pass it
+    order = np.lexsort((b, a))
+    return Graph(height * width, a[order], b[order], np.ones(a.size), (height, width))
 
 
 def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

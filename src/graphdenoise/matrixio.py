@@ -45,6 +45,21 @@ class MatrixFile:
         row-major (grid vertex) order."""
         return self.values.reshape(-1, 1) if self.kind == "pgm" else self.values
 
+    def signals_for(self, graph) -> np.ndarray:
+        """:attr:`signals`, checked to lie on ``graph``: one row per vertex,
+        and an image on a grid graph is as tall and as wide as the grid."""
+        grid, signals = graph.grid_shape, self.signals
+        if self.kind == "pgm" and grid is not None and self.values.shape != grid:
+            (h, w), (gh, gw) = self.values.shape, grid
+            raise InvalidArgumentError(
+                f"image is {h}x{w} (height x width) but the graph is grid {gh}x{gw}"
+            )
+        if signals.shape[0] != graph.n:
+            raise InvalidArgumentError(
+                f"signal file has {signals.shape[0]} rows, graph has {graph.n} vertices"
+            )
+        return signals
+
 
 def format_float(v: float) -> str:
     """Shortest decimal string that round-trips to the same float."""

@@ -177,7 +177,7 @@ def test_criterion_3_table1_trend():
             for v in (1, 25, 50):
                 errs[f"nn{v}"].append(
                     relative_error(
-                        truth, nuclear_norm_denoise(noisy, 32, 32, float(v))
+                        truth, nuclear_norm_denoise(noisy, g, float(v))
                     )
                 )
         med = {k: float(np.median(v)) for k, v in errs.items()}

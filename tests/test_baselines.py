@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from graphdenoise import (
+    Graph,
     InvalidArgumentError,
     band_filter,
     build_grid_graph,
+    build_knn_graph,
     eigendecompose,
     gft,
     local_average,
@@ -114,26 +116,26 @@ class TestBandFilter:
 class TestNuclearNorm:
     def test_tau_zero_identity(self, rng):
         f = rng.normal(size=12)
-        out = nuclear_norm_denoise(f, 3, 4, 0.0)
+        out = nuclear_norm_denoise(f, build_grid_graph(3, 4), 0.0)
         assert np.allclose(out, f, atol=1e-12)
 
     def test_tau_above_top_singular_value_zeroes(self, rng):
         f = rng.normal(size=12)
         sigma_max = np.linalg.svd(f.reshape(3, 4), compute_uv=False)[0]
-        out = nuclear_norm_denoise(f, 3, 4, sigma_max + 1.0)
+        out = nuclear_norm_denoise(f, build_grid_graph(3, 4), sigma_max + 1.0)
         assert np.allclose(out, 0.0)
 
     def test_rank_one_shrinks_singular_value(self):
         u = np.array([3.0, 4.0]) / 5.0
         v = np.array([1.0, 0.0, 0.0])
         mat = 3.0 * np.outer(u, v)
-        out = nuclear_norm_denoise(mat.ravel(), 2, 3, 1.0)
+        out = nuclear_norm_denoise(mat.ravel(), build_grid_graph(2, 3), 1.0)
         assert np.allclose(out.reshape(2, 3), 2.0 * np.outer(u, v), atol=1e-12)
 
     def test_singular_values_soft_thresholded(self, rng):
         f = rng.normal(size=(5, 6))
         tau = 0.9
-        out = nuclear_norm_denoise(f.ravel(), 5, 6, tau)
+        out = nuclear_norm_denoise(f.ravel(), build_grid_graph(5, 6), tau)
         s_in = np.linalg.svd(f, compute_uv=False)
         s_out = np.linalg.svd(out.reshape(5, 6), compute_uv=False)
         assert np.allclose(s_out, np.maximum(s_in - tau, 0.0), atol=1e-10)
@@ -141,14 +143,25 @@ class TestNuclearNorm:
     def test_shift_bounded_by_tau_times_sqrt_rank(self, rng):
         f = rng.normal(size=(6, 6))
         tau = 0.5
-        out = nuclear_norm_denoise(f.ravel(), 6, 6, tau).reshape(6, 6)
+        out = nuclear_norm_denoise(f.ravel(), build_grid_graph(6, 6), tau).reshape(6, 6)
         rank = np.linalg.matrix_rank(f)
         assert np.linalg.norm(out - f, "fro") <= tau * np.sqrt(rank) + 1e-10
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(InvalidArgumentError):
-            nuclear_norm_denoise(rng.normal(size=10), 3, 4, 1.0)
+            nuclear_norm_denoise(rng.normal(size=10), build_grid_graph(3, 4), 1.0)
+
+    def test_non_grid_graph_rejected(self, rng):
+        """The matrix layout comes from the graph: a k-NN graph has none, and
+        neither has an edge list that happens to form a grid."""
+        knn = build_knn_graph(rng.normal(size=(12, 2)), 5)
+        with pytest.raises(InvalidArgumentError, match="needs a grid graph"):
+            nuclear_norm_denoise(rng.normal(size=12), knn, 1.0)
+        grid = build_grid_graph(3, 4)
+        edges = Graph.from_edges(12, grid.edge_a, grid.edge_b, grid.edge_w)
+        with pytest.raises(InvalidArgumentError, match="needs a grid graph"):
+            nuclear_norm_denoise(rng.normal(size=12), edges, 1.0)
 
     def test_empty_side_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            nuclear_norm_denoise(np.zeros(0), 0, 4, 1.0)
+            nuclear_norm_denoise(np.zeros(0), build_grid_graph(0, 4), 1.0)

@@ -39,6 +39,9 @@ tau = 0.5 1.0
 t = 1
 """
 
+# a P2 image 3 pixels tall and 4 wide
+IMAGE_3X4 = "P2\n4 3\n255\n1 2 3 4\n50 60 70 80\n9 10 11 12\n"
+
 
 def write_csv(path, values):
     path.write_text(
@@ -336,6 +339,19 @@ class TestDenoiseCommand:
         assert rc == 0
         assert read_matrix(out).values.tolist() == [[10.0, 200.0, 30.0]]
 
+    def test_image_must_have_the_grid_shape(self, tmp_path, capsys):
+        """An image is read row-major, so `grid HxW` must name its height
+        first; the transposed grid has the same vertex count but is refused."""
+        img = tmp_path / "img.pgm"
+        img.write_text(IMAGE_3X4)
+        for grid, rc in (("4x3", 2), ("3x4", 0)):
+            assert main([
+                "denoise", "gaussian", "--graph", "grid", grid, "--tau", "1",
+                "--input", str(img), "--output", str(tmp_path / "o.pgm"),
+            ]) == rc
+            err = capsys.readouterr().err
+            assert ("image is 3x4 (height x width) but the graph is grid 4x3" in err) == (rc == 2)
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # at tau = 1e16 round-off makes CG meet a direction of nonpositive
         # curvature in I + tau L
@@ -580,6 +596,20 @@ class TestExperimentCommand:
         rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
         assert len(rows) == 12 and all(r[4] == "relative-error" for r in rows)
 
+    def test_file_source_image_must_have_the_grid_shape(self, tmp_path, capsys):
+        img = tmp_path / "img.pgm"
+        img.write_text(IMAGE_3X4)
+        for height, width, rc in ((4, 3, 2), (3, 4, 0)):
+            spec = tmp_path / "img.spec"
+            spec.write_text(
+                TINY_SPEC.replace("height = 3\nwidth = 3", f"height = {height}\nwidth = {width}")
+                .replace("source = prior-sample\ncount = 2\nkappa = 1.0",
+                         f"source = file\npath = {img}")
+            )
+            assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")]) == rc
+            err = capsys.readouterr().err
+            assert ("image is 3x4 (height x width) but the graph is grid 4x3" in err) == (rc == 2)
+
     @pytest.mark.parametrize("columns,kept", [("1", [1]), ("0,2", [0, 2]), ("1:", [1, 2])])
     def test_file_source_columns(self, tmp_path, rng, columns, kept):
         """A selection gives the table of a file holding only those columns."""
@@ -694,6 +724,8 @@ class TestExperimentCommand:
             ("levels = 0.5 1.0", "levels = low high", "[noise] levels"),
             ("seed = 0", "seed = abc", "[experiment] seed"),
             ("count = 2", "count = 0", "[signal] selects no signals"),
+            ("repeats = 2", "repeats = 0", "[experiment] repeats must be at least 1, got 0"),
+            ("repeats = 2", "repeats = -2", "[experiment] repeats must be at least 1, got -2"),
             ("[metrics]", "[benchmark]\nmax-outer = lots\n\n[metrics]", "[benchmark] max-outer"),
             # a key nothing reads, such as a typo, is an error, not ignored
             ("repeats = 2\n", "repeats = 2\nrepeat = 3\n", "[experiment] repeat: unknown key"),
@@ -710,7 +742,8 @@ class TestExperimentCommand:
              "[benchmarks]: unknown section"),
         ],
         ids=[
-            "grid-without-height", "count-many", "levels", "seed", "count-0", "benchmark",
+            "grid-without-height", "count-many", "levels", "seed", "count-0", "repeats-0",
+            "repeats-negative", "benchmark",
             "unread-experiment", "unread-graph", "unread-signal", "unread-noise",
             "unread-metrics", "unread-benchmark", "unknown-method-section",
             "unknown-benchmark-section",

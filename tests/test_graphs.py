@@ -66,6 +66,17 @@ class TestConstruction:
         assert np.array_equal(g.edge_b, b[order])
         assert np.array_equal(g.edge_w, np.ones(a.size))
 
+    def test_only_grid_builds_carry_a_grid_shape(self, rng):
+        """A grid knows its (height, width); a graph from an edge list does
+        not, even when the edges are exactly a grid's, nor does a k-NN graph."""
+        grid = build_grid_graph(3, 4)
+        assert grid.grid_shape == (3, 4)
+        assert build_grid_graph(4, 3).grid_shape == (4, 3)
+        same = Graph.from_edges(grid.n, grid.edge_a, grid.edge_b, grid.edge_w)
+        assert np.array_equal(same.laplacian.toarray(), grid.laplacian.toarray())
+        assert same.grid_shape is None
+        assert build_knn_graph(rng.normal(size=(20, 2)), 5).grid_shape is None
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build_grid_graph(0, 5)

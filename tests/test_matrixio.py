@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphdenoise import InvalidArgumentError
+from graphdenoise import Graph, InvalidArgumentError, build_grid_graph
 from graphdenoise.matrixio import (
     format_float,
     read_mask,
@@ -126,6 +126,22 @@ class TestSignals:
         path.write_text("1,2\n3,4\n5,6\n")
         mf = read_matrix(path)
         assert mf.signals is mf.values and mf.signals.shape == (3, 2)
+
+    def test_signals_for_a_graph(self, tmp_path):
+        """An image on a grid graph must have the grid's shape; on any other
+        graph, as for a delimited file, only the row count must match."""
+        path = tmp_path / "img.pgm"
+        path.write_text("P2\n3 2\n15\n1 2 3\n4 5 6\n")
+        mf = read_matrix(path)
+        assert np.array_equal(mf.signals_for(build_grid_graph(2, 3)), mf.signals)
+        with pytest.raises(InvalidArgumentError, match=r"image is 2x3 .* grid 3x2"):
+            mf.signals_for(build_grid_graph(3, 2))
+        def chain(n):
+            return Graph.from_edges(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+        assert mf.signals_for(chain(6)).shape == (6, 1)
+        with pytest.raises(InvalidArgumentError, match="6 rows, graph has 4 vertices"):
+            mf.signals_for(chain(4))
 
 
 class TestSelectColumns:
