@@ -326,10 +326,11 @@ class _StepwiseSearch:
     def run(self):
         g0 = self.gains([], self.c)
         order = np.argsort(-g0, kind="stable")
-        starts: list[list[int]] = [[]]
-        for j in order[: self.N_SINGLE_STARTS]:
-            if g0[j] >= self.tau:
-                starts.append([int(j)])
+        # forward selection from [] adds order[0] first and then follows
+        # the first single start, so it runs only when no single qualifies
+        starts = [
+            [int(j)] for j in order[: self.N_SINGLE_STARTS] if g0[j] >= self.tau
+        ] or [[]]
         small = self.p <= self.SMALL_DESIGN
         columns = np.flatnonzero(self.usable).tolist()
         if small:

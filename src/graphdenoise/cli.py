@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--graph",
-        nargs="+",
+        nargs=2,
         required=True,
         metavar=("KIND", "ARG"),
         help="grid HxW | knn K | edge-list FILE",
@@ -106,17 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_graph_arg(tokens: list[str], n_rows: int, matrix: np.ndarray) -> Graph:
-    kind = tokens[0]
+def _parse_graph_arg(kind: str, arg: str, n_rows: int, matrix: np.ndarray) -> Graph:
     if kind == "grid":
-        if len(tokens) != 2 or "x" not in tokens[1]:
-            raise InvalidArgumentError("--graph grid needs a HxW argument")
-        h_s, w_s = tokens[1].lower().split("x", 1)
+        h_s, _, w_s = arg.partition("x")
         try:
             h, w = int(h_s), int(w_s)
         except ValueError:
             raise InvalidArgumentError(
-                f"--graph grid needs integers HxW, got {tokens[1]!r}"
+                f"--graph grid needs integers HxW, got {arg!r}"
             ) from None
         if h * w != n_rows:
             raise InvalidArgumentError(
@@ -124,19 +121,15 @@ def _parse_graph_arg(tokens: list[str], n_rows: int, matrix: np.ndarray) -> Grap
             )
         return build_grid_graph(h, w)
     if kind == "knn":
-        if len(tokens) != 2:
-            raise InvalidArgumentError("--graph knn needs a neighbor count")
         try:
-            k = int(tokens[1])
+            k = int(arg)
         except ValueError:
             raise InvalidArgumentError(
-                f"--graph knn needs an integer neighbor count, got {tokens[1]!r}"
+                f"--graph knn needs an integer neighbor count, got {arg!r}"
             ) from None
         return build_knn_graph(matrix, k)
     if kind == "edge-list":
-        if len(tokens) != 2:
-            raise InvalidArgumentError("--graph edge-list needs a file path")
-        return _read_edge_list(tokens[1], n_rows)
+        return _read_edge_list(arg, n_rows)
     raise InvalidArgumentError(f"unknown graph kind {kind!r}")
 
 
@@ -176,7 +169,7 @@ def cmd_denoise(args) -> int:
 
     infile = read_matrix(args.input)
     n_rows, width = infile.signals.shape
-    graph = _parse_graph_arg(args.graph, n_rows, infile.signals)
+    graph = _parse_graph_arg(*args.graph, n_rows, infile.signals)
     matrix = infile.signals_for(graph)
     cols = select_columns(args.columns, width)
     # the dropout family (bernoulli, no-trust, interpolate): the suspicion
@@ -271,10 +264,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"graphdenoise: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (InvalidArgumentError, GraphDenoiseError) as exc:
-        print(f"graphdenoise: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphDenoiseError, OSError) as exc:
         print(f"graphdenoise: error: {exc}", file=sys.stderr)
         return 2
 

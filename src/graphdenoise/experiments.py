@@ -16,9 +16,10 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -199,15 +200,13 @@ def make_cluster_data(
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method name plus a parameter grid (each key maps to a value tuple)."""
+    """A method name plus a parameter grid: each key maps to its values as
+    written, which the method casts when it reads them."""
 
     name: str
-    grid: tuple[tuple[str, tuple], ...] = ()
+    grid: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def combinations(self):
-        if not self.grid:
-            yield {}
-            return
         keys = [k for k, _ in self.grid]
         for combo in itertools.product(*[vals for _, vals in self.grid]):
             yield dict(zip(keys, combo))
@@ -246,16 +245,7 @@ class TableRow:
     seed: int
 
 
-CSV_COLUMNS = (
-    "method",
-    "param_json",
-    "noise_kind",
-    "noise_level",
-    "metric",
-    "value",
-    "runtime_s",
-    "seed",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
 @dataclass(frozen=True)
@@ -330,8 +320,15 @@ def _spec_value(opts: _Section, key: str, cast=str, default=_REQUIRED):
         ) from None
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split())
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{text.strip()!r} is not finite")
+    return value
+
+
+def _finites(text: str) -> tuple[float, ...]:
+    return tuple(_finite(t) for t in text.split())
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
@@ -359,11 +356,11 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         raise InvalidArgumentError(
             f"[noise] kind must be one of {NOISE_KINDS}, got {kind!r}"
         )
-    levels = _spec_value(noise, "levels", _floats, (0.0,))
+    levels = _spec_value(noise, "levels", _finites, (0.0,))
     if not levels:
         raise InvalidArgumentError("[noise] levels must be nonempty")
     noise_opts = tuple(
-        (k, _spec_value(noise, k, float)) for k in ("fill", "lo", "hi") if k in noise
+        (k, _spec_value(noise, k, _finite)) for k in ("fill", "lo", "hi") if k in noise
     )
     noise.check_all_read()
     methods = []
@@ -376,10 +373,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
                 f"unknown method {name!r} in [{section}]; "
                 f"known methods: {sorted(METHOD_REGISTRY)}"
             )
-        grid = tuple(
-            (key, tuple(_parse_scalar(t) for t in val.split()))
-            for key, val in parser[section].items()
-        )
+        grid = tuple((key, tuple(val.split())) for key, val in parser[section].items())
         for key, vals in grid:
             if not vals:
                 raise InvalidArgumentError(f"[{section}] {key} has an empty grid")
@@ -643,7 +637,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         return [
             TableRow(
                 method=method.name,
-                param_json=json.dumps(params, sort_keys=True),
+                param_json=json.dumps(
+                    {k: _parse_scalar(v) for k, v in params.items()}, sort_keys=True
+                ),
                 noise_kind=spec.noise_kind,
                 noise_level=level,
                 metric=metric,

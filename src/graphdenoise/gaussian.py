@@ -19,7 +19,6 @@ from .errors import DegenerateSignalError, InvalidArgumentError
 from .graphs import (
     Graph,
     as_signal,
-    laplacian_apply,
     laplacian_squared_trace,
     laplacian_trace,
 )
@@ -55,11 +54,6 @@ def denoise_gaussian(
         return DenoiseResult(signal=mean, iterations=0)
     matrix = (sp.diags(np.ones(graph.n)) + tau * graph.laplacian).tocsr()
     return cg_solve(matrix, g, tol=tol)
-
-
-def _moments(g: np.ndarray, graph: Graph) -> tuple[float, float]:
-    lg = laplacian_apply(graph, g)
-    return float(np.dot(g, lg)), float(np.dot(lg, lg))
 
 
 def _tau_from_moments(m1: float, m2: float, graph: Graph) -> float:
@@ -100,13 +94,8 @@ def estimate_tau(signals, graph: Graph) -> float:
     k = arr.shape[0]
     if k == 0:
         raise InvalidArgumentError("need at least one signal")
-    m1_sum = 0.0
-    m2_sum = 0.0
-    for row in arr:
-        m1, m2 = _moments(row, graph)
-        m1_sum += m1
-        m2_sum += m2
-    m1_bar, m2_bar = m1_sum / k, m2_sum / k
+    lg = graph.laplacian @ arr.T
+    m1_bar, m2_bar = float(np.vdot(arr.T, lg)) / k, float(np.vdot(lg, lg)) / k
     # rounding can leave ||Lg||^2 nonzero for a constant signal
     if m2_bar == 0.0 or np.all(np.ptp(arr, axis=1) == 0.0):
         raise DegenerateSignalError("all signals constant: moment targets are zero")

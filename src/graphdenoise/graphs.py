@@ -2,9 +2,11 @@
 
 Every denoiser in this package consumes an immutable :class:`Graph`.  The
 graph stores a canonical edge list (tail < head, strictly positive weights)
-and lazily exposes CSR views of the adjacency, Laplacian and incidence
-matrices.  All operators are applied through sparse matrix-vector products;
-dense matrices appear only in test oracles and the spectral reference path.
+and lazily exposes CSR views of the adjacency and Laplacian matrices and a
+CSC view of the incidence matrix, whose column restrictions are the sparse
+regression designs.  All operators are applied through sparse
+matrix-vector products; dense matrices appear only in test oracles and the
+spectral reference path.
 """
 
 from __future__ import annotations
@@ -57,7 +59,16 @@ def as_mask(s, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def as_seed(seed):
+    """Validate a random seed: None or a nonnegative integer."""
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidArgumentError(
+            f"seed must be a nonnegative integer, got {seed!r}"
+        )
+    return seed
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted undirected connected graph.
 
@@ -65,6 +76,7 @@ class Graph:
     also used by the incidence matrix (+sqrt(w) at the tail, -sqrt(w) at the
     head).  Construction validates weights, simplicity and connectivity.
     ``grid_shape`` is (height, width) from :func:`build_grid_graph`, else None.
+    Graphs compare and hash by identity.
     """
 
     n: int
@@ -142,17 +154,13 @@ class Graph:
         return lap.tocsr()
 
     @cached_property
-    def incidence(self) -> sp.csr_matrix:
+    def incidence(self) -> sp.csc_matrix:
         """m-by-n oriented incidence matrix with +sqrt(w) at a, -sqrt(w) at b."""
         sw = np.sqrt(self.edge_w)
         rows = np.repeat(np.arange(self.m, dtype=np.int64), 2)
         cols = np.stack([self.edge_a, self.edge_b], axis=1).ravel()
         data = np.stack([sw, -sw], axis=1).ravel()
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.m, self.n))
-
-    @cached_property
-    def incidence_csc(self) -> sp.csc_matrix:
-        return self.incidence.tocsc()
+        return sp.csc_matrix((data, (rows, cols)), shape=(self.m, self.n))
 
 
 def build_grid_graph(height: int, width: int) -> Graph:
@@ -302,4 +310,4 @@ def restrict_adjacency(g: Graph, rows, cols) -> sp.csr_matrix:
 
 def incidence_columns(g: Graph, cols) -> sp.csc_matrix:
     """The column restriction B(:, cols) of a vertex mask, in vertex order."""
-    return g.incidence_csc[:, np.flatnonzero(as_mask(cols, g.n))]
+    return g.incidence[:, np.flatnonzero(as_mask(cols, g.n))]

@@ -62,12 +62,10 @@ class MatrixFile:
 
 
 def format_float(v: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    if v != v:  # NaN
-        return "nan"
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
+    """Shortest decimal string that round-trips to the same float, with an
+    integer's trailing ``.0`` dropped (``3``, ``-0``, ``inf``, ``nan``)."""
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _parse_delimited(path: Path) -> MatrixFile:

@@ -69,10 +69,10 @@ def cg_solve(
     r = b.copy()
     minv = 1.0 / diag
     z = minv * r
-    p = z.copy()
+    p = z
     rz = float(np.dot(r, z))
     relres = float(np.linalg.norm(r)) / bnorm
-    best_x, best_res = x.copy(), relres
+    best_x, best_res = x, relres
     k = 0
     while relres > tol and k < max_iter:
         ap = matrix.dot(p)
@@ -96,7 +96,7 @@ def cg_solve(
                 "CG residual diverged", trace=np.asarray(history)
             )
         if relres < best_res:
-            best_x, best_res = x.copy(), relres
+            best_x, best_res = x, relres
         z = minv * r
         rz_new = float(np.dot(r, z))
         beta = rz_new / rz

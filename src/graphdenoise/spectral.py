@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, TooLargeError
-from .graphs import Graph, as_signal
+from .graphs import Graph, as_seed, as_signal
 
 __all__ = [
     "SpectralBasis",
@@ -101,11 +101,12 @@ def sample_prior(
 
     Nonzero frequencies get independent N(0, 1/(2*kappa*lambda_i))
     coefficients; the mean frequency is pinned to ``mean_coeff`` because the
-    prior leaves it unconstrained.
+    prior leaves it unconstrained.  ``rng_seed`` is None (fresh entropy) or
+    a nonnegative integer.
     """
     if not kappa > 0:
         raise InvalidArgumentError("kappa must be positive")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(as_seed(rng_seed))
     coeffs = np.empty(basis.n)
     coeffs[0] = mean_coeff
     std = np.sqrt(1.0 / (2.0 * kappa * basis.lambdas[1:]))

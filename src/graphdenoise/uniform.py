@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .graphs import Graph, as_signal, dirichlet_energy, laplacian_apply
+from .graphs import Graph, as_seed, as_signal, dirichlet_energy, laplacian_apply
 from .result import DenoiseResult, DescentTrace
 
 __all__ = [
@@ -174,14 +174,17 @@ def ccp_denoise(
     warm-started at the previous iterate, which guarantees the true loss is
     nonincreasing.  Stops when the loss change drops below
     ``tol * |loss(f0)|`` or after 50 steps; non-convergence is
-    reported through the ``converged`` flag, not an exception.
+    reported through the ``converged`` flag, not an exception.  The start
+    is the observation moved 1e-3 into the box, by a per-vertex factor in
+    [0.5, 1.5] drawn from ``rng_seed`` (None or a nonnegative integer)
+    when one is given.
     """
     g = as_signal(g_signal, graph.n)
     if not kappa > 0:
         raise InvalidArgumentError("kappa must be positive")
     start = time.perf_counter()
     region = UniformFeasibleRegion.from_observation(g)
-    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    rng = None if as_seed(rng_seed) is None else np.random.default_rng(rng_seed)
     f = region.strict_interior_point(g, rng)
     losses = [uniform_loss(f, graph, kappa, region)]
     inner_counts: list[int] = []

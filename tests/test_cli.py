@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -438,6 +439,40 @@ class TestDenoiseCommand:
         src_vals = read_matrix(src).values
         assert np.all(got >= src_vals - 1e-12)  # feasibility: no shrinking
 
+    def test_negative_seed_exit_2(self, tmp_path, rng, capsys):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.uniform(0.5, 2.0, size=(9, 1)))
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "denoise", "uniform",
+                "--graph", "grid", "3x3",
+                "--input", str(src),
+                "--output", str(out),
+                "--seed", "-1",
+            ]
+        )
+        assert rc == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_graph_kind_without_argument_exit_2(self, tmp_path, rng, capsys):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(4, 1)))
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", "grid",
+                "--input", str(src),
+                "--output", str(out),
+                "--tau", "1",
+            ]
+        )
+        assert rc == 2
+        assert "--graph" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unconverged_columns_counted_in_summary(self, tmp_path, rng, monkeypatch, capsys):
         from graphdenoise import uniform
 
@@ -722,6 +757,10 @@ class TestExperimentCommand:
             ("height = 3\n", "", "[graph] needs height"),
             ("count = 2", "count = many", "[signal] count"),
             ("levels = 0.5 1.0", "levels = low high", "[noise] levels"),
+            # non-finite noise values are refused before any work
+            ("levels = 0.5 1.0", "levels = 1 inf", "[noise] levels: cannot read '1 inf'"),
+            ("levels = 0.5 1.0", "levels = nan", "[noise] levels: cannot read 'nan'"),
+            ("levels = 0.5 1.0\n", "levels = 0.5 1.0\nfill = -inf\n", "[noise] fill"),
             ("seed = 0", "seed = abc", "[experiment] seed"),
             ("count = 2", "count = 0", "[signal] selects no signals"),
             ("repeats = 2", "repeats = 0", "[experiment] repeats must be at least 1, got 0"),
@@ -742,7 +781,8 @@ class TestExperimentCommand:
              "[benchmarks]: unknown section"),
         ],
         ids=[
-            "grid-without-height", "count-many", "levels", "seed", "count-0", "repeats-0",
+            "grid-without-height", "count-many", "levels", "levels-inf", "levels-nan",
+            "fill-inf", "seed", "count-0", "repeats-0",
             "repeats-negative", "benchmark",
             "unread-experiment", "unread-graph", "unread-signal", "unread-noise",
             "unread-metrics", "unread-benchmark", "unknown-method-section",
@@ -756,6 +796,33 @@ class TestExperimentCommand:
         rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "o" / "table.csv").exists()
+
+    def test_integer_method_parameters_are_read_as_written(self, tmp_path, caplog):
+        """An integer key given a fractional or float-spelled value fails
+        its cells instead of running with the truncated integer."""
+        spec = tmp_path / "ints.spec"
+        spec.write_text(
+            TINY_SPEC.split("[method.gaussian]")[0]
+            + "[method.local-average]\nt = 2 2.5 2.0\n\n[method.band-low]\nk = 3 3.9\n"
+        )
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        with open(out / "table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        metrics = {}
+        for r in rows:
+            metrics.setdefault((r["method"], r["param_json"]), set()).add(r["metric"])
+        assert metrics == {
+            ("local-average", '{"t": 2}'): {"relative-error"},
+            ("local-average", '{"t": 2.5}'): {"error"},
+            ("local-average", '{"t": 2.0}'): {"error"},
+            ("band-low", '{"k": 3}'): {"relative-error"},
+            ("band-low", '{"k": 3.9}'): {"error"},
+        }
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert any("[method.local-average] t: cannot read '2.5'" in m for m in messages)
+        assert any("[method.band-low] k: cannot read '3.9'" in m for m in messages)
 
     @pytest.mark.parametrize(
         "section,named",

@@ -32,6 +32,12 @@ from conftest import (
 
 
 class TestConstruction:
+    def test_graphs_compare_and_hash_by_identity(self):
+        g, twin = build_grid_graph(2, 2), build_grid_graph(2, 2)
+        assert g == g and g != twin
+        cache = {g: "g"}
+        assert cache[g] == "g" and twin not in cache
+
     def test_smallest_grid_is_a_single_edge(self):
         g = build_grid_graph(1, 2)
         assert g.n == 2 and g.m == 1

@@ -1,8 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphdenoise import Graph, InvalidArgumentError, build_grid_graph
 from graphdenoise.matrixio import (
+    MatrixFile,
     format_float,
     read_mask,
     read_matrix,
@@ -201,3 +208,26 @@ class TestFormatFloat:
     def test_integers_render_compactly(self):
         assert format_float(3.0) == "3"
         assert format_float(-14.0) == "-14"
+        assert format_float(-0.0) == "-0"
+        assert format_float(1e16) == "1e+16"
+
+    def test_non_finite_values(self):
+        assert [format_float(v) for v in (np.inf, -np.inf, np.nan)] == ["inf", "-inf", "nan"]
+
+
+# finite float64 entries, with the edge cases of the text format drawn often
+ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.225e-308, 1e16, -(2.0**60), 1e17 + 16]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)), elements=ENTRIES))
+def test_write_then_read_is_bitwise(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_matrix(path, values, MatrixFile(values, "delimited", delimiter=","))
+        back = read_matrix(path).values
+    assert back.shape == values.shape
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))

@@ -6,6 +6,7 @@ from graphdenoise import (
     ConvergenceError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
+    NumericalFailureError,
     build_grid_graph,
     cg_solve,
     dirichlet_energy,
@@ -88,6 +89,24 @@ class TestCgSolve:
         assert resid <= 1e-10
         assert report.converged
         assert report.trace[-1] == pytest.approx(resid, abs=1e-12)
+
+    def test_non_finite_curvature_is_a_numerical_failure(self):
+        """A p'Ap that overflows raises before any step is taken."""
+        op = sp.csr_matrix(np.array([[1.0, 1e300], [1e300, 1.0]]))
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalFailureError, match="non-finite curvature"
+        ) as err:
+            cg_solve(op, np.array([1e10, 1e10]))
+        assert err.value.trace.size == 0
+
+    def test_diverged_residual_is_a_numerical_failure(self):
+        """A step whose residual norm overflows raises with the trace so far."""
+        op = sp.csr_matrix(np.array([[1.0, 1e300], [1e300, 1.0]]))
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalFailureError, match="residual diverged"
+        ) as err:
+            cg_solve(op, np.array([1.0, 0.0]))
+        assert err.value.trace.size == 1 and not np.isfinite(err.value.trace[0])
 
     def test_invalid_inputs(self, p3):
         op = shifted_laplacian(p3, np.ones(3), 1.0)

@@ -129,6 +129,12 @@ class TestPriorSampling:
         with pytest.raises(InvalidArgumentError):
             sample_prior(basis, 0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, [1, 2]])
+    def test_seed_must_be_a_nonnegative_integer(self, p3, seed):
+        basis = eigendecompose(p3)
+        with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
+            sample_prior(basis, 1.0, rng_seed=seed)
+
     def test_coefficient_variances(self, rng):
         g = random_connected_graph(10, 5, rng)
         basis = eigendecompose(g)

@@ -4,6 +4,7 @@ import pytest
 from graphdenoise import (
     Graph,
     InvalidArgumentError,
+    NumericalFailureError,
     UniformFeasibleRegion,
     build_grid_graph,
     ccp_denoise,
@@ -123,6 +124,11 @@ class TestCcp:
         with pytest.raises(InvalidArgumentError):
             ccp_denoise(np.ones(3), p3, kappa=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, p3, seed):
+        with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
+            ccp_denoise(np.ones(3), p3, rng_seed=seed)
+
 
 class TestProjectedGradient:
     def test_zero_iterations_returns_strict_interior_init(self, p3):
@@ -160,6 +166,20 @@ class TestProjectedGradient:
     def test_validation(self, p3):
         with pytest.raises(InvalidArgumentError):
             projected_gradient_denoise(np.ones(3), p3, kappa=1.0, step=0.0)
+
+    @pytest.mark.parametrize(
+        "step,message",
+        [(1e308, "non-finite iterates"), (1e199, "loss diverged")],
+        ids=["iterate-overflows", "loss-overflows"],
+    )
+    def test_divergence_is_a_numerical_failure(self, p3, step, message):
+        """A step that sends the iterate to inf, or only its energy, raises
+        with the losses so far."""
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalFailureError, match=message
+        ) as err:
+            projected_gradient_denoise(np.array([1.0, 10.0, 100.0]), p3, step=step)
+        assert err.value.trace.size == 1 and np.isfinite(err.value.trace[0])
 
     def test_default_step_descends_on_a_grid(self, rng):
         """The default step comes from the Gershgorin bound; a fixed step of
