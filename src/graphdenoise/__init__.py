@@ -53,12 +53,9 @@ from .graphs import (
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
-    incidence_apply,
     incidence_columns,
-    laplacian_apply,
     laplacian_squared_trace,
     laplacian_trace,
-    restrict_adjacency,
     restrict_laplacian,
 )
 from .result import DenoiseResult, DescentTrace
@@ -73,7 +70,6 @@ from .spectral import (
     sample_prior,
 )
 from .uniform import (
-    UniformFeasibleRegion,
     ccp_denoise,
     projected_gradient_denoise,
     uniform_loss,

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, InvalidArgumentError, NotPositiveDefiniteError
-from .graphs import Graph, as_mask, as_signal, incidence_apply, incidence_columns
+from .graphs import Graph, as_mask, as_signal, incidence_columns
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
@@ -416,7 +416,7 @@ def bernoulli_denoise(
         trusted = ~zeta
         return harmonic_interpolate(graph, trusted, g[trusted])
     design = incidence_columns(graph, zeta)
-    yv = -incidence_apply(graph, g)
+    yv = -(graph.incidence @ g)
     if mode == "l1":
         update = lasso_coordinate_descent(design, yv, tau)
     else:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError
-from .graphs import Graph, as_signal, build_grid_graph, build_knn_graph
+from .graphs import Graph, as_seed, as_signal, build_grid_graph, build_knn_graph
 from .matrixio import format_float, read_matrix, select_columns
 from .result import DenoiseResult
 from .spectral import SpectralBasis, eigendecompose, sample_prior
@@ -58,16 +58,17 @@ _SEED_MASK = (1 << 63) - 1
 def derive_rng(root_seed: int, *path) -> np.random.Generator:
     """Independent counter-based stream for a cell of the experiment.
 
-    The stream depends only on the root seed and the path coordinates
-    (ints or strings), never on execution order.
+    The stream depends only on the root seed (a nonnegative integer) and
+    the path coordinates (nonnegative ints or strings), never on execution
+    order.
     """
-    parts = [int(root_seed) & _SEED_MASK]
+    parts = [int(root_seed)]
     for p in path:
         if isinstance(p, str):
             digest = hashlib.sha256(p.encode("utf-8")).digest()
             parts.append(int.from_bytes(digest[:8], "big") & _SEED_MASK)
         else:
-            parts.append(int(p) & _SEED_MASK)
+            parts.append(int(p))
     seq = np.random.SeedSequence(parts)
     return np.random.Generator(np.random.Philox(seq))
 
@@ -165,14 +166,17 @@ def make_cluster_data(
     if spread <= 0:
         raise InvalidArgumentError("spread must be positive")
     rng = derive_rng(seed, "cluster-data")
-    radius = 4.0 * spread
-    angles = 2.0 * np.pi * np.arange(c) / c
-    centers = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if c == 1:
-        centers = np.zeros((1, 2))
-    points = np.concatenate(
-        [centers[i] + spread * rng.standard_normal((m, 2)) for i in range(c)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = 4.0 * spread
+        angles = 2.0 * np.pi * np.arange(c) / c
+        centers = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        if c == 1:
+            centers = np.zeros((1, 2))
+        points = np.concatenate(
+            [centers[i] + spread * rng.standard_normal((m, 2)) for i in range(c)]
+        )
+    if not np.all(np.isfinite(points)):
+        raise InvalidArgumentError(f"spread {spread:g} overflows the point coordinates")
     n = c * m
     labels = np.repeat(np.arange(c), m)
     base = np.linspace(-1.0, 1.0, c)
@@ -331,6 +335,21 @@ def _finites(text: str) -> tuple[float, ...]:
     return tuple(_finite(t) for t in text.split())
 
 
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(text)
+    return states[text.lower()]
+
+
+def _count(opts: _Section, key: str) -> int:
+    """An integer of at least 1, by default 1."""
+    value = _spec_value(opts, key, int, 1)
+    if value < 1:
+        raise InvalidArgumentError(f"[{opts.name}] {key} must be at least 1, got {value}")
+    return value
+
+
 def parse_experiment_spec(path) -> ExperimentSpec:
     """Read a key-value spec with nested sections (see the README schema)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -389,13 +408,10 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     benchmark = (
         tuple(parser["benchmark"].items()) if "benchmark" in parser else None
     )
-    repeats = _spec_value(exp, "repeats", int, 1)
-    if repeats < 1:
-        raise InvalidArgumentError(f"[experiment] repeats must be at least 1, got {repeats}")
     spec = ExperimentSpec(
         name=_spec_value(exp, "name", default=path.stem),
         seed=_spec_value(exp, "seed", int, 0),
-        repeats=repeats,
+        repeats=_count(exp, "repeats"),
         graph=tuple(parser["graph"].items()),
         signal=tuple(parser["signal"].items()),
         noise_kind=kind,
@@ -419,7 +435,6 @@ class _Context:
     """Shared immutable state handed to every method call."""
 
     graph: Graph
-    level: float
     basis: SpectralBasis | None
 
 
@@ -464,10 +479,8 @@ def _method_bernoulli(noisy, ctx, param):
         raise InvalidArgumentError("experiment runner supports zeta = zeros only")
     zeta = np.asarray(noisy) == 0.0
     mode = param("mode", default="l1")
-    p = param("p", default=None)
-    if p is not None:
-        p = ctx.level if p == "level" else param("p", float)
-        tau = bernoulli.dropout_penalty(p, param("kappa", float, 1.0))
+    if param("p", default=None) is not None:
+        tau = bernoulli.dropout_penalty(param("p", float), param("kappa", float, 1.0))
     elif param("tau", default=None) is not None:
         tau = param("tau", float)
     else:
@@ -509,10 +522,6 @@ METRIC_REGISTRY = {
 }
 
 
-def _signal_count(signal: _Section) -> int:
-    return _spec_value(signal, "count", int, 1)
-
-
 def _build_graph(spec: ExperimentSpec, opts: _Section, signal: _Section):
     """The sweep's graph and, for synthetic-clusters graphs only, the
     (low, high) cluster signals."""
@@ -527,9 +536,9 @@ def _build_graph(spec: ExperimentSpec, opts: _Section, signal: _Section):
         points, low, high = make_cluster_data(
             value("clusters", int, 5),
             value("points-per-cluster", int, 200),
-            spread=value("spread", float, 1.0),
+            spread=value("spread", _finite, 1.0),
             seed=spec.seed,
-            n_signals=_signal_count(signal),
+            n_signals=_count(signal, "count"),
         )
         return build_knn_graph(points, value("knn", int, 10)), (low, high)
     raise InvalidArgumentError(f"unknown graph kind {kind!r}")
@@ -545,9 +554,9 @@ def _build_signals(
     value = functools.partial(_spec_value, opts)
     source = value("source", default="").strip()
     if source == "prior-sample":
-        count = _signal_count(opts)
-        kappa = value("kappa", float, 1.0)
-        mean = value("mean", float, 0.0)
+        count = _count(opts, "count")
+        kappa = value("kappa", _finite, 1.0)
+        mean = value("mean", _finite, 0.0)
         rng = derive_rng(spec.seed, "signals")
         signals = np.empty((count, graph.n))
         for j in range(count):
@@ -557,7 +566,7 @@ def _build_signals(
                 mean_coeff=mean * np.sqrt(graph.n),
                 rng_seed=rng.integers(0, 2**63 - 1),
             )
-        if value("nonneg", default="false").lower() in ("true", "1", "yes"):
+        if value("nonneg", _boolean, False):
             for j in range(count):
                 lo, hi = signals[j].min(), signals[j].max()
                 signals[j] += 0.05 * (hi - lo) - lo
@@ -569,7 +578,7 @@ def _build_signals(
             )
         low, high = cluster_signals
         sig = low if source == "cluster-low-freq" else high
-        return sig[: _signal_count(opts)]
+        return sig[: _count(opts, "count")]
     if source == "file":
         mat = read_matrix(value("path")).signals_for(graph)
         columns = functools.partial(select_columns, width=mat.shape[1])
@@ -586,12 +595,15 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     A ``[benchmark]`` section also runs :func:`ccp_vs_pg_benchmark` on the
     first ground-truth signal over the same graph.
     """
+    # the spec's seed, or the CLI's override of it, is checked before any work
+    if as_seed(spec.seed) is None:
+        raise InvalidArgumentError("an experiment needs a seed")
     graph_opts, signal_opts = spec.graph_opts(), spec.signal_opts()
     graph, cluster_signals = _build_graph(spec, graph_opts, signal_opts)
     if spec.benchmark is not None:
         # read before the sweep, so a bad section fails before any work
         bench_opts = _Section("benchmark", spec.benchmark)
-        bench_kappa = _spec_value(bench_opts, "kappa", float, 1.0)
+        bench_kappa = _spec_value(bench_opts, "kappa", _finite, 1.0)
         bench_opts.check_all_read()
     # prior samples and the band methods share one eigendecomposition
     source = _spec_value(signal_opts, "source", default="")
@@ -600,8 +612,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     )
     basis = eigendecompose(graph) if needs_basis else None
     truths = _build_signals(spec, signal_opts, graph, cluster_signals, basis)
-    if len(truths) == 0:
-        raise InvalidArgumentError("[signal] selects no signals")
     graph_opts.check_all_read()
     signal_opts.check_all_read()
     noise_opts = dict(spec.noise_opts)
@@ -613,11 +623,16 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
                 for rep in range(spec.repeats):
                     cells.append((mi, pi, li, rep, method, params, level))
 
+    ctx = _Context(graph=graph, basis=basis)
+
     def run_cell(cell):
         mi, pi, li, rep, method, params, level = cell
-        ctx = _Context(graph=graph, level=level, basis=basis)
         fn = METHOD_REGISTRY[method.name]
-        method_opts = _Section(f"method.{method.name}", params)
+        # a value written as "level" is the cell's noise level, for any key
+        method_opts = _Section(
+            f"method.{method.name}",
+            {k: format_float(level) if v == "level" else v for k, v in params.items()},
+        )
         param = functools.partial(_spec_value, method_opts)
         start = time.perf_counter()
         sums = {metric: 0.0 for metric in spec.metrics}

@@ -24,13 +24,10 @@ __all__ = [
     "Graph",
     "build_grid_graph",
     "build_knn_graph",
-    "laplacian_apply",
-    "incidence_apply",
     "dirichlet_energy",
     "laplacian_trace",
     "laplacian_squared_trace",
     "restrict_laplacian",
-    "restrict_adjacency",
     "incidence_columns",
 ]
 
@@ -235,6 +232,8 @@ def build_knn_graph(points, k: int) -> Graph:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise InvalidArgumentError("points must be an n-by-d matrix")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidArgumentError("points must be finite")
     n = pts.shape[0]
     if k < 1:
         raise InvalidArgumentError("k must be positive")
@@ -264,18 +263,6 @@ def build_knn_graph(points, k: int) -> Graph:
     return Graph.from_edges(n, coo.row[keep], coo.col[keep], coo.data[keep])
 
 
-def laplacian_apply(g: Graph, f) -> np.ndarray:
-    """Apply the combinatorial Laplacian: (Lf)(a) = deg(a)f(a) - sum w(a,b)f(b)."""
-    f = as_signal(f, g.n)
-    return g.laplacian @ f
-
-
-def incidence_apply(g: Graph, f) -> np.ndarray:
-    """Map a vertex signal to the edge vector of weighted oriented differences."""
-    f = as_signal(f, g.n)
-    return g.incidence @ f
-
-
 def dirichlet_energy(g: Graph, f) -> float:
     """Smoothness energy sum_(a,b) w(a,b) (f(a) - f(b))^2."""
     f = as_signal(f, g.n)
@@ -299,13 +286,6 @@ def restrict_laplacian(g: Graph, rows, cols) -> sp.csr_matrix:
     r = np.flatnonzero(as_mask(rows, g.n))
     c = np.flatnonzero(as_mask(cols, g.n))
     return g.laplacian[r][:, c].tocsr()
-
-
-def restrict_adjacency(g: Graph, rows, cols) -> sp.csr_matrix:
-    """The submatrix A(rows, cols) of two vertex masks, in vertex order."""
-    r = np.flatnonzero(as_mask(rows, g.n))
-    c = np.flatnonzero(as_mask(cols, g.n))
-    return g.csr_adjacency[r][:, c].tocsr()
 
 
 def incidence_columns(g: Graph, cols) -> sp.csc_matrix:

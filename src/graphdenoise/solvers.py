@@ -21,7 +21,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalFailureError,
 )
-from .graphs import Graph, as_mask, restrict_adjacency, restrict_laplacian
+from .graphs import Graph, as_mask, restrict_laplacian
 from .result import DenoiseResult
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
@@ -145,7 +145,9 @@ def harmonic_interpolate(
     unknown = ~known
     if not unknown.any():
         return DenoiseResult(signal=out, iterations=0)
-    rhs = restrict_adjacency(graph, unknown, known) @ obs
+    # L(U,U) x = -L(U,K) obs; the negation goes on obs so that an unknown
+    # vertex with no known neighbor gets +0, not -0
+    rhs = restrict_laplacian(graph, unknown, known) @ -obs
     fit = cg_solve(restrict_laplacian(graph, unknown, unknown), rhs, tol=tol)
     out[unknown] = fit.signal
     return dataclasses.replace(fit, signal=out)

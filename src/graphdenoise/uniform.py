@@ -15,16 +15,14 @@ projected-gradient minimizer of the same loss is provided for benchmarking.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .graphs import Graph, as_seed, as_signal, dirichlet_energy, laplacian_apply
+from .graphs import Graph, as_seed, as_signal, dirichlet_energy
 from .result import DenoiseResult, DescentTrace
 
 __all__ = [
-    "UniformFeasibleRegion",
     "uniform_loss",
     "ccp_denoise",
     "projected_gradient_denoise",
@@ -39,64 +37,39 @@ _BOX_QP_TOL = 1e-8
 _BOX_QP_MAX_ITER = 20000
 
 
-@dataclass(frozen=True)
-class UniformFeasibleRegion:
-    """Per-vertex interval constraints derived from an observation.
+def _box(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (lower, upper) bounds an observation puts on the signal.
 
     g(a) > 0 pins f(a) to [g(a), inf); g(a) < 0 to (-inf, g(a)];
-    g(a) = 0 fixes f(a) = 0 (lower == upper == 0).  The observation itself
-    is always feasible.
+    g(a) = 0 fixes f(a) = 0.  The observation itself is always feasible.
     """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @classmethod
-    def from_observation(cls, g) -> "UniformFeasibleRegion":
-        g = np.asarray(g, dtype=np.float64)
-        lower = np.where(g > 0, g, -np.inf)
-        upper = np.where(g < 0, g, np.inf)
-        zero = g == 0.0
-        lower = np.where(zero, 0.0, lower)
-        upper = np.where(zero, 0.0, upper)
-        return cls(lower=lower, upper=upper)
-
-    def project(self, f: np.ndarray) -> np.ndarray:
-        return np.clip(f, self.lower, self.upper)
-
-    def contains(self, f: np.ndarray, slack: float = 0.0) -> bool:
-        return bool(
-            np.all(f >= self.lower - slack) and np.all(f <= self.upper + slack)
-        )
-
-    def strict_interior_point(self, g: np.ndarray, rng=None) -> np.ndarray:
-        """Scale the observation slightly off the box boundary."""
-        if rng is None:
-            margin = STRICT_INIT_MARGIN
-        else:
-            margin = STRICT_INIT_MARGIN * rng.uniform(0.5, 1.5, size=g.shape)
-        return self.project(g * (1.0 + margin))
+    lower = np.where(g > 0, g, -np.inf)
+    upper = np.where(g < 0, g, np.inf)
+    zero = g == 0.0
+    return np.where(zero, 0.0, lower), np.where(zero, 0.0, upper)
 
 
-def uniform_loss(
-    f,
-    graph: Graph,
-    kappa: float,
-    region: UniformFeasibleRegion | None = None,
-) -> float:
+def _start(g: np.ndarray, box, rng=None) -> np.ndarray:
+    """Scale the observation slightly off the box boundary, by a per-vertex
+    factor in [0.5, 1.5] of the margin when an rng is given."""
+    if rng is None:
+        margin = STRICT_INIT_MARGIN
+    else:
+        margin = STRICT_INIT_MARGIN * rng.uniform(0.5, 1.5, size=g.shape)
+    return np.clip(g * (1.0 + margin), *box)
+
+
+def uniform_loss(f, graph: Graph, kappa: float) -> float:
     """Negative log posterior kappa * f'Lf + sum log|f(a)|.
 
     Entries equal to exactly zero are the model's fixed points and are
-    excluded from the log sum.  If ``region`` is given, feasibility is
-    checked first.
+    excluded from the log sum.
     """
     f = as_signal(f, graph.n)
     if not kappa > 0:
         raise InvalidArgumentError("kappa must be positive")
     if not np.all(np.isfinite(f)):
         raise InvalidArgumentError("signal must be finite")
-    if region is not None and not region.contains(f):
-        raise InvalidArgumentError("signal is outside the feasible region")
     nz = f != 0.0
     return kappa * dirichlet_energy(graph, f) + float(
         np.sum(np.log(np.abs(f[nz])))
@@ -107,10 +80,11 @@ def minimize_box_qp(
     graph: Graph,
     kappa: float,
     linear: np.ndarray,
-    region: UniformFeasibleRegion,
+    box: tuple[np.ndarray, np.ndarray],
     x0: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Minimize kappa * x'Lx + c'x over the box, starting from a feasible x0.
+    """Minimize kappa * x'Lx + c'x over the box (lower, upper), starting
+    from a feasible x0.
 
     Projected gradient with a Barzilai-Borwein trial step and an exact line
     search along the projected direction; every accepted step decreases the
@@ -119,22 +93,23 @@ def minimize_box_qp(
     1e-8 (scaled by the linear term) or after 20000 steps.  Returns the
     point and the number of steps taken.
     """
-    x = region.project(np.asarray(x0, dtype=np.float64).copy())
+    lower, upper = box
+    x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     c = linear
     scale = max(1.0, float(np.max(np.abs(c))))
-    hx = 2.0 * kappa * laplacian_apply(graph, x)
+    hx = 2.0 * kappa * (graph.laplacian @ x)
     grad = hx + c
     step = 1.0
     iters = 0
     while iters < _BOX_QP_MAX_ITER:
-        stationarity = np.max(np.abs(x - region.project(x - grad)))
+        stationarity = np.max(np.abs(x - np.clip(x - grad, lower, upper)))
         if stationarity <= _BOX_QP_TOL * scale:
             break
-        d = region.project(x - step * grad) - x
+        d = np.clip(x - step * grad, lower, upper) - x
         dnorm2 = float(np.dot(d, d))
         if dnorm2 == 0.0:
             break
-        hd = 2.0 * kappa * laplacian_apply(graph, d)
+        hd = 2.0 * kappa * (graph.laplacian @ d)
         dhd = float(np.dot(d, hd))
         gd = float(np.dot(grad, d))
         if dhd > 0.0:
@@ -183,17 +158,17 @@ def ccp_denoise(
     if not kappa > 0:
         raise InvalidArgumentError("kappa must be positive")
     start = time.perf_counter()
-    region = UniformFeasibleRegion.from_observation(g)
+    box = _box(g)
     rng = None if as_seed(rng_seed) is None else np.random.default_rng(rng_seed)
-    f = region.strict_interior_point(g, rng)
-    losses = [uniform_loss(f, graph, kappa, region)]
+    f = _start(g, box, rng)
+    losses = [uniform_loss(f, graph, kappa)]
     inner_counts: list[int] = []
     threshold = tol * abs(losses[0])
     converged = False
     for _ in range(_CCP_MAX_OUTER):
         coeff = _log_term_gradient(f)
-        f_new, inner = minimize_box_qp(graph, kappa, coeff, region, f)
-        loss_new = uniform_loss(f_new, graph, kappa, region)
+        f_new, inner = minimize_box_qp(graph, kappa, coeff, box, f)
+        loss_new = uniform_loss(f_new, graph, kappa)
         if loss_new > losses[-1]:
             # inner solver made no usable progress; keep the current iterate.
             # A rise within the stopping threshold is round-off at a fixed
@@ -247,22 +222,22 @@ def projected_gradient_denoise(
     if not step > 0:
         raise InvalidArgumentError("step must be positive")
     start = time.perf_counter()
-    region = UniformFeasibleRegion.from_observation(g)
-    f = region.strict_interior_point(g)
+    box = _box(g)
+    f = _start(g, box)
     best = f.copy()
-    losses = [uniform_loss(f, graph, kappa, region)]
+    losses = [uniform_loss(f, graph, kappa)]
     best_loss = losses[0]
     threshold = tol * abs(losses[0])
     converged = False
     for _ in range(max_iter):
-        grad = 2.0 * kappa * laplacian_apply(graph, f) + _log_term_gradient(f)
-        f = region.project(f - step * grad)
+        grad = 2.0 * kappa * (graph.laplacian @ f) + _log_term_gradient(f)
+        f = np.clip(f - step * grad, *box)
         if not np.all(np.isfinite(f)):
             raise NumericalFailureError(
                 "projected gradient produced non-finite iterates",
                 trace=np.asarray(losses),
             )
-        loss = uniform_loss(f, graph, kappa, region)
+        loss = uniform_loss(f, graph, kappa)
         if not np.isfinite(loss):
             raise NumericalFailureError(
                 "projected gradient loss diverged", trace=np.asarray(losses)

@@ -401,7 +401,7 @@ def test_criterion_7_small_instance_oracles():
 def test_criterion_8_structural_invariants(tmp_path):
     """Factorization, maximum principle, mean preservation, orientation
     invariance, and thread-count determinism."""
-    from graphdenoise import harmonic_interpolate, laplacian_apply
+    from graphdenoise import harmonic_interpolate
     from graphdenoise.cli import main
     from graphdenoise.matrixio import format_float
 

@@ -14,7 +14,6 @@ from graphdenoise import (
     build_grid_graph,
     dropout_penalty,
     harmonic_interpolate,
-    incidence_apply,
     incidence_columns,
     l0_greedy,
     lasso_coordinate_descent,

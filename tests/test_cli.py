@@ -40,6 +40,9 @@ tau = 0.5 1.0
 t = 1
 """
 
+GRID = "kind = grid\nheight = 3\nwidth = 3"
+CLUSTERS = "kind = synthetic-clusters\nclusters = 2\npoints-per-cluster = 5\nknn = 3\nspread = "
+
 # a P2 image 3 pixels tall and 4 wide
 IMAGE_3X4 = "P2\n4 3\n255\n1 2 3 4\n50 60 70 80\n9 10 11 12\n"
 
@@ -117,6 +120,49 @@ class TestDenoiseCommand:
         )
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,content,graph,named",
+        [
+            ("g.csv", None, ("grid", "2x2"), "grid 2x2 has 4 vertices but the input has 9 rows"),
+            ("g.csv", None, ("ring", "3"), "unknown graph kind 'ring'"),
+            ("g.csv", None, ("edge-list", "{tmp}/absent.edges"), "edge-list file not found"),
+            ("g.csv", None, ("edge-list", "{tmp}/g.edges"),
+             "line 2: expected 'a b [w]', got '1 2 1 7'"),
+            ("g.csv", None, ("edge-list", "{tmp}/bad.edges"), "line 1: cannot parse '0 x'"),
+            ("e.csv", "\n  \n", ("grid", "3x3"), "file holds no data"),
+            ("h.csv", "a,b\n", ("grid", "3x3"), "header but no data rows"),
+            ("p.pgm", "P3\n3 3\n255\n", ("grid", "3x3"), "not a portable graymap"),
+            ("p.pgm", "P2\n3 x\n255\n", ("grid", "3x3"), "malformed PGM header"),
+            ("p.pgm", "P2\n3 3\n0\n" + "0 " * 9, ("grid", "3x3"), "bad maxval 0"),
+            ("p.pgm", "P2\n3 3\n255\n1 2 3\n", ("grid", "3x3"), "truncated PGM payload"),
+            ("p.pgm", "P5\n3 3\n255\n\x01\x02", ("grid", "3x3"), "truncated PGM payload"),
+        ],
+        ids=[
+            "grid-rows", "graph-kind", "edge-list-absent", "edge-list-fields",
+            "edge-list-unparsable", "empty-file", "header-only", "not-a-graymap",
+            "pgm-header", "pgm-maxval-0", "p2-truncated", "p5-truncated",
+        ],
+    )
+    def test_unusable_input_exit_2(self, tmp_path, rng, capsys, name, content, graph, named):
+        """Each input the CLI cannot use exits 2 and says why."""
+        src = tmp_path / name
+        if content is None:
+            write_csv(src, rng.normal(size=(9, 1)))
+        else:
+            src.write_bytes(content.encode("latin-1"))
+        (tmp_path / "g.edges").write_text("0 1\n1 2 1 7\n")
+        (tmp_path / "bad.edges").write_text("0 x\n")
+        kind, arg = graph
+        out = tmp_path / "o.csv"
+        rc = main([
+            "denoise", "gaussian", "--tau", "1",
+            "--graph", kind, arg.format(tmp=tmp_path),
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inf_in_passthrough_column_exit_2(self, tmp_path, rng, capsys):
         src = tmp_path / "g.csv"
@@ -476,7 +522,7 @@ class TestDenoiseCommand:
     def test_unconverged_columns_counted_in_summary(self, tmp_path, rng, monkeypatch, capsys):
         from graphdenoise import uniform
 
-        def worse_point(graph, kappa, linear, region, x0, **kwargs):
+        def worse_point(graph, kappa, linear, box, x0, **kwargs):
             # doubling keeps every entry in its box but raises the log term
             return 2.0 * x0, 0
 
@@ -614,6 +660,51 @@ class TestExperimentCommand:
         assert overridden == table(TINY_SPEC.replace("seed = 0", "seed = 7"))
         assert all(r[-1] == "7" for r in overridden)
         assert overridden != table(TINY_SPEC)
+
+    def test_seed_is_a_nonnegative_integer_used_whole(self, tmp_path, capsys):
+        """A negative seed exits 2 before any work, and a seed of 2**63 or
+        more is a stream of its own, not a smaller seed's."""
+        spec = tmp_path / "s.spec"
+        spec.write_text(TINY_SPEC)
+
+        def run(seed):
+            out = tmp_path / f"o{seed}"
+            rc = main(["experiment", "--spec", str(spec), "--out", str(out), "--seed", seed])
+            return rc, out / "table.csv"
+
+        rc, table = run("-1")
+        assert rc == 2 and not table.exists()
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        columns = {}
+        for seed in ("0", str(2**63 - 1), str(2**63)):
+            rc, table = run(seed)
+            assert rc == 0
+            with open(table, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {r["seed"] for r in rows} == {seed}
+            columns[seed] = [r["value"] for r in rows]
+        assert len({tuple(v) for v in columns.values()}) == 3
+
+    def test_level_stands_for_the_noise_level_in_any_method_value(self, tmp_path):
+        """``tau = level`` gives, at each level, the rows of ``tau`` set to
+        that level; param_json keeps the word as written."""
+
+        def rows(tau):
+            spec = tmp_path / "l.spec"
+            spec.write_text(TINY_SPEC.split("[method.gaussian]")[0]
+                            + f"[method.gaussian]\ntau = {tau}\n")
+            out = tmp_path / f"o-{tau}"
+            assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+            with open(out / "table.csv", newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        by_level = rows("level")
+        assert {r["param_json"] for r in by_level} == {'{"tau": "level"}'}
+        assert {r["metric"] for r in by_level} == {"relative-error"}
+        for level in ("0.5", "1"):
+            fixed = [(r["noise_level"], r["value"]) for r in rows(level)]
+            same = [(r["noise_level"], r["value"]) for r in by_level]
+            assert [v for v in same if v[0] == level] == [v for v in fixed if v[0] == level]
 
     def test_file_source_reads_an_image_as_one_grid_signal(self, tmp_path):
         img = tmp_path / "img.pgm"
@@ -762,7 +853,23 @@ class TestExperimentCommand:
             ("levels = 0.5 1.0", "levels = nan", "[noise] levels: cannot read 'nan'"),
             ("levels = 0.5 1.0\n", "levels = 0.5 1.0\nfill = -inf\n", "[noise] fill"),
             ("seed = 0", "seed = abc", "[experiment] seed"),
-            ("count = 2", "count = 0", "[signal] selects no signals"),
+            ("seed = 0", "seed = -1", "seed must be a nonnegative integer, got -1"),
+            ("kind = gaussian", "kind = poisson", "[noise] kind must be one of"),
+            ("levels = 0.5 1.0", "levels =", "[noise] levels must be nonempty"),
+            ("t = 1", "t =", "[method.local-average] t has an empty grid"),
+            ("names = relative-error", "names = accuracy", "unknown metric 'accuracy'"),
+            (GRID, "kind = ring", "unknown graph kind 'ring'"),
+            ("source = prior-sample", "source = magic", "unknown signal source 'magic'"),
+            # values the library cannot use are refused before any work
+            (GRID, CLUSTERS + "inf", "[graph] spread: cannot read 'inf'"),
+            (GRID, CLUSTERS + "nan", "[graph] spread: cannot read 'nan'"),
+            (GRID, CLUSTERS + "1e308", "spread 1e+308 overflows the point coordinates"),
+            ("count = 2\n", "count = 2\nnonneg = ture\n", "[signal] nonneg: cannot read 'ture'"),
+            ("kappa = 1.0\n", "kappa = 1.0\nmean = inf\n", "[signal] mean: cannot read 'inf'"),
+            ("kappa = 1.0\n", "kappa = 1.0\nmean = nan\n", "[signal] mean: cannot read 'nan'"),
+            ("kappa = 1.0\n", "kappa = inf\n", "[signal] kappa: cannot read 'inf'"),
+            ("count = 2", "count = 0", "[signal] count must be at least 1, got 0"),
+            ("count = 2", "count = -1", "[signal] count must be at least 1, got -1"),
             ("repeats = 2", "repeats = 0", "[experiment] repeats must be at least 1, got 0"),
             ("repeats = 2", "repeats = -2", "[experiment] repeats must be at least 1, got -2"),
             ("[metrics]", "[benchmark]\nmax-outer = lots\n\n[metrics]", "[benchmark] max-outer"),
@@ -782,7 +889,11 @@ class TestExperimentCommand:
         ],
         ids=[
             "grid-without-height", "count-many", "levels", "levels-inf", "levels-nan",
-            "fill-inf", "seed", "count-0", "repeats-0",
+            "fill-inf", "seed", "seed-negative", "noise-kind", "levels-empty",
+            "method-grid-empty", "metric", "graph-kind", "signal-source",
+            "spread-inf", "spread-nan", "spread-1e308",
+            "nonneg-ture", "mean-inf", "mean-nan", "kappa-inf", "count-0", "count-negative",
+            "repeats-0",
             "repeats-negative", "benchmark",
             "unread-experiment", "unread-graph", "unread-signal", "unread-noise",
             "unread-metrics", "unread-benchmark", "unknown-method-section",
@@ -831,8 +942,12 @@ class TestExperimentCommand:
             ("[method.band-low]\n", "[method.band-low] needs k"),
             ("[method.gaussian]\ntau = abc\n", "[method.gaussian] tau: cannot read 'abc'"),
             ("[method.gaussian]\ntua = 5\n", "[method.gaussian] tua: unknown key"),
+            ("[method.bernoulli]\nzeta = all\n", "experiment runner supports zeta = zeros only"),
         ],
-        ids=["bernoulli-without-tau-or-p", "band-low-without-k", "tau-abc", "gaussian-tua"],
+        ids=[
+            "bernoulli-without-tau-or-p", "band-low-without-k", "tau-abc", "gaussian-tua",
+            "bernoulli-zeta",
+        ],
     )
     def test_malformed_method_parameter_is_an_error_row(
         self, tmp_path, caplog, section, named

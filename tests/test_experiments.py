@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,19 @@ class TestRngStreams:
         c = derive_rng(6, "x", 3).standard_normal(4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_root_seed_is_used_whole(self):
+        """Seeds at and above 2**63 are streams of their own, not another
+        seed's; seeds below keep the stream of SeedSequence([seed, ...])."""
+        draws = {
+            seed: derive_rng(seed, "x", 3).standard_normal(4)
+            for seed in (0, 2**63 - 1, 2**63, 2**64)
+        }
+        assert len({d.tobytes() for d in draws.values()}) == 4
+        digest = int.from_bytes(hashlib.sha256(b"x").digest()[:8], "big")
+        seq = np.random.SeedSequence([2**63 - 1, digest & (2**63 - 1), 3])
+        expect = np.random.Generator(np.random.Philox(seq)).standard_normal(4)
+        assert np.array_equal(draws[2**63 - 1], expect)
 
 
 class TestSpecParsing:

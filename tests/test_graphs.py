@@ -11,18 +11,14 @@ from graphdenoise import (
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
-    incidence_apply,
     incidence_columns,
-    laplacian_apply,
     laplacian_squared_trace,
     laplacian_trace,
-    restrict_adjacency,
     restrict_laplacian,
 )
 from graphdenoise.graphs import as_mask
 
 from conftest import (
-    dense_adjacency,
     dense_incidence,
     dense_laplacian,
     random_connected_graph,
@@ -240,6 +236,13 @@ class TestKnn:
         with pytest.raises(InvalidArgumentError):
             build_knn_graph(pts, 5)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_rejected(self, rng, bad):
+        pts = rng.normal(size=(6, 2))
+        pts[3, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="points must be finite"):
+            build_knn_graph(pts, 2)
+
     def test_weights_in_unit_interval(self, rng):
         pts = rng.normal(size=(40, 2))
         g = build_knn_graph(pts, 4)
@@ -248,42 +251,42 @@ class TestKnn:
 
 class TestOperators:
     def test_constant_signal_in_null_space(self, p3):
-        assert np.allclose(laplacian_apply(p3, np.full(3, 2.5)), 0.0)
-        assert np.allclose(incidence_apply(p3, np.full(3, 2.5)), 0.0)
+        assert np.allclose(p3.laplacian @ np.full(3, 2.5), 0.0)
+        assert np.allclose(p3.incidence @ np.full(3, 2.5), 0.0)
         assert dirichlet_energy(p3, np.full(3, 2.5)) == 0.0
 
     def test_p3_hand_values(self, p3):
         f = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(laplacian_apply(p3, f), [1.0, -1.0, 0.0])
-        assert np.allclose(incidence_apply(p3, f), [1.0, 0.0])
+        assert np.allclose(p3.laplacian @ f, [1.0, -1.0, 0.0])
+        assert np.allclose(p3.incidence @ f, [1.0, 0.0])
         assert dirichlet_energy(p3, f) == pytest.approx(1.0)
 
     def test_eigenvector_reproduction(self, rng):
         g = random_connected_graph(12, 6, rng)
         lam, psi = np.linalg.eigh(dense_laplacian(g))
         for i in (1, 5, 11):
-            got = laplacian_apply(g, psi[:, i])
+            got = g.laplacian @ psi[:, i]
             assert np.allclose(got, lam[i] * psi[:, i], atol=1e-10)
 
     def test_incidence_factorization_on_random_vectors(self, rng):
         g = random_connected_graph(20, 10, rng)
         for _ in range(5):
             f = rng.normal(size=g.n)
-            lhs = g.incidence.T @ incidence_apply(g, f)
-            rhs = laplacian_apply(g, f)
+            lhs = g.incidence.T @ (g.incidence @ f)
+            rhs = g.laplacian @ f
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_energy_equals_quadratic_form_and_edge_norm(self, rng):
         g = random_connected_graph(15, 8, rng)
         f = rng.normal(size=g.n)
         e = dirichlet_energy(g, f)
-        assert e == pytest.approx(float(f @ laplacian_apply(g, f)), rel=1e-12)
-        bf = incidence_apply(g, f)
+        assert e == pytest.approx(float(f @ (g.laplacian @ f)), rel=1e-12)
+        bf = g.incidence @ f
         assert e == pytest.approx(float(bf @ bf), rel=1e-12)
 
     def test_length_mismatch_rejected(self, p3):
         with pytest.raises(InvalidArgumentError):
-            laplacian_apply(p3, [1.0, 2.0])
+            dirichlet_energy(p3, [1.0, 2.0])
 
 
 class TestTraces:
@@ -320,9 +323,6 @@ class TestSetsAndRestrictions:
         assert np.allclose(
             restrict_laplacian(p3, v, v).toarray(), dense_laplacian(p3)
         )
-        assert np.allclose(
-            restrict_adjacency(p3, v, v).toarray(), dense_adjacency(p3)
-        )
 
     def test_p3_scalar_restriction(self, p3):
         s = vertex_mask(3, [1])
@@ -331,7 +331,8 @@ class TestSetsAndRestrictions:
     def test_p3_adjacency_restriction_apply(self, p3):
         rows = vertex_mask(3, [1])
         cols = vertex_mask(3, [0, 2])
-        out = restrict_adjacency(p3, rows, cols) @ np.array([1.0, 1.0])
+        # L(U,K) is -A(U,K) off the diagonal: the harmonic right-hand side
+        out = restrict_laplacian(p3, rows, cols) @ -np.array([1.0, 1.0])
         assert out == pytest.approx([2.0])
 
     def test_restrictions_match_dense_slices(self, rng):
@@ -339,14 +340,9 @@ class TestSetsAndRestrictions:
         rows = vertex_mask(g.n, [0, 3, 5, 9])
         cols = vertex_mask(g.n, [1, 2, 5, 13])
         dl = dense_laplacian(g)
-        da = dense_adjacency(g)
         assert np.allclose(
             restrict_laplacian(g, rows, cols).toarray(),
             dl[np.ix_(rows, cols)],
-        )
-        assert np.allclose(
-            restrict_adjacency(g, rows, cols).toarray(),
-            da[np.ix_(rows, cols)],
         )
         db = dense_incidence(g)
         assert np.allclose(
@@ -395,6 +391,4 @@ class TestStructuralInvariants:
         dl = dense_laplacian(g)
         for _ in range(100):
             f = rng.normal(size=g.n)
-            assert np.allclose(
-                laplacian_apply(g, f), dl @ f, rtol=1e-12, atol=1e-12
-            )
+            assert np.allclose(g.laplacian @ f, dl @ f, rtol=1e-12, atol=1e-12)
