@@ -23,7 +23,6 @@ from .bernoulli import (
     lasso_coordinate_descent,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateSignalError,
     GraphDenoiseError,
     GraphDisconnectedError,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, InvalidArgumentError, NotPositiveDefiniteError
+from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .graphs import Graph, as_mask, as_signal, incidence_columns
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
@@ -211,15 +211,15 @@ class _StepwiseSearch:
             else:
                 s = list(key)
                 try:
-                    x = cg_solve(
+                    fit = cg_solve(
                         self.gram[s][:, s],
                         self.c[s],
                         tol=1e-12,
                         max_iter=max(200, 10 * len(s)),
-                    ).signal
-                except ConvergenceError as exc:
-                    x = exc.report.signal
-                    self.stopped_short.add(key)
+                    )
+                    x = fit.signal
+                    if not fit.converged:
+                        self.stopped_short.add(key)
                 except NotPositiveDefiniteError:
                     x = np.zeros(len(s))
                     self.stopped_short.add(key)

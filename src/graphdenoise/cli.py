@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__
 from .bernoulli import bernoulli_denoise, dropout_penalty
 from .errors import (
-    ConvergenceError,
     GraphDenoiseError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
@@ -29,11 +28,7 @@ from .graphs import Graph, build_grid_graph, build_knn_graph
 from .matrixio import read_mask, read_matrix, select_columns, write_matrix
 from .uniform import ccp_denoise
 
-_NUMERICAL_ERRORS = (
-    NumericalFailureError,
-    NotPositiveDefiniteError,
-    ConvergenceError,
-)
+_NUMERICAL_ERRORS = (NumericalFailureError, NotPositiveDefiniteError)
 
 
 def _thread_count(text: str) -> int:

@@ -8,7 +8,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "DegenerateSignalError",
     "NumericalFailureError",
-    "ConvergenceError",
 ]
 
 
@@ -47,15 +46,3 @@ class NumericalFailureError(GraphDenoiseError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class ConvergenceError(GraphDenoiseError):
-    """An iterative solver hit its iteration cap; carries the best iterate.
-
-    ``report`` is a :class:`~graphdenoise.result.DenoiseResult` with
-    ``converged=False``.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

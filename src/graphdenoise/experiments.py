@@ -62,6 +62,8 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
     the path coordinates (nonnegative ints or strings), never on execution
     order.
     """
+    if as_seed(root_seed) is None:
+        raise InvalidArgumentError("a stream needs a seed")
     parts = [int(root_seed)]
     for p in path:
         if isinstance(p, str):
@@ -71,6 +73,19 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
             parts.append(int(p))
     seq = np.random.SeedSequence(parts)
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _check_noise_level(kind: str, level: float) -> float:
+    """``level`` if it lies in the domain of the noise kind's parameter.
+
+    sigma (``gaussian``) is nonnegative and p (``bernoulli-dropout``,
+    ``salt-pepper``) lies in [0, 1]; ``uniform-scale`` takes any level.
+    """
+    if kind == "gaussian" and not level >= 0:
+        raise InvalidArgumentError(f"sigma must be nonnegative, got {level:g}")
+    if kind in ("bernoulli-dropout", "salt-pepper") and not 0.0 <= level <= 1.0:
+        raise InvalidArgumentError(f"p must be in [0, 1], got {level:g}")
+    return level
 
 
 def add_noise(
@@ -93,17 +108,14 @@ def add_noise(
         raise InvalidArgumentError(
             f"noise kind must be one of {NOISE_KINDS}, got {kind!r}"
         )
+    _check_noise_level(kind, level)
     f = np.asarray(f, dtype=np.float64)
     if kind == "gaussian":
-        if level < 0:
-            raise InvalidArgumentError("sigma must be nonnegative")
         if level == 0.0:
             return f.copy()
         return f + level * rng.standard_normal(f.shape)
     if kind == "uniform-scale":
         return rng.uniform(0.0, 1.0, size=f.shape) * f
-    if not 0.0 <= level <= 1.0:
-        raise InvalidArgumentError("p must be in [0, 1]")
     out = f.copy()
     if level > 0.0:
         hit = rng.uniform(size=f.shape) < level
@@ -375,7 +387,12 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         raise InvalidArgumentError(
             f"[noise] kind must be one of {NOISE_KINDS}, got {kind!r}"
         )
-    levels = _spec_value(noise, "levels", _finites, (0.0,))
+    levels = _spec_value(
+        noise,
+        "levels",
+        lambda text: tuple(_check_noise_level(kind, v) for v in _finites(text)),
+        (0.0,),
+    )
     if not levels:
         raise InvalidArgumentError("[noise] levels must be nonempty")
     noise_opts = tuple(

@@ -59,6 +59,12 @@ def _start(g: np.ndarray, box, rng=None) -> np.ndarray:
     return np.clip(g * (1.0 + margin), *box)
 
 
+def _check_kappa(kappa: float) -> None:
+    """The prior weight is a finite positive number."""
+    if not 0 < kappa < np.inf:
+        raise InvalidArgumentError(f"kappa must be finite and positive, got {kappa}")
+
+
 def uniform_loss(f, graph: Graph, kappa: float) -> float:
     """Negative log posterior kappa * f'Lf + sum log|f(a)|.
 
@@ -66,8 +72,7 @@ def uniform_loss(f, graph: Graph, kappa: float) -> float:
     excluded from the log sum.
     """
     f = as_signal(f, graph.n)
-    if not kappa > 0:
-        raise InvalidArgumentError("kappa must be positive")
+    _check_kappa(kappa)
     if not np.all(np.isfinite(f)):
         raise InvalidArgumentError("signal must be finite")
     nz = f != 0.0
@@ -91,40 +96,51 @@ def minimize_box_qp(
     objective, so the value at the returned point never exceeds the value
     at ``x0``.  Terminates when the unit-step projected gradient is below
     1e-8 (scaled by the linear term) or after 20000 steps.  Returns the
-    point and the number of steps taken.
+    point and the number of steps taken.  Raises
+    :class:`NumericalFailureError` if 2*kappa, or a gradient or curvature
+    built from it, overflows.
     """
+    h = 2.0 * kappa  # the objective's Hessian is h * L
+    if not np.isfinite(h):
+        raise NumericalFailureError(f"box QP curvature 2*kappa overflows ({kappa!r})")
     lower, upper = box
     x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     c = linear
     scale = max(1.0, float(np.max(np.abs(c))))
-    hx = 2.0 * kappa * (graph.laplacian @ x)
-    grad = hx + c
     step = 1.0
     iters = 0
-    while iters < _BOX_QP_MAX_ITER:
-        stationarity = np.max(np.abs(x - np.clip(x - grad, lower, upper)))
-        if stationarity <= _BOX_QP_TOL * scale:
-            break
-        d = np.clip(x - step * grad, lower, upper) - x
-        dnorm2 = float(np.dot(d, d))
-        if dnorm2 == 0.0:
-            break
-        hd = 2.0 * kappa * (graph.laplacian @ d)
-        dhd = float(np.dot(d, hd))
-        gd = float(np.dot(grad, d))
-        if dhd > 0.0:
-            t = min(1.0, -gd / dhd)
-            step = min(max(dnorm2 / dhd, 1e-12), 1e12)  # BB trial for next round
-        else:
-            # curvature-free direction: the objective is linear along d and
-            # gd < 0 by the projection inequality, so take the full step
-            t = 1.0
-        if t <= 0.0:
-            break
-        x = x + t * d
-        hx = hx + t * hd
-        grad = hx + c
-        iters += 1
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hx = h * (graph.laplacian @ x)
+            grad = hx + c
+            while iters < _BOX_QP_MAX_ITER:
+                stationarity = np.max(np.abs(x - np.clip(x - grad, lower, upper)))
+                if stationarity <= _BOX_QP_TOL * scale:
+                    break
+                d = np.clip(x - step * grad, lower, upper) - x
+                dnorm2 = float(np.dot(d, d))
+                if dnorm2 == 0.0:
+                    break
+                hd = h * (graph.laplacian @ d)
+                dhd = float(np.dot(d, hd))
+                gd = float(np.dot(grad, d))
+                if dhd > 0.0:
+                    t = min(1.0, -gd / dhd)
+                    # Barzilai-Borwein trial step for the next round
+                    step = min(max(dnorm2 / dhd, 1e-12), 1e12)
+                else:
+                    # curvature-free direction: the objective is linear along
+                    # d and gd < 0 by the projection inequality, so take the
+                    # full step
+                    t = 1.0
+                if t <= 0.0:
+                    break
+                x = x + t * d
+                hx = hx + t * hd
+                grad = hx + c
+                iters += 1
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"box QP arithmetic failed: {exc}") from None
     return x, iters
 
 
@@ -155,8 +171,7 @@ def ccp_denoise(
     when one is given.
     """
     g = as_signal(g_signal, graph.n)
-    if not kappa > 0:
-        raise InvalidArgumentError("kappa must be positive")
+    _check_kappa(kappa)
     start = time.perf_counter()
     box = _box(g)
     rng = None if as_seed(rng_seed) is None else np.random.default_rng(rng_seed)
@@ -214,8 +229,7 @@ def projected_gradient_denoise(
     iteration produces NaN or diverges.
     """
     g = as_signal(g_signal, graph.n)
-    if not kappa > 0:
-        raise InvalidArgumentError("kappa must be positive")
+    _check_kappa(kappa)
     if step is None:
         lmax_bound = 2.0 * float(graph.degrees.max())
         step = min(1.0, 1.0 / (2.0 * kappa * lmax_bound))

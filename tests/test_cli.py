@@ -1,4 +1,5 @@
 import csv
+import functools
 import os
 import subprocess
 import sys
@@ -540,6 +541,77 @@ class TestDenoiseCommand:
         monkeypatch.setattr(uniform, "minimize_box_qp", worse_point)
         assert main(argv) == 0
         assert "unconverged=2 " in capsys.readouterr().err
+
+    def test_capped_gaussian_column_writes_its_best_iterate(
+        self, tmp_path, rng, monkeypatch, capsys
+    ):
+        import scipy.sparse as sp
+
+        from graphdenoise import build_grid_graph, cg_solve, gaussian
+
+        capped = functools.partial(cg_solve, max_iter=1)
+        monkeypatch.setattr(gaussian, "cg_solve", capped)
+        g = rng.normal(size=(64, 1))
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        write_csv(src, g)
+        argv = [
+            "denoise", "gaussian",
+            "--graph", "grid", "8x8",
+            "--input", str(src),
+            "--output", str(out),
+            "--tau", "5",
+        ]
+        assert main(argv) == 0
+        assert "unconverged=1 " in capsys.readouterr().err
+        laplacian = build_grid_graph(8, 8).laplacian
+        best = capped((sp.identity(64) + 5.0 * laplacian).tocsr(), g[:, 0])
+        assert best.iterations == 1 and not best.converged
+        assert np.array_equal(read_matrix(out).values[:, 0], best.signal)
+
+    def test_capped_interpolate_column_keeps_known_values(
+        self, tmp_path, rng, monkeypatch, capsys
+    ):
+        from graphdenoise import cg_solve, solvers
+
+        monkeypatch.setattr(solvers, "cg_solve", functools.partial(cg_solve, max_iter=1))
+        g = rng.normal(size=(16, 1))
+        src, out, mask = tmp_path / "g.csv", tmp_path / "o.csv", tmp_path / "m.csv"
+        write_csv(src, g)
+        # the unknown 2x2 block in the middle of the grid is connected, so
+        # CG needs more than one step on it
+        unknown = np.isin(np.arange(16), [5, 6, 9, 10])
+        write_csv(mask, unknown[:, None].astype(float))
+        argv = [
+            "denoise", "interpolate",
+            "--graph", "grid", "4x4",
+            "--input", str(src),
+            "--output", str(out),
+            "--zeta", str(mask),
+        ]
+        assert main(argv) == 0
+        assert "unconverged=1 " in capsys.readouterr().err
+        got = read_matrix(out).values[:, 0]
+        assert np.array_equal(got[~unknown], g[~unknown, 0])
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize(
+        "kappa,rc,message",
+        [("1e308", 3, "numerical failure: box QP"), ("inf", 2, "kappa must be finite")],
+        ids=["overflows", "infinite"],
+    )
+    def test_uniform_kappa_out_of_range(self, tmp_path, rng, capsys, kappa, rc, message):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.uniform(0.1, 2.0, size=(16, 2)))
+        argv = [
+            "denoise", "uniform",
+            "--graph", "grid", "4x4",
+            "--input", str(src),
+            "--output", str(tmp_path / "o.csv"),
+            "--kappa", kappa,
+        ]
+        assert main(argv) == rc
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_no_trust_l0_restores_constant_patch(self, tmp_path):
         vals = np.full((16, 1), 2.0)

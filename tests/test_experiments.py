@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -166,6 +167,12 @@ class TestRngStreams:
         assert np.array_equal(draws[2**63 - 1], expect)
 
 
+    def test_negative_seed_is_an_input_error(self):
+        with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
+            derive_rng(-1)
+        with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
+            make_cluster_data(2, 5, seed=-1)
+
 class TestSpecParsing:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "tiny.spec"
@@ -191,6 +198,24 @@ class TestSpecParsing:
         with pytest.raises(InvalidArgumentError):
             parse_experiment_spec(tmp_path / "nope.spec")
 
+
+    @pytest.mark.parametrize(
+        "kind,levels",
+        [
+            ("gaussian", "0.5 -1"),
+            ("bernoulli-dropout", "0.2 1.5"),
+            ("salt-pepper", "-0.1"),
+        ],
+    )
+    def test_level_outside_the_noise_domain_named(self, tmp_path, kind, levels):
+        path = tmp_path / "bad.spec"
+        path.write_text(
+            TINY_SPEC.replace("kind = gaussian", f"kind = {kind}").replace(
+                "levels = 0.5 1.0 2.0", f"levels = {levels}"
+            )
+        )
+        with pytest.raises(InvalidArgumentError, match=r"\[noise\] levels"):
+            parse_experiment_spec(path)
 
 class TestRunner:
     def test_row_counting(self, tmp_path):
@@ -239,6 +264,20 @@ class TestRunner:
         assert nuc and all(r.metric == "error" and np.isnan(r.value) for r in nuc)
         others = [r for r in table.rows if r.method == "local-average"]
         assert others and all(np.isfinite(r.value) for r in others)
+
+    def test_capped_gaussian_cell_is_a_value_row(self, tmp_path, monkeypatch):
+        from graphdenoise import cg_solve, gaussian
+
+        path = tmp_path / "tiny.spec"
+        path.write_text(TINY_SPEC.replace("tau = estimate", "tau = 5"))
+        spec = parse_experiment_spec(path)
+        full = run_experiment(spec).rows
+        monkeypatch.setattr(gaussian, "cg_solve", functools.partial(cg_solve, max_iter=1))
+        capped = run_experiment(spec).rows
+        for a, b in zip(full, capped):
+            assert b.metric == "relative-error" and np.isfinite(b.value)
+            if a.method == "gaussian":
+                assert b.value != a.value
 
     @pytest.mark.parametrize(
         "section", ["[method.nuclear]\ntau = 1\n", "[method.bernoulli]\ntau = 0.5\n"]

@@ -135,6 +135,21 @@ class TestCcp:
         with pytest.raises(InvalidArgumentError):
             ccp_denoise(np.ones(3), p3, kappa=0.0)
 
+    @pytest.mark.parametrize("kappa", [-1.0, np.inf, np.nan])
+    def test_kappa_must_be_finite_and_positive(self, p3, kappa):
+        for solve in (ccp_denoise, projected_gradient_denoise):
+            with pytest.raises(InvalidArgumentError, match="kappa"):
+                solve(np.ones(3), p3, kappa=kappa)
+        with pytest.raises(InvalidArgumentError, match="kappa"):
+            uniform_loss(np.ones(3), p3, kappa)
+
+    def test_overflowing_kappa_is_a_numerical_failure(self):
+        g = build_grid_graph(4, 4)
+        obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
+        for kappa in (1e308, 1e200):
+            with pytest.raises(NumericalFailureError, match="box QP"):
+                ccp_denoise(obs, g, kappa=kappa)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     def test_seed_must_be_a_nonnegative_integer(self, p3, seed):
         with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
