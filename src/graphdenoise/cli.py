@@ -25,7 +25,7 @@ from .errors import (
 from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, build_grid_graph, build_knn_graph
-from .matrixio import read_mask, read_matrix, select_columns, write_matrix
+from .matrixio import read_mask, read_matrix, read_text, select_columns, write_matrix
 from .uniform import ccp_denoise
 
 _NUMERICAL_ERRORS = (NumericalFailureError, NotPositiveDefiniteError)
@@ -129,18 +129,15 @@ def _parse_graph_arg(kind: str, arg: str, n_rows: int, matrix: np.ndarray) -> Gr
 
 
 def _read_edge_list(path: str, n: int) -> Graph:
-    p = Path(path)
-    if not p.exists():
-        raise InvalidArgumentError(f"edge-list file not found: {p}")
     a, b, w = [], [], []
-    for ln_no, line in enumerate(p.read_text().splitlines(), start=1):
+    for ln_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
             raise InvalidArgumentError(
-                f"{p}: line {ln_no}: expected 'a b [w]', got {line!r}"
+                f"{path}: line {ln_no}: expected 'a b [w]', got {line!r}"
             )
         try:
             a.append(int(parts[0]))
@@ -148,12 +145,12 @@ def _read_edge_list(path: str, n: int) -> Graph:
             w.append(float(parts[2]) if len(parts) == 3 else 1.0)
         except ValueError:
             raise InvalidArgumentError(
-                f"{p}: line {ln_no}: cannot parse {line!r}"
+                f"{path}: line {ln_no}: cannot parse {line!r}"
             ) from None
         for v in (a[-1], b[-1]):
             if not 0 <= v < n:
                 raise InvalidArgumentError(
-                    f"{p}: line {ln_no}: vertex id {v} out of range [0, {n})"
+                    f"{path}: line {ln_no}: vertex id {v} out of range [0, {n})"
                 )
     return Graph.from_edges(n, a, b, w)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError
 from .graphs import Graph, as_seed, as_signal, build_grid_graph, build_knn_graph
-from .matrixio import format_float, read_matrix, select_columns
+from .matrixio import format_float, read_matrix, read_text, select_columns
 from .result import DenoiseResult
 from .spectral import SpectralBasis, eigendecompose, sample_prior
 from .uniform import ccp_denoise, projected_gradient_denoise, uniform_loss
@@ -240,7 +240,7 @@ class ExperimentSpec:
     noise_opts: tuple[tuple[str, float], ...]
     methods: tuple[MethodSpec, ...]
     metrics: tuple[str, ...]
-    benchmark: tuple[tuple[str, str], ...] | None = None
+    benchmark_kappa: float | None = None  # None without a [benchmark] section
 
     def graph_opts(self) -> _Section:
         return _Section("graph", self.graph)
@@ -272,7 +272,7 @@ class ExperimentTable:
     benchmark: BenchmarkReport | None = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in self.rows:
@@ -363,14 +363,15 @@ def _count(opts: _Section, key: str) -> int:
 
 
 def parse_experiment_spec(path) -> ExperimentSpec:
-    """Read a key-value spec with nested sections (see the README schema)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Read a plain-INI spec with nested sections (see the README schema)."""
+    # '%' is literal, and no header names the empty section, so [DEFAULT] is
+    # an unknown section like any other
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+    )
     path = Path(path)
-    if not path.exists():
-        raise InvalidArgumentError(f"spec file not found: {path}")
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_string(read_text(path), source=str(path))
     except configparser.Error as exc:
         raise InvalidArgumentError(f"malformed spec: {exc}") from exc
     required = ("experiment", "graph", "signal", "noise", "metrics")
@@ -422,9 +423,11 @@ def parse_experiment_spec(path) -> ExperimentSpec:
             raise InvalidArgumentError(
                 f"unknown metric {metric!r}; known: {sorted(METRIC_REGISTRY)}"
             )
-    benchmark = (
-        tuple(parser["benchmark"].items()) if "benchmark" in parser else None
-    )
+    benchmark_kappa = None
+    if "benchmark" in parser:
+        bench = _Section("benchmark", parser["benchmark"])
+        benchmark_kappa = _spec_value(bench, "kappa", _finite, 1.0)
+        bench.check_all_read()
     spec = ExperimentSpec(
         name=_spec_value(exp, "name", default=path.stem),
         seed=_spec_value(exp, "seed", int, 0),
@@ -436,7 +439,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         noise_opts=noise_opts,
         methods=tuple(methods),
         metrics=metrics,
-        benchmark=benchmark,
+        benchmark_kappa=benchmark_kappa,
     )
     exp.check_all_read()
     return spec
@@ -447,51 +450,44 @@ def parse_experiment_spec(path) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Context:
-    """Shared immutable state handed to every method call."""
-
-    graph: Graph
-    basis: SpectralBasis | None
-
-
-# Each method gets the noisy signal, the cell's context and ``param``, a
+# Each method gets the noisy signal, the sweep's graph, its spectral basis
+# (None unless a method or the signal source needs one) and ``param``, a
 # reader of its [method.NAME] values: param(key, cast=str, default).
 
 
-def _method_noisy(noisy, ctx, param):
+def _method_noisy(noisy, graph, basis, param):
     return noisy.copy()
 
 
-def _method_gaussian(noisy, ctx, param):
+def _method_gaussian(noisy, graph, basis, param):
     if param("tau", default="estimate") == "estimate":
-        tau = gaussian.estimate_tau(noisy, ctx.graph)
+        tau = gaussian.estimate_tau(noisy, graph)
     else:
         tau = param("tau", float)
-    return gaussian.denoise_gaussian(noisy, ctx.graph, tau).signal
+    return gaussian.denoise_gaussian(noisy, graph, tau).signal
 
 
-def _method_local_average(noisy, ctx, param):
-    return baselines.local_average(noisy, ctx.graph, param("t", int))
+def _method_local_average(noisy, graph, basis, param):
+    return baselines.local_average(noisy, graph, param("t", int))
 
 
-def _method_magic(noisy, ctx, param):
-    return baselines.magic_filter(noisy, ctx.graph, param("t", int))
+def _method_magic(noisy, graph, basis, param):
+    return baselines.magic_filter(noisy, graph, param("t", int))
 
 
 def _method_band(keep):
-    def run(noisy, ctx, param):
-        k = min(param("k", int), ctx.graph.n)
-        return baselines.band_filter(noisy, ctx.basis, k, keep=keep)
+    def run(noisy, graph, basis, param):
+        k = min(param("k", int), graph.n)
+        return baselines.band_filter(noisy, basis, k, keep=keep)
 
     return run
 
 
-def _method_nuclear(noisy, ctx, param):
-    return baselines.nuclear_norm_denoise(noisy, ctx.graph, param("tau", float))
+def _method_nuclear(noisy, graph, basis, param):
+    return baselines.nuclear_norm_denoise(noisy, graph, param("tau", float))
 
 
-def _method_bernoulli(noisy, ctx, param):
+def _method_bernoulli(noisy, graph, basis, param):
     if param("zeta", default="zeros") != "zeros":
         raise InvalidArgumentError("experiment runner supports zeta = zeros only")
     zeta = np.asarray(noisy) == 0.0
@@ -502,18 +498,18 @@ def _method_bernoulli(noisy, ctx, param):
         tau = param("tau", float)
     else:
         raise InvalidArgumentError("[method.bernoulli] needs p or tau")
-    return bernoulli.bernoulli_denoise(noisy, ctx.graph, zeta, tau, mode).signal
+    return bernoulli.bernoulli_denoise(noisy, graph, zeta, tau, mode).signal
 
 
-def _method_uniform_ccp(noisy, ctx, param):
-    result, _ = ccp_denoise(noisy, ctx.graph, kappa=param("kappa", float, 1.0))
+def _method_uniform_ccp(noisy, graph, basis, param):
+    result, _ = ccp_denoise(noisy, graph, kappa=param("kappa", float, 1.0))
     return result.signal
 
 
-def _method_uniform_pg(noisy, ctx, param):
+def _method_uniform_pg(noisy, graph, basis, param):
     result, _ = projected_gradient_denoise(
         noisy,
-        ctx.graph,
+        graph,
         kappa=param("kappa", float, 1.0),
         step=param("step", float, None),
     )
@@ -617,11 +613,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         raise InvalidArgumentError("an experiment needs a seed")
     graph_opts, signal_opts = spec.graph_opts(), spec.signal_opts()
     graph, cluster_signals = _build_graph(spec, graph_opts, signal_opts)
-    if spec.benchmark is not None:
-        # read before the sweep, so a bad section fails before any work
-        bench_opts = _Section("benchmark", spec.benchmark)
-        bench_kappa = _spec_value(bench_opts, "kappa", _finite, 1.0)
-        bench_opts.check_all_read()
     # prior samples and the band methods share one eigendecomposition
     source = _spec_value(signal_opts, "source", default="")
     needs_basis = source.strip() == "prior-sample" or any(
@@ -640,8 +631,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
                 for rep in range(spec.repeats):
                     cells.append((mi, pi, li, rep, method, params, level))
 
-    ctx = _Context(graph=graph, basis=basis)
-
     def run_cell(cell):
         mi, pi, li, rep, method, params, level = cell
         fn = METHOD_REGISTRY[method.name]
@@ -657,7 +646,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
             for j, truth in enumerate(truths):
                 rng = derive_rng(spec.seed, "cell", method.name, pi, li, rep, j)
                 noisy = add_noise(truth, spec.noise_kind, level, rng, **noise_opts)
-                estimate = fn(noisy, ctx, param)
+                estimate = fn(noisy, graph, basis, param)
                 for metric in spec.metrics:
                     sums[metric] += METRIC_REGISTRY[metric](truth, estimate)
             method_opts.check_all_read()
@@ -689,8 +678,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
         results = [run_cell(c) for c in cells]
     rows = tuple(itertools.chain.from_iterable(results))
     benchmark = None
-    if spec.benchmark is not None:
-        benchmark = ccp_vs_pg_benchmark(truths[0], graph, bench_kappa, seed=spec.seed)
+    if spec.benchmark_kappa is not None:
+        benchmark = ccp_vs_pg_benchmark(truths[0], graph, spec.benchmark_kappa, seed=spec.seed)
     return ExperimentTable(rows=rows, benchmark=benchmark)
 
 
@@ -726,7 +715,7 @@ class BenchmarkReport:
         return rows
 
     def write_traces_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "iteration", "loss", "elapsed_s"])
             for name, i, loss, elapsed in self.trace_rows():

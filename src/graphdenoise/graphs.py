@@ -254,12 +254,9 @@ def build_knn_graph(points, k: int) -> Graph:
     w_sym = (w_dir + w_dir.T) / 2.0
 
     coo = sp.triu(w_sym, k=1).tocoo()
-    keep = coo.data > 0.0  # drop affinities that underflowed to zero
-    if not keep.any():
-        raise GraphDisconnectedError(
-            "k-NN graph has no usable edges",
-            components=[[i] for i in range(n)],
-        )
+    # drop affinities that underflowed to zero; the globally closest pair
+    # keeps at least exp(-1) (1 at distance 0), so an edge always remains
+    keep = coo.data > 0.0
     return Graph.from_edges(n, coo.row[keep], coo.col[keep], coo.data[keep])
 
 

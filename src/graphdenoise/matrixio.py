@@ -5,7 +5,10 @@ optional single header row is preserved on write, and every value must be
 finite.  Numeric output uses the shortest representation that parses back
 to the same float, so a denoise-write-read round trip is exact.  PGM files
 (P2 ascii or P5 binary) are treated as a single grid signal whose pixels
-are integers in [0, maxval].
+are integers in [0, maxval].  Every input file becomes text here, by one
+rule: UTF-8 after an optional byte-order mark (not written back), any other
+byte kept as a lone surrogate, so it reaches the parsers' messages and a
+header holding it writes back byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +28,12 @@ __all__ = [
     "format_float",
     "select_columns",
     "read_mask",
+    "read_text",
 ]
+
+_ENCODING, _ERRORS = "utf-8-sig", "surrogateescape"
+# netpbm's magic number of a graymap: P2 (ascii) or P5 (binary), then whitespace
+_PGM_MAGIC = re.compile(rb"P([25])\s")
 
 
 @dataclass(frozen=True)
@@ -68,30 +76,36 @@ def format_float(v: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _parse_delimited(path: Path) -> MatrixFile:
-    text = path.read_text()
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise InvalidArgumentError(f"file not found: {path}") from None
+
+
+def read_text(path) -> str:
+    """The text of the input file at ``path``, decoded by the module's rule."""
+    return _read_bytes(Path(path)).decode(_ENCODING, _ERRORS)
+
+
+def _parse_delimited(text: str, path: Path) -> MatrixFile:
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
         raise InvalidArgumentError(f"{path}: file holds no data")
     delimiter = "," if "," in lines[0] else None
     split = (lambda s: s.split(",")) if delimiter else (lambda s: s.split())
 
-    def try_row(tokens):
-        try:
-            return [float(t) for t in tokens]
-        except ValueError:
-            return None
-
     header = None
-    start = 0
     first = [t.strip() for t in split(lines[0])]
-    if try_row(first) is None:
+    try:
+        for tok in first:
+            float(tok)
+    except ValueError:
         header = tuple(first)
-        start = 1
-        if start >= len(lines):
-            raise InvalidArgumentError(f"{path}: header but no data rows")
+    start = int(header is not None)
+    if start == len(lines):
+        raise InvalidArgumentError(f"{path}: header but no data rows")
     rows = []
-    width = None
     for i in range(start, len(lines)):
         tokens = [t.strip() for t in split(lines[i])]
         parsed = []
@@ -102,11 +116,9 @@ def _parse_delimited(path: Path) -> MatrixFile:
                 raise InvalidArgumentError(
                     f"{path}: cannot parse {tok!r} at row {i + 1}, column {j + 1}"
                 ) from None
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
+        if rows and len(parsed) != len(rows[0]):
             raise InvalidArgumentError(
-                f"{path}: row {i + 1} has {len(parsed)} fields, expected {width}"
+                f"{path}: row {i + 1} has {len(parsed)} fields, expected {len(rows[0])}"
             )
         rows.append(parsed)
     values = np.asarray(rows, dtype=np.float64)
@@ -125,11 +137,11 @@ def _parse_delimited(path: Path) -> MatrixFile:
     )
 
 
-def _parse_pgm(path: Path) -> MatrixFile:
-    raw = path.read_bytes()
-    if raw[:2] not in (b"P2", b"P5"):
+def _parse_pgm(raw: bytes, path: Path) -> MatrixFile:
+    magic = _PGM_MAGIC.match(raw)
+    if magic is None:
         raise InvalidArgumentError(f"{path}: not a portable graymap")
-    binary = raw[:2] == b"P5"
+    binary = magic.group(1) == b"5"
     # header tokens: magic, width, height, maxval, with '#' comments allowed
     tokens = []
     pos = 2
@@ -176,13 +188,13 @@ def _parse_pgm(path: Path) -> MatrixFile:
 
 
 def read_matrix(path) -> MatrixFile:
+    """The signal file at ``path``, read once: a PGM image when its suffix is
+    ``.pgm`` or it starts with netpbm's magic, delimited text otherwise."""
     path = Path(path)
-    if not path.exists():
-        raise InvalidArgumentError(f"input file not found: {path}")
-    head = path.open("rb").read(2)
-    if path.suffix.lower() == ".pgm" or head in (b"P2", b"P5"):
-        return _parse_pgm(path)
-    return _parse_delimited(path)
+    raw = _read_bytes(path)
+    if path.suffix.lower() == ".pgm" or _PGM_MAGIC.match(raw):
+        return _parse_pgm(raw, path)
+    return _parse_delimited(raw.decode(_ENCODING, _ERRORS), path)
 
 
 def write_matrix(path, values: np.ndarray, like: MatrixFile) -> None:
@@ -191,17 +203,15 @@ def write_matrix(path, values: np.ndarray, like: MatrixFile) -> None:
     values = np.asarray(values, dtype=np.float64)
     if like.kind == "pgm":
         clipped = np.clip(np.rint(values), 0, like.maxval).reshape(like.values.shape)
+        h, w = clipped.shape
+        header = f"P{5 if like.pgm_binary else 2}\n{w} {h}\n{like.maxval}\n".encode()
         if like.pgm_binary:
             dtype = np.dtype(">u2") if like.maxval > 255 else np.dtype("u1")
-            h, w = clipped.shape
-            header = f"P5\n{w} {h}\n{like.maxval}\n".encode("ascii")
-            path.write_bytes(header + clipped.astype(dtype).tobytes())
+            body = clipped.astype(dtype).tobytes()
         else:
-            h, w = clipped.shape
-            lines = [f"P2", f"{w} {h}", f"{like.maxval}"]
-            for row in clipped.astype(np.int64):
-                lines.append(" ".join(str(int(v)) for v in row))
-            path.write_text("\n".join(lines) + "\n")
+            rows = clipped.astype(np.int64)
+            body = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in rows).encode()
+        path.write_bytes(header + body)
         return
     sep = like.delimiter if like.delimiter else " "
     out = []
@@ -209,7 +219,7 @@ def write_matrix(path, values: np.ndarray, like: MatrixFile) -> None:
         out.append(sep.join(like.header))
     for row in values:
         out.append(sep.join(format_float(v) for v in row))
-    path.write_text("\n".join(out) + "\n")
+    path.write_bytes(("\n".join(out) + "\n").encode("utf-8", _ERRORS))
 
 
 def select_columns(text: str, width: int) -> list[int]:

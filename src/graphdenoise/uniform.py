@@ -164,11 +164,11 @@ def ccp_denoise(
     Each outer step minimizes kappa * f'Lf + sum f(a)/|f_t(a)| over the box,
     warm-started at the previous iterate, which guarantees the true loss is
     nonincreasing.  Stops when the loss change drops below
-    ``tol * |loss(f0)|`` or after 50 steps; non-convergence is
-    reported through the ``converged`` flag, not an exception.  The start
-    is the observation moved 1e-3 into the box, by a per-vertex factor in
-    [0.5, 1.5] drawn from ``rng_seed`` (None or a nonnegative integer)
-    when one is given.
+    ``tol * |loss(f0)|`` or after 50 steps; non-convergence, including a
+    last inner QP stopped at its step cap, is reported through the
+    ``converged`` flag, not an exception.  The start is the observation
+    moved 1e-3 into the box, by a per-vertex factor in [0.5, 1.5] drawn
+    from ``rng_seed`` (None or a nonnegative integer) when one is given.
     """
     g = as_signal(g_signal, graph.n)
     _check_kappa(kappa)
@@ -184,17 +184,19 @@ def ccp_denoise(
         coeff = _log_term_gradient(f)
         f_new, inner = minimize_box_qp(graph, kappa, coeff, box, f)
         loss_new = uniform_loss(f_new, graph, kappa)
+        # a last inner QP stopped at its cap leaves the fixed point unproven
+        finished = inner < _BOX_QP_MAX_ITER
         if loss_new > losses[-1]:
             # inner solver made no usable progress; keep the current iterate.
             # A rise within the stopping threshold is round-off at a fixed
             # point; a larger one is a stall, not convergence.
-            converged = loss_new - losses[-1] <= threshold
+            converged = finished and loss_new - losses[-1] <= threshold
             break
         f = f_new
         inner_counts.append(inner)
         losses.append(loss_new)
         if abs(losses[-2] - losses[-1]) <= threshold:
-            converged = True
+            converged = finished
             break
     trace = DescentTrace(
         inner_iterations=tuple(inner_counts),

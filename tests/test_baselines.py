@@ -69,6 +69,10 @@ class TestMagicFilter:
             assert np.max(np.abs(magic_filter(f, g, t))) <= np.max(np.abs(f)) + 1e-12
 
 
+    def test_negative_t_rejected(self, p3):
+        with pytest.raises(InvalidArgumentError, match="t must be nonnegative"):
+            magic_filter(np.zeros(3), p3, -1)
+
 class TestBandFilter:
     def test_keep_all_is_identity(self, rng):
         g = random_connected_graph(12, 6, rng)
@@ -161,6 +165,10 @@ class TestNuclearNorm:
         edges = Graph.from_edges(12, grid.edge_a, grid.edge_b, grid.edge_w)
         with pytest.raises(InvalidArgumentError, match="needs a grid graph"):
             nuclear_norm_denoise(rng.normal(size=12), edges, 1.0)
+
+    def test_negative_tau_rejected(self, rng):
+        with pytest.raises(InvalidArgumentError, match="tau must be nonnegative"):
+            nuclear_norm_denoise(rng.normal(size=12), build_grid_graph(3, 4), -1.0)
 
     def test_empty_side_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -207,12 +207,28 @@ class TestLasso:
             lasso_coordinate_descent(a, np.zeros(2), 0.0)
 
 
+    def test_target_must_match_the_design_rows(self, p3):
+        a = incidence_columns(p3, vertex_mask(3, [1]))
+        with pytest.raises(InvalidArgumentError, match="does not match design rows"):
+            lasso_coordinate_descent(a, np.zeros(3), 1.0)
+
 class TestL0Greedy:
     def test_huge_tau_empty_support(self, p3, rng):
         a = incidence_columns(p3, vertex_mask(3, [0, 1, 2]))
         y = rng.normal(size=p3.m)
         upd = l0_greedy(a, y, 1e9)
         assert upd.support.size == 0
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_tau_must_be_positive(self, p3, tau):
+        a = incidence_columns(p3, vertex_mask(3, [1]))
+        with pytest.raises(InvalidArgumentError, match="tau must be positive"):
+            l0_greedy(a, np.zeros(2), tau)
+
+    def test_target_must_match_the_design_rows(self, p3):
+        a = incidence_columns(p3, vertex_mask(3, [1]))
+        with pytest.raises(InvalidArgumentError, match="does not match design rows"):
+            l0_greedy(a, np.zeros(3), 1.0)
 
     def test_matches_exhaustive_enumeration(self, rng):
         for _ in range(10):

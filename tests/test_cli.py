@@ -127,7 +127,7 @@ class TestDenoiseCommand:
         [
             ("g.csv", None, ("grid", "2x2"), "grid 2x2 has 4 vertices but the input has 9 rows"),
             ("g.csv", None, ("ring", "3"), "unknown graph kind 'ring'"),
-            ("g.csv", None, ("edge-list", "{tmp}/absent.edges"), "edge-list file not found"),
+            ("g.csv", None, ("edge-list", "{tmp}/absent.edges"), "file not found"),
             ("g.csv", None, ("edge-list", "{tmp}/g.edges"),
              "line 2: expected 'a b [w]', got '1 2 1 7'"),
             ("g.csv", None, ("edge-list", "{tmp}/bad.edges"), "line 1: cannot parse '0 x'"),
@@ -683,6 +683,124 @@ class TestDenoiseCommand:
         )
         assert out.stdout.strip() == "False"
 
+    def test_no_subcommand_prints_help_exit_2(self, capsys):
+        assert main([]) == 2
+        assert "usage: graphdenoise" in capsys.readouterr().err
+
+    def test_tau_hat_summary_shows_eight_columns(self, tmp_path, rng, capsys):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(9, 10)) + 5.0)
+        rc = main(
+            [
+                "denoise", "gaussian",
+                "--graph", "grid", "3x3",
+                "--input", str(src),
+                "--output", str(tmp_path / "o.csv"),
+                "--estimate-tau",
+            ]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        shown = err.split("tau_hat=", 1)[1].split()[0].split(",")
+        assert len(shown) == 9 and shown[-1] == "..."
+        assert "(10 columns)" in err
+
+class TestTextRule:
+    """Every input file is UTF-8 after an optional byte-order mark; other
+    bytes reach the parser's messages, and a header writes back byte for
+    byte."""
+
+    @pytest.mark.parametrize(
+        "data,written",
+        [
+            (b"caf\xe9,b\n1,2\n3,4\n5,6\n", None),
+            (b"P2RX7,ACTB\n1,2\n3,4\n5,6\n", None),
+            (b"\xef\xbb\xbfa,b\n1,2\n3,4\n5,6\n", b"a,b\n1,2\n3,4\n5,6\n"),
+            (b"\xef\xbb\xbf1.5,2\n3,4\n5,6\n", b"1.5,2\n3,4\n5,6\n"),
+        ],
+        ids=["latin-1-header", "gene-header", "bom-header", "bom-headerless"],
+    )
+    def test_header_round_trips_and_bom_is_not_written(self, tmp_path, data, written):
+        src = tmp_path / "g.csv"
+        src.write_bytes(data)
+        out = tmp_path / "o.csv"
+        rc = main([
+            "denoise", "gaussian", "--tau", "0", "--graph", "grid", "3x1",
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 0
+        assert out.read_bytes() == (data if written is None else written)
+
+    def test_bom_does_not_turn_the_first_row_into_a_header(self, tmp_path, capsys):
+        outs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            src = tmp_path / f"{name}.csv"
+            src.write_bytes(bom + b"1.5,2\n3,4\n5,6\n")
+            out = tmp_path / f"{name}.out.csv"
+            rc = main([
+                "denoise", "gaussian", "--tau", "1", "--graph", "knn", "1",
+                "--input", str(src), "--output", str(out),
+            ])
+            assert rc == 0
+            summary = capsys.readouterr().err.split("time=")[0]
+            outs.append((out.read_bytes(), summary))
+        assert outs[0] == outs[1]
+        assert "iterations=6" in outs[0][1]
+
+    @pytest.mark.parametrize(
+        "target,data,named",
+        [
+            ("input", b"1,2\n3,\xff\n5,6\n", "row 2, column 2"),
+            ("mask", b"0\n\xff\n0\n", "row 2, column 1"),
+            ("edge-list", b"0 1\n1 \xff\n", "line 2: cannot parse"),
+        ],
+        ids=["input", "mask", "edge-list"],
+    )
+    def test_undecodable_byte_reaches_the_parse_error(
+        self, tmp_path, capsys, target, data, named
+    ):
+        files = {"input": b"1,2\n3,4\n5,6\n", "mask": b"0\n1\n0\n", "edge-list": b"0 1\n1 2\n"}
+        files[target] = data
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        out = tmp_path / "o.csv"
+        rc = main([
+            "denoise", "interpolate", "--graph", "edge-list", str(tmp_path / "edge-list"),
+            "--input", str(tmp_path / "input"), "--zeta", str(tmp_path / "mask"),
+            "--output", str(out),
+        ])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_edge_list_with_bom(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n")
+        src = tmp_path / "g.csv"
+        write_csv(src, np.array([[0.0], [9.0], [2.0]]))
+        out = tmp_path / "o.csv"
+        rc = main([
+            "denoise", "gaussian", "--tau", "0", "--graph", "edge-list", str(edges),
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 0
+        assert out.read_bytes() == src.read_bytes()
+
+    def test_spec_with_bom_or_undecodable_byte(self, tmp_path, capsys):
+        spec = tmp_path / "s.spec"
+        spec.write_bytes(b"\xef\xbb\xbf" + TINY_SPEC.encode())
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "a")]) == 0
+        spec.write_bytes(TINY_SPEC.replace("seed = 0", "seed = 0\xff").encode("latin-1"))
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 2
+        assert "[experiment] seed: cannot read '0\\udcff'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["50% done", "%(seed)s"])
+    def test_percent_in_a_spec_is_literal(self, tmp_path, capsys, name):
+        spec = tmp_path / "s.spec"
+        spec.write_text(TINY_SPEC.replace("name = cli-tiny", f"name = {name}"))
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        assert f"experiment {name}: " in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_tiny_spec_deterministic_modulo_runtime(self, tmp_path):
@@ -958,6 +1076,8 @@ class TestExperimentCommand:
             ("[method.gaussian]", "[methods.gaussian]", "[methods.gaussian]: unknown section"),
             ("[metrics]", "[benchmarks]\nkappa = 1.0\n\n[metrics]",
              "[benchmarks]: unknown section"),
+            # a spec is plain INI: [DEFAULT] feeds no other section
+            ("[metrics]", "[DEFAULT]\ntau = 5\n\n[metrics]", "[DEFAULT]: unknown section"),
         ],
         ids=[
             "grid-without-height", "count-many", "levels", "levels-inf", "levels-nan",
@@ -969,7 +1089,7 @@ class TestExperimentCommand:
             "repeats-negative", "benchmark",
             "unread-experiment", "unread-graph", "unread-signal", "unread-noise",
             "unread-metrics", "unread-benchmark", "unknown-method-section",
-            "unknown-benchmark-section",
+            "unknown-benchmark-section", "default-section",
         ],
     )
     def test_malformed_spec_value_exit_2(self, tmp_path, capsys, old, new, named):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 
@@ -116,6 +117,11 @@ class TestMetrics:
         with pytest.raises(InvalidArgumentError):
             pearson_correlation(f, np.full(10, 3.0))
 
+    @pytest.mark.parametrize("metric", [relative_error, pearson_correlation])
+    def test_shapes_must_match(self, rng, metric):
+        with pytest.raises(InvalidArgumentError, match="matching shapes"):
+            metric(rng.normal(size=10), rng.normal(size=9))
+
 
 class TestClusterData:
     def test_single_cluster_low_signal_constant(self):
@@ -132,6 +138,15 @@ class TestClusterData:
         b = make_cluster_data(3, 30, seed=7)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize(
+        "c,spread,message",
+        [(0, 1.0, "cluster counts must be positive"), (2, 0.0, "spread must be positive"),
+         (2, -1.0, "spread must be positive")],
+    )
+    def test_invalid_sizes_rejected(self, c, spread, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            make_cluster_data(c, 5, spread=spread)
 
     def test_low_frequency_smoother_than_high(self):
         pts, low, high = make_cluster_data(5, 60, seed=1, n_signals=2)
@@ -166,12 +181,16 @@ class TestRngStreams:
         expect = np.random.Generator(np.random.Philox(seq)).standard_normal(4)
         assert np.array_equal(draws[2**63 - 1], expect)
 
-
     def test_negative_seed_is_an_input_error(self):
         with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
             derive_rng(-1)
         with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
             make_cluster_data(2, 5, seed=-1)
+
+    def test_a_stream_needs_a_seed(self):
+        with pytest.raises(InvalidArgumentError, match="a stream needs a seed"):
+            derive_rng(None)
+
 
 class TestSpecParsing:
     def test_round_trip(self, tmp_path):
@@ -225,6 +244,13 @@ class TestRunner:
         table = run_experiment(spec)
         # 2 methods x 1 param combo x 3 levels x 1 metric x 1 repeat
         assert len(table.rows) == 6
+
+    def test_seed_none_is_an_input_error(self, tmp_path):
+        path = tmp_path / "tiny.spec"
+        path.write_text(TINY_SPEC)
+        spec = dataclasses.replace(parse_experiment_spec(path), seed=None)
+        with pytest.raises(InvalidArgumentError, match="an experiment needs a seed"):
+            run_experiment(spec)
 
     def test_empty_method_list_empty_table(self, tmp_path):
         path = tmp_path / "tiny.spec"

@@ -176,6 +176,11 @@ class TestNonnegMomentFit:
         got = np.array(nonneg_moment_fit(b[0], b[1], g))
         assert np.allclose(got, x_true, atol=1e-12)
 
+    @pytest.mark.parametrize("m1,m2", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_targets_must_be_finite(self, p3, m1, m2):
+        with pytest.raises(InvalidArgumentError, match="moment targets must be finite"):
+            nonneg_moment_fit(m1, m2, p3)
+
     def test_target_on_first_column(self, rng):
         g = random_connected_graph(9, 3, rng)
         tr, tr2 = laplacian_trace(g), laplacian_squared_trace(g)

@@ -93,6 +93,13 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError):
             Graph.from_edges(3, [0, 1], [1, 2], [-1.0, 1.0])
 
+    def test_vertex_count_and_ids_validated(self):
+        with pytest.raises(InvalidArgumentError, match="at least one vertex"):
+            Graph.from_edges(0, [0], [1], [1.0])
+        for a, b in (([0, 3], [1, 2]), ([0, 1], [-1, 2])):
+            with pytest.raises(InvalidArgumentError, match="edge endpoint out of range"):
+                Graph.from_edges(3, a, b, [1.0, 1.0])
+
     def test_edge_arrays_validated(self):
         ones = [1.0, 1.0]
         for a, b, w in [
@@ -235,6 +242,13 @@ class TestKnn:
         pts = rng.normal(size=(5, 2))
         with pytest.raises(InvalidArgumentError):
             build_knn_graph(pts, 5)
+        for k in (0, -1):
+            with pytest.raises(InvalidArgumentError, match="k must be positive"):
+                build_knn_graph(pts, k)
+
+    def test_points_must_be_a_matrix(self, rng):
+        with pytest.raises(InvalidArgumentError, match="n-by-d"):
+            build_knn_graph(rng.normal(size=5), 2)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_points_rejected(self, rng, bad):

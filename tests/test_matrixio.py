@@ -66,6 +66,20 @@ class TestDelimited:
         with pytest.raises(InvalidArgumentError, match="nope.csv"):
             read_matrix(tmp_path / "nope.csv")
 
+    def test_file_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        opened = []
+        real = Path.open
+
+        def counting(self, *args, **kwargs):
+            opened.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting)
+        read_matrix(path)
+        assert opened == [path]
+
 
 class TestPgm:
     def test_binary_round_trip(self, tmp_path, rng):

@@ -157,6 +157,10 @@ class TestHarmonicInterpolate:
         with pytest.raises(InvalidArgumentError):
             harmonic_interpolate(p3, np.zeros(3, dtype=bool), np.array([]))
 
+    def test_obs_length_must_match_the_known_set(self, p3):
+        with pytest.raises(InvalidArgumentError, match="expected 2 observed values"):
+            harmonic_interpolate(p3, np.array([True, False, True]), np.ones(3))
+
     def test_harmonicity_and_maximum_principle(self, rng):
         for _ in range(20):
             n = int(rng.integers(6, 60))

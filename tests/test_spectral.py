@@ -177,6 +177,14 @@ class TestErrorCovariance:
         basis = eigendecompose(p3)
         assert np.allclose(map_error_covariance_diag(basis, 1.0, 0.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "kappa,sigma2,message",
+        [(-1.0, 1.0, "kappa must be nonnegative"), (1.0, -1.0, "sigma2 must be nonnegative")],
+    )
+    def test_negative_parameters_rejected(self, p3, kappa, sigma2, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            map_error_covariance_diag(eigendecompose(p3), kappa, sigma2)
+
     def test_zero_kappa_gives_flat_noise(self, p3):
         basis = eigendecompose(p3)
         out = map_error_covariance_diag(basis, 0.0, 3.0)

@@ -131,6 +131,22 @@ class TestCcp:
         assert res.trace.size == 1
         assert in_box(obs, res.signal)
 
+    def test_capped_last_inner_qp_is_unconverged(self, monkeypatch):
+        """A CCP whose last inner QP stopped at its step cap has not shown a
+        fixed point; an earlier capped QP followed by finished ones has."""
+        from graphdenoise import uniform
+
+        g = build_grid_graph(4, 4)
+        obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
+        monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 50)
+        res, trace = ccp_denoise(obs, g, kappa=1e100)
+        assert trace.inner_iterations == (50, 50, 50, 50)
+        assert not res.converged
+        monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 2)
+        res, trace = ccp_denoise(obs, g, kappa=1.0)
+        assert trace.inner_iterations == (2, 1, 1, 1, 1, 1)
+        assert res.converged
+
     def test_kappa_validation(self, p3):
         with pytest.raises(InvalidArgumentError):
             ccp_denoise(np.ones(3), p3, kappa=0.0)
