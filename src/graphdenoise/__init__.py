@@ -52,7 +52,6 @@ from .graphs import (
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
-    incidence_columns,
     laplacian_squared_trace,
     laplacian_trace,
     restrict_laplacian,

@@ -3,15 +3,14 @@
 Given a suspicion set zeta of vertices whose observations may have been
 replaced (each independently with probability p), the estimate keeps the
 trusted complement bitwise and adjusts only f(zeta) = g(zeta) + x, where x
-minimizes
-
-    || B(:, zeta) x + B g ||^2 + tau * penalty(x)
-
-with penalty the l1 norm (LASSO via coordinate descent) or the l0 count
-(deterministic stepwise search).  The penalty weight tau = (log(1-p) - log p)
-/ kappa is nonpositive once p >= 1/2; in that regime nothing inside zeta is
-trusted and the estimate is the harmonic interpolation of the complement's
-values, matching the known-set case.
+minimizes f'Lf + tau * penalty(x), with penalty the l1 norm (LASSO via
+coordinate descent) or the l0 count (deterministic stepwise search).  As
+the regression ||A x - y||^2 with A = B(:, zeta) and y = -B g (B the
+incidence matrix, L = B'B), the solvers take it in Gram form:
+G = A'A = L(zeta, zeta) and c = A'y = -(L g)(zeta).  The penalty weight
+tau = (log(1-p) - log p) / kappa is nonpositive once p >= 1/2; in that
+regime nothing inside zeta is trusted and the estimate is the harmonic
+interpolation of the complement's values, matching the known-set case.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError, NotPositiveDefiniteError
-from .graphs import Graph, as_mask, as_signal, incidence_columns
+from .errors import InvalidArgumentError, NotPositiveDefiniteError, overflow_guard
+from .graphs import Graph, as_mask, as_signal, dirichlet_energy, restrict_laplacian
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
@@ -66,29 +65,32 @@ class SparseUpdate:
     def from_raw(cls, x, iterations, converged=True) -> "SparseUpdate":
         x = np.asarray(x, dtype=np.float64).copy()
         x[np.abs(x) < SUPPORT_ZERO_THRESHOLD] = 0.0
-        return cls(
-            x=x,
-            support=np.flatnonzero(x),
-            iterations=int(iterations),
-            converged=converged,
+        return cls(x, np.flatnonzero(x), int(iterations), converged)
+
+
+def _gram_form(gram, linear) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The Gram matrix as CSR and the linear term, checked to match."""
+    gram = sp.csr_matrix(gram, dtype=np.float64)
+    c = np.asarray(linear, dtype=np.float64)
+    if gram.shape[0] != gram.shape[1] or c.shape != (gram.shape[0],):
+        raise InvalidArgumentError(
+            f"linear term shape {c.shape} does not match gram shape {gram.shape}"
         )
+    return gram, c
 
 
-def _colour_classes(csc: sp.csc_matrix) -> list[np.ndarray]:
-    """Greedy colouring of the nonzero columns, in index order.
+def _colour_classes(gram: sp.csr_matrix) -> list[np.ndarray]:
+    """Greedy colouring of the coordinates with a stored Gram entry.
 
-    Two columns conflict when they share a nonzero row (the sparsity of
-    A'A); each column takes the smallest colour no earlier conflicting
-    column holds, so no two columns of one class share a row.  Returns the
-    classes in colour order, each sorted by column index.
+    Two coordinates conflict when their entry of the symmetric Gram matrix
+    is stored (for G = A'A: their columns of A share a nonzero row); in
+    index order, each takes the smallest colour no conflicting coordinate
+    holds.  Returns the classes in colour order, each sorted by index.
     """
-    pattern = csc.copy()
-    pattern.data = np.ones_like(pattern.data)
-    conflicts = (pattern.T @ pattern).tocsr()
-    colour = np.full(csc.shape[1], -1, dtype=np.int64)
-    for j in np.flatnonzero(np.diff(csc.indptr)):
-        lo, hi = conflicts.indptr[j], conflicts.indptr[j + 1]
-        taken = colour[conflicts.indices[lo:hi]]
+    colour = np.full(gram.shape[0], -1, dtype=np.int64)
+    for j in np.flatnonzero(np.diff(gram.indptr)):
+        lo, hi = gram.indptr[j], gram.indptr[j + 1]
+        taken = colour[gram.indices[lo:hi]]
         free = np.ones(hi - lo + 1, dtype=bool)
         free[taken[(taken >= 0) & (taken <= hi - lo)]] = False
         colour[j] = int(np.argmax(free))
@@ -96,52 +98,45 @@ def _colour_classes(csc: sp.csc_matrix) -> list[np.ndarray]:
 
 
 def lasso_coordinate_descent(
-    design,
-    target,
+    gram,
+    linear,
     tau: float,
     tol: float = 1e-10,
     max_sweeps: int = 1000,
 ) -> SparseUpdate:
     """Colour-class coordinate descent for ||A x - y||^2 + tau * ||x||_1.
 
-    The columns are coloured so that no two columns of one class share a
-    nonzero row (:func:`_colour_classes`).  Within a class the exact
-    scalar soft-threshold updates do not interact, so a class is updated in
-    one vectorised step and a sweep over the classes is cyclic coordinate
-    descent in colour-class order (Bradley et al., ICML 2011).  A residual
-    vector is maintained so a sweep costs O(nnz(A)).  The sweep stops once
-    no coordinate moves by more than ``tol * max(1, max|x|)``; exhausting
-    ``max_sweeps`` returns the last iterate with ``converged=False``.
+    The problem is given in Gram form, the symmetric sparse G = A'A and
+    c = A'y.  The coordinates are coloured so that no two of one class
+    interact in G (:func:`_colour_classes`), so a class is updated in one
+    vectorised soft-threshold step and a sweep over the classes is cyclic
+    coordinate descent in colour-class order (Bradley et al., ICML 2011).
+    The gradient half q = Gx - c is kept up to date (the covariance update
+    of Friedman, Hastie and Tibshirani, JSS 2010), so a sweep costs
+    O(nnz(G)).  The sweep stops once no coordinate moves by more than
+    ``tol * max(1, max|x|)``; exhausting ``max_sweeps`` returns the last
+    iterate with ``converged=False``.
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
-    csc = sp.csc_matrix(design, dtype=np.float64, copy=True)
-    csc.sum_duplicates()
-    y = np.asarray(target, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != csc.shape[0]:
-        raise InvalidArgumentError(
-            f"target shape {y.shape} does not match design rows {csc.shape[0]}"
-        )
-    x = np.zeros(csc.shape[1])
-    r = y.copy()
+    gram, c = _gram_form(gram, linear)
+    x = np.zeros(c.size)
+    q = -c
     half_tau = tau / 2.0
-    col_sq = np.asarray(csc.multiply(csc).sum(axis=0)).ravel()
+    col_sq = gram.diagonal()
     classes = []
-    for cols in _colour_classes(csc):
+    for cols in _colour_classes(gram):
         cols = cols[col_sq[cols] > 0.0]  # zero columns stay at 0
-        block = csc[:, cols]
-        seg = np.repeat(np.arange(cols.size), np.diff(block.indptr))
-        classes.append((cols, block.indices, block.data, seg, col_sq[cols]))
+        classes.append((cols, gram[:, cols], col_sq[cols]))
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         max_delta = 0.0
-        for cols, rows, vals, seg, sq in classes:
-            rho = np.bincount(seg, weights=vals * r[rows], minlength=cols.size)
-            rho += sq * x[cols]
+        for cols, block, sq in classes:
+            rho = sq * x[cols] - q[cols]
             xc = np.sign(rho) * np.maximum(np.abs(rho) - half_tau, 0.0) / sq
             delta = xc - x[cols]
-            r[rows] -= vals * delta[seg]
+            q += block @ delta
             x[cols] = xc
             max_delta = max(max_delta, float(np.max(np.abs(delta), initial=0.0)))
         if max_delta <= tol * max(1.0, float(np.max(np.abs(x), initial=0.0))):
@@ -150,12 +145,12 @@ def lasso_coordinate_descent(
     return SparseUpdate.from_raw(x, sweeps, converged)
 
 
-def lasso_kkt_violation(design, target, tau: float, x) -> float:
-    """Worst-coordinate KKT violation of ||A x - y||^2 + tau * ||x||_1 at x."""
-    a = sp.csc_matrix(design)
-    y = np.asarray(target, dtype=np.float64)
+def lasso_kkt_violation(gram, linear, tau: float, x) -> float:
+    """Worst-coordinate KKT violation of ||A x - y||^2 + tau * ||x||_1 at x,
+    given G = A'A and c = A'y: the gradient of the fit is 2(Gx - c)."""
+    gram, c = _gram_form(gram, linear)
     x = np.asarray(x, dtype=np.float64)
-    grad = 2.0 * (a.T @ (a @ x - y))
+    grad = 2.0 * (gram @ x - c)
     violation = np.where(
         x != 0.0,
         np.abs(grad + tau * np.sign(x)),
@@ -167,11 +162,11 @@ def lasso_kkt_violation(design, target, tau: float, x) -> float:
 class _StepwiseSearch:
     """Deterministic stepwise support search for the l0-penalized objective.
 
-    Works in coefficient space: the Gram matrix G = A'A, c = A'y and y'y
-    are formed once, each refit is a CG solve of G(S, S) x = c(S), and the
-    correlations are A'r = c - G(:, S) x.  Each fit is scored by its true
-    residual ||A(:, S) x - y||^2, which stays right for a fit that stopped
-    short, where y'y - c(S)'x does not.
+    Works in coefficient space: each refit is a CG solve of G(S, S) x = c(S)
+    with G = A'A and c = A'y, and the correlations are A'r = c - G(:, S) x.
+    Each fit is scored by its true residual ``energy(x)`` = ||A x - y||^2,
+    which stays right for a fit that stopped short, where x'Gx - 2c'x does
+    not.
     """
 
     # designs wider than this skip the expensive full-support and
@@ -181,16 +176,13 @@ class _StepwiseSearch:
     SWAP_CANDIDATES = 64
     N_SINGLE_STARTS = 7
 
-    def __init__(self, csc, y, tau):
-        self.csc, self.y = csc, y
-        self.gram = (csc.T @ csc).tocsr()
-        self.c = csc.T @ y
-        self.yy = float(y @ y)
-        col_sq = self.gram.diagonal()
+    def __init__(self, gram, c, tau, energy):
+        self.gram, self.c, self.energy = gram, c, energy
+        self.p = c.size
+        col_sq = gram.diagonal()
         self.usable = col_sq > 0.0
         self.col_sq = np.where(self.usable, col_sq, 1.0)
         self.tau = tau
-        self.p = csc.shape[1]
         self.moves = 0
         self.fits: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
         self.stopped_short: set[tuple[int, ...]] = set()
@@ -226,8 +218,7 @@ class _StepwiseSearch:
             x.flags.writeable = False
             full = np.zeros(self.p)
             full[list(key)] = x
-            r = self.csc @ full - self.y
-            self.fits[key] = (x, float(r @ r))
+            self.fits[key] = (x, float(self.energy(full)))
         return list(key), self.fits[key][0]
 
     def rss(self, s):
@@ -335,7 +326,7 @@ class _StepwiseSearch:
         columns = np.flatnonzero(self.usable).tolist()
         if small:
             starts.append(columns)
-        best = (self.yy, [])  # x = 0
+        best = (self.objective([]), [])  # x = 0
         for start in starts:
             base = self.prune(start) if len(start) > 1 else self.forward(start)
             candidates = [base]
@@ -353,42 +344,39 @@ class _StepwiseSearch:
         return best[1]
 
 
-def l0_greedy(design, target, tau: float) -> SparseUpdate:
+def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
     """Deterministic stepwise search for ||A x - y||^2 + tau * ||x||_0.
 
-    Forward selection drives the search: repeatedly add the coordinate with
-    the largest residual reduction (c_j^2 / ||A_j||^2), refit least squares
+    The problem is given in Gram form, G = A'A and c = A'y, plus
+    ``energy(x)``, which returns the residual ||A x - y||^2 of a full-length
+    x; supports are ranked by it.  Forward selection drives the search:
+    repeatedly add the coordinate with the largest residual reduction (its
+    squared correlation with the residual over G_jj), refit least squares
     on the support with :func:`cg_solve` on the support's rows and columns
-    of the Gram matrix A'A, and stop when no single addition gains at least
-    tau.  Plain forward selection is easily trapped, so the search also
-    restarts from the strongest single columns, prunes unhelpful members,
-    escapes stalls with bounded pairwise additions, and, on designs of at
-    most 64 columns, descends from the full support (of the nonzero
-    columns) and from complements of found supports with bounded exchange
-    moves.  Zero columns never enter a support.  Supports are ranked by
-    their true objective, x = 0 being the first candidate, so the result is
-    never worse than x = 0; it reports ``converged=False`` when its
-    support's least-squares fit stopped short.  Still a heuristic: global
-    optimality is not guaranteed.
+    of G, and stop when no single addition gains at least tau.  Plain
+    forward selection is easily trapped, so the search also restarts from
+    the strongest single columns, prunes unhelpful members, escapes stalls
+    with bounded pairwise additions, and, on designs of at most 64 columns,
+    descends from the full support (of the nonzero columns) and from
+    complements of found supports with bounded exchange moves.  Zero columns never enter a
+    support.  Supports are ranked by their true objective, x = 0 being the
+    first candidate, so the result is never worse than x = 0; it reports
+    ``converged=False`` when its support's least-squares fit stopped short.
+    Still a heuristic: global optimality is not guaranteed.
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
-    csc = sp.csc_matrix(design)
-    y = np.asarray(target, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != csc.shape[0]:
-        raise InvalidArgumentError(
-            f"target shape {y.shape} does not match design rows {csc.shape[0]}"
-        )
-    search = _StepwiseSearch(csc, y, tau)
+    gram, c = _gram_form(gram, linear)
+    search = _StepwiseSearch(gram, c, tau, energy)
     s, coeffs = search.refit(search.run())
-    x = np.zeros(csc.shape[1])
+    x = np.zeros(c.size)
     x[s] = coeffs
-    # a full-support design with A * 1 = 0 leaves the coefficient mean
-    # free; pin the minimal-norm representative
-    if s and len(s) == csc.shape[1]:
-        ones = np.ones(csc.shape[1])
-        if float(np.max(np.abs(csc @ ones))) <= 1e-12 * max(
-            1.0, float(abs(csc).max())
+    # a full-support design with A * 1 = 0 (so G * 1 = 0) leaves the
+    # coefficient mean free; pin the minimal-norm representative
+    if s and len(s) == c.size:
+        ones = np.ones(c.size)
+        if float(np.max(np.abs(gram @ ones))) <= 1e-12 * max(
+            1.0, float(abs(gram).max())
         ):
             x -= x.mean()
     return SparseUpdate.from_raw(x, search.moves, tuple(s) not in search.stopped_short)
@@ -415,14 +403,27 @@ def bernoulli_denoise(
     if tau <= 0.0:
         trusted = ~zeta
         return harmonic_interpolate(graph, trusted, g[trusted])
-    design = incidence_columns(graph, zeta)
-    yv = -(graph.incidence @ g)
-    if mode == "l1":
-        update = lasso_coordinate_descent(design, yv, tau)
-    else:
-        update = l0_greedy(design, yv, tau)
-    f = g.copy()
-    f[zeta] += update.x
+
+    def updated(x):
+        out = g.copy()
+        out[zeta] += x
+        return out
+
+    with overflow_guard("dropout arithmetic"):
+        # a sparse product does not raise, so its overflow is checked here
+        linear = -(graph.laplacian @ g)[zeta]
+        if not np.all(np.isfinite(linear)):
+            raise FloatingPointError("overflow in L g")
+        gram = restrict_laplacian(graph, zeta, zeta)
+        if mode == "l1":
+            update = lasso_coordinate_descent(gram, linear, tau)
+        else:
+            update = l0_greedy(
+                gram, linear, tau, lambda x: dirichlet_energy(graph, updated(x))
+            )
+        f = updated(update.x)
+        if not np.all(np.isfinite(f)):
+            raise FloatingPointError("overflow in the estimate")
     return DenoiseResult(
         signal=f, iterations=update.iterations, converged=update.converged
     )

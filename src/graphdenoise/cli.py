@@ -130,7 +130,7 @@ def _parse_graph_arg(kind: str, arg: str, n_rows: int, matrix: np.ndarray) -> Gr
 
 def _read_edge_list(path: str, n: int) -> Graph:
     a, b, w = [], [], []
-    for ln_no, line in enumerate(read_text(path).splitlines(), start=1):
+    for ln_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one overflow rule."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 __all__ = [
     "GraphDenoiseError",
@@ -46,3 +50,13 @@ class NumericalFailureError(GraphDenoiseError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+@contextmanager
+def overflow_guard(what: str):
+    """Overflow, NaN or any FloatingPointError in the block is a numerical failure."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"{what} failed: {exc}") from None

@@ -2,11 +2,9 @@
 
 Every denoiser in this package consumes an immutable :class:`Graph`.  The
 graph stores a canonical edge list (tail < head, strictly positive weights)
-and lazily exposes CSR views of the adjacency and Laplacian matrices and a
-CSC view of the incidence matrix, whose column restrictions are the sparse
-regression designs.  All operators are applied through sparse
-matrix-vector products; dense matrices appear only in test oracles and the
-spectral reference path.
+and lazily exposes CSR views of the adjacency and Laplacian matrices.  All
+operators are applied through sparse matrix-vector products; dense
+matrices appear only in test oracles and the spectral reference path.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GraphDisconnectedError, InvalidArgumentError
+from .errors import GraphDisconnectedError, InvalidArgumentError, overflow_guard
 
 __all__ = [
     "Graph",
@@ -28,7 +26,6 @@ __all__ = [
     "laplacian_trace",
     "laplacian_squared_trace",
     "restrict_laplacian",
-    "incidence_columns",
 ]
 
 
@@ -69,9 +66,8 @@ def as_seed(seed):
 class Graph:
     """Immutable weighted undirected connected graph.
 
-    ``edge_a < edge_b`` for every stored edge; this fixed orientation is
-    also used by the incidence matrix (+sqrt(w) at the tail, -sqrt(w) at the
-    head).  Construction validates weights, simplicity and connectivity.
+    ``edge_a < edge_b`` for every stored edge, in lexicographic order.
+    Construction validates weights, simplicity and connectivity.
     ``grid_shape`` is (height, width) from :func:`build_grid_graph`, else None.
     Graphs compare and hash by identity.
     """
@@ -130,10 +126,6 @@ class Graph:
             )
         return g
 
-    @property
-    def m(self) -> int:
-        return int(self.edge_w.size)
-
     @cached_property
     def csr_adjacency(self) -> sp.csr_matrix:
         rows = np.concatenate([self.edge_a, self.edge_b])
@@ -149,15 +141,6 @@ class Graph:
     def laplacian(self) -> sp.csr_matrix:
         lap = sp.diags(self.degrees, format="csr") - self.csr_adjacency
         return lap.tocsr()
-
-    @cached_property
-    def incidence(self) -> sp.csc_matrix:
-        """m-by-n oriented incidence matrix with +sqrt(w) at a, -sqrt(w) at b."""
-        sw = np.sqrt(self.edge_w)
-        rows = np.repeat(np.arange(self.m, dtype=np.int64), 2)
-        cols = np.stack([self.edge_a, self.edge_b], axis=1).ravel()
-        data = np.stack([sw, -sw], axis=1).ravel()
-        return sp.csc_matrix((data, (rows, cols)), shape=(self.m, self.n))
 
 
 def build_grid_graph(height: int, width: int) -> Graph:
@@ -226,6 +209,8 @@ def build_knn_graph(points, k: int) -> Graph:
     Coincident points have affinity exp(0) = 1.  Distance ties are broken
     by vertex index.  Neighbors come from a KD-tree, so the build costs
     about O(n k log n) time and O(n k) memory.  Raises
+    :class:`~graphdenoise.errors.NumericalFailureError` if the points'
+    squared distances may overflow, and
     :class:`~graphdenoise.errors.GraphDisconnectedError` (naming the
     components) if the symmetrized graph is disconnected.
     """
@@ -239,6 +224,10 @@ def build_knn_graph(points, k: int) -> Graph:
         raise InvalidArgumentError("k must be positive")
     if k >= n:
         raise InvalidArgumentError(f"k={k} requires at least k+1={k + 1} points")
+    # checked before the query: the KD-tree reports a neighbor at an
+    # overflowing distance as the missing index n
+    with overflow_guard("k-NN distance arithmetic"):
+        np.sum(np.ptp(pts, axis=0) ** 2)
     nbrs, dist = _nearest(pts, k)
     sigma = dist[:, -1]
 
@@ -283,8 +272,3 @@ def restrict_laplacian(g: Graph, rows, cols) -> sp.csr_matrix:
     r = np.flatnonzero(as_mask(rows, g.n))
     c = np.flatnonzero(as_mask(cols, g.n))
     return g.laplacian[r][:, c].tocsr()
-
-
-def incidence_columns(g: Graph, cols) -> sp.csc_matrix:
-    """The column restriction B(:, cols) of a vertex mask, in vertex order."""
-    return g.incidence[:, np.flatnonzero(as_mask(cols, g.n))]

@@ -89,7 +89,9 @@ def read_text(path) -> str:
 
 
 def _parse_delimited(text: str, path: Path) -> MatrixFile:
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    # rows are the file's \n-separated lines; a \r before the \n is stripped
+    # with the other edge whitespace of the tokens
+    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
     if not lines:
         raise InvalidArgumentError(f"{path}: file holds no data")
     delimiter = "," if "," in lines[0] else None

@@ -1,11 +1,11 @@
 """Preconditioned conjugate-gradient solving for every SPD system.
 
 Every estimator in the package reduces to systems of the form
-(I + tau*L) x = b, to a principal Laplacian submatrix L(U, U) x = b, or,
-for the l0 support search, to the normal equations G(S, S) x = c(S) of
-the sparse regression on B(:, zeta) with G = B(:, zeta)' B(:, zeta).  All
-are assembled as sparse CSR matrices and handed to :func:`cg_solve`,
-Jacobi (diagonal) preconditioned CG from x = 0.
+(I + tau*L) x = b or to a principal Laplacian submatrix L(U, U) x = b; the
+l0 support search's normal equations G(S, S) x = c(S) are of the second
+kind, its Gram matrix being G = L(zeta, zeta).  All are assembled as sparse
+CSR matrices and handed to :func:`cg_solve`, Jacobi (diagonal)
+preconditioned CG from x = 0.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, overflow_guard
 from .graphs import Graph, as_seed, as_signal, dirichlet_energy
 from .result import DenoiseResult, DescentTrace
 
@@ -109,38 +109,35 @@ def minimize_box_qp(
     scale = max(1.0, float(np.max(np.abs(c))))
     step = 1.0
     iters = 0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            hx = h * (graph.laplacian @ x)
+    with overflow_guard("box QP arithmetic"):
+        hx = h * (graph.laplacian @ x)
+        grad = hx + c
+        while iters < _BOX_QP_MAX_ITER:
+            stationarity = np.max(np.abs(x - np.clip(x - grad, lower, upper)))
+            if stationarity <= _BOX_QP_TOL * scale:
+                break
+            d = np.clip(x - step * grad, lower, upper) - x
+            dnorm2 = float(np.dot(d, d))
+            if dnorm2 == 0.0:
+                break
+            hd = h * (graph.laplacian @ d)
+            dhd = float(np.dot(d, hd))
+            gd = float(np.dot(grad, d))
+            if dhd > 0.0:
+                t = min(1.0, -gd / dhd)
+                # Barzilai-Borwein trial step for the next round
+                step = min(max(dnorm2 / dhd, 1e-12), 1e12)
+            else:
+                # curvature-free direction: the objective is linear along
+                # d and gd < 0 by the projection inequality, so take the
+                # full step
+                t = 1.0
+            if t <= 0.0:
+                break
+            x = x + t * d
+            hx = hx + t * hd
             grad = hx + c
-            while iters < _BOX_QP_MAX_ITER:
-                stationarity = np.max(np.abs(x - np.clip(x - grad, lower, upper)))
-                if stationarity <= _BOX_QP_TOL * scale:
-                    break
-                d = np.clip(x - step * grad, lower, upper) - x
-                dnorm2 = float(np.dot(d, d))
-                if dnorm2 == 0.0:
-                    break
-                hd = h * (graph.laplacian @ d)
-                dhd = float(np.dot(d, hd))
-                gd = float(np.dot(grad, d))
-                if dhd > 0.0:
-                    t = min(1.0, -gd / dhd)
-                    # Barzilai-Borwein trial step for the next round
-                    step = min(max(dnorm2 / dhd, 1e-12), 1e12)
-                else:
-                    # curvature-free direction: the objective is linear along
-                    # d and gd < 0 by the projection inequality, so take the
-                    # full step
-                    t = 1.0
-                if t <= 0.0:
-                    break
-                x = x + t * d
-                hx = hx + t * hd
-                grad = hx + c
-                iters += 1
-    except FloatingPointError as exc:
-        raise NumericalFailureError(f"box QP arithmetic failed: {exc}") from None
+            iters += 1
     return x, iters
 
 

@@ -8,8 +8,9 @@ production implementations against these.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from graphdenoise import Graph, build_grid_graph
+from graphdenoise import Graph, build_grid_graph, l0_greedy
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -26,11 +27,32 @@ def dense_laplacian(g: Graph) -> np.ndarray:
 
 
 def dense_incidence(g: Graph) -> np.ndarray:
-    b = np.zeros((g.m, g.n))
+    """The oriented incidence matrix B, one row per edge, with +sqrt(w) at
+    the lower id and -sqrt(w) at the higher, so that L = B'B."""
+    b = np.zeros((g.edge_w.size, g.n))
     for e, (u, v, w) in enumerate(zip(g.edge_a, g.edge_b, g.edge_w)):
         b[e, u] = np.sqrt(w)
         b[e, v] = -np.sqrt(w)
     return b
+
+
+def gram_form(a: np.ndarray, y: np.ndarray):
+    """The Gram-form arguments (A'A, A'y, energy) of ||A x - y||^2 on a
+    design A, energy(x) being the residual ||A x - y||^2.  The products are
+    sparse, as a sparse design's would be."""
+    a = sp.csc_matrix(a)
+
+    def energy(x):
+        r = a @ x - y
+        return float(r @ r)
+
+    return (a.T @ a).tocsr(), a.T @ y, energy
+
+
+def l0_on_design(a: np.ndarray, y: np.ndarray, tau: float):
+    """``l0_greedy`` for ||A x - y||^2 + tau ||x||_0 on a dense design."""
+    gram, c, energy = gram_form(a, y)
+    return l0_greedy(gram, c, tau, energy)
 
 
 def union_find_components(n: int, edges) -> int:

@@ -24,8 +24,6 @@ from graphdenoise import (
     dropout_penalty,
     eigendecompose,
     estimate_tau,
-    incidence_columns,
-    l0_greedy,
     lasso_coordinate_descent,
     local_average,
     magic_filter,
@@ -46,6 +44,8 @@ from graphdenoise.experiments import (
 from conftest import (
     dense_incidence,
     dense_laplacian,
+    gram_form,
+    l0_on_design,
     random_connected_graph,
     vertex_mask,
 )
@@ -313,8 +313,7 @@ def test_criterion_7_small_instance_oracles():
         g = random_connected_graph(n, int(rng.integers(1, 6)), rng)
         size = int(rng.integers(2, 9))
         zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
-        a_sparse = incidence_columns(g, zeta)
-        a = a_sparse.toarray()
+        a = dense_incidence(g)[:, zeta]
         sig = rng.normal(0.0, 2.0, size=n)
         y = -(dense_incidence(g) @ sig)
         tau = float(rng.uniform(0.3, 3.0))
@@ -324,7 +323,7 @@ def test_criterion_7_small_instance_oracles():
                 sol, *_ = np.linalg.lstsq(a[:, t], y, rcond=None)
                 resid = y - a[:, t] @ sol
                 best = min(best, float(resid @ resid) + tau * r)
-        upd = l0_greedy(a_sparse, y, tau)
+        upd = l0_on_design(a, y, tau)
         got = float(np.sum((a @ upd.x - y) ** 2)) + tau * upd.support.size
         worst_gap = max(worst_gap, got / best - 1.0)
     ok_a = worst_gap <= 0.05
@@ -336,11 +335,11 @@ def test_criterion_7_small_instance_oracles():
         g = random_connected_graph(n, int(rng.integers(1, 8)), rng)
         size = int(rng.integers(1, n))
         zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
-        a = incidence_columns(g, zeta)
-        y = rng.normal(size=g.m)
+        y = rng.normal(size=g.edge_w.size)
         tau = float(rng.uniform(0.2, 2.0))
-        upd = lasso_coordinate_descent(a, y, tau, tol=1e-13, max_sweeps=5000)
-        worst_kkt = max(worst_kkt, lasso_kkt_violation(a, y, tau, upd.x))
+        gram, c, _ = gram_form(dense_incidence(g)[:, zeta], y)
+        upd = lasso_coordinate_descent(gram, c, tau, tol=1e-13, max_sweeps=5000)
+        worst_kkt = max(worst_kkt, lasso_kkt_violation(gram, c, tau, upd.x))
     ok_b = worst_kkt <= 1e-6
 
     # (c) CCP / projected gradient vs grid search on n <= 3
@@ -441,7 +440,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     zeta = vertex_mask(g.n, [1, 3, 8, 11])
     for mode in ("l1", "l0"):
         base = bernoulli_denoise(sig, g, zeta, 0.7, mode).signal
-        flip = rng.uniform(size=g.m) < 0.5
+        flip = rng.uniform(size=g.edge_w.size) < 0.5
         g_flipped = Graph.from_edges(
             g.n,
             np.where(flip, g.edge_b, g.edge_a),

@@ -14,13 +14,27 @@ from graphdenoise import (
     build_grid_graph,
     dropout_penalty,
     harmonic_interpolate,
-    incidence_columns,
     l0_greedy,
     lasso_coordinate_descent,
+    restrict_laplacian,
 )
 from graphdenoise.bernoulli import _colour_classes, _StepwiseSearch, lasso_kkt_violation
 
-from conftest import dense_incidence, random_connected_graph, vertex_mask
+from conftest import (
+    dense_incidence,
+    gram_form,
+    l0_on_design,
+    random_connected_graph,
+    vertex_mask,
+)
+
+
+def random_design(rng, n, extra, size):
+    """A random graph's dense design B(:, zeta) for a random zeta of the
+    given size, and a random target with one entry per edge."""
+    g = random_connected_graph(n, extra, rng)
+    zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
+    return dense_incidence(g)[:, zeta], rng.normal(size=g.edge_w.size)
 
 
 def exhaustive_l0_optimum(a_dense, y, tau):
@@ -56,11 +70,11 @@ def dense_cyclic_cd(a_dense, y, tau, tol=1e-15, max_sweeps=200000):
     raise AssertionError("reference coordinate descent did not converge")
 
 
-def kkt_violation_loop(a, y, tau, x):
-    """Worst-coordinate KKT violation, one coordinate at a time."""
-    grad = 2.0 * (a.T @ (a @ x - y))
+def kkt_violation_loop(grad, tau, x):
+    """Worst-coordinate KKT violation at x of a fit with gradient grad, one
+    coordinate at a time."""
     worst = 0.0
-    for j in range(a.shape[1]):
+    for j in range(x.size):
         if x[j] != 0.0:
             worst = max(worst, abs(grad[j] + tau * np.sign(x[j])))
         else:
@@ -93,19 +107,18 @@ class TestConfig:
 
 class TestLasso:
     def test_zero_target_gives_zero(self, p3):
-        a = incidence_columns(p3, vertex_mask(3, [0, 1]))
-        upd = lasso_coordinate_descent(a, np.zeros(2), 1.0)
+        z = vertex_mask(3, [0, 1])
+        upd = lasso_coordinate_descent(restrict_laplacian(p3, z, z), np.zeros(2), 1.0)
         assert np.array_equal(upd.x, np.zeros(2))
         assert upd.support.size == 0
 
     def test_single_column_soft_threshold_closed_form(self, rng):
         g = random_connected_graph(6, 3, rng)
-        zeta = vertex_mask(g.n, [2])
-        a = incidence_columns(g, zeta)
-        col = a.toarray()[:, 0]
-        y = rng.normal(size=g.m)
+        col = dense_incidence(g)[:, 2]
+        y = rng.normal(size=g.edge_w.size)
         tau = 0.8
-        upd = lasso_coordinate_descent(a, y, tau, tol=1e-14)
+        gram, c, _ = gram_form(col[:, None], y)
+        upd = lasso_coordinate_descent(gram, c, tau, tol=1e-14)
         rho = float(col @ y)
         expect = np.sign(rho) * max(abs(rho) - tau / 2.0, 0.0) / float(col @ col)
         assert upd.x[0] == pytest.approx(expect, abs=1e-12)
@@ -114,12 +127,11 @@ class TestLasso:
         """Fixed-point check: no single-coordinate move on a 1e-4 grid
         improves the objective."""
         g = random_connected_graph(6, 4, rng)
-        zeta = vertex_mask(g.n, [0, 2, 3, 5])
-        a = incidence_columns(g, zeta)
-        ad = a.toarray()
-        y = rng.normal(size=g.m)
+        ad = dense_incidence(g)[:, vertex_mask(g.n, [0, 2, 3, 5])]
+        y = rng.normal(size=g.edge_w.size)
         tau = 0.6
-        upd = lasso_coordinate_descent(a, y, tau, tol=1e-14, max_sweeps=5000)
+        gram, c, _ = gram_form(ad, y)
+        upd = lasso_coordinate_descent(gram, c, tau, tol=1e-14, max_sweeps=5000)
 
         def objective(x):
             r = ad @ x - y
@@ -135,22 +147,18 @@ class TestLasso:
     def test_kkt_conditions_hold(self, rng):
         for _ in range(10):
             n = int(rng.integers(5, 20))
-            g = random_connected_graph(n, int(rng.integers(1, 8)), rng)
-            size = int(rng.integers(1, n))
-            zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
-            a = incidence_columns(g, zeta)
-            y = rng.normal(size=g.m)
+            a, y = random_design(rng, n, int(rng.integers(1, 8)), int(rng.integers(1, n)))
             tau = float(rng.uniform(0.2, 2.0))
-            upd = lasso_coordinate_descent(a, y, tau, tol=1e-13, max_sweeps=5000)
+            gram, c, _ = gram_form(a, y)
+            upd = lasso_coordinate_descent(gram, c, tau, tol=1e-13, max_sweeps=5000)
             assert upd.converged
-            assert lasso_kkt_violation(a, y, tau, upd.x) <= 1e-6
+            assert lasso_kkt_violation(gram, c, tau, upd.x) <= 1e-6
 
     def test_max_sweeps_flags_best_iterate(self, rng):
         g = random_connected_graph(30, 25, rng)
         zeta = vertex_mask(g.n, range(25))
-        a = incidence_columns(g, zeta)
-        y = rng.normal(size=g.m)
-        upd = lasso_coordinate_descent(a, y, 0.01, tol=1e-15, max_sweeps=1)
+        gram, c, _ = gram_form(dense_incidence(g)[:, zeta], rng.normal(size=g.edge_w.size))
+        upd = lasso_coordinate_descent(gram, c, 0.01, tol=1e-15, max_sweeps=1)
         assert not upd.converged
 
     @settings(max_examples=100, deadline=None)
@@ -161,86 +169,83 @@ class TestLasso:
     )
     def test_colour_classes_match_dense_cyclic_reference(self, seed, n, tau):
         rng = np.random.default_rng(seed)
-        g = random_connected_graph(n, int(rng.integers(0, 2 * n)), rng)
         size = int(rng.integers(1, n))
-        zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
-        a = incidence_columns(g, zeta)
-        y = rng.normal(size=g.m)
-        classes = _colour_classes(a)
+        a, y = random_design(rng, n, int(rng.integers(0, 2 * n)), size)
+        gram, c, _ = gram_form(a, y)
+        classes = _colour_classes(sp.csr_matrix(gram))
         assert sorted(np.concatenate(classes).tolist()) == list(range(size))
         for cols in classes:
-            rows = a[:, cols].indices
+            rows = np.nonzero(a[:, cols])[0]
             assert rows.size == np.unique(rows).size
-        upd = lasso_coordinate_descent(a, y, tau, tol=1e-15, max_sweeps=200000)
+        upd = lasso_coordinate_descent(gram, c, tau, tol=1e-15, max_sweeps=200000)
         assert upd.converged
-        assert lasso_kkt_violation(a, y, tau, upd.x) <= 1e-6
-        expect = dense_cyclic_cd(a.toarray(), y, tau)
+        assert lasso_kkt_violation(gram, c, tau, upd.x) <= 1e-6
+        expect = dense_cyclic_cd(a, y, tau)
         expect[np.abs(expect) < 1e-10] = 0.0
         assert np.max(np.abs(upd.x - expect)) <= 1e-8
 
     def test_fully_conflicting_columns_are_singleton_classes(self):
-        a = sp.csc_matrix(np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]))
-        classes = _colour_classes(a)
-        assert [c.tolist() for c in classes] == [[0], [1], [2]]
+        # every pair of columns has a nonzero inner product
+        a = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -2.0]])
         y = np.array([1.0, -2.0])
-        upd = lasso_coordinate_descent(a, y, 0.3, tol=1e-15, max_sweeps=100000)
-        expect = dense_cyclic_cd(a.toarray(), y, 0.3)
+        gram, c, _ = gram_form(a, y)
+        classes = _colour_classes(sp.csr_matrix(gram))
+        assert [c.tolist() for c in classes] == [[0], [1], [2]]
+        upd = lasso_coordinate_descent(gram, c, 0.3, tol=1e-15, max_sweeps=100000)
+        expect = dense_cyclic_cd(a, y, 0.3)
         assert np.max(np.abs(upd.x - expect)) <= 1e-8
 
     def test_kkt_violation_matches_loop_reference(self, rng):
         for _ in range(30):
             n = int(rng.integers(4, 20))
-            g = random_connected_graph(n, int(rng.integers(0, n)), rng)
             size = int(rng.integers(1, n))
-            zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
-            a = incidence_columns(g, zeta)
-            y = rng.normal(size=g.m)
+            a, y = random_design(rng, n, int(rng.integers(0, n)), size)
             x = rng.normal(size=size) * (rng.uniform(size=size) < 0.5)
             tau = float(rng.uniform(0.1, 2.0))
-            assert lasso_kkt_violation(a, y, tau, x) == kkt_violation_loop(
-                a, y, tau, x
-            )
+            gram, c, _ = gram_form(a, y)
+            grad = 2.0 * (gram @ x - c)
+            assert lasso_kkt_violation(gram, c, tau, x) == kkt_violation_loop(grad, tau, x)
 
     def test_tau_must_be_positive(self, p3):
-        a = incidence_columns(p3, vertex_mask(3, [1]))
+        z = vertex_mask(3, [1])
         with pytest.raises(InvalidArgumentError):
-            lasso_coordinate_descent(a, np.zeros(2), 0.0)
-
+            lasso_coordinate_descent(restrict_laplacian(p3, z, z), np.zeros(1), 0.0)
 
     def test_target_must_match_the_design_rows(self, p3):
-        a = incidence_columns(p3, vertex_mask(3, [1]))
-        with pytest.raises(InvalidArgumentError, match="does not match design rows"):
-            lasso_coordinate_descent(a, np.zeros(3), 1.0)
+        """The linear term has one entry per row (and column) of the Gram."""
+        z = vertex_mask(3, [1])
+        with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
+            lasso_coordinate_descent(restrict_laplacian(p3, z, z), np.zeros(3), 1.0)
+        with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
+            lasso_coordinate_descent(np.ones((1, 2)), np.zeros(1), 1.0)
+
 
 class TestL0Greedy:
     def test_huge_tau_empty_support(self, p3, rng):
-        a = incidence_columns(p3, vertex_mask(3, [0, 1, 2]))
-        y = rng.normal(size=p3.m)
-        upd = l0_greedy(a, y, 1e9)
+        a = dense_incidence(p3)
+        upd = l0_on_design(a, rng.normal(size=p3.edge_w.size), 1e9)
         assert upd.support.size == 0
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_tau_must_be_positive(self, p3, tau):
-        a = incidence_columns(p3, vertex_mask(3, [1]))
+        gram, c, energy = gram_form(dense_incidence(p3)[:, [1]], np.zeros(2))
         with pytest.raises(InvalidArgumentError, match="tau must be positive"):
-            l0_greedy(a, np.zeros(2), tau)
+            l0_greedy(gram, c, tau, energy)
 
     def test_target_must_match_the_design_rows(self, p3):
-        a = incidence_columns(p3, vertex_mask(3, [1]))
-        with pytest.raises(InvalidArgumentError, match="does not match design rows"):
-            l0_greedy(a, np.zeros(3), 1.0)
+        """The linear term has one entry per row (and column) of the Gram."""
+        gram, _, energy = gram_form(dense_incidence(p3)[:, [1]], np.zeros(2))
+        with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
+            l0_greedy(gram, np.zeros(3), 1.0, energy)
 
     def test_matches_exhaustive_enumeration(self, rng):
         for _ in range(10):
             n = int(rng.integers(6, 12))
-            g = random_connected_graph(n, int(rng.integers(1, 6)), rng)
+            extra = int(rng.integers(1, 6))
             size = int(rng.integers(2, min(9, n + 1)))
-            zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
-            a = incidence_columns(g, zeta)
-            ad = a.toarray()
-            y = rng.normal(size=g.m)
+            ad, y = random_design(rng, n, extra, size)
             tau = float(rng.uniform(0.3, 3.0))
-            upd = l0_greedy(a, y, tau)
+            upd = l0_on_design(ad, y, tau)
             got = float(np.sum((ad @ upd.x - y) ** 2)) + tau * upd.support.size
             best = exhaustive_l0_optimum(ad, y, tau)
             assert got <= 1.05 * best + 1e-9
@@ -250,14 +255,12 @@ class TestL0Greedy:
         whose individual gain clears tau."""
         a = np.diag([2.0, 1.0, 0.5])
         y = np.array([1.0, 1.0, 1.0])
-        import scipy.sparse as sp
-
         tau = 1.5
-        upd = l0_greedy(sp.csc_matrix(a), y, tau)
+        upd = l0_on_design(a, y, tau)
         # gains are (a_jj * y_j)^2 / a_jj^2 = y_j^2 = 1 < tau except none
         assert upd.support.size == 0
         tau = 0.8
-        upd = l0_greedy(sp.csc_matrix(a), y, tau)
+        upd = l0_on_design(a, y, tau)
         assert upd.support.tolist() == [0, 1, 2]
 
     def test_refits_are_memoised_per_search(self, rng, monkeypatch):
@@ -272,8 +275,9 @@ class TestL0Greedy:
 
         monkeypatch.setattr(bernoulli, "cg_solve", counting_cg_solve)
         g = random_connected_graph(10, 5, rng)
-        a = sp.csc_matrix(incidence_columns(g, vertex_mask(g.n, [1, 4, 6])))
-        search = _StepwiseSearch(a, rng.normal(size=g.m), 0.5)
+        a = dense_incidence(g)[:, vertex_mask(g.n, [1, 4, 6])]
+        gram, c, energy = gram_form(a, rng.normal(size=g.edge_w.size))
+        search = _StepwiseSearch(sp.csr_matrix(gram), c, 0.5, energy)
         s1, x1 = search.refit([2, 0])
         s2, x2 = search.refit([0, 2])
         assert len(calls) == 1
@@ -283,10 +287,8 @@ class TestL0Greedy:
         assert search.refit([2, 0])[0] == [0, 2]
 
     def test_zero_columns_never_enter_the_support(self):
-        import scipy.sparse as sp
-
         a = np.array([[2.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 0]])
-        upd = l0_greedy(sp.csc_matrix(a), np.array([1.0, 1.0, 0.5]), 0.5)
+        upd = l0_on_design(a, np.array([1.0, 1.0, 0.5]), 0.5)
         assert upd.support.tolist() == [0, 2]
         assert upd.x.tolist() == pytest.approx([0.5, 0.0, 1.0, 0.0], abs=1e-12)
 
@@ -305,7 +307,7 @@ class TestL0Greedy:
         eps = 10 ** rng.uniform(-8, -5)
         a = rng.standard_normal((40, 1)) + eps * rng.standard_normal((40, p))
         y = rng.standard_normal(40)
-        upd = l0_greedy(a, y, 1e-6)
+        upd = l0_on_design(a, y, 1e-6)
         r = a @ upd.x - y
         objective = float(r @ r) + 1e-6 * upd.support.size
         single = min(
@@ -372,7 +374,7 @@ class TestBernoulliDenoise:
             # rebuild the graph with a subset of edges listed head-first;
             # canonicalization restores a < b, so the stored operator is
             # identical and the estimate must be bitwise equal
-            flip = rng.uniform(size=g.m) < 0.5
+            flip = rng.uniform(size=g.edge_w.size) < 0.5
             g2 = Graph.from_edges(
                 n,
                 np.where(flip, g.edge_b, g.edge_a),
@@ -386,15 +388,11 @@ class TestBernoulliDenoise:
             bd = dense_incidence(g)
             bd_flipped = bd.copy()
             bd_flipped[flip.nonzero()[0]] *= -1.0
-            y = -(bd_flipped @ sig)
-            import scipy.sparse as sp
-
+            gram, c, energy = gram_form(bd_flipped[:, zeta], -(bd_flipped @ sig))
             if mode == "l1":
-                upd = lasso_coordinate_descent(
-                    sp.csc_matrix(bd_flipped[:, zeta]), y, 0.8, tol=1e-13
-                )
+                upd = lasso_coordinate_descent(gram, c, 0.8, tol=1e-13)
             else:
-                upd = l0_greedy(sp.csc_matrix(bd_flipped[:, zeta]), y, 0.8)
+                upd = l0_greedy(gram, c, 0.8, energy)
             ref = sig.copy()
             ref[zeta] += upd.x
             assert np.allclose(ref, base, atol=1e-9)
@@ -445,3 +443,54 @@ class TestNoTrust:
                 full += 1
                 assert abs(x.mean()) <= 1e-8
         assert full >= 1
+
+
+def dense_greedy_colouring(a):
+    """The colour classes of A's columns, greedy in index order, two
+    columns conflicting when they share a nonzero row."""
+    pattern = (a != 0.0).astype(int)
+    conflict = pattern.T @ pattern > 0
+    colour = []
+    for j in range(a.shape[1]):
+        taken = {colour[i] for i in range(j) if conflict[i, j]}
+        colour.append(min(set(range(j + 1)) - taken))
+    colour = np.array(colour)
+    return [np.flatnonzero(colour == c).tolist() for c in range(colour.max() + 1)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    tau=st.floats(0.05, 3.0),
+    data=st.data(),
+)
+def test_gram_form_meets_the_design_form_oracle(seed, n, tau, data):
+    """The dropout estimate in Gram form, L(zeta, zeta) and -(L g)(zeta),
+    checked against the design form ||B(:, zeta) x + B g||^2 built from the
+    dense incidence matrix B."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, int(rng.integers(0, 2 * n)), rng)
+    zeta = vertex_mask(n, rng.choice(n, size=data.draw(st.integers(1, n)), replace=False))
+    sig = rng.normal(0.0, 2.0, size=n)
+    b = dense_incidence(g)
+    a, y = b[:, zeta], -(b @ sig)
+
+    # the Gram's pattern colours the coordinates as the design's pattern does
+    classes = _colour_classes(restrict_laplacian(g, zeta, zeta))
+    assert [c.tolist() for c in classes] == dense_greedy_colouring(a)
+    for cols in classes:
+        rows = np.nonzero(a[:, cols])[0]
+        assert rows.size == np.unique(rows).size
+
+    # LASSO: the design-form KKT conditions hold at the estimate
+    x = bernoulli_denoise(sig, g, zeta, tau, "l1").signal[zeta] - sig[zeta]
+    assert kkt_violation_loop(2.0 * (a.T @ (a @ x - y)), tau, x) <= 1e-6
+
+    # l0: no worse than x = 0 nor than the best single column
+    x = bernoulli_denoise(sig, g, zeta, tau, "l0").signal[zeta] - sig[zeta]
+    r = a @ x - y
+    objective = float(r @ r) + tau * np.count_nonzero(x)
+    single = min(float(y @ y) - float(col @ y) ** 2 / float(col @ col) + tau for col in a.T)
+    assert objective <= float(y @ y) * (1 + 1e-9)
+    assert objective <= single * (1 + 1e-9)

@@ -416,6 +416,31 @@ class TestDenoiseCommand:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("mode", ["l1", "l0"])
+    def test_dropout_overflow_exit_3(self, tmp_path, capsys, mode):
+        """L g overflows: the dropout model fails numerically instead of
+        writing nan."""
+        src = tmp_path / "g.csv"
+        src.write_text("1\n1e308\n-1e308\n2\n")
+        out = tmp_path / "o.csv"
+        rc = main([
+            "denoise", "no-trust", "--tau", "1", "--mode", mode, "--graph", "grid", "1x4",
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 3
+        assert "dropout arithmetic failed: overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_knn_distance_overflow_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "g.csv"
+        src.write_text("0,7\n-1,1\n1e308,2.5\n")
+        rc = main([
+            "denoise", "gaussian", "--tau", "1", "--graph", "knn", "1",
+            "--input", str(src), "--output", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 3
+        assert "k-NN distance arithmetic failed: overflow" in capsys.readouterr().err
+
     def test_all_masked_interpolate_exit_2(self, tmp_path, rng, capsys):
         src = tmp_path / "g.csv"
         write_csv(src, rng.normal(size=(4, 1)))
@@ -772,6 +797,30 @@ class TestTextRule:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rows_are_newline_separated_lines(self, tmp_path, capsys):
+        """Only \\n ends a row: a \\x1c inside a line does not start one,
+        and a \\x0c is whitespace around a value."""
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        argv = ["denoise", "gaussian", "--tau", "0", "--input", str(src), "--output", str(out)]
+        src.write_bytes(b"1,2\n3,4\x1c5,6\n")
+        assert main(argv + ["--graph", "grid", "3x1"]) == 2
+        assert "at row 2, column 2" in capsys.readouterr().err
+        src.write_bytes(b"1,2\n3\x0c,4\n")
+        assert main(argv + ["--graph", "grid", "2x1"]) == 0
+        assert out.read_bytes() == b"1,2\n3,4\n"
+
+    def test_edge_list_lines_are_newline_separated(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_bytes(b"0 1\x1c1 2\n")
+        src = tmp_path / "g.csv"
+        write_csv(src, np.array([[0.0], [9.0], [2.0]]))
+        rc = main([
+            "denoise", "gaussian", "--tau", "0", "--graph", "edge-list", str(edges),
+            "--input", str(src), "--output", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 2
+        assert "line 1: expected 'a b [w]'" in capsys.readouterr().err
 
     def test_edge_list_with_bom(self, tmp_path):
         edges = tmp_path / "g.edges"

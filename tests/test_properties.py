@@ -61,7 +61,7 @@ def test_dropout_estimate_is_invariant_to_edge_orientation(seed, n, mode, p, dat
     zeta = _subset(rng, n, data.draw(st.integers(0, n - 1)))
     tau = dropout_penalty(p, 1.0)
     sig = rng.normal(size=n)
-    flip = rng.uniform(size=g.m) < 0.5
+    flip = rng.uniform(size=g.edge_w.size) < 0.5
     flipped = Graph.from_edges(
         n,
         np.where(flip, g.edge_b, g.edge_a),
