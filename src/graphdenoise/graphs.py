@@ -149,7 +149,12 @@ def build_grid_graph(height: int, width: int) -> Graph:
         raise InvalidArgumentError("grid dimensions must be positive")
     if height * width < 2:
         raise InvalidArgumentError("grid needs at least two vertices")
-    ids = np.arange(height * width, dtype=np.int64).reshape(height, width)
+    try:
+        ids = np.arange(height * width, dtype=np.int64).reshape(height, width)
+    except (ValueError, MemoryError):
+        raise InvalidArgumentError(
+            f"grid {height}x{width} has more vertices than can be allocated"
+        ) from None
     a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
     # canonical edge order, and a grid is connected: from_edges would pass it

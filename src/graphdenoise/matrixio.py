@@ -2,7 +2,8 @@
 
 Delimited files hold observations in rows and signals in columns; an
 optional single header row is preserved on write, and every value must be
-finite.  Numeric output uses the shortest representation that parses back
+finite.  Messages number rows as file lines, blank lines and the header
+included.  Numeric output uses the shortest representation that parses back
 to the same float, so a denoise-write-read round trip is exact.  PGM files
 (P2 ascii or P5 binary) are treated as a single grid signal whose pixels
 are integers in [0, maxval].  Every input file becomes text here, by one
@@ -13,6 +14,7 @@ header holding it writes back byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +36,8 @@ __all__ = [
 _ENCODING, _ERRORS = "utf-8-sig", "surrogateescape"
 # netpbm's magic number of a graymap: P2 (ascii) or P5 (binary), then whitespace
 _PGM_MAGIC = re.compile(rb"P([25])\s")
+# delimited rows parsed or written at once: bounds the Python objects alive
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,8 @@ class MatrixFile:
     header: tuple[str, ...] | None = None
     maxval: int = 255
     pgm_binary: bool = True
+    # the file line of each row of a delimited file's values
+    row_lines: np.ndarray | None = None
 
     @property
     def signals(self) -> np.ndarray:
@@ -88,54 +94,79 @@ def read_text(path) -> str:
     return _read_bytes(Path(path)).decode(_ENCODING, _ERRORS)
 
 
-def _parse_delimited(text: str, path: Path) -> MatrixFile:
-    # rows are the file's \n-separated lines; a \r before the \n is stripped
-    # with the other edge whitespace of the tokens
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
-    if not lines:
-        raise InvalidArgumentError(f"{path}: file holds no data")
-    delimiter = "," if "," in lines[0] else None
-    split = (lambda s: s.split(",")) if delimiter else (lambda s: s.split())
-
-    header = None
-    first = [t.strip() for t in split(lines[0])]
-    try:
-        for tok in first:
-            float(tok)
-    except ValueError:
-        header = tuple(first)
-    start = int(header is not None)
-    if start == len(lines):
-        raise InvalidArgumentError(f"{path}: header but no data rows")
-    rows = []
-    for i in range(start, len(lines)):
-        tokens = [t.strip() for t in split(lines[i])]
-        parsed = []
+def _raise_row_error(path: Path, numbers, rows, split, width: int) -> None:
+    """Raise the message of the first of ``rows`` (file lines ``numbers``)
+    with a token ``float()`` rejects or other than ``width`` fields."""
+    for line_no, line in zip(numbers, rows):
+        tokens = [t.strip() for t in split(line)]
         for j, tok in enumerate(tokens):
             try:
-                parsed.append(float(tok))
+                float(tok)
             except ValueError:
                 raise InvalidArgumentError(
-                    f"{path}: cannot parse {tok!r} at row {i + 1}, column {j + 1}"
+                    f"{path}: cannot parse {tok!r} at row {line_no}, column {j + 1}"
                 ) from None
-        if rows and len(parsed) != len(rows[0]):
+        if len(tokens) != width:
             raise InvalidArgumentError(
-                f"{path}: row {i + 1} has {len(parsed)} fields, expected {len(rows[0])}"
+                f"{path}: row {line_no} has {len(tokens)} fields, expected {width}"
             )
-        rows.append(parsed)
-    values = np.asarray(rows, dtype=np.float64)
+
+
+def _parse_delimited(text: str, path: Path) -> MatrixFile:
+    # rows are the file's \n-separated lines, numbered as file lines; a \r
+    # before the \n is stripped with the other edge whitespace of the tokens
+    lines = text.split("\n")
+    numbers = [k for k, ln in enumerate(lines, start=1) if ln.strip() != ""]
+    if not numbers:
+        raise InvalidArgumentError(f"{path}: file holds no data")
+    first_line = lines[numbers[0] - 1]
+    delimiter = "," if "," in first_line else None
+    split = (lambda s: s.split(",")) if delimiter else str.split
+
+    header = None
+    first = [t.strip() for t in split(first_line)]
+    try:
+        list(map(float, first))
+    except ValueError:
+        header = tuple(first)
+    numbers = numbers[header is not None :]
+    if not numbers:
+        raise InvalidArgumentError(f"{path}: header but no data rows")
+    rows = [lines[k - 1] for k in numbers]
+    width = len(split(rows[0]))
+    values = np.empty((len(rows), width))
+    # each chunk's tokens go through float() in one map; a chunk that fails
+    # is scanned token by token for the message
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[lo : lo + _CHUNK_ROWS]
+        if delimiter:
+            widths = [ln.count(",") + 1 for ln in chunk]
+            tokens = ",".join(chunk).split(",")
+        else:
+            split_rows = [ln.split() for ln in chunk]
+            widths = list(map(len, split_rows))
+            tokens = list(itertools.chain.from_iterable(split_rows))
+        try:
+            if widths.count(width) != len(chunk):
+                raise ValueError("ragged rows")
+            block = np.array(list(map(float, map(str.strip, tokens))))
+        except ValueError:
+            _raise_row_error(path, numbers[lo:], chunk, split, width)
+            raise
+        values[lo : lo + len(chunk)] = block.reshape(len(chunk), width)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
         raise InvalidArgumentError(
             f"{path}: non-finite value {float(values[i, j])} at row "
-            f"{start + i + 1}, column {j + 1}"
+            f"{numbers[i]}, column {j + 1}"
         )
     return MatrixFile(
         values=values,
         kind="delimited",
         delimiter=delimiter,
         header=header,
+        row_lines=np.asarray(numbers),
     )
 
 
@@ -216,12 +247,13 @@ def write_matrix(path, values: np.ndarray, like: MatrixFile) -> None:
         path.write_bytes(header + body)
         return
     sep = like.delimiter if like.delimiter else " "
-    out = []
-    if like.header is not None:
-        out.append(sep.join(like.header))
-    for row in values:
-        out.append(sep.join(format_float(v) for v in row))
-    path.write_bytes(("\n".join(out) + "\n").encode("utf-8", _ERRORS))
+    with path.open("wb") as fh:
+        if like.header is not None:
+            fh.write((sep.join(like.header) + "\n").encode("utf-8", _ERRORS))
+        for lo in range(0, values.shape[0], _CHUNK_ROWS):
+            # each entry's repr, less an integer's ".0", as format_float writes it
+            text = re.sub(r"\.0(?=[],])", "", str(values[lo : lo + _CHUNK_ROWS].tolist()))
+            fh.write((text[2:-2].replace("], [", "\n").replace(", ", sep) + "\n").encode())
 
 
 def select_columns(text: str, width: int) -> list[int]:
@@ -260,8 +292,7 @@ def read_mask(path, n: int) -> np.ndarray:
     bad = np.argwhere((mat != 0.0) & (mat != 1.0))
     if bad.size:
         i, j = bad[0]
-        # rows are counted as _parse_delimited counts them, header included
-        row = i + 1 + (mfile.header is not None)
+        row = i + 1 if mfile.row_lines is None else mfile.row_lines[i]
         raise InvalidArgumentError(
             f"mask {path}: entry {float(mat[i, j])!r} at row {row}, column "
             f"{j + 1} is not 0 or 1"

@@ -1,11 +1,13 @@
-"""Preconditioned conjugate-gradient solving for every SPD system.
+"""Preconditioned conjugate-gradient solving of the package's SPD systems.
 
 Every estimator in the package reduces to systems of the form
 (I + tau*L) x = b or to a principal Laplacian submatrix L(U, U) x = b; the
 l0 support search's normal equations G(S, S) x = c(S) are of the second
-kind, its Gram matrix being G = L(zeta, zeta).  All are assembled as sparse
+kind, its Gram matrix being G = L(zeta, zeta).  They are assembled as sparse
 CSR matrices and handed to :func:`cg_solve`, Jacobi (diagonal)
-preconditioned CG from x = 0.
+preconditioned CG from x = 0.  The one exception is (I + tau*L) x = b on a
+grid graph, which :func:`~graphdenoise.gaussian.denoise_gaussian` solves
+exactly by the 2-D DCT.
 """
 
 from __future__ import annotations

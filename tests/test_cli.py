@@ -3,11 +3,13 @@ import functools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphdenoise import build_grid_graph
 from graphdenoise.cli import main
 from graphdenoise.matrixio import format_float, read_matrix
 
@@ -52,6 +54,13 @@ def write_csv(path, values):
     path.write_text(
         "\n".join(",".join(format_float(v) for v in row) for row in values) + "\n"
     )
+
+
+def write_grid_edges(path, height, width):
+    """The edge list of the height x width grid: a graph with the grid's
+    Laplacian but no grid shape, so its Gaussian solve goes through CG."""
+    grid = build_grid_graph(height, width)
+    path.write_text("".join(f"{a} {b}\n" for a, b in zip(grid.edge_a, grid.edge_b)))
 
 
 class TestDenoiseCommand:
@@ -403,18 +412,75 @@ class TestDenoiseCommand:
     def test_numerical_failure_exit_code(self, tmp_path):
         # at tau = 1e16 round-off makes CG meet a direction of nonpositive
         # curvature in I + tau L
-        src = tmp_path / "g.csv"
+        src, edges = tmp_path / "g.csv", tmp_path / "g.edges"
         write_csv(src, np.random.default_rng(0).normal(size=(64, 1)))
+        write_grid_edges(edges, 8, 8)
         rc = main(
             [
                 "denoise", "gaussian",
-                "--graph", "grid", "8x8",
+                "--graph", "edge-list", str(edges),
                 "--input", str(src),
                 "--output", str(tmp_path / "o.csv"),
                 "--tau", "1e16",
             ]
         )
         assert rc == 3
+
+    def test_grid_tau_1e16_is_an_exact_solve(self, tmp_path):
+        """On a grid the DCT solve has no curvature to lose: the CG failure
+        above is a success matching a dense solve of the same system."""
+        g = np.random.default_rng(0).normal(size=64)
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        write_csv(src, g[:, None])
+        rc = main([
+            "denoise", "gaussian", "--graph", "grid", "8x8", "--tau", "1e16",
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 0
+        # (I + tau L) f = g is f = mean + u with (L + J/n + I/tau) u = (g - mean)/tau,
+        # a system whose condition does not grow with tau
+        lap = build_grid_graph(8, 8).laplacian.toarray()
+        mean = g.mean()
+        u = np.linalg.solve(lap + 1.0 / 64 + np.eye(64) / 1e16, (g - mean) / 1e16)
+        np.testing.assert_allclose(read_matrix(out).values[:, 0], mean + u, rtol=1e-12)
+
+    def test_grid_tau_overflowing_the_spectrum_returns_the_mean(self, tmp_path, capsys):
+        g = np.random.default_rng(0).normal(size=(12, 1)) + 3.0
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        write_csv(src, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "denoise", "gaussian", "--graph", "grid", "3x4", "--tau", "1e308",
+                "--input", str(src), "--output", str(out),
+            ])
+        assert rc == 0
+        assert "iterations=0 " in capsys.readouterr().err
+        np.testing.assert_allclose(read_matrix(out).values, g.mean(), rtol=1e-14)
+
+    def test_grid_solve_overflow_exit_3(self, tmp_path, capsys):
+        """The DCT of a column near the float range overflows: a numerical
+        failure, not a column of nan."""
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("1e308\n1e308\n-1e308\n1e308\n")
+        rc = main([
+            "denoise", "gaussian", "--graph", "grid", "2x2", "--tau", "1",
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 3
+        assert "grid DCT solve overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rows_are_numbered_by_file_line(self, tmp_path, capsys):
+        """A blank line is counted: the short row is the file's third line."""
+        src = tmp_path / "g.csv"
+        src.write_bytes(b"1,2\n\n3\n")
+        rc = main([
+            "denoise", "gaussian", "--graph", "grid", "2x1", "--tau", "1",
+            "--input", str(src), "--output", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 2
+        assert "row 3 has 1 fields, expected 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["l1", "l0"])
     def test_dropout_overflow_exit_3(self, tmp_path, capsys, mode):
@@ -577,11 +643,12 @@ class TestDenoiseCommand:
         capped = functools.partial(cg_solve, max_iter=1)
         monkeypatch.setattr(gaussian, "cg_solve", capped)
         g = rng.normal(size=(64, 1))
-        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src, out, edges = tmp_path / "g.csv", tmp_path / "o.csv", tmp_path / "g.edges"
         write_csv(src, g)
+        write_grid_edges(edges, 8, 8)
         argv = [
             "denoise", "gaussian",
-            "--graph", "grid", "8x8",
+            "--graph", "edge-list", str(edges),
             "--input", str(src),
             "--output", str(out),
             "--tau", "5",
@@ -1085,6 +1152,8 @@ class TestExperimentCommand:
         "old,new,named",
         [
             ("height = 3\n", "", "[graph] needs height"),
+            ("height = 3\n", "height = 9223372036854775808\n",
+             "grid 9223372036854775808x3 has more vertices than can be allocated"),
             ("count = 2", "count = many", "[signal] count"),
             ("levels = 0.5 1.0", "levels = low high", "[noise] levels"),
             # non-finite noise values are refused before any work
@@ -1129,8 +1198,8 @@ class TestExperimentCommand:
             ("[metrics]", "[DEFAULT]\ntau = 5\n\n[metrics]", "[DEFAULT]: unknown section"),
         ],
         ids=[
-            "grid-without-height", "count-many", "levels", "levels-inf", "levels-nan",
-            "fill-inf", "seed", "seed-negative", "noise-kind", "levels-empty",
+            "grid-without-height", "grid-height-2**63", "count-many", "levels", "levels-inf",
+            "levels-nan", "fill-inf", "seed", "seed-negative", "noise-kind", "levels-empty",
             "method-grid-empty", "metric", "graph-kind", "signal-source",
             "spread-inf", "spread-nan", "spread-1e308",
             "nonneg-ture", "mean-inf", "mean-nan", "kappa-inf", "count-0", "count-negative",

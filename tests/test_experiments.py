@@ -295,7 +295,13 @@ class TestRunner:
         from graphdenoise import cg_solve, gaussian
 
         path = tmp_path / "tiny.spec"
-        path.write_text(TINY_SPEC.replace("tau = estimate", "tau = 5"))
+        # a k-NN graph: a grid's Gaussian solve is the DCT, not CG
+        path.write_text(
+            TINY_SPEC.replace("tau = estimate", "tau = 5").replace(
+                "kind = grid\nheight = 4\nwidth = 4",
+                "kind = synthetic-clusters\nclusters = 2\npoints-per-cluster = 8\nknn = 10",
+            )
+        )
         spec = parse_experiment_spec(path)
         full = run_experiment(spec).rows
         monkeypatch.setattr(gaussian, "cg_solve", functools.partial(cg_solve, max_iter=1))

@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graphdenoise import Graph, InvalidArgumentError, build_grid_graph
+from graphdenoise import Graph, InvalidArgumentError, build_grid_graph, matrixio
 from graphdenoise.matrixio import (
     MatrixFile,
     format_float,
@@ -206,6 +207,12 @@ class TestReadMask:
         with pytest.raises(InvalidArgumentError, match="entry 7.0 at row 4, column 1"):
             read_mask(path, 3)
 
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_text("suspect\n\n0\n1\n\n7\n")
+        with pytest.raises(InvalidArgumentError, match="entry 7.0 at row 6, column 1"):
+            read_mask(path, 3)
+
     def test_entry_count_must_match(self, tmp_path):
         path = tmp_path / "mask.csv"
         path.write_text("0 1\n1 0\n")
@@ -245,3 +252,129 @@ def test_write_then_read_is_bitwise(values):
         back = read_matrix(path).values
     assert back.shape == values.shape
     assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+def reference_read(raw: bytes):
+    """What ``read_matrix`` makes of delimited bytes, by the simplest rule:
+    rows are the \\n-separated nonblank lines, a first row ``float`` refuses
+    is the header, and every other token is ``float(tok.strip())``.  Returns
+    (values, header), or the file line of the row that must be refused (0
+    when the whole file is)."""
+    text = raw.decode("utf-8-sig", "surrogateescape")
+    lines = [(k, ln) for k, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
+    if not lines:
+        return 0
+    sep = "," if "," in lines[0][1] else None
+
+    def parse(line):
+        return [float(tok.strip()) for tok in line.split(sep)]
+
+    header = None
+    try:
+        parse(lines[0][1])
+    except ValueError:
+        header = tuple(tok.strip() for tok in lines[0][1].split(sep))
+        lines = lines[1:]
+    if not lines:
+        return 0
+    rows = []
+    for k, line in lines:
+        try:
+            row = parse(line)
+        except ValueError:
+            return k
+        if rows and len(row) != len(rows[0]):
+            return k
+        rows.append(row)
+    for (k, _), row in zip(lines, rows):
+        if not all(np.isfinite(row)):
+            return k
+    return np.array(rows), header
+
+
+def check_against_reference(path: Path, raw: bytes):
+    path.write_bytes(raw)
+    expected = reference_read(raw)
+    if isinstance(expected, int):
+        message = "no data" if expected == 0 else rf"row {expected}\b"
+        with pytest.raises(InvalidArgumentError, match=message):
+            read_matrix(path)
+    else:
+        got = read_matrix(path)
+        assert got.header == expected[1]
+        assert got.values.shape == expected[0].shape
+        assert np.array_equal(got.values.view(np.int64), expected[0].view(np.int64))
+
+
+# tokens near the edges of float()'s grammar, and bytes near the line rule
+TOKENS = st.sampled_from(
+    ["1", "-2.5", "1e3", "1_0", "+0", "-0", "5e-324", "1e309", "nan", "inf", "x", "",
+     "0x1", "1__0", ".5", "1.", "١", "\udcff"]
+)
+PADDING = st.sampled_from(["", " ", "\t", "\r", "\x1c", "\f", " ", "\xa0"])
+NEWLINES = st.sampled_from(["\n", "\r\n", "\n\n", "\n \n", "\n\r\n"])
+
+
+@st.composite
+def delimited_bytes(draw):
+    sep = draw(st.sampled_from([",", " ", "\t", ", "]))
+    width = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 9))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(sep.join(["alpha", "beta", "gamma", "delta"][:width]))
+    for _ in range(n_rows):
+        # mostly full rows of plain numbers, so that many files parse
+        n = draw(st.integers(1, 5)) if draw(st.integers(0, 15)) == 0 else width
+        if draw(st.integers(0, 7)) == 0:
+            tokens = [draw(PADDING) + draw(TOKENS) + draw(PADDING) for _ in range(n)]
+        else:
+            tokens = [format_float(draw(ENTRIES)) + draw(PADDING) for _ in range(n)]
+        lines.append(sep.join(tokens))
+    text = "".join(line + draw(NEWLINES) for line in lines)
+    raw = text.encode("utf-8", "surrogateescape")
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=delimited_bytes(), chunk=st.sampled_from([1, 2, 3, 4096]))
+def test_read_matches_the_reference(raw, chunk):
+    """Values, header and the refused row agree with the reference, for
+    chunks smaller and larger than the file."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(matrixio, "_CHUNK_ROWS", chunk):
+        check_against_reference(Path(tmp) / "m.csv", raw)
+
+
+@pytest.mark.parametrize("n_rows", [4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("fault", [None, "x", "ragged", "nan"])
+def test_read_around_the_chunk_size(tmp_path, n_rows, fault):
+    """A fault in the last row, after full chunks, is found and numbered."""
+    rows = [f"{k},{k / 7!r}" for k in range(n_rows)]
+    rows[-1] = {None: rows[-1], "x": "1,x", "ragged": "1", "nan": "1,nan"}[fault]
+    check_against_reference(tmp_path / "m.csv", ("h,g\n\n" + "\n".join(rows)).encode())
+
+
+WRITTEN = st.one_of(
+    ENTRIES,
+    st.sampled_from([np.inf, -np.inf, 1e16, 2.0**53, -1e22, 1e300, 5e-324, -4e-320]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 4)), elements=WRITTEN),
+    delimiter=st.sampled_from([",", None]),
+    header=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 4096]),
+)
+def test_write_matches_format_float_per_entry(values, delimiter, header, chunk):
+    sep = delimiter or " "
+    names = tuple(f"c{j}" for j in range(values.shape[1])) if header else None
+    lines = ([sep.join(names)] if header else []) + [
+        sep.join(format_float(v) for v in row) for row in values
+    ]
+    like = MatrixFile(values, "delimited", delimiter=delimiter, header=names)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(matrixio, "_CHUNK_ROWS", chunk):
+        path = Path(tmp) / "m.csv"
+        write_matrix(path, values, like)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

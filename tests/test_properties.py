@@ -1,18 +1,19 @@
 """Structural properties of the estimators on random connected graphs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphdenoise import (
     Graph,
     bernoulli_denoise,
+    build_grid_graph,
     denoise_gaussian,
     dropout_penalty,
     harmonic_interpolate,
 )
 
-from conftest import random_connected_graph, vertex_mask
+from conftest import dense_laplacian, random_connected_graph, vertex_mask
 
 GRAPHS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
 
@@ -70,3 +71,25 @@ def test_dropout_estimate_is_invariant_to_edge_orientation(seed, n, mode, p, dat
     )
     base = bernoulli_denoise(sig, g, zeta, tau, mode).signal
     assert np.array_equal(base, bernoulli_denoise(sig, flipped, zeta, tau, mode).signal)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    height=st.integers(1, 9),
+    width=st.integers(1, 9),
+    tau=st.one_of(st.floats(0.0, 1e3), st.just(0.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_grid_solve_matches_the_dense_solve(height, width, tau, seed):
+    """On a grid, 1 x n included, the DCT solve is (I + tau L)^-1 g, keeps
+    the mean and reports no iterations."""
+    assume(height * width >= 2)
+    g = build_grid_graph(height, width)
+    rng = np.random.default_rng(seed)
+    sig = rng.normal(size=g.n) * rng.uniform(0.1, 10.0) + rng.normal()
+    res = denoise_gaussian(sig, g, tau)
+    dense = np.linalg.solve(np.eye(g.n) + tau * dense_laplacian(g), sig)
+    scale = 1.0 + np.abs(sig).max()
+    assert np.abs(res.signal - dense).max() <= 1e-10 * scale
+    assert abs(res.signal.mean() - sig.mean()) <= 1e-12 * scale
+    assert (res.iterations, res.trace.size, res.converged) == (0, 0, True)
