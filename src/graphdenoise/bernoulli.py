@@ -410,8 +410,14 @@ def bernoulli_denoise(
         return out
 
     with overflow_guard("dropout arithmetic"):
-        # a sparse product does not raise, so its overflow is checked here
-        linear = -(graph.laplacian @ g)[zeta]
+        # L g from the edge differences, which overflows only when a
+        # difference does (deg*g - A g can overflow for a constant g)
+        flow = graph.edge_w * (g[graph.edge_a] - g[graph.edge_b])
+        lg = np.bincount(graph.edge_a, flow, graph.n) - np.bincount(
+            graph.edge_b, flow, graph.n
+        )
+        linear = -lg[zeta]
+        # bincount's sums do not raise, so their overflow is checked here
         if not np.all(np.isfinite(linear)):
             raise FloatingPointError("overflow in L g")
         gram = restrict_laplacian(graph, zeta, zeta)

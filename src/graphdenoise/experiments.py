@@ -156,6 +156,16 @@ def pearson_correlation(f_true, f_est) -> float:
     return float(np.clip(np.dot(tc, ec) / (st * se), -1.0, 1.0))
 
 
+def _signal_rows(count: int, n: int, what: str) -> np.ndarray:
+    """Uninitialised rows for ``count`` signals on n vertices."""
+    try:
+        return np.empty((count, n))
+    except (ValueError, MemoryError):
+        raise InvalidArgumentError(
+            f"{what} = {count}: {count} signals of {n} values cannot be allocated"
+        ) from None
+
+
 def make_cluster_data(
     c: int,
     m: int,
@@ -192,11 +202,11 @@ def make_cluster_data(
     n = c * m
     labels = np.repeat(np.arange(c), m)
     base = np.linspace(-1.0, 1.0, c)
-    low = np.empty((n_signals, n))
+    low = _signal_rows(n_signals, n, "n_signals")
     for s in range(n_signals):
         vals = rng.permutation(base)
         low[s] = vals[labels]
-    high = np.empty((n_signals, n))
+    high = _signal_rows(n_signals, n, "n_signals")
     local = points - centers[labels]
     omega = np.empty(c)
     for i in range(c):
@@ -571,7 +581,7 @@ def _build_signals(
         kappa = value("kappa", _finite, 1.0)
         mean = value("mean", _finite, 0.0)
         rng = derive_rng(spec.seed, "signals")
-        signals = np.empty((count, graph.n))
+        signals = _signal_rows(count, graph.n, f"[{opts.name}] count")
         for j in range(count):
             signals[j] = sample_prior(
                 basis,

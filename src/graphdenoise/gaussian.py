@@ -25,6 +25,7 @@ from .graphs import (
 )
 from .result import DenoiseResult
 from .solvers import cg_solve
+from .spectral import grid_eigenvalues
 
 __all__ = [
     "denoise_gaussian",
@@ -43,17 +44,21 @@ def denoise_gaussian(
 
     The solve preserves the signal mean (the zero-frequency coefficient is
     passed through unchanged).  ``tau=0`` returns the observation; an
-    infinite tau returns the constant mean signal.  On a graph with a
-    ``grid_shape`` the solve is exact, by the 2-D DCT, and reports no
-    iterations; elsewhere it is :func:`cg_solve` to the relative residual
-    ``tol``, which applies to that path only.
+    infinite tau returns the constant mean signal, and so does, off a grid,
+    a tau whose product with the largest weighted degree overflows.  On a
+    graph with a ``grid_shape`` the solve is exact, by the 2-D DCT, and
+    reports no iterations; elsewhere it is :func:`cg_solve` to the relative
+    residual ``tol``, which applies to that path only.
     """
     g = as_signal(g_signal, graph.n)
     if tau < 0 or math.isnan(tau):
         raise InvalidArgumentError("tau must be nonnegative")
     if tau == 0.0:
         return DenoiseResult(signal=g.copy(), iterations=0)
-    if math.isinf(tau):
+    # an I + tau*L that overflows passes only the mean, as on a grid
+    if math.isinf(tau) or (
+        graph.grid_shape is None and math.isinf(tau * float(graph.degrees.max()))
+    ):
         mean = np.full(graph.n, g.mean())
         return DenoiseResult(signal=mean, iterations=0)
     if graph.grid_shape is not None:
@@ -64,17 +69,15 @@ def denoise_gaussian(
 
 def _grid_solve(g: np.ndarray, shape: tuple[int, int], tau: float) -> np.ndarray:
     """(I + tau*L) f = g on an h x w grid: the orthonormal 2-D DCT-II
-    diagonalises its Laplacian, with eigenvalue 4 sin^2(pi i/2h) +
-    4 sin^2(pi j/2w) at frequency (i, j)."""
+    diagonalises its Laplacian, with :func:`grid_eigenvalues` as the
+    spectrum."""
     # imported here: scipy.fft is slow to load and only grid solves use it
     from scipy.fft import dctn, idctn
 
     if not np.all(np.isfinite(g)):
         raise InvalidArgumentError("right-hand side must be finite")
     h, w = shape
-    lam = (4.0 * np.sin(np.pi * np.arange(h) / (2 * h)) ** 2)[:, None] + (
-        4.0 * np.sin(np.pi * np.arange(w) / (2 * w)) ** 2
-    )
+    lam = grid_eigenvalues(h, w)
     # a tau*lam that overflows is a gain of 0: only the mean passes
     with np.errstate(over="ignore"):
         gain = 1.0 / (1.0 + tau * lam)

@@ -1,7 +1,9 @@
 """Dense spectral reference path: eigenbasis, transforms, filters, prior.
 
 The eigendecomposition here is the testing/reference route; production
-denoising goes through the sparse solvers.  It is capped at
+denoising goes through the sparse solvers.  A grid graph's basis is built
+in closed form from the 2-D DCT-II, which diagonalises the grid Laplacian;
+any other graph's comes from a dense ``eigh``.  Both are capped at
 ``DEFAULT_EIG_CAP`` vertices because nothing in the package needs a full
 spectrum at scale.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, TooLargeError
+from .errors import InvalidArgumentError, TooLargeError, overflow_guard
 from .graphs import Graph, as_seed, as_signal
 
 __all__ = [
@@ -49,23 +51,77 @@ class SpectralBasis:
 def eigendecompose(g: Graph) -> SpectralBasis:
     """Full dense eigendecomposition of the Laplacian (reference path).
 
-    Refused with :class:`TooLargeError` above ``DEFAULT_EIG_CAP`` vertices.
+    Closed form on a graph with a ``grid_shape``, a dense ``eigh``
+    elsewhere.  Refused with :class:`TooLargeError` above
+    ``DEFAULT_EIG_CAP`` vertices.
     """
     if g.n > DEFAULT_EIG_CAP:
         raise TooLargeError(
             f"dense eigendecomposition refused for n={g.n} > cap={DEFAULT_EIG_CAP}; "
             "use the sparse solver path instead"
         )
-    lam, psi = np.linalg.eigh(g.laplacian.toarray())
-    lam = np.where(np.abs(lam) < 1e-12 * max(1.0, abs(lam[-1])), 0.0, lam)
+    if g.grid_shape is not None:
+        lam, psi = _grid_eigenpairs(*g.grid_shape)
+    else:
+        lam, psi = np.linalg.eigh(g.laplacian.toarray())
+        lam = np.where(np.abs(lam) < 1e-12 * max(1.0, abs(lam[-1])), 0.0, lam)
+        _fix_signs(psi)
     lam[0] = 0.0
-    # sign convention: largest-|entry| coordinate positive
-    pivot = np.argmax(np.abs(psi), axis=0)
-    signs = np.sign(psi[pivot, np.arange(g.n)])
-    signs[signs == 0] = 1.0
-    psi = psi * signs
     psi[:, 0] = 1.0 / math.sqrt(g.n)
     return SpectralBasis(lambdas=lam, psi=psi)
+
+
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Flip columns in place so each one's largest-|entry| coordinate,
+    the first of any tie, is positive."""
+    pivot = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    vectors *= signs
+
+
+def grid_eigenvalues(h: int, w: int) -> np.ndarray:
+    """The h x w grid Laplacian's eigenvalues 4 sin^2(pi i/2h) +
+    4 sin^2(pi j/2w), as an (h, w) array indexed by frequency (i, j)."""
+    return _path_eigenvalues(h)[:, None] + _path_eigenvalues(w)
+
+
+def _path_eigenvalues(n: int) -> np.ndarray:
+    return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+
+
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II vectors as sign-fixed columns: entry (r, i) is
+    s_i cos(pi i (2r + 1)/2n), the path Laplacian's i-th eigenvector."""
+    # each entry is +-cos(pi j/2n) for one table index j in [0, n], the
+    # angle reduced in integers, so entries equal in magnitude are bitwise
+    # equal and a product of two columns has its largest entry where both
+    # factors do
+    k = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+    k = np.minimum(k, 4 * n - k)  # cos(2 pi - x) = cos x
+    table = np.cos(np.pi * np.arange(n + 1) / (2 * n))
+    table[n] = 0.0
+    # cos(pi - x) = -cos x
+    basis = np.where(k > n, -1.0, 1.0) * table[np.minimum(k, 2 * n - k)]
+    basis *= math.sqrt(2.0 / n)
+    basis[:, 0] = math.sqrt(1.0 / n)
+    _fix_signs(basis)
+    return basis
+
+
+def _grid_eigenpairs(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending grid eigenvalues and their sign-fixed eigenvectors.
+
+    Vertex r*w + c of frequency (i, j) is u_i(r) v_j(c), the products of
+    the 1-D DCT-II vectors; ties, as in a square grid, keep the row-major
+    frequency order.
+    """
+    lam = grid_eigenvalues(h, w).ravel()
+    order = np.argsort(lam, kind="stable")
+    rows, cols = _dct_matrix(h)[:, order // w], _dct_matrix(w)[:, order % w]
+    psi = np.empty((h * w, h * w))
+    np.multiply(rows[:, None, :], cols[None, :, :], out=psi.reshape(h, w, h * w))
+    return lam[order], psi
 
 
 def gft(basis: SpectralBasis, f) -> np.ndarray:
@@ -109,9 +165,12 @@ def sample_prior(
     rng = np.random.default_rng(as_seed(rng_seed))
     coeffs = np.empty(basis.n)
     coeffs[0] = mean_coeff
-    std = np.sqrt(1.0 / (2.0 * kappa * basis.lambdas[1:]))
-    coeffs[1:] = rng.standard_normal(basis.n - 1) * std
-    return basis.psi @ coeffs
+    # a variance that overflows, or a 2*kappa*lambda that underflows to 0,
+    # has no draw
+    with overflow_guard("prior draw"), np.errstate(divide="raise"):
+        std = np.sqrt(1.0 / (2.0 * kappa * basis.lambdas[1:]))
+        coeffs[1:] = rng.standard_normal(basis.n - 1) * std
+        return basis.psi @ coeffs
 
 
 def map_error_covariance_diag(

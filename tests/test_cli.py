@@ -497,6 +497,38 @@ class TestDenoiseCommand:
         assert "dropout arithmetic failed: overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["l1", "l0"])
+    def test_dropout_constant_near_the_float_range_round_trips(self, tmp_path, mode):
+        """Every edge difference of a constant column is 0, so L g is 0 even
+        where deg * g overflows: nothing moves."""
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("1e+308\n" * 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "denoise", "no-trust", "--tau", "1", "--mode", mode, "--graph", "grid", "3x3",
+                "--input", str(src), "--output", str(out),
+            ])
+        assert rc == 0
+        assert out.read_bytes() == src.read_bytes()
+
+    def test_cg_tau_overflowing_the_operator_returns_the_mean(self, tmp_path, capsys):
+        """Off a grid, a tau whose product with the largest degree overflows
+        passes only the mean, as tau = inf and as the grid solve do."""
+        g = np.array([[1.0], [4.0], [2.0], [9.0]])
+        src, edges, out = tmp_path / "g.csv", tmp_path / "p.edges", tmp_path / "o.csv"
+        write_csv(src, g)
+        edges.write_text("0 1\n1 2\n2 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "denoise", "gaussian", "--graph", "edge-list", str(edges), "--tau", "1e308",
+                "--input", str(src), "--output", str(out),
+            ])
+        assert rc == 0
+        assert "iterations=0 " in capsys.readouterr().err
+        np.testing.assert_array_equal(read_matrix(out).values, np.full((4, 1), 4.0))
+
     def test_knn_distance_overflow_exit_3(self, tmp_path, capsys):
         src = tmp_path / "g.csv"
         src.write_text("0,7\n-1,1\n1e308,2.5\n")
@@ -1217,6 +1249,41 @@ class TestExperimentCommand:
         rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "o" / "table.csv").exists()
+
+    @pytest.mark.parametrize(
+        "graph,named",
+        [(GRID, "[signal] count = 9223372036854775808"),
+         (CLUSTERS + "1", "n_signals = 9223372036854775808")],
+        ids=["prior-sample", "clusters"],
+    )
+    def test_signal_count_beyond_allocation_exit_2(self, tmp_path, capsys, graph, named):
+        spec = tmp_path / "big.spec"
+        spec.write_text(
+            TINY_SPEC.replace(GRID, graph).replace("count = 2", "count = 9223372036854775808")
+        )
+        rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{named}: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "table.csv").exists()
+
+    @pytest.mark.parametrize(
+        "shape,kappa", [("height = 3\nwidth = 3", "1e-320"), ("height = 1\nwidth = 8", "5e-324")],
+        ids=["variance-overflows", "product-underflows"],
+    )
+    def test_prior_kappa_without_a_draw_exit_3(self, tmp_path, capsys, shape, kappa):
+        """A kappa so small that 1/(2 kappa lambda) overflows, or 2 kappa
+        lambda underflows to 0, leaves no prior to draw from."""
+        spec = tmp_path / "tiny-kappa.spec"
+        spec.write_text(
+            TINY_SPEC.replace("height = 3\nwidth = 3", shape)
+            .replace("kappa = 1.0", f"kappa = {kappa}")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "prior draw failed" in capsys.readouterr().err
         assert not (tmp_path / "o" / "table.csv").exists()
 
     def test_integer_method_parameters_are_read_as_written(self, tmp_path, caplog):

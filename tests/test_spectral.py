@@ -62,6 +62,56 @@ class TestEigendecompose:
             assert col[np.argmax(np.abs(col))] > 0
 
 
+GRID_SHAPES = [(1, 9), (9, 1), (6, 6), (4, 7), (7, 4)]
+
+
+class TestGridBasis:
+    """A grid's basis is the closed-form 2-D DCT one, checked against a
+    dense eigendecomposition of its Laplacian."""
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_eigenvalues_match_dense_eigh(self, shape):
+        g = build_grid_graph(*shape)
+        expect = np.linalg.eigvalsh(dense_laplacian(g))
+        lambdas = eigendecompose(g).lambdas
+        assert np.all(np.abs(lambdas - expect) <= 1e-12 * expect[-1])
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_orthonormal_and_diagonalizing(self, shape):
+        g = build_grid_graph(*shape)
+        basis = eigendecompose(g)
+        psi = basis.psi
+        assert np.abs(psi.T @ psi - np.eye(g.n)).max() <= 1e-10
+        diag = psi.T @ dense_laplacian(g) @ psi
+        assert np.abs(diag - np.diag(basis.lambdas)).max() <= 1e-10
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_order_signs_and_constant_column(self, shape):
+        g = build_grid_graph(*shape)
+        basis = eigendecompose(g)
+        assert np.all(np.diff(basis.lambdas) >= 0.0)
+        assert basis.lambdas[0] == 0.0 and basis.lambdas[1] > 0.0
+        assert np.all(basis.psi[:, 0] == 1.0 / np.sqrt(g.n))
+        pivot = np.argmax(np.abs(basis.psi), axis=0)
+        assert np.all(basis.psi[pivot, np.arange(g.n)] > 0.0)
+
+    def test_square_grid_has_repeated_eigenvalues(self):
+        # frequencies (i, j) and (j, i) share an eigenvalue exactly: the
+        # basis still diagonalises L within each eigenspace
+        lambdas = eigendecompose(build_grid_graph(6, 6)).lambdas
+        assert np.sum(np.diff(lambdas) == 0.0) >= 15
+
+    def test_needs_no_dense_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh called on a grid")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        basis = eigendecompose(build_grid_graph(5, 6))
+        assert basis.n == 30
+        with pytest.raises(AssertionError):
+            eigendecompose(random_connected_graph(8, 4, np.random.default_rng(0)))
+
+
 class TestTransforms:
     def test_constant_vector_coefficients(self, p3):
         basis = eigendecompose(p3)
