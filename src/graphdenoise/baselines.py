@@ -66,7 +66,7 @@ def nuclear_norm_denoise(g_signal, graph: Graph, tau: float) -> np.ndarray:
     """
     if graph.grid_shape is None:
         raise InvalidArgumentError("nuclear_norm_denoise needs a grid graph")
-    if tau < 0:
+    if not tau >= 0:
         raise InvalidArgumentError("tau must be nonnegative")
     mat = as_signal(g_signal, graph.n).reshape(graph.grid_shape)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)

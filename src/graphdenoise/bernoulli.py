@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError, overflow_guard
-from .graphs import Graph, as_mask, as_signal, dirichlet_energy, restrict_laplacian
+from .graphs import Graph, as_mask, as_signal, restrict_laplacian
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
@@ -382,6 +382,23 @@ def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
     return SparseUpdate.from_raw(x, search.moves, tuple(s) not in search.stopped_short)
 
 
+def _zeta_energy(graph: Graph, g: np.ndarray, zeta: np.ndarray):
+    """energy(x): the Dirichlet energy of g + x (x on zeta) over the edges
+    with an endpoint in zeta, the only ones x changes; it is the residual
+    ||A x - y||^2 of the regression on the nonzero rows of A = B(:, zeta)."""
+    near = zeta[graph.edge_a] | zeta[graph.edge_b]
+    a, b, w = graph.edge_a[near], graph.edge_b[near], graph.edge_w[near]
+    # entry -1 of x padded with a zero is the deviation outside zeta
+    slot = np.where(zeta, np.cumsum(zeta) - 1, -1)
+
+    def energy(x):
+        padded = np.append(x, 0.0)
+        diffs = (g[a] + padded[slot[a]]) - (g[b] + padded[slot[b]])
+        return float(np.dot(w * diffs, diffs))
+
+    return energy
+
+
 def bernoulli_denoise(
     g_signal, graph: Graph, zeta, tau: float, mode: str = "l1"
 ) -> DenoiseResult:
@@ -404,11 +421,6 @@ def bernoulli_denoise(
         trusted = ~zeta
         return harmonic_interpolate(graph, trusted, g[trusted])
 
-    def updated(x):
-        out = g.copy()
-        out[zeta] += x
-        return out
-
     with overflow_guard("dropout arithmetic"):
         # L g from the edge differences, which overflows only when a
         # difference does (deg*g - A g can overflow for a constant g)
@@ -424,10 +436,9 @@ def bernoulli_denoise(
         if mode == "l1":
             update = lasso_coordinate_descent(gram, linear, tau)
         else:
-            update = l0_greedy(
-                gram, linear, tau, lambda x: dirichlet_energy(graph, updated(x))
-            )
-        f = updated(update.x)
+            update = l0_greedy(gram, linear, tau, _zeta_energy(graph, g, zeta))
+        f = g.copy()
+        f[zeta] += update.x
         if not np.all(np.isfinite(f)):
             raise FloatingPointError("overflow in the estimate")
     return DenoiseResult(

@@ -50,7 +50,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-NOISE_KINDS = ("gaussian", "uniform-scale", "bernoulli-dropout", "salt-pepper")
+NOISE_KINDS = ("gaussian", "uniform-scale", "bernoulli-dropout")
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -78,12 +78,12 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
 def _check_noise_level(kind: str, level: float) -> float:
     """``level`` if it lies in the domain of the noise kind's parameter.
 
-    sigma (``gaussian``) is nonnegative and p (``bernoulli-dropout``,
-    ``salt-pepper``) lies in [0, 1]; ``uniform-scale`` takes any level.
+    sigma (``gaussian``) is nonnegative and p (``bernoulli-dropout``) lies
+    in [0, 1]; ``uniform-scale`` takes any level.
     """
     if kind == "gaussian" and not level >= 0:
         raise InvalidArgumentError(f"sigma must be nonnegative, got {level:g}")
-    if kind in ("bernoulli-dropout", "salt-pepper") and not 0.0 <= level <= 1.0:
+    if kind == "bernoulli-dropout" and not 0.0 <= level <= 1.0:
         raise InvalidArgumentError(f"p must be in [0, 1], got {level:g}")
     return level
 
@@ -94,15 +94,12 @@ def add_noise(
     level: float,
     rng: np.random.Generator,
     fill: float = 0.0,
-    lo: float = 0.0,
-    hi: float = 1.0,
 ) -> np.ndarray:
     """Corrupt a signal with draws from ``rng``.
 
     ``level`` is the standard deviation sigma for ``gaussian`` and the
-    corruption probability p for ``bernoulli-dropout`` and ``salt-pepper``;
-    ``uniform-scale`` ignores it.  Dropped entries take ``fill``, salt
-    entries ``hi`` and pepper entries ``lo``.
+    dropout probability p for ``bernoulli-dropout``, whose dropped entries
+    take ``fill``; ``uniform-scale`` ignores it.
     """
     if kind not in NOISE_KINDS:
         raise InvalidArgumentError(
@@ -118,13 +115,7 @@ def add_noise(
         return rng.uniform(0.0, 1.0, size=f.shape) * f
     out = f.copy()
     if level > 0.0:
-        hit = rng.uniform(size=f.shape) < level
-        if kind == "bernoulli-dropout":
-            out[hit] = fill
-        else:
-            salt = rng.uniform(size=f.shape) < 0.5
-            out[hit & salt] = hi
-            out[hit & ~salt] = lo
+        out[rng.uniform(size=f.shape) < level] = fill
     return out
 
 
@@ -406,9 +397,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     )
     if not levels:
         raise InvalidArgumentError("[noise] levels must be nonempty")
-    noise_opts = tuple(
-        (k, _spec_value(noise, k, _finite)) for k in ("fill", "lo", "hi") if k in noise
-    )
+    noise_opts = tuple((k, _spec_value(noise, k, _finite)) for k in ("fill",) if k in noise)
     noise.check_all_read()
     methods = []
     for section in parser.sections():

@@ -10,13 +10,14 @@ g'Lg and ||Lg||^2 by the method of moments.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateSignalError, InvalidArgumentError, NumericalFailureError
+from .errors import DegenerateSignalError, InvalidArgumentError, overflow_guard
 from .graphs import (
     Graph,
     as_signal,
@@ -40,51 +41,51 @@ def denoise_gaussian(
     tau: float,
     tol: float = 1e-10,
 ) -> DenoiseResult:
-    """Solve (I + tau*L) f = g; equivalent to filtering with 1/(1 + tau*lambda).
+    """Filter with 1/(1 + tau*lambda): the solution of (I + tau*L) f = g.
 
-    The solve preserves the signal mean (the zero-frequency coefficient is
-    passed through unchanged).  ``tau=0`` returns the observation; an
-    infinite tau returns the constant mean signal, and so does, off a grid,
-    a tau whose product with the largest weighted degree overflows.  On a
-    graph with a ``grid_shape`` the solve is exact, by the 2-D DCT, and
-    reports no iterations; elsewhere it is :func:`cg_solve` to the relative
-    residual ``tol``, which applies to that path only.
+    The filter keeps the mean m of g, so the system is posed once, for
+    every tau and graph, as f = m + u with (a*I + b*L) u = a*(g - m),
+    a = min(1, 1/tau) and b = min(1, tau): no coefficient exceeds 1, and on
+    mean-free signals the condition number does not grow with tau.  The
+    factor a scales the solution, not the right-hand side, which would
+    underflow.  A grid graph's solve is exact, by the 2-D DCT, with no
+    iterations; any other is :func:`cg_solve` to the relative residual
+    ``tol``.  ``tau=0`` returns the observation, an infinite tau the mean;
+    a mean or estimate that overflows is a :class:`NumericalFailureError`.
     """
     g = as_signal(g_signal, graph.n)
     if tau < 0 or math.isnan(tau):
         raise InvalidArgumentError("tau must be nonnegative")
     if tau == 0.0:
         return DenoiseResult(signal=g.copy(), iterations=0)
-    # an I + tau*L that overflows passes only the mean, as on a grid
-    if math.isinf(tau) or (
-        graph.grid_shape is None and math.isinf(tau * float(graph.degrees.max()))
-    ):
-        mean = np.full(graph.n, g.mean())
-        return DenoiseResult(signal=mean, iterations=0)
-    if graph.grid_shape is not None:
-        return DenoiseResult(signal=_grid_solve(g, graph.grid_shape, tau), iterations=0)
-    matrix = (sp.diags(np.ones(graph.n)) + tau * graph.laplacian).tocsr()
-    return cg_solve(matrix, g, tol=tol)
+    if not np.all(np.isfinite(g)):
+        raise InvalidArgumentError("the signal must be finite")
+    with overflow_guard("Gaussian filter"):
+        mean = g.mean()
+        if math.isinf(tau):
+            return DenoiseResult(signal=np.full(graph.n, mean), iterations=0)
+        a, b = min(1.0, 1.0 / tau), min(1.0, tau)
+        if graph.grid_shape is not None:
+            u = _grid_solve(g - mean, graph.grid_shape, a, b)
+            return DenoiseResult(signal=mean + u, iterations=0)
+        system = (sp.diags(np.full(graph.n, a)) + b * graph.laplacian).tocsr()
+        fit = cg_solve(system, g - mean, tol=tol)
+        return dataclasses.replace(fit, signal=mean + a * fit.signal)
 
 
-def _grid_solve(g: np.ndarray, shape: tuple[int, int], tau: float) -> np.ndarray:
-    """(I + tau*L) f = g on an h x w grid: the orthonormal 2-D DCT-II
+def _grid_solve(d: np.ndarray, shape: tuple[int, int], a: float, b: float):
+    """a*(a*I + b*L)^-1 d on an h x w grid: the orthonormal 2-D DCT-II
     diagonalises its Laplacian, with :func:`grid_eigenvalues` as the
-    spectrum."""
+    spectrum, so the solve is the gain a/(a + b*lambda) <= 1."""
     # imported here: scipy.fft is slow to load and only grid solves use it
     from scipy.fft import dctn, idctn
 
-    if not np.all(np.isfinite(g)):
-        raise InvalidArgumentError("right-hand side must be finite")
     h, w = shape
-    lam = grid_eigenvalues(h, w)
-    # a tau*lam that overflows is a gain of 0: only the mean passes
-    with np.errstate(over="ignore"):
-        gain = 1.0 / (1.0 + tau * lam)
-    f = idctn(gain * dctn(g.reshape(h, w), norm="ortho"), norm="ortho").ravel()
-    if not np.all(np.isfinite(f)):
-        raise NumericalFailureError("grid DCT solve overflowed")
-    return f
+    gain = a / (a + b * grid_eigenvalues(h, w))
+    u = idctn(gain * dctn(d.reshape(h, w), norm="ortho"), norm="ortho").ravel()
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("grid DCT solve overflowed")
+    return u
 
 
 def _tau_from_moments(m1: float, m2: float, graph: Graph) -> float:

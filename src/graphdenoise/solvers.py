@@ -1,13 +1,12 @@
 """Preconditioned conjugate-gradient solving of the package's SPD systems.
 
-Every estimator in the package reduces to systems of the form
-(I + tau*L) x = b or to a principal Laplacian submatrix L(U, U) x = b; the
-l0 support search's normal equations G(S, S) x = c(S) are of the second
-kind, its Gram matrix being G = L(zeta, zeta).  They are assembled as sparse
-CSR matrices and handed to :func:`cg_solve`, Jacobi (diagonal)
-preconditioned CG from x = 0.  The one exception is (I + tau*L) x = b on a
-grid graph, which :func:`~graphdenoise.gaussian.denoise_gaussian` solves
-exactly by the 2-D DCT.
+Every estimator in the package reduces to the Gaussian filter's scaled
+system (a*I + b*L) u = r or to a principal Laplacian submatrix
+L(U, U) x = r; the l0 support search's normal equations G(S, S) x = c(S)
+are of the second kind, its Gram matrix being G = L(zeta, zeta).  They are
+assembled as sparse CSR matrices and handed to :func:`cg_solve`, Jacobi
+(diagonal) preconditioned CG from x = 0; on a grid graph
+:func:`~graphdenoise.gaussian.denoise_gaussian` solves the first exactly.
 """
 
 from __future__ import annotations

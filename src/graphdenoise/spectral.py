@@ -181,9 +181,9 @@ def map_error_covariance_diag(
     Entry i >= 2 is sigma^2 / (2*kappa*sigma^2*lambda_i + 1); the mean
     frequency is exact, so entry 1 is zero.
     """
-    if kappa < 0:
+    if not kappa >= 0:
         raise InvalidArgumentError("kappa must be nonnegative")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise InvalidArgumentError("sigma2 must be nonnegative")
     out = np.zeros(basis.n)
     out[1:] = sigma2 / (2.0 * kappa * sigma2 * basis.lambdas[1:] + 1.0)

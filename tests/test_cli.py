@@ -409,26 +409,36 @@ class TestDenoiseCommand:
             err = capsys.readouterr().err
             assert ("image is 3x4 (height x width) but the graph is grid 4x3" in err) == (rc == 2)
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # at tau = 1e16 round-off makes CG meet a direction of nonpositive
-        # curvature in I + tau L
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        """Off a grid CG solves the scaled, mean-free system: tau = 1e16 is an
+        ordinary solve that agrees with the grid's exact one, and a column
+        whose mean overflows is a numerical failure."""
         src, edges = tmp_path / "g.csv", tmp_path / "g.edges"
         write_csv(src, np.random.default_rng(0).normal(size=(64, 1)))
         write_grid_edges(edges, 8, 8)
-        rc = main(
-            [
-                "denoise", "gaussian",
-                "--graph", "edge-list", str(edges),
-                "--input", str(src),
-                "--output", str(tmp_path / "o.csv"),
-                "--tau", "1e16",
-            ]
-        )
+        outs = []
+        for graph in (["edge-list", str(edges)], ["grid", "8x8"]):
+            outs.append(tmp_path / f"{graph[0]}.csv")
+            rc = main([
+                "denoise", "gaussian", "--graph", *graph, "--tau", "1e16",
+                "--input", str(src), "--output", str(outs[-1]),
+            ])
+            assert rc == 0
+        assert "unconverged" not in capsys.readouterr().err
+        via_cg, via_dct = (read_matrix(o).values for o in outs)
+        np.testing.assert_allclose(via_cg, via_dct, rtol=1e-12)
+        src.write_text("1e308\n" * 64)
+        rc = main([
+            "denoise", "gaussian", "--graph", "edge-list", str(edges), "--tau", "1",
+            "--input", str(src), "--output", str(tmp_path / "o.csv"),
+        ])
         assert rc == 3
+        assert "Gaussian filter failed: overflow" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_grid_tau_1e16_is_an_exact_solve(self, tmp_path):
-        """On a grid the DCT solve has no curvature to lose: the CG failure
-        above is a success matching a dense solve of the same system."""
+        """On a grid the DCT solve is exact: it matches a dense solve of the
+        same system."""
         g = np.random.default_rng(0).normal(size=64)
         src, out = tmp_path / "g.csv", tmp_path / "o.csv"
         write_csv(src, g[:, None])
@@ -462,7 +472,7 @@ class TestDenoiseCommand:
         """The DCT of a column near the float range overflows: a numerical
         failure, not a column of nan."""
         src, out = tmp_path / "g.csv", tmp_path / "o.csv"
-        src.write_text("1e308\n1e308\n-1e308\n1e308\n")
+        src.write_text("1.5e308\n-1.5e308\n-1.5e308\n1.5e308\n")
         rc = main([
             "denoise", "gaussian", "--graph", "grid", "2x2", "--tau", "1",
             "--input", str(src), "--output", str(out),
@@ -470,6 +480,20 @@ class TestDenoiseCommand:
         assert rc == 3
         assert "grid DCT solve overflowed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tau_1e200_on_a_weighted_graph_is_the_mean(self, tmp_path, capsys):
+        """A tau far beyond the Laplacian's scale leaves only the mean,
+        solved by CG and reported converged."""
+        src, edges, out = tmp_path / "g.csv", tmp_path / "g.edges", tmp_path / "o.csv"
+        write_csv(src, np.array([[3.0], [1.0], [4.0], [9.0], [1.0], [3.0]]))
+        edges.write_text("0 2 3\n0 4 2\n1 2 0.5\n1 5 0.5\n3 5 3\n4 5 1\n")
+        rc = main([
+            "denoise", "gaussian", "--graph", "edge-list", str(edges), "--tau", "1e200",
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 0
+        assert "unconverged" not in capsys.readouterr().err
+        np.testing.assert_allclose(read_matrix(out).values, 3.5, rtol=0, atol=1e-12)
 
     def test_rows_are_numbered_by_file_line(self, tmp_path, capsys):
         """A blank line is counted: the short row is the file's third line."""
@@ -512,9 +536,27 @@ class TestDenoiseCommand:
         assert rc == 0
         assert out.read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["l1", "l0"])
+    def test_dropout_edge_far_from_zeta_does_not_overflow(self, tmp_path, capsys, mode):
+        """Only the edges touching zeta enter the fit: a huge value two
+        vertices away from the one suspect is no overflow in either mode."""
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("0\n2\n3\n1e300\n5\n6\n7\n8\n9\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "denoise", "bernoulli", "--tau", "1", "--zeta", "zeros", "--mode", mode,
+                "--graph", "grid", "9x1", "--input", str(src), "--output", str(out),
+            ])
+        assert rc == 0
+        got = read_matrix(out).values[:, 0]
+        np.testing.assert_array_equal(got[1:], [2, 3, 1e300, 5, 6, 7, 8, 9])
+        assert 0.0 <= got[0] <= 2.0
+
     def test_cg_tau_overflowing_the_operator_returns_the_mean(self, tmp_path, capsys):
         """Off a grid, a tau whose product with the largest degree overflows
-        passes only the mean, as tau = inf and as the grid solve do."""
+        I + tau L passes only the mean, as tau = inf and as the grid solve
+        do: the scaled system has no coefficient above 1."""
         g = np.array([[1.0], [4.0], [2.0], [9.0]])
         src, edges, out = tmp_path / "g.csv", tmp_path / "p.edges", tmp_path / "o.csv"
         write_csv(src, g)
@@ -526,7 +568,7 @@ class TestDenoiseCommand:
                 "--input", str(src), "--output", str(out),
             ])
         assert rc == 0
-        assert "iterations=0 " in capsys.readouterr().err
+        assert "unconverged" not in capsys.readouterr().err
         np.testing.assert_array_equal(read_matrix(out).values, np.full((4, 1), 4.0))
 
     def test_knn_distance_overflow_exit_3(self, tmp_path, capsys):
@@ -687,10 +729,13 @@ class TestDenoiseCommand:
         ]
         assert main(argv) == 0
         assert "unconverged=1 " in capsys.readouterr().err
+        # tau = 5 poses (I/5 + L) v = g - mean and writes mean + v/5
         laplacian = build_grid_graph(8, 8).laplacian
-        best = capped((sp.identity(64) + 5.0 * laplacian).tocsr(), g[:, 0])
+        mean = g[:, 0].mean()
+        system = (sp.diags(np.full(64, 0.2)) + 1.0 * laplacian).tocsr()
+        best = capped(system, g[:, 0] - mean)
         assert best.iterations == 1 and not best.converged
-        assert np.array_equal(read_matrix(out).values[:, 0], best.signal)
+        assert np.array_equal(read_matrix(out).values[:, 0], mean + 0.2 * best.signal)
 
     def test_capped_interpolate_column_keeps_known_values(
         self, tmp_path, rng, monkeypatch, capsys
@@ -1342,3 +1387,18 @@ class TestExperimentCommand:
         good = [r for r in rows if r[0] == "local-average"]
         assert good and all(r[4] == "relative-error" for r in good)
         assert any(named in rec.getMessage() for rec in caplog.records)
+
+    def test_nan_nuclear_tau_is_an_error_row(self, tmp_path):
+        spec = tmp_path / "nan.spec"
+        spec.write_text(TINY_SPEC.split("[method.gaussian]")[0] + "[method.nuclear]\ntau = nan\n")
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+        assert rows and all(r[0] == "nuclear" and r[4] == "error" and r[5] == "nan" for r in rows)
+
+    def test_salt_pepper_is_an_unknown_noise_kind(self, tmp_path, capsys):
+        spec = tmp_path / "sp.spec"
+        spec.write_text(TINY_SPEC.replace("kind = gaussian", "kind = salt-pepper"))
+        rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "[noise] kind must be one of" in capsys.readouterr().err

@@ -74,14 +74,6 @@ class TestNoise:
         )
         assert np.all(out >= 0.0) and np.all(out <= f)
 
-    def test_salt_pepper_values(self, rng):
-        f = np.full(500, 0.5)
-        kind = "salt-pepper"
-        out = add_noise(f, kind, 0.5, rng=derive_rng(4, "noise", kind), lo=-1.0, hi=2.0)
-        changed = out != 0.5
-        assert changed.any()
-        assert set(np.unique(out[changed])) <= {-1.0, 2.0}
-
     def test_gaussian_moments_monte_carlo(self):
         n = 100_000
         f = np.zeros(n)
@@ -97,8 +89,6 @@ class TestNoise:
             add_noise(f, "gaussian", -1.0, rng)
         with pytest.raises(InvalidArgumentError):
             add_noise(f, "bernoulli-dropout", 1.5, rng)
-        with pytest.raises(InvalidArgumentError):
-            add_noise(f, "salt-pepper", 1.5, rng)
 
 
 class TestMetrics:
@@ -223,7 +213,6 @@ class TestSpecParsing:
         [
             ("gaussian", "0.5 -1"),
             ("bernoulli-dropout", "0.2 1.5"),
-            ("salt-pepper", "-0.1"),
         ],
     )
     def test_level_outside_the_noise_domain_named(self, tmp_path, kind, levels):

@@ -235,6 +235,11 @@ class TestErrorCovariance:
         with pytest.raises(InvalidArgumentError, match=message):
             map_error_covariance_diag(eigendecompose(p3), kappa, sigma2)
 
+    @pytest.mark.parametrize("kappa,sigma2", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_parameters_rejected(self, p3, kappa, sigma2):
+        with pytest.raises(InvalidArgumentError, match="must be nonnegative"):
+            map_error_covariance_diag(eigendecompose(p3), kappa, sigma2)
+
     def test_zero_kappa_gives_flat_noise(self, p3):
         basis = eigendecompose(p3)
         out = map_error_covariance_diag(basis, 0.0, 3.0)
