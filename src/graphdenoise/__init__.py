@@ -52,6 +52,7 @@ from .graphs import (
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
+    dirichlet_system,
     laplacian_squared_trace,
     laplacian_trace,
     restrict_laplacian,

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError, overflow_guard
-from .graphs import Graph, as_mask, as_signal, restrict_laplacian
+from .graphs import Graph, as_mask, as_signal, dirichlet_system
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
@@ -382,23 +382,6 @@ def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
     return SparseUpdate.from_raw(x, search.moves, tuple(s) not in search.stopped_short)
 
 
-def _zeta_energy(graph: Graph, g: np.ndarray, zeta: np.ndarray):
-    """energy(x): the Dirichlet energy of g + x (x on zeta) over the edges
-    with an endpoint in zeta, the only ones x changes; it is the residual
-    ||A x - y||^2 of the regression on the nonzero rows of A = B(:, zeta)."""
-    near = zeta[graph.edge_a] | zeta[graph.edge_b]
-    a, b, w = graph.edge_a[near], graph.edge_b[near], graph.edge_w[near]
-    # entry -1 of x padded with a zero is the deviation outside zeta
-    slot = np.where(zeta, np.cumsum(zeta) - 1, -1)
-
-    def energy(x):
-        padded = np.append(x, 0.0)
-        diffs = (g[a] + padded[slot[a]]) - (g[b] + padded[slot[b]])
-        return float(np.dot(w * diffs, diffs))
-
-    return energy
-
-
 def bernoulli_denoise(
     g_signal, graph: Graph, zeta, tau: float, mode: str = "l1"
 ) -> DenoiseResult:
@@ -422,21 +405,11 @@ def bernoulli_denoise(
         return harmonic_interpolate(graph, trusted, g[trusted])
 
     with overflow_guard("dropout arithmetic"):
-        # L g from the edge differences, which overflows only when a
-        # difference does (deg*g - A g can overflow for a constant g)
-        flow = graph.edge_w * (g[graph.edge_a] - g[graph.edge_b])
-        lg = np.bincount(graph.edge_a, flow, graph.n) - np.bincount(
-            graph.edge_b, flow, graph.n
-        )
-        linear = -lg[zeta]
-        # bincount's sums do not raise, so their overflow is checked here
-        if not np.all(np.isfinite(linear)):
-            raise FloatingPointError("overflow in L g")
-        gram = restrict_laplacian(graph, zeta, zeta)
+        gram, linear, energy = dirichlet_system(graph, g, zeta)
         if mode == "l1":
             update = lasso_coordinate_descent(gram, linear, tau)
         else:
-            update = l0_greedy(gram, linear, tau, _zeta_energy(graph, g, zeta))
+            update = l0_greedy(gram, linear, tau, energy)
         f = g.copy()
         f[zeta] += update.x
         if not np.all(np.isfinite(f)):

@@ -46,10 +46,9 @@ def denoise_gaussian(
     The filter keeps the mean m of g, so the system is posed once, for
     every tau and graph, as f = m + u with (a*I + b*L) u = a*(g - m),
     a = min(1, 1/tau) and b = min(1, tau): no coefficient exceeds 1, and on
-    mean-free signals the condition number does not grow with tau.  The
-    factor a scales the solution, not the right-hand side, which would
-    underflow.  A grid graph's solve is exact, by the 2-D DCT, with no
-    iterations; any other is :func:`cg_solve` to the relative residual
+    mean-free signals the condition number does not grow with tau.  A grid
+    graph's solve is exact, by the 2-D DCT, with no iterations; any other
+    is :func:`cg_solve`, which is scale-free, to the relative residual
     ``tol``.  ``tau=0`` returns the observation, an infinite tau the mean;
     a mean or estimate that overflows is a :class:`NumericalFailureError`.
     """
@@ -113,8 +112,8 @@ def estimate_tau(signals, graph: Graph) -> float:
     signals, so the estimate is consistent as k grows, and (sigma^2,
     1/(2*kappa)) is fitted to them with :func:`nonneg_moment_fit`: the
     exact 2x2 solve when both are nonnegative, the nearer boundary ray
-    otherwise.  Raises :class:`DegenerateSignalError` when every signal is
-    constant.
+    otherwise; it is scale-free.  Raises :class:`DegenerateSignalError`
+    when every signal is constant.
     """
     given = np.asarray(signals, dtype=np.float64)
     arr = given[None, :] if given.ndim == 1 else given
@@ -126,6 +125,8 @@ def estimate_tau(signals, graph: Graph) -> float:
     k = arr.shape[0]
     if k == 0:
         raise InvalidArgumentError("need at least one signal")
+    # tau is invariant under g -> s*g, and a power of two scales exactly
+    arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
     lg = graph.laplacian @ arr.T
     m1_bar, m2_bar = float(np.vdot(arr.T, lg)) / k, float(np.vdot(lg, lg)) / k
     # rounding can leave ||Lg||^2 nonzero for a constant signal

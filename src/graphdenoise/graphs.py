@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphDisconnectedError, InvalidArgumentError, overflow_guard
 
@@ -23,6 +22,7 @@ __all__ = [
     "build_grid_graph",
     "build_knn_graph",
     "dirichlet_energy",
+    "dirichlet_system",
     "laplacian_trace",
     "laplacian_squared_trace",
     "restrict_laplacian",
@@ -117,6 +117,9 @@ class Graph:
                 raise InvalidArgumentError(
                     f"duplicate edge ({lo[k]}, {hi[k]})"
                 )
+        # imported here: it loads scipy.sparse.linalg, and grids skip this
+        from scipy.sparse.csgraph import connected_components
+
         g = cls(n=n, edge_a=lo, edge_b=hi, edge_w=w)
         ncomp, labels = connected_components(g.csr_adjacency, directed=False)
         if ncomp != 1:
@@ -272,8 +275,32 @@ def laplacian_squared_trace(g: Graph) -> float:
     return float(np.dot(g.degrees, g.degrees) + 2.0 * w2.sum())
 
 
-def restrict_laplacian(g: Graph, rows, cols) -> sp.csr_matrix:
-    """The submatrix L(rows, cols) of two vertex masks, in vertex order."""
-    r = np.flatnonzero(as_mask(rows, g.n))
-    c = np.flatnonzero(as_mask(cols, g.n))
-    return g.laplacian[r][:, c].tocsr()
+def restrict_laplacian(g: Graph, mask) -> sp.csr_matrix:
+    """The principal submatrix L(U, U) of a vertex mask U, in vertex order."""
+    u = np.flatnonzero(as_mask(mask, g.n))
+    return g.laplacian[u][:, u].tocsr()
+
+
+def dirichlet_system(g: Graph, f, unknown):
+    """The energy of f + x, x a deviation on the vertex mask U, as
+    x'L(U, U)x - 2c'x + const: returns L(U, U), c = -(L f)(U) and energy(x),
+    the energy of f + x over the edges with an endpoint in U, the only ones
+    read.  L f sums their flows w(a,b) (f(a) - f(b)), which overflow only
+    where a flow does; a non-finite c raises ``FloatingPointError``, so run
+    it under :func:`~graphdenoise.errors.overflow_guard`."""
+    f = as_signal(f, g.n)
+    unknown = as_mask(unknown, g.n)
+    near = unknown[g.edge_a] | unknown[g.edge_b]
+    a, b, w = g.edge_a[near], g.edge_b[near], g.edge_w[near]
+    flow = w * (f[a] - f[b])
+    linear = -(np.bincount(a, flow, g.n) - np.bincount(b, flow, g.n))[unknown]
+    if not np.all(np.isfinite(linear)):
+        raise FloatingPointError("overflow in L f")
+    slot = np.where(unknown, np.cumsum(unknown) - 1, -1)  # -1: x's appended 0
+
+    def energy(x):
+        padded = np.append(x, 0.0)
+        diffs = (f[a] + padded[slot[a]]) - (f[b] + padded[slot[b]])
+        return float(np.dot(w * diffs, diffs))
+
+    return restrict_laplacian(g, unknown), linear, energy

@@ -2,10 +2,10 @@
 
 Every estimator in the package reduces to the Gaussian filter's scaled
 system (a*I + b*L) u = r or to a principal Laplacian submatrix
-L(U, U) x = r; the l0 support search's normal equations G(S, S) x = c(S)
-are of the second kind, its Gram matrix being G = L(zeta, zeta).  They are
-assembled as sparse CSR matrices and handed to :func:`cg_solve`, Jacobi
-(diagonal) preconditioned CG from x = 0; on a grid graph
+L(U, U) x = r, posed by :func:`~graphdenoise.graphs.dirichlet_system`;
+the l0 support search's normal equations G(S, S) x = c(S) are of the
+second kind, G being L(zeta, zeta).  They are handed to :func:`cg_solve`,
+scale-free Jacobi-preconditioned CG from x = 0; on a grid graph
 :func:`~graphdenoise.gaussian.denoise_gaussian` solves the first exactly.
 """
 
@@ -20,8 +20,9 @@ from .errors import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
     NumericalFailureError,
+    overflow_guard,
 )
-from .graphs import Graph, as_mask, restrict_laplacian
+from .graphs import Graph, as_mask, dirichlet_system
 from .result import DenoiseResult
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
@@ -35,10 +36,13 @@ def cg_solve(
 ) -> DenoiseResult:
     """Solve matrix x = b for a symmetric positive definite CSR matrix.
 
-    Stops at a relative residual of ``tol``; the result's ``trace`` holds
-    the relative residual after each iteration.  If the tolerance is not
-    met within ``max_iter`` (default 10n) iterations, the best iterate is
-    returned with ``converged=False``.  Raises
+    CG is exactly equivariant under a power of two, so b is scaled by one
+    to max|b| in [1/2, 1), and x back: the result is scale-free and bitwise
+    the unscaled solve's wherever that stays in range.  Stops at a relative
+    residual of ``tol``; the result's ``trace`` holds the relative residual
+    after each iteration.  If the tolerance is not met within ``max_iter``
+    (default 10n) iterations, the best iterate is returned with
+    ``converged=False``.  Raises
     :class:`NotPositiveDefiniteError` on a nonpositive diagonal entry or a
     direction of nonpositive curvature, :class:`NumericalFailureError` on
     NaN/Inf and :class:`InvalidArgumentError` on a non-finite right-hand
@@ -61,6 +65,8 @@ def cg_solve(
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (diagonal minimum {diag.min():.3e})"
         )
+    exp = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    b = np.ldexp(b, -exp)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return DenoiseResult(signal=np.zeros_like(b), iterations=0)
@@ -104,7 +110,7 @@ def cg_solve(
         p = z + beta * p
     # at convergence the last iterate is the best one
     return DenoiseResult(
-        signal=best_x,
+        signal=np.ldexp(best_x, exp),
         iterations=k,
         trace=np.asarray(history),
         converged=relres <= tol,
@@ -123,8 +129,8 @@ def harmonic_interpolate(
     in ascending vertex order (``signal[known]``).  On the rest every output
     value is the degree-weighted average of its neighbors, so the result
     obeys the maximum principle.  Returns the :func:`cg_solve` result of the
-    L(U, U) solve on the unknown set U, with the full-length signal.  An
-    empty known set is an :class:`InvalidArgumentError`.
+    :func:`dirichlet_system` of the unknown set, with the full-length signal.
+    An empty known set is an :class:`InvalidArgumentError`.
     """
     known = as_mask(known, graph.n)
     n_known = int(np.count_nonzero(known))
@@ -135,14 +141,11 @@ def harmonic_interpolate(
         raise InvalidArgumentError(
             f"expected {n_known} observed values, got shape {obs.shape}"
         )
-    out = np.empty(graph.n)
+    out = np.zeros(graph.n)
     out[known] = obs
     unknown = ~known
-    if not unknown.any():
-        return DenoiseResult(signal=out, iterations=0)
-    # L(U,U) x = -L(U,K) obs; the negation goes on obs so that an unknown
-    # vertex with no known neighbor gets +0, not -0
-    rhs = restrict_laplacian(graph, unknown, known) @ -obs
-    fit = cg_solve(restrict_laplacian(graph, unknown, unknown), rhs, tol=tol)
+    with overflow_guard("harmonic interpolation"):
+        system, rhs, _ = dirichlet_system(graph, out, unknown)
+        fit = cg_solve(system, rhs, tol=tol)
     out[unknown] = fit.signal
     return dataclasses.replace(fit, signal=out)

@@ -108,7 +108,7 @@ class TestConfig:
 class TestLasso:
     def test_zero_target_gives_zero(self, p3):
         z = vertex_mask(3, [0, 1])
-        upd = lasso_coordinate_descent(restrict_laplacian(p3, z, z), np.zeros(2), 1.0)
+        upd = lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros(2), 1.0)
         assert np.array_equal(upd.x, np.zeros(2))
         assert upd.support.size == 0
 
@@ -209,13 +209,13 @@ class TestLasso:
     def test_tau_must_be_positive(self, p3):
         z = vertex_mask(3, [1])
         with pytest.raises(InvalidArgumentError):
-            lasso_coordinate_descent(restrict_laplacian(p3, z, z), np.zeros(1), 0.0)
+            lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros(1), 0.0)
 
     def test_target_must_match_the_design_rows(self, p3):
         """The linear term has one entry per row (and column) of the Gram."""
         z = vertex_mask(3, [1])
         with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
-            lasso_coordinate_descent(restrict_laplacian(p3, z, z), np.zeros(3), 1.0)
+            lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros(3), 1.0)
         with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
             lasso_coordinate_descent(np.ones((1, 2)), np.zeros(1), 1.0)
 
@@ -477,7 +477,7 @@ def test_gram_form_meets_the_design_form_oracle(seed, n, tau, data):
     a, y = b[:, zeta], -(b @ sig)
 
     # the Gram's pattern colours the coordinates as the design's pattern does
-    classes = _colour_classes(restrict_laplacian(g, zeta, zeta))
+    classes = _colour_classes(restrict_laplacian(g, zeta))
     assert [c.tolist() for c in classes] == dense_greedy_colouring(a)
     for cols in classes:
         rows = np.nonzero(a[:, cols])[0]

@@ -874,6 +874,116 @@ class TestDenoiseCommand:
         assert len(shown) == 9 and shown[-1] == "..."
         assert "(10 columns)" in err
 
+
+class TestScaleFreeSolves:
+    """The dropout systems are posed over the edges that touch the unknown
+    set, and CG solves them at any scale of their right-hand side."""
+
+    def run(self, tmp_path, capsys, model, graph, column, mask=None, *opts):
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("".join(f"{v}\n" for v in column))
+        argv = ["denoise", model, "--graph", *graph, "--input", str(src),
+                "--output", str(out), *opts]
+        if mask is not None:
+            (tmp_path / "m.csv").write_text("".join(f"{v}\n" for v in mask))
+            argv += ["--zeta", str(tmp_path / "m.csv")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        return rc, err, read_matrix(out).values.ravel() if rc == 0 else None
+
+    @pytest.mark.parametrize(
+        "column, mask, expect",
+        [
+            # unscaled, a norm overflowed: 0, 0 was written with unconverged=1
+            ([1e200, 0, 0, -1e200], [0, 1, 1, 0], [1e200 / 3, -1e200 / 3]),
+            # unscaled, an inner product overflowed: 0 was written, unconverged
+            ([1.5e308, -1.5e308, 0, 5], [0, 0, 1, 0], [-7.5e307]),
+            # unscaled, the inner products underflowed: 6.5e-162, 2.5e-162
+            ([1e-161, 0, 0, 0, 0, -1e-161], [0, 1, 1, 1, 1, 0],
+             [6e-162, 2e-162, -2e-162, -6e-162]),
+            ([1e-162, 0, 0, 0, 0, -1e-162], [0, 1, 1, 1, 1, 0],
+             [6e-163, 2e-163, -2e-163, -6e-163]),
+        ],
+    )
+    def test_interpolate_far_from_unit_scale(self, tmp_path, capsys, column, mask, expect):
+        graph = ["grid", f"1x{len(column)}"]
+        rc, err, got = self.run(tmp_path, capsys, "interpolate", graph, column, mask)
+        assert rc == 0 and "unconverged" not in err
+        unknown = np.array(mask, dtype=bool)
+        np.testing.assert_allclose(got[unknown], expect, rtol=1e-12)
+        assert np.array_equal(got[~unknown], np.array(column, dtype=float)[~unknown])
+
+    def test_gaussian_cg_on_a_tiny_column(self, tmp_path, capsys):
+        """Unscaled, the norm underflowed and the mean was written with
+        iterations=0."""
+        (tmp_path / "c4").write_text("0 1\n1 2\n2 3\n3 0\n")
+        column = np.array([5e-171, 1e-170, 0.0, -3e-170])
+        graph = ["edge-list", str(tmp_path / "c4")]
+        rc, err, got = self.run(
+            tmp_path, capsys, "gaussian", graph, column, None, "--tau", "1"
+        )
+        assert rc == 0 and "unconverged" not in err
+        lap = 2.0 * np.eye(4) - np.roll(np.eye(4), 1, axis=1) - np.roll(np.eye(4), -1, axis=1)
+        dense = np.linalg.solve(np.eye(4) + lap, column * 1e170) / 1e170
+        np.testing.assert_allclose(got, dense, rtol=1e-10)
+
+    @pytest.mark.parametrize("opts", [("interpolate",), ("bernoulli", "--p", "0.7")])
+    def test_refill_overflow_exit_3(self, tmp_path, capsys, opts):
+        """-(L g)(U) overflows: the refill fails numerically (it exited 2),
+        as ``bernoulli --tau 0.5`` does on the same input."""
+        rc, err, _ = self.run(
+            tmp_path, capsys, opts[0], ["grid", "1x3"], [1.5e308, 0, 1.5e308], [0, 1, 0],
+            *opts[1:],
+        )
+        assert rc == 3
+        assert "failed: overflow" in err
+
+    @pytest.mark.parametrize("mode, expect", [("l1", 2.875), ("l0", 3.0)])
+    def test_overflow_far_from_zeta_is_not_read(self, tmp_path, capsys, mode, expect):
+        """Edge (0, 1) overflows but has no endpoint in zeta, so it is not
+        read (reading it exited 3)."""
+        column = [1.5e308, -1.5e308, 1, 0, 5]
+        rc, err, got = self.run(
+            tmp_path, capsys, "bernoulli", ["grid", "1x5"], column, [0, 0, 0, 1, 0],
+            "--tau", "0.5", "--mode", mode,
+        )
+        assert rc == 0 and "unconverged" not in err
+        assert got[3] == pytest.approx(expect, rel=1e-12)
+        assert np.array_equal(np.delete(got, 3), np.delete(np.array(column, float), 3))
+
+    def test_estimate_tau_is_scale_free(self, tmp_path, capsys):
+        """Unscaled moments exited 2 at 2^700 (they overflow) and at 2^-600
+        (they underflow to zero, "all signals constant")."""
+        column = np.array([
+            0.374, 0.705, 0.521, 0.304, 0.452, 0.21, 0.542, 0.397, 0.44, 0.36,
+            -0.302, 0.233, -0.472, -0.432, -0.163, 0.256, 0.57, -0.788, -0.047,
+            -0.02, 0.501, -0.076, -0.548, -0.703, -0.818, -0.732, -0.309, 0.282,
+            0.041, -0.141, -0.199, -0.133, -0.298, 0.837, -0.332, -0.114,
+        ])
+        shown = []
+        for k in (0, 700, -600):
+            rc, err, _ = self.run(
+                tmp_path, capsys, "gaussian", ["grid", "6x6"],
+                [format_float(v) for v in np.ldexp(column, k)], None, "--estimate-tau",
+            )
+            assert rc == 0
+            shown.append(err.split("tau_hat=", 1)[1].split()[0])
+        assert shown == ["1.21879"] * 3
+
+    def test_import_loads_no_lazily_imported_scipy_module(self):
+        """scipy.sparse.csgraph, scipy.spatial and scipy.fft are imported by
+        the functions that use them, not when the CLI loads."""
+        code = (
+            "import sys, graphdenoise.cli; "
+            "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.spatial', "
+            "'scipy.fft') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
 class TestTextRule:
     """Every input file is UTF-8 after an optional byte-order mark; other
     bytes reach the parser's messages, and a header writes back byte for

@@ -11,6 +11,7 @@ from graphdenoise import (
     build_grid_graph,
     build_knn_graph,
     dirichlet_energy,
+    dirichlet_system,
     laplacian_squared_trace,
     laplacian_trace,
     restrict_laplacian,
@@ -333,29 +334,29 @@ class TestSetsAndRestrictions:
     def test_full_restriction_is_whole_operator(self, p3):
         v = np.ones(3, dtype=bool)
         assert np.allclose(
-            restrict_laplacian(p3, v, v).toarray(), dense_laplacian(p3)
+            restrict_laplacian(p3, v).toarray(), dense_laplacian(p3)
         )
 
     def test_p3_scalar_restriction(self, p3):
         s = vertex_mask(3, [1])
-        assert np.allclose(restrict_laplacian(p3, s, s).toarray(), [[2.0]])
+        assert np.allclose(restrict_laplacian(p3, s).toarray(), [[2.0]])
 
     def test_p3_adjacency_restriction_apply(self, p3):
-        rows = vertex_mask(3, [1])
-        cols = vertex_mask(3, [0, 2])
-        # L(U,K) is -A(U,K) off the diagonal: the harmonic right-hand side
-        out = restrict_laplacian(p3, rows, cols) @ -np.array([1.0, 1.0])
-        assert out == pytest.approx([2.0])
+        """dirichlet_system's linear term -(L f)(U) with f = 0 on U is the
+        harmonic right-hand side A(U, K) f(K)."""
+        u = vertex_mask(3, [1])
+        f = np.array([1.0, 0.0, 1.0])
+        gram, linear, energy = dirichlet_system(p3, f, u)
+        assert np.array_equal(gram.toarray(), [[2.0]])
+        assert linear == pytest.approx([2.0])
+        assert energy(np.array([1.0])) == 0.0
+        assert energy(np.array([0.0])) == dirichlet_energy(p3, f)
 
     def test_restrictions_match_dense_slices(self, rng):
         g = random_connected_graph(14, 7, rng)
-        rows = vertex_mask(g.n, [0, 3, 5, 9])
-        cols = vertex_mask(g.n, [1, 2, 5, 13])
+        u = vertex_mask(g.n, [0, 3, 5, 9, 13])
         dl = dense_laplacian(g)
-        assert np.allclose(
-            restrict_laplacian(g, rows, cols).toarray(),
-            dl[np.ix_(rows, cols)],
-        )
+        assert np.allclose(restrict_laplacian(g, u).toarray(), dl[np.ix_(u, u)])
 
     def test_vertex_set_validation(self, p3):
         """Vertex sets are length-n boolean masks; nothing else is read as one."""
@@ -371,7 +372,7 @@ class TestSetsAndRestrictions:
             with pytest.raises(InvalidArgumentError):
                 as_mask(s, 3)
             with pytest.raises(InvalidArgumentError):
-                restrict_laplacian(p3, s, np.ones(3, dtype=bool))
+                restrict_laplacian(p3, s)
         mask = np.array([True, False, True])
         assert as_mask(mask, 3) is mask
 

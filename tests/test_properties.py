@@ -1,15 +1,20 @@
 """Structural properties of the estimators on random connected graphs."""
 
+import warnings
+
 import numpy as np
-from hypothesis import assume, given, settings
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphdenoise import (
     Graph,
     bernoulli_denoise,
     build_grid_graph,
+    cg_solve,
     denoise_gaussian,
     dropout_penalty,
+    estimate_tau,
     harmonic_interpolate,
 )
 
@@ -93,3 +98,63 @@ def test_gaussian_grid_solve_matches_the_dense_solve(height, width, tau, seed):
     assert np.abs(res.signal - dense).max() <= 1e-10 * scale
     assert abs(res.signal.mean() - sig.mean()) <= 1e-12 * scale
     assert (res.iterations, res.trace.size, res.converged) == (0, 0, True)
+
+
+@st.composite
+def _scaled_inputs(draw):
+    """A random connected weighted graph on 4-30 vertices, a signal whose
+    entries have magnitudes in [2^-20, 2^20] and a nonempty known set."""
+    g, rng = _graph(draw(GRAPHS["seed"]), draw(st.integers(4, 30)))
+    x = rng.choice([-1.0, 1.0], g.n) * np.exp2(rng.uniform(-20.0, 20.0, g.n))
+    return g, x, _subset(rng, g.n, int(rng.integers(1, g.n + 1)))
+
+
+def _path(n):
+    return Graph.from_edges(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+def _ends(n):
+    return vertex_mask(n, [0, n - 1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(inputs=_scaled_inputs(), tau=st.floats(1e-3, 1e3), k=st.integers(-900, 900))
+# 2^k x is the column of each case: ends 1e200 and -1e200 on a 4-path, ends
+# +-1e-161 on a 6-path, and a 4-cycle column near 1e-170 filtered at tau 1
+@example(
+    inputs=(_path(4), np.ldexp([1e200, 0.0, 0.0, -1e200], -664), _ends(4)),
+    tau=1.0,
+    k=664,
+)
+@example(
+    inputs=(_path(6), np.ldexp([1e-161, 0, 0, 0, 0, -1e-161], 534), _ends(6)),
+    tau=1.0,
+    k=-534,
+)
+@example(
+    inputs=(
+        Graph.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], np.ones(4)),
+        np.ldexp([5e-171, 1e-170, 0.0, -3e-170], 564),
+        _ends(4),
+    ),
+    tau=1.0,
+    k=-564,
+)
+def test_solves_are_scale_free(inputs, tau, k):
+    """Scaling by 2^k is exact, and the solves commute with it bitwise:
+    f(2^k x) == 2^k f(x), and the estimated tau does not move."""
+    g, x, known = inputs
+    h = max(d for d in range(1, int(np.sqrt(g.n)) + 1) if g.n % d == 0)
+    grid = build_grid_graph(h, g.n // h)
+
+    def scale_free(f):
+        assert np.array_equal(f(np.ldexp(x, k)), np.ldexp(f(x), k))
+
+    system = (sp.identity(g.n) + g.laplacian).tocsr()
+    scale_free(lambda v: cg_solve(system, v).signal)
+    scale_free(lambda v: harmonic_interpolate(g, known, v[known]).signal)
+    for graph in (g, grid):  # the CG path and the grid's DCT path
+        scale_free(lambda v: denoise_gaussian(v, graph, tau).signal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a moment fit of zero falls back to 0
+        assert estimate_tau(np.ldexp(x, k), g) == estimate_tau(x, g)

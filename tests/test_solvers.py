@@ -89,9 +89,23 @@ class TestCgSolve:
         assert report.converged
         assert report.trace[-1] == pytest.approx(resid, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-157, 1e-300, 1e300])
+    def test_converged_means_the_true_residual_at_any_scale(self, scale):
+        """Unscaled, the inner products of a 1e-157 right-hand side lose
+        digits to underflow: converged was reported at a relative residual
+        of 6.8e-8."""
+        g = build_grid_graph(1, 8)
+        op = shifted_laplacian(g, np.ones(8), 1.0)
+        b = np.random.default_rng(0).normal(size=8)
+        report = cg_solve(op, scale * b)
+        assert report.converged
+        resid = op @ (report.signal / scale) - b
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(b)
+
     def test_non_finite_curvature_is_a_numerical_failure(self):
-        """A p'Ap that overflows raises before any step is taken."""
-        op = sp.csr_matrix(np.array([[1.0, 1e300], [1e300, 1.0]]))
+        """A p'Ap that overflows raises before any step is taken.  The
+        Jacobi step 1e300 * b overflows it at any scale of b."""
+        op = sp.csr_matrix(np.array([[1e-300, 1.0], [1.0, 1e-300]]))
         with np.errstate(all="ignore"), pytest.raises(
             NumericalFailureError, match="non-finite curvature"
         ) as err:
