@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError, overflow_guard
 from .graphs import Graph, as_mask, as_signal, dirichlet_system
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SparseUpdate",
@@ -70,6 +73,8 @@ class SparseUpdate:
 
 def _gram_form(gram, linear) -> tuple[sp.csr_matrix, np.ndarray]:
     """The Gram matrix as CSR and the linear term, checked to match."""
+    import scipy.sparse as sp
+
     gram = sp.csr_matrix(gram, dtype=np.float64)
     c = np.asarray(linear, dtype=np.float64)
     if gram.shape[0] != gram.shape[1] or c.shape != (gram.shape[0],):

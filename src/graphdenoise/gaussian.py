@@ -5,17 +5,18 @@ to the observation, computed by solving (I + tau*L) f = g: exactly by the
 2-D DCT on a grid graph, whose Laplacian it diagonalises, and by CG on any
 other graph.  The smoothing strength tau = 2*kappa*sigma^2 can be supplied
 directly as a tuning knob or estimated from the observed quadratic forms
-g'Lg and ||Lg||^2 by the method of moments.
+g'Lg and ||Lg||^2 by the method of moments, read from the edge flows.  The
+grid path, tau estimate included, runs on numpy alone: its DCT is
+:func:`~graphdenoise.spectral.dct2` on ``numpy.fft``, and scipy is loaded
+only by the CG path's sparse matrices.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateSignalError, InvalidArgumentError, overflow_guard
 from .graphs import (
@@ -26,7 +27,7 @@ from .graphs import (
 )
 from .result import DenoiseResult
 from .solvers import cg_solve
-from .spectral import grid_eigenvalues
+from .spectral import dct2, grid_eigenvalues, idct2
 
 __all__ = [
     "denoise_gaussian",
@@ -67,6 +68,8 @@ def denoise_gaussian(
         if graph.grid_shape is not None:
             u = _grid_solve(g - mean, graph.grid_shape, a, b)
             return DenoiseResult(signal=mean + u, iterations=0)
+        import scipy.sparse as sp  # imported here: grids solve without it
+
         system = (sp.diags(np.full(graph.n, a)) + b * graph.laplacian).tocsr()
         fit = cg_solve(system, g - mean, tol=tol)
         return dataclasses.replace(fit, signal=mean + a * fit.signal)
@@ -76,30 +79,14 @@ def _grid_solve(d: np.ndarray, shape: tuple[int, int], a: float, b: float):
     """a*(a*I + b*L)^-1 d on an h x w grid: the orthonormal 2-D DCT-II
     diagonalises its Laplacian, with :func:`grid_eigenvalues` as the
     spectrum, so the solve is the gain a/(a + b*lambda) <= 1."""
-    # imported here: scipy.fft is slow to load and only grid solves use it
-    from scipy.fft import dctn, idctn
-
     h, w = shape
     gain = a / (a + b * grid_eigenvalues(h, w))
-    u = idctn(gain * dctn(d.reshape(h, w), norm="ortho"), norm="ortho").ravel()
+    # an overflow inside the FFTs leaves inf or nan in u, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = idct2(gain * dct2(d.reshape(h, w))).ravel()
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("grid DCT solve overflowed")
     return u
-
-
-def _tau_from_moments(m1: float, m2: float, graph: Graph) -> float:
-    sigma2, inv2kappa = nonneg_moment_fit(m1, m2, graph)
-    if inv2kappa == 0.0:
-        if sigma2 == 0.0:
-            warnings.warn(
-                "moment fit returned zero for both parameters; "
-                "falling back to tau=0 (no smoothing)",
-                stacklevel=3,
-            )
-            return 0.0
-        # all observed variation is attributed to noise: smooth to the mean
-        return math.inf
-    return sigma2 / inv2kappa
 
 
 def estimate_tau(signals, graph: Graph) -> float:
@@ -112,8 +99,12 @@ def estimate_tau(signals, graph: Graph) -> float:
     signals, so the estimate is consistent as k grows, and (sigma^2,
     1/(2*kappa)) is fitted to them with :func:`nonneg_moment_fit`: the
     exact 2x2 solve when both are nonnegative, the nearer boundary ray
-    otherwise; it is scale-free.  Raises :class:`DegenerateSignalError`
-    when every signal is constant.
+    otherwise.  g'Lg is read as the edge energy sum w(a,b) (g(a) - g(b))^2,
+    so it is never negative, and Lg by summing the edge flows
+    w(a,b) (g(a) - g(b)) at their endpoints.  The estimate is scale-free:
+    invariant under g -> s*g, and divided by s under w -> s*w for a power
+    of two s.  Raises :class:`DegenerateSignalError` when every signal is
+    constant.
     """
     given = np.asarray(signals, dtype=np.float64)
     arr = given[None, :] if given.ndim == 1 else given
@@ -125,14 +116,33 @@ def estimate_tau(signals, graph: Graph) -> float:
     k = arr.shape[0]
     if k == 0:
         raise InvalidArgumentError("need at least one signal")
-    # tau is invariant under g -> s*g, and a power of two scales exactly
+    # powers of two scale exactly: g to max |g| in [1/2, 1), and the
+    # weights to a largest weight in [1, 2), which keeps unit weights
     arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
-    lg = graph.laplacian @ arr.T
-    m1_bar, m2_bar = float(np.vdot(arr.T, lg)) / k, float(np.vdot(lg, lg)) / k
-    # rounding can leave ||Lg||^2 nonzero for a constant signal
-    if m2_bar == 0.0 or np.all(np.ptp(arr, axis=1) == 0.0):
+    shift = int(np.frexp(np.max(graph.edge_w))[1]) - 1
+    if shift:
+        graph = Graph(
+            graph.n, graph.edge_a, graph.edge_b,
+            np.ldexp(graph.edge_w, -shift), graph.grid_shape,
+        )
+    cols = arr.T
+    diff = cols[graph.edge_a] - cols[graph.edge_b]
+    flow = graph.edge_w[:, None] * diff
+    lg = np.zeros_like(cols)
+    np.add.at(lg, graph.edge_a, flow)
+    np.subtract.at(lg, graph.edge_b, flow)
+    m1, m2 = float(np.vdot(flow, diff)) / k, float(np.vdot(lg, lg)) / k
+    if m2 == 0.0:  # a constant signal has no flow
         raise DegenerateSignalError("all signals constant: moment targets are zero")
-    return _tau_from_moments(m1_bar, m2_bar, graph)
+    # m1 >= 0 and m2 > 0, so the fit is never (0, 0); it is linear in
+    # (m1, m2), which a power of two keeps clear of underflow
+    e = int(np.frexp(max(m1, m2))[1])
+    sigma2, inv2kappa = nonneg_moment_fit(math.ldexp(m1, -e), math.ldexp(m2, -e), graph)
+    if inv2kappa == 0.0:
+        # all observed variation is attributed to noise: smooth to the mean
+        return math.inf
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(sigma2 / inv2kappa, -shift))
 
 
 def nonneg_moment_fit(m1: float, m2: float, graph: Graph) -> tuple[float, float]:

@@ -2,20 +2,25 @@
 
 Every denoiser in this package consumes an immutable :class:`Graph`.  The
 graph stores a canonical edge list (tail < head, strictly positive weights)
-and lazily exposes CSR views of the adjacency and Laplacian matrices.  All
-operators are applied through sparse matrix-vector products; dense
-matrices appear only in test oracles and the spectral reference path.
+and its weighted degrees, and lazily exposes CSR views of the adjacency
+and Laplacian matrices.  scipy is imported where a CSR matrix, ``csgraph``
+or a KD-tree is first needed, so code that reads only the edge arrays, such
+as the grid Gaussian path, runs on numpy alone.  Dense matrices appear only
+in test oracles and the spectral reference path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GraphDisconnectedError, InvalidArgumentError, overflow_guard
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Graph",
@@ -131,6 +136,8 @@ class Graph:
 
     @cached_property
     def csr_adjacency(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         rows = np.concatenate([self.edge_a, self.edge_b])
         cols = np.concatenate([self.edge_b, self.edge_a])
         data = np.concatenate([self.edge_w, self.edge_w])
@@ -138,10 +145,20 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.csr_adjacency.sum(axis=1)).ravel()
+        """Weighted degrees, bitwise the row sums of ``csr_adjacency``: each
+        vertex's weights in its row's column order (the edges where it is
+        the head, then those where it is the tail, each in edge order)."""
+        ends = np.concatenate([self.edge_b, self.edge_a])
+        order = np.argsort(ends, kind="stable")
+        # a connected graph has no isolated vertex, so every row is nonempty
+        starts = np.searchsorted(ends[order], np.arange(self.n))
+        weights = np.concatenate([self.edge_w, self.edge_w])[order]
+        return np.add.reduceat(weights, starts)
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         lap = sp.diags(self.degrees, format="csr") - self.csr_adjacency
         return lap.tocsr()
 
@@ -222,6 +239,8 @@ def build_knn_graph(points, k: int) -> Graph:
     :class:`~graphdenoise.errors.GraphDisconnectedError` (naming the
     components) if the symmetrized graph is disconnected.
     """
+    import scipy.sparse as sp
+
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise InvalidArgumentError("points must be an n-by-d matrix")

@@ -12,9 +12,9 @@ scale-free Jacobi-preconditioned CG from x = 0; on a grid graph
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     InvalidArgumentError,
@@ -24,6 +24,9 @@ from .errors import (
 )
 from .graphs import Graph, as_mask, dirichlet_system
 from .result import DenoiseResult
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
 

@@ -76,9 +76,9 @@ def uniform_loss(f, graph: Graph, kappa: float) -> float:
     if not np.all(np.isfinite(f)):
         raise InvalidArgumentError("signal must be finite")
     nz = f != 0.0
-    return kappa * dirichlet_energy(graph, f) + float(
-        np.sum(np.log(np.abs(f[nz])))
-    )
+    # numpy arithmetic, so an overflow follows the caller's error state
+    energy = kappa * np.float64(dirichlet_energy(graph, f))
+    return float(energy + np.sum(np.log(np.abs(f[nz]))))
 
 
 def minimize_box_qp(
@@ -172,29 +172,32 @@ def ccp_denoise(
     start = time.perf_counter()
     box = _box(g)
     rng = None if as_seed(rng_seed) is None else np.random.default_rng(rng_seed)
-    f = _start(g, box, rng)
-    losses = [uniform_loss(f, graph, kappa)]
-    inner_counts: list[int] = []
-    threshold = tol * abs(losses[0])
-    converged = False
-    for _ in range(_CCP_MAX_OUTER):
-        coeff = _log_term_gradient(f)
-        f_new, inner = minimize_box_qp(graph, kappa, coeff, box, f)
-        loss_new = uniform_loss(f_new, graph, kappa)
-        # a last inner QP stopped at its cap leaves the fixed point unproven
-        finished = inner < _BOX_QP_MAX_ITER
-        if loss_new > losses[-1]:
-            # inner solver made no usable progress; keep the current iterate.
-            # A rise within the stopping threshold is round-off at a fixed
-            # point; a larger one is a stall, not convergence.
-            converged = finished and loss_new - losses[-1] <= threshold
-            break
-        f = f_new
-        inner_counts.append(inner)
-        losses.append(loss_new)
-        if abs(losses[-2] - losses[-1]) <= threshold:
-            converged = finished
-            break
+    # an overflow in a loss or in the log term's 1/f, as from a subnormal
+    # observation, is a numerical failure
+    with overflow_guard("uniform CCP"):
+        f = _start(g, box, rng)
+        losses = [uniform_loss(f, graph, kappa)]
+        inner_counts: list[int] = []
+        threshold = tol * abs(losses[0])
+        converged = False
+        for _ in range(_CCP_MAX_OUTER):
+            coeff = _log_term_gradient(f)
+            f_new, inner = minimize_box_qp(graph, kappa, coeff, box, f)
+            loss_new = uniform_loss(f_new, graph, kappa)
+            # a last inner QP stopped at its cap leaves the fixed point unproven
+            finished = inner < _BOX_QP_MAX_ITER
+            if loss_new > losses[-1]:
+                # inner solver made no usable progress; keep the current iterate.
+                # A rise within the stopping threshold is round-off at a fixed
+                # point; a larger one is a stall, not convergence.
+                converged = finished and loss_new - losses[-1] <= threshold
+                break
+            f = f_new
+            inner_counts.append(inner)
+            losses.append(loss_new)
+            if abs(losses[-2] - losses[-1]) <= threshold:
+                converged = finished
+                break
     trace = DescentTrace(
         inner_iterations=tuple(inner_counts),
         wall_time_s=time.perf_counter() - start,

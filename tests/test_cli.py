@@ -1,5 +1,6 @@
 import csv
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphdenoise import build_grid_graph
+from graphdenoise import Graph, build_grid_graph, estimate_tau
 from graphdenoise.cli import main
 from graphdenoise.matrixio import format_float, read_matrix
 
@@ -765,7 +766,8 @@ class TestDenoiseCommand:
 
     @pytest.mark.parametrize(
         "kappa,rc,message",
-        [("1e308", 3, "numerical failure: box QP"), ("inf", 2, "kappa must be finite")],
+        # kappa * f'Lf of the start overflows before the box QP is posed
+        [("1e308", 3, "numerical failure: uniform CCP"), ("inf", 2, "kappa must be finite")],
         ids=["overflows", "infinite"],
     )
     def test_uniform_kappa_out_of_range(self, tmp_path, rng, capsys, kappa, rc, message):
@@ -781,6 +783,33 @@ class TestDenoiseCommand:
         assert main(argv) == rc
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            # Dirichlet energy of the start overflowed: a warning, then exit 0
+            # with unconverged=1
+            ["1e155", "-1e155", "2"],
+            # the same overflow: a warning before the box QP's exit 3
+            ["1e200", "1", "2"],
+            # the log term's 1/f of a subnormal entry overflowed: a warning,
+            # then exit 0 reported converged
+            ["3", "1e-310", "2"],
+        ],
+        ids=["energy", "energy-then-box-qp", "subnormal"],
+    )
+    def test_uniform_overflow_exit_3(self, tmp_path, capsys, column):
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("".join(f"{v}\n" for v in column))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "denoise", "uniform", "--graph", "grid", "1x3",
+                "--input", str(src), "--output", str(out),
+            ])
+        assert rc == 3 and not caught
+        assert "numerical failure: uniform CCP failed: overflow" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_trust_l0_restores_constant_patch(self, tmp_path):
         vals = np.full((16, 1), 2.0)
@@ -841,16 +870,31 @@ class TestDenoiseCommand:
         assert main(["--version"]) == 0
         assert "graphdenoise" in capsys.readouterr().out
 
-    def test_import_leaves_scipy_spatial_unloaded(self):
-        """Only k-NN builds need scipy.spatial; the CLI must not load it at import."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, graphdenoise.cli; print('scipy.spatial' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    def test_grid_gaussian_loads_no_scipy(self, tmp_path):
+        """Neither importing the CLI nor filtering on a grid, at a given or
+        an estimated tau, loads a scipy module: scipy is imported where a
+        CSR matrix, csgraph or a KD-tree is first needed."""
+        src = tmp_path / "g.csv"
+        write_csv(src, np.random.default_rng(0).normal(size=(6, 2)))
+        code = (
+            "import sys\n"
+            "from graphdenoise.cli import main\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "loaded()\n"
+            "for tau in (['--tau', '2'], ['--estimate-tau']):\n"
+            "    assert main(['denoise', 'gaussian', '--graph', 'grid', '2x3',\n"
+            "                 '--input', sys.argv[1], '--output', sys.argv[2], *tau]) == 0\n"
+            "    loaded()\n"
         )
-        assert out.stdout.strip() == "False"
+        env = dict(os.environ)
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(src), str(tmp_path / "o.csv")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.split() == ["[]"] * 3
 
     def test_no_subcommand_prints_help_exit_2(self, capsys):
         assert main([]) == 2
@@ -970,19 +1014,26 @@ class TestScaleFreeSolves:
             shown.append(err.split("tau_hat=", 1)[1].split()[0])
         assert shown == ["1.21879"] * 3
 
-    def test_import_loads_no_lazily_imported_scipy_module(self):
-        """scipy.sparse.csgraph, scipy.spatial and scipy.fft are imported by
-        the functions that use them, not when the CLI loads."""
-        code = (
-            "import sys, graphdenoise.cli; "
-            "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.spatial', "
-            "'scipy.fft') if m in sys.modules))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert done.stdout.strip() == "[]"
+    def test_estimate_tau_is_scale_free_in_the_weights(self, tmp_path, capsys):
+        """tau scales as 1/s when the weights scale by s: unscaled, one edge
+        weight of 1e160 or 1e300 overflowed the moment targets (exit 2), and
+        scaling every weight by 2^996 divides the estimate by 2^996."""
+        column = [1, 4, 2, 9]
+        shown = []
+        scaled = [repr(math.ldexp(w, 996)) for w in (1, 2, 4)]
+        for weights in (["1e160", 1, 1], ["1e300", 1, 1], [1, 2, 4], scaled):
+            edges = tmp_path / "p4.edges"
+            edges.write_text("".join(f"{v} {v + 1} {w}\n" for v, w in enumerate(weights)))
+            rc, err, got = self.run(
+                tmp_path, capsys, "gaussian", ["edge-list", str(edges)], column, None,
+                "--estimate-tau",
+            )
+            assert rc == 0 and np.all(np.isfinite(got))
+            shown.append(err.split("tau_hat=", 1)[1].split()[0])
+        path = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], [1, 2, 4])
+        unit = estimate_tau(np.array(column, float), path)
+        assert shown[2:] == [f"{unit:.6g}", f"{math.ldexp(unit, -996):.6g}"]
+
 
 class TestTextRule:
     """Every input file is UTF-8 after an optional byte-order mark; other

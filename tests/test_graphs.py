@@ -321,6 +321,20 @@ class TestTraces:
             c**2 * laplacian_squared_trace(g)
         )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degrees_are_the_csr_row_sums_bitwise(self, seed):
+        """Graph.degrees, read from the edge arrays, is bitwise what the
+        adjacency's row sums were, so the Laplacian built from it is too."""
+        rng = np.random.default_rng(seed)
+        graphs = (
+            build_knn_graph(rng.normal(size=(200, 3)), 6),
+            build_knn_graph(rng.uniform(size=(150, 8)) ** 3, 11),
+            random_connected_graph(60, 90, rng),
+        )
+        for g in graphs:
+            rows = np.asarray(g.csr_adjacency.sum(axis=1)).ravel()
+            assert np.array_equal(g.degrees, rows)
+
     def test_traces_match_dense(self, rng):
         g = random_connected_graph(17, 9, rng)
         dl = dense_laplacian(g)

@@ -1,7 +1,5 @@
 """Structural properties of the estimators on random connected graphs."""
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
@@ -142,7 +140,8 @@ def _ends(n):
 )
 def test_solves_are_scale_free(inputs, tau, k):
     """Scaling by 2^k is exact, and the solves commute with it bitwise:
-    f(2^k x) == 2^k f(x), and the estimated tau does not move."""
+    f(2^k x) == 2^k f(x), and the estimated tau does not move; scaling the
+    weights by 2^k divides it by 2^k."""
     g, x, known = inputs
     h = max(d for d in range(1, int(np.sqrt(g.n)) + 1) if g.n % d == 0)
     grid = build_grid_graph(h, g.n // h)
@@ -155,6 +154,7 @@ def test_solves_are_scale_free(inputs, tau, k):
     scale_free(lambda v: harmonic_interpolate(g, known, v[known]).signal)
     for graph in (g, grid):  # the CG path and the grid's DCT path
         scale_free(lambda v: denoise_gaussian(v, graph, tau).signal)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a moment fit of zero falls back to 0
-        assert estimate_tau(np.ldexp(x, k), g) == estimate_tau(x, g)
+    assert estimate_tau(np.ldexp(x, k), g) == estimate_tau(x, g)
+    heavy = Graph.from_edges(g.n, g.edge_a, g.edge_b, np.ldexp(g.edge_w, k))
+    with np.errstate(over="ignore"):
+        assert estimate_tau(x, heavy) == np.ldexp(estimate_tau(x, g), -k)

@@ -14,6 +14,8 @@ from graphdenoise import (
     sample_prior,
 )
 
+from graphdenoise.spectral import dct2, idct2
+
 from conftest import dense_laplacian, random_connected_graph
 
 
@@ -110,6 +112,21 @@ class TestGridBasis:
         assert basis.n == 30
         with pytest.raises(AssertionError):
             eigendecompose(random_connected_graph(8, 4, np.random.default_rng(0)))
+
+
+class TestFastDct:
+    """The numpy.fft DCT-II/III pair is scipy's orthonormal dctn/idctn."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 2), (2, 1), (3, 5), (7, 8), (17, 1), (256, 256)]
+    )
+    def test_matches_scipy_dctn(self, shape):
+        from scipy.fft import dctn, idctn
+
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        for ours, ref in ((dct2, dctn), (idct2, idctn)):
+            expect = ref(x, norm="ortho")
+            assert np.abs(ours(x) - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 class TestTransforms:

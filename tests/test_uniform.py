@@ -162,8 +162,9 @@ class TestCcp:
     def test_overflowing_kappa_is_a_numerical_failure(self):
         g = build_grid_graph(4, 4)
         obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
-        for kappa in (1e308, 1e200):
-            with pytest.raises(NumericalFailureError, match="box QP"):
+        # at 1e308, kappa * f'Lf of the start overflows before the box QP is posed
+        for kappa, where in ((1e308, "uniform CCP"), (1e200, "box QP")):
+            with pytest.raises(NumericalFailureError, match=where):
                 ccp_denoise(obs, g, kappa=kappa)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
