@@ -870,6 +870,17 @@ class TestDenoiseCommand:
         assert main(["--version"]) == 0
         assert "graphdenoise" in capsys.readouterr().out
 
+    def test_import_leaves_scipy_spatial_unloaded(self):
+        """Only k-NN builds need scipy.spatial; the CLI must not load it at import."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, graphdenoise.cli; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_grid_gaussian_loads_no_scipy(self, tmp_path):
         """Neither importing the CLI nor filtering on a grid, at a given or
         an estimated tau, loads a scipy module: scipy is imported where a
@@ -1013,6 +1024,20 @@ class TestScaleFreeSolves:
             assert rc == 0
             shown.append(err.split("tau_hat=", 1)[1].split()[0])
         assert shown == ["1.21879"] * 3
+
+    def test_import_loads_no_lazily_imported_scipy_module(self):
+        """scipy.sparse.csgraph, scipy.spatial and scipy.fft are imported by
+        the functions that use them, not when the CLI loads."""
+        code = (
+            "import sys, graphdenoise.cli; "
+            "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.spatial', "
+            "'scipy.fft') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_estimate_tau_is_scale_free_in_the_weights(self, tmp_path, capsys):
         """tau scales as 1/s when the weights scale by s: unscaled, one edge
