@@ -6,9 +6,10 @@ to the observation, computed by solving (I + tau*L) f = g: exactly by the
 other graph.  The smoothing strength tau = 2*kappa*sigma^2 can be supplied
 directly as a tuning knob or estimated from the observed quadratic forms
 g'Lg and ||Lg||^2 by the method of moments, read from the edge flows.  The
-grid path, tau estimate included, runs on numpy alone: its DCT is
-:func:`~graphdenoise.spectral.dct2` on ``numpy.fft``, and scipy is loaded
-only by the CG path's sparse matrices.
+grid path, tau estimate included, runs on numpy alone: its DCT is the
+cached DCT-II matrix :func:`~graphdenoise.spectral.dct_matrix` that the
+grid eigenbasis uses, two matrix products per axis at O(hw(h + w)), and
+scipy is loaded only by the CG path's sparse matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graphs import (
 )
 from .result import DenoiseResult
 from .solvers import cg_solve
-from .spectral import dct2, grid_eigenvalues, idct2
+from .spectral import dct_matrix, grid_eigenvalues
 
 __all__ = [
     "denoise_gaussian",
@@ -76,14 +77,16 @@ def denoise_gaussian(
 
 
 def _grid_solve(d: np.ndarray, shape: tuple[int, int], a: float, b: float):
-    """a*(a*I + b*L)^-1 d on an h x w grid: the orthonormal 2-D DCT-II
-    diagonalises its Laplacian, with :func:`grid_eigenvalues` as the
-    spectrum, so the solve is the gain a/(a + b*lambda) <= 1."""
+    """a*(a*I + b*L)^-1 d on an h x w grid: the DCT-II matrices U_h and U_w
+    diagonalise its Laplacian, with :func:`grid_eigenvalues` as the
+    spectrum, so the solve is U_h (gain * (U_h' D U_w)) U_w' with the gain
+    a/(a + b*lambda) <= 1; the columns' signs cancel."""
     h, w = shape
+    rows, cols = dct_matrix(h), dct_matrix(w)
     gain = a / (a + b * grid_eigenvalues(h, w))
-    # an overflow inside the FFTs leaves inf or nan in u, reported below
+    # an overflow inside the products leaves inf or nan in u, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        u = idct2(gain * dct2(d.reshape(h, w))).ravel()
+        u = (rows @ (gain * (rows.T @ d.reshape(h, w) @ cols)) @ cols.T).ravel()
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("grid DCT solve overflowed")
     return u
@@ -116,6 +119,8 @@ def estimate_tau(signals, graph: Graph) -> float:
     k = arr.shape[0]
     if k == 0:
         raise InvalidArgumentError("need at least one signal")
+    if np.all(arr == arr[:, :1]):  # compared, as a difference may overflow
+        raise DegenerateSignalError("all signals constant: moment targets are zero")
     # powers of two scale exactly: g to max |g| in [1/2, 1), and the
     # weights to a largest weight in [1, 2), which keeps unit weights
     arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
@@ -132,10 +137,9 @@ def estimate_tau(signals, graph: Graph) -> float:
     np.add.at(lg, graph.edge_a, flow)
     np.subtract.at(lg, graph.edge_b, flow)
     m1, m2 = float(np.vdot(flow, diff)) / k, float(np.vdot(lg, lg)) / k
-    if m2 == 0.0:  # a constant signal has no flow
-        raise DegenerateSignalError("all signals constant: moment targets are zero")
-    # m1 >= 0 and m2 > 0, so the fit is never (0, 0); it is linear in
-    # (m1, m2), which a power of two keeps clear of underflow
+    # m1 >= 0 and m2 >= 0; both may underflow to 0 on variation across a
+    # light edge, and then the fit is (0, 0), read as tau = inf below.  The
+    # fit is linear in (m1, m2), which a power of two keeps clear of underflow
     e = int(np.frexp(max(m1, m2))[1])
     sigma2, inv2kappa = nonneg_moment_fit(math.ldexp(m1, -e), math.ldexp(m2, -e), graph)
     if inv2kappa == 0.0:

@@ -5,14 +5,15 @@ denoising goes through the sparse solvers.  A grid graph's basis is built
 in closed form from the 2-D DCT-II, which diagonalises the grid Laplacian;
 any other graph's comes from a dense ``eigh``.  Both are capped at
 ``DEFAULT_EIG_CAP`` vertices because nothing in the package needs a full
-spectrum at scale.  This module is the package's one owner of the DCT: the
-grid spectrum, the dense DCT-II basis and the fast orthonormal 2-D
-transforms :func:`dct2` and :func:`idct2` on ``numpy.fft``, which the grid
-Gaussian solve uses.
+spectrum at scale.  This module is the package's one owner of the DCT:
+the grid spectrum and the cached, sign-fixed DCT-II matrix
+:func:`dct_matrix`, which both the grid eigenbasis and the grid Gaussian
+solve use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,9 +94,11 @@ def _path_eigenvalues(n: int) -> np.ndarray:
     return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
 
 
-def _dct_matrix(n: int) -> np.ndarray:
+@functools.cache
+def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II vectors as sign-fixed columns: entry (r, i) is
-    s_i cos(pi i (2r + 1)/2n), the path Laplacian's i-th eigenvector."""
+    s_i cos(pi i (2r + 1)/2n), the path Laplacian's i-th eigenvector.
+    Cached per size and read-only."""
     # each entry is +-cos(pi j/2n) for one table index j in [0, n], the
     # angle reduced in integers, so entries equal in magnitude are bitwise
     # equal and a product of two columns has its largest entry where both
@@ -109,56 +112,8 @@ def _dct_matrix(n: int) -> np.ndarray:
     basis *= math.sqrt(2.0 / n)
     basis[:, 0] = math.sqrt(1.0 / n)
     _fix_signs(basis)
+    basis.flags.writeable = False
     return basis
-
-
-def dct2(x: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of an (h, w) array, as scipy's
-    ``dctn(x, norm="ortho")``: coefficient (i, j) is <x, u_i v_j>, the grid
-    eigenvector of frequency (i, j) before :func:`_dct_matrix`'s sign fix."""
-    return _dct_last_axis(_dct_last_axis(x).T).T
-
-
-def idct2(c: np.ndarray) -> np.ndarray:
-    """The inverse of :func:`dct2`, the orthonormal 2-D DCT-III."""
-    return _idct_last_axis(_idct_last_axis(c).T).T
-
-
-def _dct_last_axis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II along the last axis by one real FFT of length n
-    (Makhoul, IEEE TASSP 1980): the even entries in order, then the odd
-    ones reversed, give V = FFT; with z_k = exp(-i pi k/2n) V_k the
-    coefficient k is Re z_k and coefficient n - k is -Im z_k."""
-    n = x.shape[-1]
-    v = np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1)
-    z = np.fft.rfft(v) * np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
-    out = np.empty(x.shape)
-    out[..., : n // 2 + 1] = z.real
-    out[..., n - 1 : n // 2 : -1] = -z.imag[..., 1 : (n + 1) // 2]
-    out[..., 0] *= math.sqrt(1.0 / n)
-    out[..., 1:] *= math.sqrt(2.0 / n)
-    return out
-
-
-def _idct_last_axis(c: np.ndarray) -> np.ndarray:
-    """The inverse of :func:`_dct_last_axis`: V_k = exp(i pi k/2n)
-    (c_k - i c_(n-k)) sqrt(n/2), with c_n = 0 and V_0 = c_0 sqrt(n), is
-    the FFT of the reordered signal, recovered by one inverse real FFT."""
-    n = c.shape[-1]
-    half = n // 2 + 1
-    mirror = np.zeros(c.shape[:-1] + (half,))  # c_(n-k), with c_n = 0
-    mirror[..., 1:] = c[..., n - 1 : n - half : -1]
-    spec = (c[..., :half] - 1j * mirror) * np.exp(
-        0.5j * np.pi * np.arange(half) / n
-    )
-    spec[..., 0] *= math.sqrt(n)
-    spec[..., 1:] *= math.sqrt(n / 2.0)
-    v = np.fft.irfft(spec, n)
-    out = np.empty(c.shape)
-    even = (n + 1) // 2
-    out[..., ::2] = v[..., :even]
-    out[..., 1::2] = v[..., even:][..., ::-1]
-    return out
 
 
 def _grid_eigenpairs(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +125,7 @@ def _grid_eigenpairs(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """
     lam = grid_eigenvalues(h, w).ravel()
     order = np.argsort(lam, kind="stable")
-    rows, cols = _dct_matrix(h)[:, order // w], _dct_matrix(w)[:, order % w]
+    rows, cols = dct_matrix(h)[:, order // w], dct_matrix(w)[:, order % w]
     psi = np.empty((h * w, h * w))
     np.multiply(rows[:, None, :], cols[None, :, :], out=psi.reshape(h, w, h * w))
     return lam[order], psi

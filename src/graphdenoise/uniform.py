@@ -227,8 +227,8 @@ def projected_gradient_denoise(
     (Gershgorin).
     Not a guaranteed descent method; the best iterate seen is what is
     returned, so the reported loss never exceeds the initialization's.
-    Raises :class:`NumericalFailureError` (carrying the loss trace) if the
-    iteration produces NaN or diverges.
+    An overflow in the start, a step or a loss, as from a subnormal
+    observation's 1/f, is a :class:`NumericalFailureError`.
     """
     g = as_signal(g_signal, graph.n)
     _check_kappa(kappa)
@@ -239,31 +239,26 @@ def projected_gradient_denoise(
         raise InvalidArgumentError("step must be positive")
     start = time.perf_counter()
     box = _box(g)
-    f = _start(g, box)
-    best = f.copy()
-    losses = [uniform_loss(f, graph, kappa)]
-    best_loss = losses[0]
-    threshold = tol * abs(losses[0])
-    converged = False
-    for _ in range(max_iter):
-        grad = 2.0 * kappa * (graph.laplacian @ f) + _log_term_gradient(f)
-        f = np.clip(f - step * grad, *box)
-        if not np.all(np.isfinite(f)):
-            raise NumericalFailureError(
-                "projected gradient produced non-finite iterates",
-                trace=np.asarray(losses),
-            )
-        loss = uniform_loss(f, graph, kappa)
-        if not np.isfinite(loss):
-            raise NumericalFailureError(
-                "projected gradient loss diverged", trace=np.asarray(losses)
-            )
-        losses.append(loss)
-        if loss < best_loss:
-            best, best_loss = f.copy(), loss
-        if abs(losses[-2] - losses[-1]) <= threshold:
-            converged = True
-            break
+    with overflow_guard("projected gradient"):
+        f = _start(g, box)
+        best = f.copy()
+        losses = [uniform_loss(f, graph, kappa)]
+        best_loss = losses[0]
+        threshold = tol * abs(losses[0])
+        converged = False
+        for _ in range(max_iter):
+            grad = 2.0 * kappa * (graph.laplacian @ f) + _log_term_gradient(f)
+            f = np.clip(f - step * grad, *box)
+            # the sparse product raises no floating-point error of its own
+            if not np.all(np.isfinite(f)):
+                raise FloatingPointError("overflow in the Laplacian product")
+            loss = uniform_loss(f, graph, kappa)
+            losses.append(loss)
+            if loss < best_loss:
+                best, best_loss = f.copy(), loss
+            if abs(losses[-2] - losses[-1]) <= threshold:
+                converged = True
+                break
     trace = DescentTrace(wall_time_s=time.perf_counter() - start)
     result = DenoiseResult(
         signal=best,

@@ -312,6 +312,29 @@ class TestDenoiseCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_grid_solve_bytes_do_not_depend_on_threads(self, tmp_path):
+        """The 256x256 grid solve is four BLAS products per column; with the
+        BLAS thread count left to the library, --threads 1, 2 and 4 write
+        the same bytes."""
+        src = tmp_path / "g.csv"
+        write_csv(src, np.random.default_rng(3).normal(size=(65536, 4)) + 2.0)
+        code = (
+            "import sys\n"
+            "from graphdenoise.cli import main\n"
+            "for t in ('1', '2', '4'):\n"
+            "    assert main(['denoise', 'gaussian', '--graph', 'grid', '256x256',\n"
+            "                 '--input', sys.argv[1], '--output', sys.argv[2] + t,\n"
+            "                 '--tau', '3', '--threads', t]) == 0\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = tmp_path / "o"
+        subprocess.run(
+            [sys.executable, "-c", code, str(src), str(out)], env=env, check=True
+        )
+        written = [Path(f"{out}{t}").read_bytes() for t in "124"]
+        assert written[0] == written[1] == written[2]
+
     def test_bernoulli_zeros_and_columns_subset(self, tmp_path):
         values = np.tile(np.array([[2.0], [2.0], [0.0], [2.0]]), (1, 3))
         src = tmp_path / "g.csv"
@@ -1059,6 +1082,20 @@ class TestScaleFreeSolves:
         unit = estimate_tau(np.array(column, float), path)
         assert shown[2:] == [f"{unit:.6g}", f"{math.ldexp(unit, -996):.6g}"]
 
+    def test_estimate_tau_on_an_underflowed_flow(self, tmp_path, capsys):
+        """The only variation crosses an edge of weight 1e-200, so ||Lg||^2
+        underflows to 0: the column is not constant and is fitted (it exited
+        2, "all signals constant")."""
+        edges = tmp_path / "p3.edges"
+        edges.write_text("0 1 1\n1 2 1e-200\n")
+        column = ["0.75", "0.75", "0.7500000000000001"]
+        rc, err, got = self.run(
+            tmp_path, capsys, "gaussian", ["edge-list", str(edges)], column, None,
+            "--estimate-tau",
+        )
+        assert rc == 0 and "tau_hat=0 " in err
+        assert got.tolist() == [float(v) for v in column]
+
 
 class TestTextRule:
     """Every input file is UTF-8 after an optional byte-order mark; other
@@ -1215,6 +1252,25 @@ class TestExperimentCommand:
         assert a == b == c
         # 2 methods (2 + 1 combos) x 2 levels x 1 metric x 2 repeats
         assert len(a) == (2 + 1) * 2 * 2
+
+    def test_projected_gradient_overflow_is_an_error_row(self, tmp_path):
+        """The log term's 1/f of a subnormal entry overflows: the method's
+        cell is an error row, with no warning, where it was a warning and
+        the observation reported converged."""
+        (tmp_path / "g.csv").write_text("3\n1e-310\n2\n")
+        spec = tmp_path / "pg.spec"
+        spec.write_text(
+            "[experiment]\nname = pg-overflow\nseed = 0\nrepeats = 1\n\n"
+            "[graph]\nkind = grid\nheight = 1\nwidth = 3\n\n"
+            f"[signal]\nsource = file\npath = {tmp_path / 'g.csv'}\n\n"
+            "[noise]\nkind = gaussian\nlevels = 0\n\n"
+            "[metrics]\nnames = relative-error\n\n"
+            "[method.uniform-pg]\n"
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[4]) for r in rows] == [("uniform-pg", "error")]
 
     def test_seed_option_overrides_the_spec_seed(self, tmp_path):
         def table(spec_text, *extra):

@@ -1,4 +1,11 @@
-"""Structural properties of the estimators on random connected graphs."""
+"""Structural properties of the estimators on random connected graphs,
+and the CLI's exit contract on extreme columns."""
+
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,6 +22,8 @@ from graphdenoise import (
     estimate_tau,
     harmonic_interpolate,
 )
+from graphdenoise.cli import main
+from graphdenoise.matrixio import read_matrix
 
 from conftest import dense_laplacian, random_connected_graph, vertex_mask
 
@@ -158,3 +167,43 @@ def test_solves_are_scale_free(inputs, tau, k):
     heavy = Graph.from_edges(g.n, g.edge_a, g.edge_b, np.ldexp(g.edge_w, k))
     with np.errstate(over="ignore"):
         assert estimate_tau(x, heavy) == np.ldexp(estimate_tau(x, g), -k)
+
+
+# zero, the subnormals, the unit and magnitudes whose squares or sums overflow
+EXTREMES = [
+    v for m in (5e-324, 1e-310, 1.0, 1e155, 1e200, 1e308) for v in (m, -m)
+] + [0.0]
+MODELS = {
+    "uniform": ["uniform"],
+    "gaussian-tau": ["gaussian", "--tau", "2"],
+    "gaussian-estimate": ["gaussian", "--estimate-tau"],
+}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(sorted(MODELS)),
+    column=st.lists(st.sampled_from(EXTREMES), min_size=2, max_size=6),
+)
+# each printed a RuntimeWarning, and the first two then wrote the input back
+# reported converged or unconverged; all four exit 3
+@example(model="uniform", column=[3.0, 1e-310, 2.0])
+@example(model="uniform", column=[5e-324, 1.0, 2.0])
+@example(model="uniform", column=[1e155, -1e155, 2.0])
+@example(model="uniform", column=[1e200, 1.0, 2.0])
+def test_denoise_exit_contract_on_extreme_columns(model, column):
+    """``denoise`` on a 1 x N grid exits 0, 2 or 3 with no warning, and a
+    run that exits 0 writes only finite values."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "g.csv"), Path(tmp, "o.csv")
+        src.write_text("".join(f"{v!r}\n" for v in column))
+        name, *opts = MODELS[model]
+        argv = ["denoise", name, "--graph", "grid", f"1x{len(column)}",
+                "--input", str(src), "--output", str(out), *opts]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 2, 3) and not caught, (rc, err.getvalue())
+        if rc == 0:
+            assert np.all(np.isfinite(read_matrix(out).values))

@@ -6,6 +6,7 @@ from graphdenoise import (
     TooLargeError,
     apply_filter,
     build_grid_graph,
+    denoise_gaussian,
     dirichlet_energy,
     eigendecompose,
     gft,
@@ -14,7 +15,7 @@ from graphdenoise import (
     sample_prior,
 )
 
-from graphdenoise.spectral import dct2, idct2
+from graphdenoise.spectral import dct_matrix, grid_eigenvalues
 
 from conftest import dense_laplacian, random_connected_graph
 
@@ -114,8 +115,9 @@ class TestGridBasis:
             eigendecompose(random_connected_graph(8, 4, np.random.default_rng(0)))
 
 
-class TestFastDct:
-    """The numpy.fft DCT-II/III pair is scipy's orthonormal dctn/idctn."""
+class TestGridSolve:
+    """The grid Gaussian solve is scipy's orthonormal dctn/idctn filter,
+    built from the same cached DCT-II matrix as the grid eigenbasis."""
 
     @pytest.mark.parametrize(
         "shape", [(1, 2), (2, 1), (3, 5), (7, 8), (17, 1), (256, 256)]
@@ -123,10 +125,21 @@ class TestFastDct:
     def test_matches_scipy_dctn(self, shape):
         from scipy.fft import dctn, idctn
 
-        x = np.random.default_rng(sum(shape)).normal(size=shape)
-        for ours, ref in ((dct2, dctn), (idct2, idctn)):
-            expect = ref(x, norm="ortho")
-            assert np.abs(ours(x) - expect).max() <= 1e-14 * np.abs(expect).max()
+        g = np.random.default_rng(sum(shape)).normal(size=shape)
+        gain = 1.0 / (1.0 + 2.5 * grid_eigenvalues(*shape))
+        m = g.mean()
+        expect = idctn(gain * dctn(g - m, norm="ortho"), norm="ortho") + m
+        got = denoise_gaussian(g.ravel(), build_grid_graph(*shape), 2.5).signal
+        assert np.abs(got - expect.ravel()).max() <= 1e-14 * np.abs(expect).max()
+
+    def test_one_read_only_matrix_per_size(self):
+        dct_matrix.cache_clear()
+        eigendecompose(build_grid_graph(8, 8))
+        denoise_gaussian(np.arange(64.0), build_grid_graph(8, 8), 1.0)
+        info = dct_matrix.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        with pytest.raises(ValueError):
+            dct_matrix(8)[0, 0] = 1.0
 
 
 class TestTransforms:
