@@ -17,14 +17,19 @@ __all__ = [
 ]
 
 
-def local_average(g_signal, graph: Graph, t: int) -> np.ndarray:
-    """Repeatedly replace each value by the weighted average of its neighbors."""
+def _diffuse(g_signal, graph: Graph, t: int, rate: float) -> np.ndarray:
+    """t steps of the random-walk diffusion f <- f - rate * D^-1 L f."""
     if t < 0:
         raise InvalidArgumentError("t must be nonnegative")
     f = as_signal(g_signal, graph.n).copy()
     for _ in range(t):
-        f = (graph.csr_adjacency @ f) / graph.degrees
+        f = f - rate * (graph.laplacian @ f) / graph.degrees
     return f
+
+
+def local_average(g_signal, graph: Graph, t: int) -> np.ndarray:
+    """Repeatedly replace each value by the weighted average of its neighbors."""
+    return _diffuse(g_signal, graph, t, 1.0)
 
 
 def magic_filter(g_signal, graph: Graph, t: int) -> np.ndarray:
@@ -34,12 +39,7 @@ def magic_filter(g_signal, graph: Graph, t: int) -> np.ndarray:
     (1 - lambda/2)^t; the combinatorial Laplacian's spectrum is not confined
     to [0, 2], so the filter is defined through the walk operator instead.
     """
-    if t < 0:
-        raise InvalidArgumentError("t must be nonnegative")
-    f = as_signal(g_signal, graph.n).copy()
-    for _ in range(t):
-        f = (f + (graph.csr_adjacency @ f) / graph.degrees) / 2.0
-    return f
+    return _diffuse(g_signal, graph, t, 0.5)
 
 
 def band_filter(g_signal, basis: SpectralBasis, k: int, keep: str = "low") -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError, overflow_guard
-from .graphs import Graph, as_mask, as_signal, dirichlet_system
+from .graphs import Graph, as_mask, as_signal, check_kappa, dirichlet_system
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
@@ -45,13 +45,12 @@ MODES = ("l1", "l0")
 def dropout_penalty(p: float, kappa: float) -> float:
     """The dropout model's sparsity weight tau = (log(1-p) - log p) / kappa.
 
-    ``p`` is the dropout probability in (0, 1) and ``kappa`` > 0 the prior
-    smoothness weight; the weight is nonpositive once p >= 1/2.
+    ``p`` is the dropout probability in (0, 1) and ``kappa`` the finite,
+    positive prior smoothness weight; the weight is nonpositive once p >= 1/2.
     """
     if not (0.0 < p < 1.0):
         raise InvalidArgumentError("p must be in (0, 1)")
-    if not kappa > 0:
-        raise InvalidArgumentError("kappa must be positive")
+    check_kappa(kappa)
     return (math.log(1.0 - p) - math.log(p)) / kappa
 
 

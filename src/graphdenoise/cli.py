@@ -16,19 +16,12 @@ import numpy as np
 
 from . import __version__
 from .bernoulli import bernoulli_denoise, dropout_penalty
-from .errors import (
-    GraphDenoiseError,
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    NumericalFailureError,
-)
+from .errors import GraphDenoiseError, InvalidArgumentError, NumericalFailureError
 from .experiments import parse_experiment_spec, run_experiment
 from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, build_grid_graph, build_knn_graph
 from .matrixio import read_mask, read_matrix, read_text, select_columns, write_matrix
 from .uniform import ccp_denoise
-
-_NUMERICAL_ERRORS = (NumericalFailureError, NotPositiveDefiniteError)
 
 
 def _thread_count(text: str) -> int:
@@ -253,7 +246,7 @@ def main(argv=None) -> int:
         if args.command == "denoise":
             return cmd_denoise(args)
         return cmd_experiment(args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalFailureError as exc:
         print(f"graphdenoise: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (GraphDenoiseError, OSError) as exc:

@@ -36,20 +36,16 @@ class TooLargeError(GraphDenoiseError):
     """A dense reference computation was refused for an oversized graph."""
 
 
-class NotPositiveDefiniteError(GraphDenoiseError):
-    """A linear operator required to be SPD is singular or indefinite."""
-
-
 class DegenerateSignalError(GraphDenoiseError):
     """The signal carries no usable information for the requested estimate."""
 
 
 class NumericalFailureError(GraphDenoiseError):
-    """An iteration produced NaN/Inf or diverged; carries diagnostics."""
+    """An iteration produced NaN/Inf or diverged."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+
+class NotPositiveDefiniteError(NumericalFailureError):
+    """A linear operator required to be SPD is singular or indefinite."""
 
 
 @contextmanager

@@ -119,12 +119,20 @@ def add_noise(
     return out
 
 
+def _pow2_exponent(*signals) -> int:
+    """The power of two that brings the signals' largest magnitude into
+    [1/2, 1): the metrics scale by it exactly, and their norms stay finite."""
+    return max(int(np.frexp(np.max(np.abs(s), initial=0.0))[1]) for s in signals)
+
+
 def relative_error(f_true, f_est) -> float:
     """||f_true - f_est||_2 / ||f_true||_2."""
     t = np.asarray(f_true, dtype=np.float64)
     e = np.asarray(f_est, dtype=np.float64)
     if t.shape != e.shape:
         raise InvalidArgumentError("signals must have matching shapes")
+    k = _pow2_exponent(t, e)
+    t, e = np.ldexp(t, -k), np.ldexp(e, -k)
     denom = float(np.linalg.norm(t))
     if denom == 0.0:
         raise InvalidArgumentError("relative error undefined for a zero signal")
@@ -136,6 +144,7 @@ def pearson_correlation(f_true, f_est) -> float:
     e = np.asarray(f_est, dtype=np.float64)
     if t.shape != e.shape:
         raise InvalidArgumentError("signals must have matching shapes")
+    t, e = np.ldexp(t, -_pow2_exponent(t)), np.ldexp(e, -_pow2_exponent(e))
     tc = t - t.mean()
     ec = e - e.mean()
     st = float(np.linalg.norm(tc))

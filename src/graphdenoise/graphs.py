@@ -2,8 +2,8 @@
 
 Every denoiser in this package consumes an immutable :class:`Graph`.  The
 graph stores a canonical edge list (tail < head, strictly positive weights)
-and its weighted degrees, and lazily exposes CSR views of the adjacency
-and Laplacian matrices.  scipy is imported where a CSR matrix, ``csgraph``
+and its weighted degrees, and lazily assembles its one sparse matrix, the
+CSR Laplacian L = D - A.  scipy is imported where that matrix, ``csgraph``
 or a KD-tree is first needed, so code that reads only the edge arrays, such
 as the grid Gaussian path, runs on numpy alone.  Dense matrices appear only
 in test oracles and the spectral reference path.
@@ -67,6 +67,12 @@ def as_seed(seed):
     return seed
 
 
+def check_kappa(kappa: float) -> None:
+    """Validate the prior's smoothness weight: a finite positive number."""
+    if not 0 < kappa < np.inf:
+        raise InvalidArgumentError(f"kappa must be finite and positive, got {kappa}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted undirected connected graph.
@@ -126,7 +132,8 @@ class Graph:
         from scipy.sparse.csgraph import connected_components
 
         g = cls(n=n, edge_a=lo, edge_b=hi, edge_w=w)
-        ncomp, labels = connected_components(g.csr_adjacency, directed=False)
+        # L's diagonal entries are self-loops, which join no components
+        ncomp, labels = connected_components(g.laplacian, directed=False)
         if ncomp != 1:
             comps = [np.flatnonzero(labels == c).tolist() for c in range(ncomp)]
             raise GraphDisconnectedError(
@@ -135,32 +142,21 @@ class Graph:
         return g
 
     @cached_property
-    def csr_adjacency(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        rows = np.concatenate([self.edge_a, self.edge_b])
-        cols = np.concatenate([self.edge_b, self.edge_a])
-        data = np.concatenate([self.edge_w, self.edge_w])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        """Weighted degrees, bitwise the row sums of ``csr_adjacency``: each
-        vertex's weights in its row's column order (the edges where it is
-        the head, then those where it is the tail, each in edge order)."""
-        ends = np.concatenate([self.edge_b, self.edge_a])
-        order = np.argsort(ends, kind="stable")
-        # a connected graph has no isolated vertex, so every row is nonempty
-        starts = np.searchsorted(ends[order], np.arange(self.n))
-        weights = np.concatenate([self.edge_w, self.edge_w])[order]
-        return np.add.reduceat(weights, starts)
+        """Weighted degrees: each vertex's sum of incident edge weights."""
+        ends = np.concatenate([self.edge_a, self.edge_b])
+        return np.bincount(ends, np.concatenate([self.edge_w, self.edge_w]), self.n)
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
+        """L = D - A, from the triplets (a, b, -w), (b, a, -w) and (i, i, deg_i)."""
         import scipy.sparse as sp
 
-        lap = sp.diags(self.degrees, format="csr") - self.csr_adjacency
-        return lap.tocsr()
+        diag = np.arange(self.n)
+        rows = np.concatenate([self.edge_a, self.edge_b, diag])
+        cols = np.concatenate([self.edge_b, self.edge_a, diag])
+        data = np.concatenate([-self.edge_w, -self.edge_w, self.degrees])
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
 
 def build_grid_graph(height: int, width: int) -> Graph:
@@ -239,8 +235,6 @@ def build_knn_graph(points, k: int) -> Graph:
     :class:`~graphdenoise.errors.GraphDisconnectedError` (naming the
     components) if the symmetrized graph is disconnected.
     """
-    import scipy.sparse as sp
-
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise InvalidArgumentError("points must be an n-by-d matrix")
@@ -266,14 +260,14 @@ def build_knn_graph(points, k: int) -> Graph:
     with np.errstate(divide="ignore", invalid="ignore"):
         aff = np.exp(-d2 / (sigma[rows] * sigma[cols]))
     aff[d2 == 0.0] = 1.0
-    w_dir = sp.csr_matrix((aff, (rows, cols)), shape=(n, n))
-    w_sym = (w_dir + w_dir.T) / 2.0
-
-    coo = sp.triu(w_sym, k=1).tocoo()
+    # (W + W^T) / 2 on the edge arrays, summed per unordered pair lo * n + hi
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    keys, pair = np.unique(lo * n + hi, return_inverse=True)
+    w_sym = np.bincount(pair, aff) / 2.0
     # drop affinities that underflowed to zero; the globally closest pair
     # keeps at least exp(-1) (1 at distance 0), so an edge always remains
-    keep = coo.data > 0.0
-    return Graph.from_edges(n, coo.row[keep], coo.col[keep], coo.data[keep])
+    keep = w_sym > 0.0
+    return Graph.from_edges(n, keys[keep] // n, keys[keep] % n, w_sym[keep])
 
 
 def dirichlet_energy(g: Graph, f) -> float:

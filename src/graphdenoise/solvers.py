@@ -87,9 +87,7 @@ def cg_solve(
         ap = matrix.dot(p)
         pap = float(np.dot(p, ap))
         if not np.isfinite(pap):
-            raise NumericalFailureError(
-                "CG produced a non-finite curvature", trace=np.asarray(history)
-            )
+            raise NumericalFailureError("CG produced a non-finite curvature")
         if pap <= 0.0:
             raise NotPositiveDefiniteError(
                 f"operator is not positive definite (p'Ap = {pap:.3e})"
@@ -101,9 +99,7 @@ def cg_solve(
         relres = float(np.linalg.norm(r)) / bnorm
         history.append(relres)
         if not np.isfinite(relres):
-            raise NumericalFailureError(
-                "CG residual diverged", trace=np.asarray(history)
-            )
+            raise NumericalFailureError("CG residual diverged")
         if relres < best_res:
             best_x, best_res = x, relres
         z = minv * r

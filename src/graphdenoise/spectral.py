@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, TooLargeError, overflow_guard
-from .graphs import Graph, as_seed, as_signal
+from .graphs import Graph, as_seed, as_signal, check_kappa
 
 __all__ = [
     "SpectralBasis",
@@ -167,8 +167,7 @@ def sample_prior(
     prior leaves it unconstrained.  ``rng_seed`` is None (fresh entropy) or
     a nonnegative integer.
     """
-    if not kappa > 0:
-        raise InvalidArgumentError("kappa must be positive")
+    check_kappa(kappa)
     rng = np.random.default_rng(as_seed(rng_seed))
     coeffs = np.empty(basis.n)
     coeffs[0] = mean_coeff

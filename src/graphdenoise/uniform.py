@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, overflow_guard
-from .graphs import Graph, as_seed, as_signal, dirichlet_energy
+from .graphs import Graph, as_seed, as_signal, check_kappa, dirichlet_energy
 from .result import DenoiseResult, DescentTrace
 
 __all__ = [
@@ -59,12 +59,6 @@ def _start(g: np.ndarray, box, rng=None) -> np.ndarray:
     return np.clip(g * (1.0 + margin), *box)
 
 
-def _check_kappa(kappa: float) -> None:
-    """The prior weight is a finite positive number."""
-    if not 0 < kappa < np.inf:
-        raise InvalidArgumentError(f"kappa must be finite and positive, got {kappa}")
-
-
 def uniform_loss(f, graph: Graph, kappa: float) -> float:
     """Negative log posterior kappa * f'Lf + sum log|f(a)|.
 
@@ -72,7 +66,7 @@ def uniform_loss(f, graph: Graph, kappa: float) -> float:
     excluded from the log sum.
     """
     f = as_signal(f, graph.n)
-    _check_kappa(kappa)
+    check_kappa(kappa)
     if not np.all(np.isfinite(f)):
         raise InvalidArgumentError("signal must be finite")
     nz = f != 0.0
@@ -122,6 +116,9 @@ def minimize_box_qp(
                 break
             hd = h * (graph.laplacian @ d)
             dhd = float(np.dot(d, hd))
+            # the sparse product raises no floating-point error of its own
+            if not np.isfinite(dhd):
+                raise FloatingPointError("overflow in the Laplacian product")
             gd = float(np.dot(grad, d))
             if dhd > 0.0:
                 t = min(1.0, -gd / dhd)
@@ -168,7 +165,7 @@ def ccp_denoise(
     from ``rng_seed`` (None or a nonnegative integer) when one is given.
     """
     g = as_signal(g_signal, graph.n)
-    _check_kappa(kappa)
+    check_kappa(kappa)
     start = time.perf_counter()
     box = _box(g)
     rng = None if as_seed(rng_seed) is None else np.random.default_rng(rng_seed)
@@ -231,7 +228,7 @@ def projected_gradient_denoise(
     observation's 1/f, is a :class:`NumericalFailureError`.
     """
     g = as_signal(g_signal, graph.n)
-    _check_kappa(kappa)
+    check_kappa(kappa)
     if step is None:
         lmax_bound = 2.0 * float(graph.degrees.max())
         step = min(1.0, 1.0 / (2.0 * kappa * lmax_bound))

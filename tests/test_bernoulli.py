@@ -91,7 +91,8 @@ class TestConfig:
         assert dropout_penalty(0.5, 1.0) == 0.0
 
     def test_penalty_rejects_p_outside_open_interval_and_nonpositive_kappa(self):
-        for p, kappa in ((0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (0.3, 0.0), (0.3, -1.0)):
+        for p, kappa in ((0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (0.3, 0.0), (0.3, -1.0),
+                         (0.3, math.inf)):
             with pytest.raises(InvalidArgumentError):
                 dropout_penalty(p, kappa)
 

@@ -807,6 +807,22 @@ class TestDenoiseCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_bernoulli_infinite_kappa_exit_2(self, tmp_path, capsys):
+        """kappa follows uniform's rule: an infinite one made the penalty 0
+        and wrote the harmonic refill 1, 2, 3, 2 with exit 0."""
+        src = tmp_path / "g.csv"
+        src.write_text("1\n0\n3\n2\n")
+        argv = [
+            "denoise", "bernoulli",
+            "--graph", "grid", "1x4",
+            "--input", str(src),
+            "--output", str(tmp_path / "o.csv"),
+            "--p", "0.2", "--kappa", "inf", "--zeta", "zeros",
+        ]
+        assert main(argv) == 2
+        assert "kappa must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize(
         "column",
         [
@@ -1271,6 +1287,26 @@ class TestExperimentCommand:
         assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
         rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
         assert [(r[0], r[4]) for r in rows] == [("uniform-pg", "error")]
+
+    def test_metrics_are_scale_free_near_the_float_limit(self, tmp_path):
+        """The metrics' norms, means and products of signals near 1e308
+        overflowed: pearson read nan and relative-error warned."""
+        (tmp_path / "g.csv").write_text("1e308\n-1e308\n")
+        spec = tmp_path / "big.spec"
+        spec.write_text(
+            "[experiment]\nname = big\nseed = 0\nrepeats = 1\n\n"
+            "[graph]\nkind = grid\nheight = 1\nwidth = 2\n\n"
+            f"[signal]\nsource = file\npath = {tmp_path / 'g.csv'}\n\n"
+            "[noise]\nkind = gaussian\nlevels = 0\n\n"
+            "[metrics]\nnames = relative-error pearson\n\n"
+            "[method.noisy]\n"
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+        assert sorted((r[4], float(r[5])) for r in rows) == [
+            ("pearson", 1.0), ("relative-error", 0.0)
+        ]
 
     def test_seed_option_overrides_the_spec_seed(self, tmp_path):
         def table(spec_text, *extra):

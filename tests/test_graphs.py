@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from graphdenoise import (
@@ -140,12 +141,12 @@ class TestConstruction:
                 assert len(err.value.components) == ncomp
 
 
-def knn_reference(points, k):
-    """Brute-force k-NN graph edges from the full distance matrix.
+def knn_directed(points, k):
+    """Brute-force directed k-NN affinities from the full distance matrix.
 
     Neighbors by a stable sort of each row of cdist (ties by index),
-    affinity exp(-d^2 / (sigma_a sigma_b)) with 1 at d = 0, symmetrized
-    as (W + W^T) / 2, zero affinities dropped.
+    affinity exp(-d^2 / (sigma_a sigma_b)) with 1 at d = 0.  Returns the
+    (row, col, affinity) triplets of W.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -158,6 +159,14 @@ def knn_reference(points, k):
     d = dist[rows, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
         aff = np.where(d == 0.0, 1.0, np.exp(-(d**2) / (sigma[rows] * sigma[cols])))
+    return rows, cols, aff
+
+
+def knn_reference(points, k):
+    """The k-NN graph's edges: :func:`knn_directed` symmetrized densely as
+    (W + W^T) / 2, zero affinities dropped."""
+    n = len(points)
+    rows, cols, aff = knn_directed(points, k)
     w = np.zeros((n, n))
     w[rows, cols] = aff
     sym = (w + w.T) / 2.0
@@ -322,18 +331,26 @@ class TestTraces:
         )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_degrees_are_the_csr_row_sums_bitwise(self, seed):
-        """Graph.degrees, read from the edge arrays, is bitwise what the
-        adjacency's row sums were, so the Laplacian built from it is too."""
+    def test_laplacian_is_d_minus_a_and_knn_is_the_sparse_symmetrization(self, seed):
+        """Graph.laplacian is the dense D - A of the edge list, and a k-NN
+        graph's edges are bitwise a scipy (W + W^T) / 2 of its directed
+        affinities, on points with distance ties and coincident points."""
         rng = np.random.default_rng(seed)
-        graphs = (
-            build_knn_graph(rng.normal(size=(200, 3)), 6),
-            build_knn_graph(rng.uniform(size=(150, 8)) ** 3, 11),
-            random_connected_graph(60, 90, rng),
-        )
-        for g in graphs:
-            rows = np.asarray(g.csr_adjacency.sum(axis=1)).ravel()
-            assert np.array_equal(g.degrees, rows)
+        tied = np.round(rng.uniform(size=(150, 3)), 1)
+        pts = np.concatenate([tied, tied[:20]])
+        knn = build_knn_graph(pts, 6)
+        rows, cols, aff = knn_directed(pts, 6)
+        w = sp.csr_matrix((aff, (rows, cols)), shape=(pts.shape[0],) * 2)
+        ref = sp.triu((w + w.T) / 2.0, k=1).tocoo()
+        order = np.lexsort((ref.col, ref.row))
+        order = order[ref.data[order] > 0.0]
+        assert np.array_equal(knn.edge_a, ref.row[order])
+        assert np.array_equal(knn.edge_b, ref.col[order])
+        assert np.array_equal(knn.edge_w, ref.data[order])
+        for g in (random_connected_graph(60, 90, rng), build_grid_graph(7, 9), knn):
+            lap = g.laplacian
+            assert lap.has_canonical_format and lap.nnz == g.n + 2 * g.edge_w.size
+            np.testing.assert_allclose(lap.toarray(), dense_laplacian(g), rtol=1e-14, atol=0)
 
     def test_traces_match_dense(self, rng):
         g = random_connected_graph(17, 9, rng)

@@ -63,6 +63,13 @@ class TestCgSolve:
         with pytest.raises(NotPositiveDefiniteError):
             cg_solve(shifted_laplacian(p3, -np.ones(3), 0.5), np.ones(3))
 
+    def test_indefinite_matrix_is_a_numerical_failure(self):
+        """NotPositiveDefiniteError is one kind of numerical failure, so
+        callers and the CLI's exit 3 need name only the one class."""
+        op = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NumericalFailureError, match="not positive definite"):
+            cg_solve(op, np.array([1.0, -1.0]))
+
     def test_non_finite_rhs_rejected(self, p3):
         op = shifted_laplacian(p3, np.ones(3), 1.0)
         for bad in (np.nan, np.inf, -np.inf):
@@ -108,18 +115,16 @@ class TestCgSolve:
         op = sp.csr_matrix(np.array([[1e-300, 1.0], [1.0, 1e-300]]))
         with np.errstate(all="ignore"), pytest.raises(
             NumericalFailureError, match="non-finite curvature"
-        ) as err:
+        ):
             cg_solve(op, np.array([1e10, 1e10]))
-        assert err.value.trace.size == 0
 
     def test_diverged_residual_is_a_numerical_failure(self):
-        """A step whose residual norm overflows raises with the trace so far."""
+        """A step whose residual norm overflows raises."""
         op = sp.csr_matrix(np.array([[1.0, 1e300], [1e300, 1.0]]))
         with np.errstate(all="ignore"), pytest.raises(
             NumericalFailureError, match="residual diverged"
-        ) as err:
+        ):
             cg_solve(op, np.array([1.0, 0.0]))
-        assert err.value.trace.size == 1 and not np.isfinite(err.value.trace[0])
 
     def test_invalid_inputs(self, p3):
         op = shifted_laplacian(p3, np.ones(3), 1.0)

@@ -205,8 +205,9 @@ class TestPriorSampling:
 
     def test_kappa_validation(self, p3):
         basis = eigendecompose(p3)
-        with pytest.raises(InvalidArgumentError):
-            sample_prior(basis, 0.0)
+        for kappa in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidArgumentError, match="finite and positive"):
+                sample_prior(basis, kappa)
 
     @pytest.mark.parametrize("seed", [-1, 2.0, [1, 2]])
     def test_seed_must_be_a_nonnegative_integer(self, p3, seed):

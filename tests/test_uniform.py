@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,16 @@ class TestCcp:
         for kappa, where in ((1e308, "uniform CCP"), (1e200, "box QP")):
             with pytest.raises(NumericalFailureError, match=where):
                 ccp_denoise(obs, g, kappa=kappa)
+
+    def test_laplacian_product_overflow_fails_at_once(self):
+        """2 * 1e308 overflows inside the box QP's sparse product L x, which
+        raises no floating-point error: the first step's curvature is nan,
+        and the run fails there instead of stepping on nan to its cap."""
+        g = Graph.from_edges(2, [0], [1], [2.0])
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailureError, match="box QP.*Laplacian product"):
+            ccp_denoise([1e308, 1e308], g)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     def test_seed_must_be_a_nonnegative_integer(self, p3, seed):
