@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, bernoulli, gaussian
-from .errors import GraphDenoiseError, InvalidArgumentError
+from .errors import GraphDenoiseError, InvalidArgumentError, NumericalFailureError
 from .graphs import Graph, as_seed, as_signal, build_grid_graph, build_knn_graph
 from .matrixio import format_float, read_matrix, read_text, select_columns
 from .result import DenoiseResult
@@ -126,17 +126,26 @@ def _pow2_exponent(*signals) -> int:
 
 
 def relative_error(f_true, f_est) -> float:
-    """||f_true - f_est||_2 / ||f_true||_2."""
+    """||f_true - f_est||_2 / ||f_true||_2.
+
+    Raises :class:`InvalidArgumentError` for an all-zero ``f_true`` and
+    :class:`NumericalFailureError` when the ratio overflows.
+    """
     t = np.asarray(f_true, dtype=np.float64)
     e = np.asarray(f_est, dtype=np.float64)
     if t.shape != e.shape:
         raise InvalidArgumentError("signals must have matching shapes")
-    k = _pow2_exponent(t, e)
-    t, e = np.ldexp(t, -k), np.ldexp(e, -k)
-    denom = float(np.linalg.norm(t))
-    if denom == 0.0:
+    # f_true on its own scale, since it can sit far below f_est
+    kt = _pow2_exponent(t)
+    k = max(kt, _pow2_exponent(e))
+    den = float(np.linalg.norm(np.ldexp(t, -kt)))
+    if den == 0.0:
         raise InvalidArgumentError("relative error undefined for a zero signal")
-    return float(np.linalg.norm(t - e)) / denom
+    num = float(np.linalg.norm(np.ldexp(t, -k) - np.ldexp(e, -k)))
+    try:
+        return math.ldexp(num / den, k - kt)
+    except OverflowError:
+        raise NumericalFailureError("relative error overflows: f_est dwarfs f_true") from None
 
 
 def pearson_correlation(f_true, f_est) -> float:

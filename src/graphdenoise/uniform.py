@@ -35,6 +35,7 @@ _CCP_MAX_OUTER = 50
 # stopping rule of the CCP inner QP (see minimize_box_qp)
 _BOX_QP_TOL = 1e-8
 _BOX_QP_MAX_ITER = 20000
+_EXPANSION_MAX = 1e12
 
 
 def _box(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,14 +86,27 @@ def minimize_box_qp(
     """Minimize kappa * x'Lx + c'x over the box (lower, upper), starting
     from a feasible x0.
 
-    Projected gradient with a Barzilai-Borwein trial step and an exact line
-    search along the projected direction; every accepted step decreases the
-    objective, so the value at the returned point never exceeds the value
-    at ``x0``.  Terminates when the unit-step projected gradient is below
-    1e-8 (scaled by the linear term) or after 20000 steps.  Returns the
-    point and the number of steps taken.  Raises
-    :class:`NumericalFailureError` if 2*kappa, or a gradient or curvature
-    built from it, overflows.
+    MPRGP, modified proportioning with reduced gradient projections
+    (Dostál & Schöberl, Comput. Optim. Appl. 2005).  Each step is one of:
+
+    - a conjugate gradient step on the face of free entries, taken when it
+      stays in the box;
+    - an expansion step, when it would not: to the box along the CG
+      direction, then a projected step along the free gradient of fixed
+      length 2 / ||2 kappa L||, the norm bounded by Gershgorin's
+      2 kappa * 2 * max degree, and the length by 1e12;
+    - a proportioning step along the chopped gradient, cut at the box, when
+      the bound entries whose gradient points into the box outweigh the
+      free gradient.
+
+    Every step decreases the objective, so the value at the returned point
+    never exceeds the value at ``x0``; a direction of zero curvature goes to
+    the box.  Terminates when the unit-step projected gradient is below 1e-8
+    (scaled by the linear term) or after 20000 steps.  Returns the point and
+    the number of steps taken.  Raises :class:`NumericalFailureError` if
+    2*kappa, or a gradient or curvature built from it, overflows, and
+    :class:`InvalidArgumentError` if the objective is unbounded below on the
+    box.
     """
     h = 2.0 * kappa  # the objective's Hessian is h * L
     if not np.isfinite(h):
@@ -100,42 +114,103 @@ def minimize_box_qp(
     lower, upper = box
     x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     c = linear
-    scale = max(1.0, float(np.max(np.abs(c))))
-    step = 1.0
-    iters = 0
+    tol = _BOX_QP_TOL * max(1.0, float(np.max(np.abs(c))))
+    lap = graph.laplacian
+
+    def project(v):
+        """v clipped to the box, in place."""
+        np.maximum(v, lower, out=v)
+        return np.minimum(v, upper, out=v)
+
+    def curvature(d):
+        hd = lap @ d
+        hd *= h
+        dhd = float(np.dot(d, hd))
+        # the sparse product raises no floating-point error of its own
+        if not np.isfinite(dhd):
+            raise FloatingPointError("overflow in the Laplacian product")
+        return hd, dhd
+
+    def cut(d, t):
+        """The step t along -d, cut where it would leave the box."""
+        # both rooms are >= +0, so a zero room in the direction of travel
+        # reads +inf and one behind it -inf; inf room, 0/0 at a fixed entry
+        # (nan, which fmax skips) and a ratio past the float range all have
+        # their limit meaning here
+        with np.errstate(all="ignore"):
+            most = np.fmax.reduce(np.fmax(d / (x - lower), -d / (upper - x)))
+        if most > 0.0:
+            t = min(t, 1.0 / most)
+        if not np.isfinite(t):
+            raise InvalidArgumentError("box QP objective is unbounded below")
+        return t
+
+    def face():
+        """Float masks of the free entries and of the bound ones."""
+        free = ((lower < x) & (x < upper)).astype(np.float64)
+        return free, 1.0 - free
+
+    steps = 0
     with overflow_guard("box QP arithmetic"):
-        hx = h * (graph.laplacian @ x)
-        grad = hx + c
-        while iters < _BOX_QP_MAX_ITER:
-            stationarity = np.max(np.abs(x - np.clip(x - grad, lower, upper)))
-            if stationarity <= _BOX_QP_TOL * scale:
+        # at most 1e12, so that it stays finite for a subnormal kappa
+        expansion = min(1.0 / (h * float(graph.degrees.max())), _EXPANSION_MAX)
+        grad = h * (lap @ x) + c
+        free, bound = face()
+        r, phi, chopped, work, y = (np.empty_like(x) for _ in range(5))
+        p = None  # the CG direction; None restarts it at the free gradient
+        while steps < _BOX_QP_MAX_ITER:
+            np.subtract(x, grad, out=r)
+            np.subtract(x, project(r), out=r)
+            if max(r.max(), -r.min()) <= tol:
                 break
-            d = np.clip(x - step * grad, lower, upper) - x
-            dnorm2 = float(np.dot(d, d))
-            if dnorm2 == 0.0:
-                break
-            hd = h * (graph.laplacian @ d)
-            dhd = float(np.dot(d, hd))
-            # the sparse product raises no floating-point error of its own
-            if not np.isfinite(dhd):
-                raise FloatingPointError("overflow in the Laplacian product")
-            gd = float(np.dot(grad, d))
-            if dhd > 0.0:
-                t = min(1.0, -gd / dhd)
-                # Barzilai-Borwein trial step for the next round
-                step = min(max(dnorm2 / dhd, 1e-12), 1e12)
-            else:
-                # curvature-free direction: the objective is linear along
-                # d and gd < 0 by the projection inequality, so take the
-                # full step
-                t = 1.0
-            if t <= 0.0:
-                break
-            x = x + t * d
-            hx = hx + t * hd
-            grad = hx + c
-            iters += 1
-    return x, iters
+            steps += 1
+            np.multiply(grad, free, out=phi)
+            # at a bound entry r is the chopped gradient
+            np.multiply(r, bound, out=chopped)
+            bb = float(np.dot(chopped, chopped))
+            if bb > 0.0:
+                # the reduced free gradient, times the expansion length
+                np.multiply(phi, -expansion, out=work)
+                work += x
+                np.subtract(x, project(work), out=work)
+                if bb * expansion > float(np.dot(work, phi)):
+                    hd, dhd = curvature(chopped)
+                    exact = float(np.dot(grad, chopped)) / dhd if dhd > 0.0 else np.inf
+                    t = cut(chopped, exact)
+                    x = project(x - t * chopped)
+                    grad -= t * hd
+                    free, bound = face()
+                    p = None
+                    continue
+            if p is not None:
+                p *= -float(np.dot(phi, hp)) / php
+                p += phi
+                gp = float(np.dot(grad, p))
+            if p is None or not gp > 0.0:
+                # a restart, or round-off has turned the CG direction uphill
+                p = phi.copy()
+                gp = float(np.dot(grad, p))
+            hp, php = curvature(p)
+            # a curvature too small for the quotient counts as none
+            t = gp / php if php > 0.0 else np.inf
+            if t < np.inf:
+                np.multiply(p, -t, out=y)
+                y += x
+                if (y >= lower).all() and (y <= upper).all():
+                    x, y = y, x
+                    np.multiply(hp, t, out=work)
+                    grad -= work
+                    continue
+            # expansion: to the box along p, then the fixed projected step
+            t = cut(p, np.inf)
+            x = project(x - t * p)
+            grad -= t * hp
+            free, bound = face()
+            x = project(x - expansion * (grad * free))
+            grad = h * (lap @ x) + c
+            free, bound = face()
+            p = None
+    return x, steps
 
 
 def _log_term_gradient(f: np.ndarray) -> np.ndarray:

@@ -311,7 +311,7 @@ def test_criterion_7_small_instance_oracles():
     for _ in range(20):
         n = int(rng.integers(6, 14))
         g = random_connected_graph(n, int(rng.integers(1, 6)), rng)
-        size = int(rng.integers(2, 9))
+        size = min(int(rng.integers(2, 9)), n)
         zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
         a = dense_incidence(g)[:, zeta]
         sig = rng.normal(0.0, 2.0, size=n)

@@ -1674,6 +1674,26 @@ class TestExperimentCommand:
         rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
         assert rows and all(r[0] == "nuclear" and r[4] == "error" and r[5] == "nan" for r in rows)
 
+    def test_overflowing_relative_error_is_named(self, tmp_path, caplog):
+        """A tiny nonzero truth under huge noise overflows the ratio; the
+        error row says so, not that the signal is zero."""
+        signal = tmp_path / "sig.csv"
+        signal.write_text("1e-300\n0\n")
+        spec = tmp_path / "overflow.spec"
+        spec.write_text(
+            "[experiment]\nname = overflow\nseed = 0\nrepeats = 1\n\n"
+            "[graph]\nkind = grid\nheight = 1\nwidth = 2\n\n"
+            f"[signal]\nsource = file\npath = {signal}\n\n"
+            "[noise]\nkind = gaussian\nlevels = 1e300\n\n"
+            "[metrics]\nnames = relative-error\n\n[method.noisy]\n"
+        )
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[4], r[5]) for r in rows] == [("noisy", "error", "nan")]
+        assert "relative error overflows" in caplog.text
+        assert "zero signal" not in caplog.text
+
     def test_salt_pepper_is_an_unknown_noise_kind(self, tmp_path, capsys):
         spec = tmp_path / "sp.spec"
         spec.write_text(TINY_SPEC.replace("kind = gaussian", "kind = salt-pepper"))

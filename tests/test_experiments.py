@@ -1,12 +1,14 @@
 import dataclasses
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from graphdenoise import (
     InvalidArgumentError,
+    NumericalFailureError,
     add_noise,
     build_grid_graph,
     build_knn_graph,
@@ -97,8 +99,19 @@ class TestMetrics:
         assert relative_error(f, f) == 0.0
         assert relative_error(f, np.zeros(10)) == pytest.approx(1.0)
         assert relative_error(f, 2 * f) == pytest.approx(1.0)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="zero signal"):
             relative_error(np.zeros(10), f)
+
+    def test_relative_error_far_apart_scales(self):
+        """f_true's norm is taken on its own scale: a ratio the float range
+        holds is returned, and one it does not is an overflow."""
+        assert relative_error([1e-163, 0.0], [5e-164, 0.0]) == 0.5
+        assert relative_error([1e-300, 1e-300], [0.0, 1e-10]) == pytest.approx(
+            1e-10 / math.hypot(1e-300, 1e-300), rel=1e-15
+        )
+        for f_true in ([1e-300, 0.0], [5e-324, 0.0]):
+            with pytest.raises(NumericalFailureError, match="relative error overflows"):
+                relative_error(f_true, [1e300, 0.0])
 
     def test_pearson_examples(self, rng):
         f = rng.normal(size=10)

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ from graphdenoise import (
     uniform_loss,
 )
 
-from graphdenoise.uniform import _box
+from graphdenoise.uniform import _BOX_QP_MAX_ITER, _BOX_QP_TOL, _box, minimize_box_qp
 
 from conftest import dense_laplacian, random_connected_graph
 
@@ -45,6 +46,38 @@ def grid_search_2d(gsig, w, kappa, span=5.0, step=1e-3):
         idx = np.unravel_index(np.argmin(loss), loss.shape)
         if loss[idx] < best[0]:
             best = (float(loss[idx]), np.array([a[idx[0], 0], b[0, idx[1]]]))
+    return best
+
+
+def box_qp_oracle(hess, c, lower, upper):
+    """Minimizer of x'Hx/2 + c'x over the box, by enumerating every active
+    set: each face's free entries solve their system densely, and the best
+    KKT point is the optimum."""
+    slack = 1e-9 * max(1.0, float(np.max(np.abs(c))))
+    choices = [
+        (lower[i],) if lower[i] == upper[i]
+        else (None, *(b for b in (lower[i], upper[i]) if np.isfinite(b)))
+        for i in range(c.size)
+    ]
+    best = (np.inf, None)
+    for pick in itertools.product(*choices):
+        free = np.array([v is None for v in pick])
+        x = np.array([0.0 if v is None else v for v in pick])
+        if free.any():
+            rhs = -c[free] - hess[np.ix_(free, ~free)] @ x[~free]
+            x[free] = np.linalg.lstsq(hess[np.ix_(free, free)], rhs, rcond=None)[0]
+        grad = hess @ x + c
+        movable = ~free & (lower < upper)
+        kkt = (
+            np.all(x >= lower - slack) and np.all(x <= upper + slack)
+            and np.all(np.abs(grad[free]) <= slack)
+            and np.all(grad[movable & (x == lower)] >= -slack)
+            and np.all(grad[movable & (x == upper)] <= slack)
+        )
+        value = 0.5 * x @ hess @ x + c @ x
+        if kkt and value < best[0]:
+            best = (value, x)
+    assert best[1] is not None, "no KKT point"
     return best
 
 
@@ -142,7 +175,7 @@ class TestCcp:
         obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
         monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 50)
         res, trace = ccp_denoise(obs, g, kappa=1e100)
-        assert trace.inner_iterations == (50, 50, 50, 50)
+        assert trace.inner_iterations == (50, 50)
         assert not res.converged
         monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 2)
         res, trace = ccp_denoise(obs, g, kappa=1.0)
@@ -183,6 +216,65 @@ class TestCcp:
     def test_seed_must_be_a_nonnegative_integer(self, p3, seed):
         with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
             ccp_denoise(np.ones(3), p3, rng_seed=seed)
+
+
+class TestBoxQp:
+    def check_against_oracle(self, g, kappa, c, obs, x0):
+        lower, upper = _box(obs)
+        hess = 2.0 * kappa * dense_laplacian(g)
+
+        def value(x):
+            return 0.5 * x @ hess @ x + c @ x
+
+        x, steps = minimize_box_qp(g, kappa, c, (lower, upper), x0)
+        best, x_star = box_qp_oracle(hess, c, lower, upper)
+        tol = _BOX_QP_TOL * max(1.0, float(np.max(np.abs(c))))
+        assert steps < _BOX_QP_MAX_ITER
+        assert np.all(lower <= x) and np.all(x <= upper)
+        assert value(x) <= value(x0)
+        assert np.max(np.abs(x - x_star)) <= tol
+        assert abs(value(x) - best) <= 1e-9 * max(1.0, abs(best))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_active_set_enumeration(self, seed):
+        """Two-sided boxes with fixed zeros, from starts partly on the bounds."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        g = random_connected_graph(n, int(rng.integers(0, n)), rng)
+        obs = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        obs[:2] = [abs(obs[0]), -abs(obs[1])]
+        obs[rng.choice(n, int(rng.integers(1, 3)), replace=False)] = 0.0
+        kappa = float(10.0 ** rng.uniform(-1.0, 1.0))
+        c = rng.normal(0.0, 2.0, n)
+        lift = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.6)
+        x0 = np.clip(obs + np.sign(obs) * lift, *_box(obs))
+        self.check_against_oracle(g, kappa, c, obs, x0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_constant_start_has_zero_curvature(self, rng, sign):
+        """From a constant start inside a one-signed box, a constant linear
+        term makes the first direction constant, where L has no curvature:
+        the step goes to the box."""
+        g = random_connected_graph(7, 3, rng)
+        obs = sign * rng.uniform(0.2, 2.0, g.n)
+        c = np.full(g.n, sign * 0.7)
+        self.check_against_oracle(g, 0.9, c, obs, np.full(g.n, sign * 3.0))
+
+    def test_subnormal_kappa_keeps_a_finite_expansion_step(self):
+        """2 / ||2 kappa L|| overflows for a subnormal kappa; the capped
+        expansion step still reaches the box's corner."""
+        g = build_grid_graph(4, 4)
+        obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
+        obs[[3, 7]] *= -1.0
+        obs[5] = 0.0
+        res, _ = ccp_denoise(obs, g, kappa=5e-324)
+        assert res.converged
+        assert np.array_equal(res.signal, obs)
+
+    def test_unbounded_objective_is_rejected(self, p3):
+        lower, upper = _box(np.ones(3))
+        with pytest.raises(InvalidArgumentError, match="unbounded below"):
+            minimize_box_qp(p3, 1.0, np.full(3, -1.0), (lower, upper), np.full(3, 2.0))
 
 
 class TestProjectedGradient:
