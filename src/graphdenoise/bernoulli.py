@@ -177,7 +177,6 @@ class _StepwiseSearch:
     # complement descents; the pairwise stall escape is always capped
     SMALL_DESIGN = 64
     PAIR_CANDIDATES = 12
-    SWAP_CANDIDATES = 64
     N_SINGLE_STARTS = 7
 
     def __init__(self, gram, c, tau, energy):
@@ -188,22 +187,21 @@ class _StepwiseSearch:
         self.col_sq = np.where(self.usable, col_sq, 1.0)
         self.tau = tau
         self.moves = 0
-        self.fits: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
-        self.stopped_short: set[tuple[int, ...]] = set()
+        self.fits: dict[tuple[int, ...], tuple[np.ndarray, float, bool]] = {}
 
     def refit(self, support):
         """The sorted support and its least-squares coefficients.
 
         The search revisits the same supports many times, so each fit is
-        kept (read-only), with its residual sum of squares, for the life of
-        the search.  A fit that stops short, at the CG cap (best iterate
-        kept) or at nonpositive curvature (zero coefficients kept), is
-        recorded in ``stopped_short``.
+        kept (read-only), with its residual sum of squares and whether it
+        converged, for the life of the search.  A fit that stops short, at
+        the CG cap (best iterate kept) or at nonpositive curvature (zero
+        coefficients kept), has not converged.
         """
         key = tuple(sorted(support))
         if key not in self.fits:
             if not key:
-                x = np.empty(0)
+                x, converged = np.empty(0), True
             else:
                 s = list(key)
                 try:
@@ -213,16 +211,13 @@ class _StepwiseSearch:
                         tol=1e-12,
                         max_iter=max(200, 10 * len(s)),
                     )
-                    x = fit.signal
-                    if not fit.converged:
-                        self.stopped_short.add(key)
+                    x, converged = fit.signal, fit.converged
                 except NotPositiveDefiniteError:
-                    x = np.zeros(len(s))
-                    self.stopped_short.add(key)
+                    x, converged = np.zeros(len(s)), False
             x.flags.writeable = False
             full = np.zeros(self.p)
             full[list(key)] = x
-            self.fits[key] = (x, float(self.energy(full)))
+            self.fits[key] = (x, float(self.energy(full)), converged)
         return list(key), self.fits[key][0]
 
     def rss(self, s):
@@ -298,7 +293,7 @@ class _StepwiseSearch:
             cur = self.rss(s) + self.tau * len(s)
             corr = np.abs(self.correlation(s, x))
             corr[s] = -np.inf
-            cand = np.argsort(-corr, kind="stable")[: self.SWAP_CANDIDATES]
+            cand = np.argsort(-corr, kind="stable")
             improved = False
             for j in list(support):
                 for c in cand:
@@ -339,9 +334,7 @@ class _StepwiseSearch:
             for cand in candidates:
                 t = self.prune(cand)
                 if small:
-                    t = self.swap(t)
-                t = self.forward(t)
-                t = self.prune(t)
+                    t = self.prune(self.swap(t))
                 o = self.objective(t)
                 if o < best[0]:
                     best = (o, sorted(t))
@@ -383,7 +376,7 @@ def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
             1.0, float(abs(gram).max())
         ):
             x -= x.mean()
-    return SparseUpdate.from_raw(x, search.moves, tuple(s) not in search.stopped_short)
+    return SparseUpdate.from_raw(x, search.moves, search.fits[tuple(s)][2])
 
 
 def bernoulli_denoise(

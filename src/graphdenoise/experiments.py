@@ -26,6 +26,7 @@ import numpy as np
 
 from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError, NumericalFailureError
+from .errors import overflow_guard
 from .graphs import Graph, as_seed, as_signal, build_grid_graph, build_knn_graph
 from .matrixio import format_float, read_matrix, read_text, select_columns
 from .result import DenoiseResult
@@ -110,7 +111,8 @@ def add_noise(
     if kind == "gaussian":
         if level == 0.0:
             return f.copy()
-        return f + level * rng.standard_normal(f.shape)
+        with overflow_guard("gaussian noise"):
+            return f + level * rng.standard_normal(f.shape)
     if kind == "uniform-scale":
         return rng.uniform(0.0, 1.0, size=f.shape) * f
     out = f.copy()
@@ -587,13 +589,18 @@ def _build_signals(
         count = _count(opts, "count")
         kappa = value("kappa", _finite, 1.0)
         mean = value("mean", _finite, 0.0)
+        mean_coeff = mean * math.sqrt(graph.n)  # Python floats: inf, no warning
+        if not math.isfinite(mean_coeff):
+            raise InvalidArgumentError(
+                f"[{opts.name}] mean = {mean:g} overflows mean * sqrt(n)"
+            )
         rng = derive_rng(spec.seed, "signals")
         signals = _signal_rows(count, graph.n, f"[{opts.name}] count")
         for j in range(count):
             signals[j] = sample_prior(
                 basis,
                 kappa,
-                mean_coeff=mean * np.sqrt(graph.n),
+                mean_coeff=mean_coeff,
                 rng_seed=rng.integers(0, 2**63 - 1),
             )
         if value("nonneg", _boolean, False):

@@ -164,10 +164,12 @@ def sample_prior(
 
     Nonzero frequencies get independent N(0, 1/(2*kappa*lambda_i))
     coefficients; the mean frequency is pinned to ``mean_coeff`` because the
-    prior leaves it unconstrained.  ``rng_seed`` is None (fresh entropy) or
-    a nonnegative integer.
+    prior leaves it unconstrained, and must be finite.  ``rng_seed`` is
+    None (fresh entropy) or a nonnegative integer.
     """
     check_kappa(kappa)
+    if not np.isfinite(mean_coeff):
+        raise InvalidArgumentError(f"mean_coeff must be finite, got {mean_coeff!r}")
     rng = np.random.default_rng(as_seed(rng_seed))
     coeffs = np.empty(basis.n)
     coeffs[0] = mean_coeff

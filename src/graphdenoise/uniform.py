@@ -36,6 +36,7 @@ _CCP_MAX_OUTER = 50
 _BOX_QP_TOL = 1e-8
 _BOX_QP_MAX_ITER = 20000
 _EXPANSION_MAX = 1e12
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def _box(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,12 +102,21 @@ def minimize_box_qp(
 
     Every step decreases the objective, so the value at the returned point
     never exceeds the value at ``x0``; a direction of zero curvature goes to
-    the box.  Terminates when the unit-step projected gradient is below 1e-8
-    (scaled by the linear term) or after 20000 steps.  Returns the point and
-    the number of steps taken.  Raises :class:`NumericalFailureError` if
-    2*kappa, or a gradient or curvature built from it, overflows, and
-    :class:`InvalidArgumentError` if the objective is unbounded below on the
-    box.
+    the box.  Terminates when the unit-step projected gradient is below the
+    larger of 1e-8 (scaled by the linear term) and the round-off floor of
+    the computed h * L x, h = 2 kappa, or after 20000 steps.  A row of L has
+    at most m nonzeros, whose absolute values sum to 2 d_i, so each entry of
+    the computed L x is off by at most gamma_m * 2 d_max max|x|, with
+    gamma_m = m u / (1 - m u) and u the unit round-off (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, section 3.1).  With the
+    scaling by h, (m + 2) u * h * 2 d_max max|x|, max|x| taken at the start,
+    bounds the error to first order in u.  Below it the projected gradient
+    is round-off, and a stop that asks for less is met only at the cap
+    (Dostál, *Optimal Quadratic Programming Algorithms*, 2009, on MPRGP's
+    stopping rule).  Returns the point and the number of steps taken.
+    Raises :class:`NumericalFailureError` if 2*kappa, or a gradient or
+    curvature built from it, overflows, and :class:`InvalidArgumentError`
+    if the objective is unbounded below on the box.
     """
     h = 2.0 * kappa  # the objective's Hessian is h * L
     if not np.isfinite(h):
@@ -114,7 +124,6 @@ def minimize_box_qp(
     lower, upper = box
     x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     c = linear
-    tol = _BOX_QP_TOL * max(1.0, float(np.max(np.abs(c))))
     lap = graph.laplacian
 
     def project(v):
@@ -152,8 +161,14 @@ def minimize_box_qp(
 
     steps = 0
     with overflow_guard("box QP arithmetic"):
+        d_max = float(graph.degrees.max())
+        # the round-off floor of h * L x (see the docstring), in numpy
+        # floats so that an overflow raises
+        gamma = np.float64((np.diff(lap.indptr).max() + 2) * _UNIT_ROUNDOFF)
+        floor = gamma * h * 2.0 * d_max * float(np.max(np.abs(x)))
+        tol = max(_BOX_QP_TOL * max(1.0, float(np.max(np.abs(c)))), float(floor))
         # at most 1e12, so that it stays finite for a subnormal kappa
-        expansion = min(1.0 / (h * float(graph.degrees.max())), _EXPANSION_MAX)
+        expansion = min(1.0 / (h * d_max), _EXPANSION_MAX)
         grad = h * (lap @ x) + c
         free, bound = face()
         r, phi, chopped, work, y = (np.empty_like(x) for _ in range(5))

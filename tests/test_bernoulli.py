@@ -12,6 +12,7 @@ from graphdenoise import (
     InvalidArgumentError,
     bernoulli_denoise,
     build_grid_graph,
+    dirichlet_system,
     dropout_penalty,
     harmonic_interpolate,
     l0_greedy,
@@ -221,6 +222,60 @@ class TestLasso:
             lasso_coordinate_descent(np.ones((1, 2)), np.zeros(1), 1.0)
 
 
+class ForwardAfterExchange(_StepwiseSearch):
+    """The search with its earlier per-candidate schedule: prune, the
+    exchange on small designs, then a forward pass and a second prune."""
+
+    def run(self):
+        g0 = self.gains([], self.c)
+        order = np.argsort(-g0, kind="stable")
+        starts = [
+            [int(j)] for j in order[: self.N_SINGLE_STARTS] if g0[j] >= self.tau
+        ] or [[]]
+        small = self.p <= self.SMALL_DESIGN
+        columns = np.flatnonzero(self.usable).tolist()
+        if small:
+            starts.append(columns)
+        best = (self.objective([]), [])
+        for start in starts:
+            base = self.prune(start) if len(start) > 1 else self.forward(start)
+            candidates = [base]
+            if small:
+                candidates.append([j for j in columns if j not in base])
+            for cand in candidates:
+                t = self.prune(cand)
+                if small:
+                    t = self.swap(t)
+                t = self.prune(self.forward(t))
+                o = self.objective(t)
+                if o < best[0]:
+                    best = (o, sorted(t))
+        return best[1]
+
+
+def criterion_7a_instances(count):
+    """Criterion 7(a)'s seed-0 generator, its size clamped to n."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        n = int(rng.integers(6, 14))
+        g = random_connected_graph(n, int(rng.integers(1, 6)), rng)
+        size = min(int(rng.integers(2, 9)), n)
+        zeta = vertex_mask(n, rng.choice(n, size=size, replace=False))
+        sig = rng.normal(0.0, 2.0, size=n)
+        yield dense_incidence(g)[:, zeta], -(dense_incidence(g) @ sig), float(rng.uniform(0.3, 3.0))
+
+
+def exhaustive_test_instances(count):
+    """The generator of ``test_matches_exhaustive_enumeration``."""
+    rng = np.random.default_rng(1234)
+    for _ in range(count):
+        n = int(rng.integers(6, 12))
+        extra = int(rng.integers(1, 6))
+        size = int(rng.integers(2, min(9, n + 1)))
+        ad, y = random_design(rng, n, extra, size)
+        yield ad, y, float(rng.uniform(0.3, 3.0))
+
+
 class TestL0Greedy:
     def test_huge_tau_empty_support(self, p3, rng):
         a = dense_incidence(p3)
@@ -286,6 +341,43 @@ class TestL0Greedy:
         assert x1 is x2 and not x1.flags.writeable
         s1.append(1)
         assert search.refit([2, 0])[0] == [0, 2]
+
+    def test_one_pass_schedule_matches_the_forward_pass_schedule(self):
+        """Dropping the forward pass after the exchange, whose additions the
+        next prune removed again, changes no support and no bit of x on 300
+        instances of each small generator and on grid designs with |zeta|
+        either side of the 64-column small-design cutoff."""
+        systems = [
+            gram_form(a, y) + (tau,)
+            for gen in (criterion_7a_instances, exhaustive_test_instances)
+            for a, y, tau in gen(300)
+        ]
+        rng = np.random.default_rng(3)
+        grid = build_grid_graph(12, 12)
+        rows, cols = np.divmod(np.arange(grid.n), 12)
+        for zeros in (40, 52, 60, 64, 65, 70, 76, 88):
+            truth = 5.0 + np.cos(np.pi * cols / 12) + np.sin(np.pi * rows / 6)
+            obs = truth + 0.3 * rng.standard_normal(grid.n)
+            zeta = vertex_mask(grid.n, rng.choice(grid.n, size=zeros, replace=False))
+            obs[zeta] = 0.0
+            systems.append(dirichlet_system(grid, obs, zeta) + (dropout_penalty(0.1, 1.0),))
+        moves = np.zeros(2, dtype=int)
+        for gram, c, energy, tau in systems:
+            gram = sp.csr_matrix(gram)
+            new = _StepwiseSearch(gram, c, tau, energy)
+            s_new, x_new = new.refit(new.run())
+            # a fit depends on its support alone, so the old schedule may
+            # share the new one's fits; its support is refitted afresh
+            old = ForwardAfterExchange(gram, c, tau, energy)
+            old.fits = dict(new.fits)
+            s_old = old.refit(old.run())[0]
+            fresh = _StepwiseSearch(gram, c, tau, energy)
+            x_old = fresh.refit(s_old)[1]
+            assert s_new == s_old
+            assert x_new.tobytes() == x_old.tobytes()
+            assert new.fits[tuple(s_new)][2] == fresh.fits[tuple(s_old)][2]
+            moves += new.moves, old.moves
+        assert moves[0] < moves[1]
 
     def test_zero_columns_never_enter_the_support(self):
         a = np.array([[2.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 0]])

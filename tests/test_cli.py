@@ -731,6 +731,27 @@ class TestDenoiseCommand:
         assert main(argv) == 0
         assert "unconverged=2 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["1", "3"])
+    def test_uniform_huge_kappa_converges_under_the_cap(self, tmp_path, capsys, seed):
+        """At kappa = 1e100 the box QP's stop scales with the round-off of
+        2 kappa L x.  Asking for less, a QP ran to its 20000-step cap and
+        was reported unconverged (start seed 1), or followed a round-off
+        direction of zero curvature and exited 2 as unbounded (seed 3)."""
+        src = tmp_path / "g.csv"
+        write_csv(src, np.random.default_rng(0).uniform(0.1, 2.0, size=(16, 1)))
+        argv = [
+            "denoise", "uniform",
+            "--graph", "grid", "4x4",
+            "--kappa", "1e100",
+            "--seed", seed,
+            "--input", str(src),
+            "--output", str(tmp_path / "o.csv"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert "unconverged=" not in capsys.readouterr().err
+
     def test_capped_gaussian_column_writes_its_best_iterate(
         self, tmp_path, rng, monkeypatch, capsys
     ):
@@ -1269,6 +1290,28 @@ class TestExperimentCommand:
         # 2 methods (2 + 1 combos) x 2 levels x 1 metric x 2 repeats
         assert len(a) == (2 + 1) * 2 * 2
 
+    def test_gaussian_noise_overflow_is_an_error_row(self, tmp_path):
+        """sigma = 1e308 overflows the noise draw itself: every cell is an
+        error row, with no warning, where some wrote nan or inf values."""
+        methods = ["noisy", "gaussian", "local-average", "nuclear", "bernoulli",
+                   "uniform-ccp", "uniform-pg"]
+        spec = tmp_path / "noise.spec"
+        spec.write_text(
+            TINY_SPEC.split("[method.gaussian]")[0]
+            .replace("height = 3\nwidth = 3", "height = 4\nwidth = 4")
+            .replace("levels = 0.5 1.0", "levels = 1e308")
+            .replace("repeats = 2", "repeats = 1")
+            + "[method.gaussian]\ntau = 1.0\n\n[method.local-average]\nt = 1\n\n"
+            "[method.nuclear]\ntau = 1.0\n\n[method.bernoulli]\np = 0.2\n\n"
+            "[method.noisy]\n\n[method.uniform-ccp]\n\n[method.uniform-pg]\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "table.csv").read_text().splitlines()[1:]]
+        assert sorted((r[0], r[4]) for r in rows) == sorted((m, "error") for m in methods)
+
     def test_projected_gradient_overflow_is_an_error_row(self, tmp_path):
         """The log term's 1/f of a subnormal entry overflows: the method's
         cell is an error row, with no warning, where it was a warning and
@@ -1530,6 +1573,9 @@ class TestExperimentCommand:
             ("count = 2\n", "count = 2\nnonneg = ture\n", "[signal] nonneg: cannot read 'ture'"),
             ("kappa = 1.0\n", "kappa = 1.0\nmean = inf\n", "[signal] mean: cannot read 'inf'"),
             ("kappa = 1.0\n", "kappa = 1.0\nmean = nan\n", "[signal] mean: cannot read 'nan'"),
+            # mean * sqrt(n), the prior's mean coefficient, overflows
+            ("kappa = 1.0\n", "kappa = 1.0\nmean = 1e308\n",
+             "[signal] mean = 1e+308 overflows mean * sqrt(n)"),
             ("kappa = 1.0\n", "kappa = inf\n", "[signal] kappa: cannot read 'inf'"),
             ("count = 2", "count = 0", "[signal] count must be at least 1, got 0"),
             ("count = 2", "count = -1", "[signal] count must be at least 1, got -1"),
@@ -1557,7 +1603,7 @@ class TestExperimentCommand:
             "levels-nan", "fill-inf", "seed", "seed-negative", "noise-kind", "levels-empty",
             "method-grid-empty", "metric", "graph-kind", "signal-source",
             "spread-inf", "spread-nan", "spread-1e308",
-            "nonneg-ture", "mean-inf", "mean-nan", "kappa-inf", "count-0", "count-negative",
+            "nonneg-ture", "mean-inf", "mean-nan", "mean-overflows", "kappa-inf", "count-0", "count-negative",
             "repeats-0",
             "repeats-negative", "benchmark",
             "unread-experiment", "unread-graph", "unread-signal", "unread-noise",

@@ -209,6 +209,14 @@ class TestPriorSampling:
             with pytest.raises(InvalidArgumentError, match="finite and positive"):
                 sample_prior(basis, kappa)
 
+    @pytest.mark.parametrize("mean", [np.inf, -np.inf, np.nan])
+    def test_mean_coefficient_must_be_finite(self, p3, mean):
+        """A non-finite mean coefficient was drawn into an all-inf or
+        all-nan signal without a word."""
+        basis = eigendecompose(p3)
+        with pytest.raises(InvalidArgumentError, match="mean_coeff must be finite"):
+            sample_prior(basis, 1.0, mean_coeff=mean)
+
     @pytest.mark.parametrize("seed", [-1, 2.0, [1, 2]])
     def test_seed_must_be_a_nonnegative_integer(self, p3, seed):
         basis = eigendecompose(p3)

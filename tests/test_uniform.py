@@ -173,14 +173,25 @@ class TestCcp:
 
         g = build_grid_graph(4, 4)
         obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
-        monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 50)
-        res, trace = ccp_denoise(obs, g, kappa=1e100)
-        assert trace.inner_iterations == (50, 50)
+        # a one-step cap stops every QP before its stopping test is met
+        monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 1)
+        res, trace = ccp_denoise(obs, g, kappa=1.0)
+        assert trace.inner_iterations == (1, 1, 1, 1, 1, 1)
         assert not res.converged
         monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 2)
         res, trace = ccp_denoise(obs, g, kappa=1.0)
         assert trace.inner_iterations == (2, 1, 1, 1, 1, 1)
         assert res.converged
+
+    def test_huge_kappa_stops_at_the_gradient_round_off(self):
+        """At kappa = 1e100 the computed gradient 2 kappa L x carries
+        round-off far above the linear term's 1e-8 tolerance; the stop
+        scales with it, so the QPs end long before their cap."""
+        g = build_grid_graph(4, 4)
+        obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
+        res, trace = ccp_denoise(obs, g, kappa=1e100)
+        assert res.converged
+        assert max(trace.inner_iterations) < 100
 
     def test_kappa_validation(self, p3):
         with pytest.raises(InvalidArgumentError):
