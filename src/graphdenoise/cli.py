@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -123,6 +124,7 @@ def _parse_graph_arg(kind: str, arg: str, n_rows: int, matrix: np.ndarray) -> Gr
 
 def _read_edge_list(path: str, n: int) -> Graph:
     a, b, w = [], [], []
+    first_line = {}  # unordered pair -> the line that named it first
     for ln_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -145,6 +147,18 @@ def _read_edge_list(path: str, n: int) -> Graph:
                 raise InvalidArgumentError(
                     f"{path}: line {ln_no}: vertex id {v} out of range [0, {n})"
                 )
+        if not 0.0 < w[-1] < math.inf:
+            raise InvalidArgumentError(
+                f"{path}: line {ln_no}: edge weight {parts[2]} is not finite and positive"
+            )
+        if a[-1] == b[-1]:
+            raise InvalidArgumentError(f"{path}: line {ln_no}: self-loop at vertex {a[-1]}")
+        pair = (min(a[-1], b[-1]), max(a[-1], b[-1]))
+        if pair in first_line:
+            raise InvalidArgumentError(
+                f"{path}: line {ln_no}: duplicate edge {pair}, first on line {first_line[pair]}"
+            )
+        first_line[pair] = ln_no
     return Graph.from_edges(n, a, b, w)
 
 

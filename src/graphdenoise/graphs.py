@@ -3,10 +3,12 @@
 Every denoiser in this package consumes an immutable :class:`Graph`.  The
 graph stores a canonical edge list (tail < head, strictly positive weights)
 and its weighted degrees, and lazily assembles its one sparse matrix, the
-CSR Laplacian L = D - A.  scipy is imported where that matrix, ``csgraph``
-or a KD-tree is first needed, so code that reads only the edge arrays, such
-as the grid Gaussian path, runs on numpy alone.  Dense matrices appear only
-in test oracles and the spectral reference path.
+CSR Laplacian L = D - A.  scipy is imported where that matrix is first
+needed.  Building a graph does not need it: grids, k-NN graphs (brute-force
+distances by BLAS, certified against rounding) and edge lists, with their
+connectivity check on the edge arrays, run on numpy alone, as does code
+that reads only the edge arrays, such as the grid Gaussian path.  Dense
+matrices appear only in test oracles and the spectral reference path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GraphDisconnectedError, InvalidArgumentError, overflow_guard
+from .errors import GraphDisconnectedError, InvalidArgumentError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -128,18 +130,17 @@ class Graph:
                 raise InvalidArgumentError(
                     f"duplicate edge ({lo[k]}, {hi[k]})"
                 )
-        # imported here: it loads scipy.sparse.linalg, and grids skip this
-        from scipy.sparse.csgraph import connected_components
-
-        g = cls(n=n, edge_a=lo, edge_b=hi, edge_w=w)
-        # L's diagonal entries are self-loops, which join no components
-        ncomp, labels = connected_components(g.laplacian, directed=False)
-        if ncomp != 1:
-            comps = [np.flatnonzero(labels == c).tolist() for c in range(ncomp)]
+        labels = _component_labels(n, lo, hi)
+        roots = np.flatnonzero(labels == np.arange(n))
+        if roots.size != 1:
+            # components in order of their least vertex, each one ascending
+            order = np.argsort(labels, kind="stable")
+            comps = np.split(order, np.searchsorted(labels[order], roots[1:]))
             raise GraphDisconnectedError(
-                f"graph has {ncomp} connected components", components=comps
+                f"graph has {roots.size} connected components",
+                components=[c.tolist() for c in comps],
             )
-        return g
+        return cls(n=n, edge_a=lo, edge_b=hi, edge_w=w)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -178,46 +179,158 @@ def build_grid_graph(height: int, width: int) -> Graph:
     return Graph(height * width, a[order], b[order], np.ones(a.size), (height, width))
 
 
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each vertex's least connected vertex, for the edges (a[i], b[i]).
+
+    Shiloach & Vishkin's hook-and-jump on the edge arrays: each label hooks
+    to the least label across its edges, then pointer jumping points every
+    vertex at the root of its tree.  Labels only decrease, so the hooks
+    form a forest, and the rounds end when no edge joins two labels.
+    """
+    labels = np.arange(n)
+    while a.size:
+        la, lb = labels[a], labels[b]
+        hooked = labels.copy()
+        np.minimum.at(hooked, la, lb)
+        np.minimum.at(hooked, lb, la)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        labels = hooked
+        # an edge inside one tree stays inside it
+        cross = labels[a] != labels[b]
+        a, b = a[cross], b[cross]
+    return labels
+
+
+# The bytes the temporaries of one block of k-NN work may take
+_BLOCK_BYTES = 4 << 20
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """``rows`` in slices whose exact recompute against ``width`` candidates
+    each, about six arrays of that shape, fits ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // (48 * width))
+    for lo in range(0, rows.size, step):
+        yield rows[lo:lo + step]
+
+
+def _exact_nearest(pts: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int):
+    """The k nearest of each row's candidates ``cand[i]``, ordered by
+    (distance, index), with the k-th one's squared distance.
+
+    Squared coordinate differences are summed in coordinate order, which
+    is bitwise the Euclidean distance of SciPy's ``cdist``.  A row is not
+    its own neighbor.
+    """
+    acc = np.zeros(cand.shape)
+    for j in range(pts.shape[1]):
+        diff = pts[rows, j][:, None] - pts[cand, j]
+        diff *= diff
+        acc += diff
+    acc[cand == rows[:, None]] = np.inf
+    dist = np.sqrt(acc)
+    order = np.lexsort((cand, dist), axis=-1)[:, :k]
+    cand, dist, acc = (np.take_along_axis(x, order, axis=-1) for x in (cand, dist, acc))
+    return cand, dist, acc[:, -1]
+
+
+def _candidates(c: np.ndarray, sq: np.ndarray, m: int):
+    """Each row's m smallest e_ij = sq_i + sq_j - 2 c_i.c_j over j != i, by
+    BLAS, and the next smallest e, its cut-off.
+
+    The rows go in blocks of at least max(32, d), so that the product
+    reads c once per that many rows, or more where whole rows fit; the
+    columns go in tiles that keep a block's e and its ``argpartition``,
+    about 24 bytes an entry, under ``_BLOCK_BYTES``.  Each tile keeps its
+    m + 1 smallest, which hold the row's m + 1 smallest overall.
+    """
+    n, d = c.shape
+    height = min(n, max(32, d, _BLOCK_BYTES // (24 * n)))
+    width = max(m + 1, _BLOCK_BYTES // (24 * height))
+    cand = np.empty((n, m), dtype=np.int64)
+    cut = np.empty(n)
+    # every tile's e goes in one buffer: a fresh array per tile would
+    # fault its pages in again each time the allocator returns them
+    buf = np.empty(height * width)
+    for r0 in range(0, n, height):
+        r1 = min(r0 + height, n)
+        lhs = -2.0 * c[r0:r1]
+        kept_e, kept_id = [], []
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
+            e = buf[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            np.matmul(lhs, c[c0:c1].T, out=e)
+            e += sq[c0:c1]
+            e += sq[r0:r1, None]
+            own = np.arange(max(r0, c0), min(r1, c1))
+            e[own - r0, own - c0] = np.inf
+            if c1 - c0 > m + 1:
+                part = np.argpartition(e, m, axis=-1)[:, :m + 1]
+                e, ids = np.take_along_axis(e, part, axis=-1), part + c0
+            else:
+                e, ids = e.copy(), np.broadcast_to(np.arange(c0, c1), e.shape)
+            kept_e.append(e)
+            kept_id.append(ids)
+        e, ids = np.hstack(kept_e), np.hstack(kept_id)
+        part = np.argpartition(e, m, axis=-1)
+        cand[r0:r1] = np.take_along_axis(ids, part[:, :m], axis=-1)
+        cut[r0:r1] = np.take_along_axis(e, part[:, m:m + 1], axis=-1)[:, 0]
+    return cand, cut
+
+
 def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each point's k nearest other points, ordered by (distance, index).
 
-    Candidates come from a KD-tree; their distances are recomputed by
-    summing squared coordinate differences in coordinate order, which is
-    bitwise the Euclidean distance of ``scipy.spatial.distance.cdist``.
-    A row whose k-th distance is within rounding of its farthest candidate
-    may have tied points the tree left out, so its query is widened until
-    the farthest candidate is strictly farther (or every point is a
-    candidate).  Returns the (n, k) neighbor ids and distances.
-    """
-    # imported here: scipy.spatial is slow to load and only k-NN builds use it
-    from scipy.spatial import cKDTree
+    ``pts`` has its largest magnitude in [1/2, 1), so no sum below can
+    overflow.  Returns the (n, k) neighbor ids and distances.
 
-    n = pts.shape[0]
-    tree = cKDTree(pts)
+    Candidates.  BLAS gives every squared distance e_ij = |c_i|^2 +
+    |c_j|^2 - 2 c_i.c_j on the centred points c, and ``argpartition`` the
+    m = min(2k + 2, n - 1) smallest in each row (see :func:`_candidates`).
+    The next smallest e is the row's cut-off.  The candidates' distances
+    are recomputed exactly, as :func:`_exact_nearest` does.
+
+    Certification.  Let D_ij be the true squared distance, r_ij its exact
+    recompute, u = 2^-53 and s_i = |c_i|^2 + max_j |c_j|^2.  By the
+    inner-product bound of Higham (2002, §3.1), to first order in u:
+    centring rounds each coordinate once, which moves D by at most
+    4u s_i; the two norms and the cross product err by d u each on sums
+    bounded by s_i, and the two additions by 4u s_i, so
+    |e - D| <= (2d + 8) u s_i; the recompute is a difference, a square
+    and d - 1 additions, so |r - D| <= (d + 2) u D <= 2(d + 2) u s_i.
+    A difference or a sum that underflows is exact, and a square or a
+    product that does errs by less than 2^-1075, at most 5d of them.  So
+    b_i = 8(d + 3) u s_i + d 2^-1018 bounds |e - D| + |r - D| more than
+    twice over; the room covers the second-order terms, the rounding of
+    b_i and of the test, the gap the square root needs to keep two
+    squared distances apart, and a BLAS that flushes subnormal products
+    to zero.  A row whose k-th r plus b_i is below its cut-off minus b_i
+    therefore has every other point strictly farther than its k-th
+    neighbor.  Any other row, such as one with ties across the cut-off,
+    is recomputed against all points.
+
+    The work is O(n^2 d) for the products and O(n^2) for the partitions;
+    each block's temporaries stay under ``_BLOCK_BYTES``.
+    """
+    n, d = pts.shape
+    m = min(2 * k + 2, n - 1)
+    c = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    cand, cut = _candidates(c, sq, m)
+    bound = 8 * (d + 3) * 2.0**-53 * (sq + sq.max()) + d * 2.0**-1018
     nbrs = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
-    rows = np.arange(n)
-    q = k + 2
-    while rows.size:
-        q = min(q, n)
-        _, cand = tree.query(pts[rows], k=q)
-        acc = np.zeros(cand.shape)
-        for j in range(pts.shape[1]):
-            acc += (pts[rows, j][:, None] - pts[cand, j]) ** 2
-        d = np.sqrt(acc)
-        d[cand == rows[:, None]] = np.inf  # a point is not its own neighbor
-        order = np.lexsort((cand, d), axis=-1)
-        cand = np.take_along_axis(cand, order, axis=-1)
-        d = np.take_along_axis(d, order, axis=-1)
-        # the tree's own distances are within a few ulp of these, so a
-        # point it left out is at least (1 - 1e-12) times the farthest
-        # finite candidate away
-        far = np.where(np.isfinite(d[:, -1]), d[:, -1], d[:, -2])
-        done = (far > d[:, k - 1] * (1.0 + 1e-12)) | (q == n)
-        nbrs[rows[done]] = cand[done, :k]
-        dist[rows[done]] = d[done, :k]
-        rows = rows[~done]
-        q *= 2
+    redo = []
+    for rows in _row_blocks(np.arange(n), m):
+        nbrs[rows], dist[rows], kth = _exact_nearest(pts, rows, cand[rows], k)
+        redo.append(rows[~(kth + bound[rows] < cut[rows] - bound[rows])])
+    everyone = np.arange(n)
+    for rows in _row_blocks(np.concatenate(redo), n):
+        every = np.broadcast_to(everyone, (rows.size, n))
+        nbrs[rows], dist[rows], _ = _exact_nearest(pts, rows, every, k)
     return nbrs, dist
 
 
@@ -228,12 +341,13 @@ def build_knn_graph(points, k: int) -> Graph:
     where sigma_a is the distance from a to its k-th nearest neighbor, and
     the directed k-NN affinities are symmetrized as (W + W^T) / 2.
     Coincident points have affinity exp(0) = 1.  Distance ties are broken
-    by vertex index.  Neighbors come from a KD-tree, so the build costs
-    about O(n k log n) time and O(n k) memory.  Raises
-    :class:`~graphdenoise.errors.NumericalFailureError` if the points'
-    squared distances may overflow, and
-    :class:`~graphdenoise.errors.GraphDisconnectedError` (naming the
-    components) if the symmetrized graph is disconnected.
+    by vertex index.  The kernel does not change when the points are
+    scaled, and neither does the graph: the points are scaled by one power
+    of two to a largest magnitude in [1/2, 1) before any arithmetic, so
+    no distance overflows.  Neighbors come from brute-force distances (see
+    :func:`_nearest`): O(n^2 d) time and O(n k) memory beyond a few MiB of
+    blocks.  Raises :class:`~graphdenoise.errors.GraphDisconnectedError`
+    (naming the components) if the symmetrized graph is disconnected.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -245,10 +359,7 @@ def build_knn_graph(points, k: int) -> Graph:
         raise InvalidArgumentError("k must be positive")
     if k >= n:
         raise InvalidArgumentError(f"k={k} requires at least k+1={k + 1} points")
-    # checked before the query: the KD-tree reports a neighbor at an
-    # overflowing distance as the missing index n
-    with overflow_guard("k-NN distance arithmetic"):
-        np.sum(np.ptp(pts, axis=0) ** 2)
+    pts = np.ldexp(pts, -np.frexp(np.max(np.abs(pts), initial=0.0))[1])
     nbrs, dist = _nearest(pts, k)
     sigma = dist[:, -1]
 

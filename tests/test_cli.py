@@ -595,15 +595,41 @@ class TestDenoiseCommand:
         assert "unconverged" not in capsys.readouterr().err
         np.testing.assert_array_equal(read_matrix(out).values, np.full((4, 1), 4.0))
 
-    def test_knn_distance_overflow_exit_3(self, tmp_path, capsys):
+    def test_knn_far_point_disconnects_exit_2(self, tmp_path, capsys):
+        """The points are scaled before any distance is taken, so none
+        overflows; the kernel gives the far point no edge."""
         src = tmp_path / "g.csv"
         src.write_text("0,7\n-1,1\n1e308,2.5\n")
-        rc = main([
-            "denoise", "gaussian", "--tau", "1", "--graph", "knn", "1",
-            "--input", str(src), "--output", str(tmp_path / "o.csv"),
-        ])
-        assert rc == 3
-        assert "k-NN distance arithmetic failed: overflow" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "denoise", "gaussian", "--tau", "1", "--graph", "knn", "1",
+                "--input", str(src), "--output", str(tmp_path / "o.csv"),
+            ])
+        assert rc == 2
+        assert "graph has 2 connected components" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spacing, shift", [(1e-300, 996), (1e200, -664)])
+    def test_knn_rows_at_any_scale(self, tmp_path, capsys, spacing, shift):
+        """Rows spaced 1e-300 apart (whose squared distances underflow) and
+        1e200 apart (whose squared distances overflow) give the graph, and so
+        the output, of the same rows scaled by a power of two into the unit
+        range."""
+        rows = np.arange(1.0, 7.0)[:, None] * spacing
+        rows[3] *= 1.5
+        outs = []
+        for name, values in (("raw", rows), ("scaled", np.ldexp(rows, shift))):
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+            write_csv(src, values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([
+                    "denoise", "gaussian", "--tau", "1", "--graph", "knn", "2",
+                    "--input", str(src), "--output", str(out),
+                ])
+            assert rc == 0, capsys.readouterr().err
+            outs.append(read_matrix(out).values)
+        assert np.ldexp(outs[0], shift).tobytes() == outs[1].tobytes()
 
     def test_all_masked_interpolate_exit_2(self, tmp_path, rng, capsys):
         src = tmp_path / "g.csv"
@@ -656,6 +682,29 @@ class TestDenoiseCommand:
         )
         assert rc == 2
         assert f"line 2: vertex id {vertex} out of range [0, 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            ("0 1\n1 2 nan\n", "line 2: edge weight nan is not finite and positive"),
+            ("0 1 -1\n1 2\n", "line 1: edge weight -1 is not finite and positive"),
+            ("0 1 inf\n", "line 1: edge weight inf is not finite and positive"),
+            ("0 1\n# comment\n1 0 2.0\n", "line 3: duplicate edge (0, 1), first on line 1"),
+            ("0 1\n2 2\n", "line 2: self-loop at vertex 2"),
+        ],
+        ids=["nan", "negative", "inf", "duplicate", "self-loop"],
+    )
+    def test_edge_list_bad_edge_names_its_lines(self, tmp_path, rng, capsys, lines, named):
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.normal(size=(3, 1)))
+        edges = tmp_path / "edges.txt"
+        edges.write_text(lines)
+        rc = main([
+            "denoise", "gaussian", "--graph", "edge-list", str(edges),
+            "--input", str(src), "--output", str(tmp_path / "o.csv"), "--tau", "1",
+        ])
+        assert rc == 2
+        assert f"{edges}: {named}" in capsys.readouterr().err
 
     def test_uniform_model_runs_ccp(self, tmp_path, rng):
         src = tmp_path / "g.csv"
@@ -931,7 +980,7 @@ class TestDenoiseCommand:
         assert "graphdenoise" in capsys.readouterr().out
 
     def test_import_leaves_scipy_spatial_unloaded(self):
-        """Only k-NN builds need scipy.spatial; the CLI must not load it at import."""
+        """No graph needs scipy.spatial; the CLI must not load it at import."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -941,10 +990,30 @@ class TestDenoiseCommand:
         )
         assert out.stdout.strip() == "False"
 
+    def test_graph_construction_loads_no_scipy(self):
+        """Building a k-NN graph or an edge-list graph, with its
+        connectivity check, loads no scipy module: only the Laplacian does."""
+        code = (
+            "import sys, numpy as np\n"
+            "import graphdenoise as gd\n"
+            "gd.build_knn_graph(np.random.default_rng(0).normal(size=(300, 2)), 10)\n"
+            "gd.Graph.from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0])\n"
+            "try:\n"
+            "    gd.Graph.from_edges(4, [0, 2], [1, 3], [1.0, 1.0])\n"
+            "except gd.GraphDisconnectedError as err:\n"
+            "    print(err.components)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.split("\n") == ["[[0, 1], [2, 3]]", "[]", ""]
+
     def test_grid_gaussian_loads_no_scipy(self, tmp_path):
         """Neither importing the CLI nor filtering on a grid, at a given or
         an estimated tau, loads a scipy module: scipy is imported where a
-        CSR matrix, csgraph or a KD-tree is first needed."""
+        CSR matrix is first needed."""
         src = tmp_path / "g.csv"
         write_csv(src, np.random.default_rng(0).normal(size=(6, 2)))
         code = (
@@ -1086,8 +1155,8 @@ class TestScaleFreeSolves:
         assert shown == ["1.21879"] * 3
 
     def test_import_loads_no_lazily_imported_scipy_module(self):
-        """scipy.sparse.csgraph, scipy.spatial and scipy.fft are imported by
-        the functions that use them, not when the CLI loads."""
+        """scipy.sparse.csgraph, scipy.spatial and scipy.fft are not loaded
+        when the CLI loads."""
         code = (
             "import sys, graphdenoise.cli; "
             "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.spatial', "

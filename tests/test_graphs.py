@@ -1,8 +1,18 @@
+import collections
+import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from graphdenoise import (
@@ -17,6 +27,7 @@ from graphdenoise import (
     laplacian_trace,
     restrict_laplacian,
 )
+from graphdenoise import graphs
 from graphdenoise.graphs import as_mask
 
 from conftest import (
@@ -139,6 +150,68 @@ class TestConstruction:
                 with pytest.raises(GraphDisconnectedError) as err:
                     Graph.from_edges(n, a, b, np.ones(len(a)))
                 assert len(err.value.components) == ncomp
+
+
+def bfs_labels(n, a, b):
+    """Each vertex's least connected vertex, by breadth-first search."""
+    adj = [[] for _ in range(n)]
+    for u, v in zip(a.tolist(), b.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    labels = [-1] * n
+    for root in range(n):
+        if labels[root] < 0:
+            labels[root] = root
+            queue = collections.deque([root])
+            while queue:
+                for v in adj[queue.popleft()]:
+                    if labels[v] < 0:
+                        labels[v] = root
+                        queue.append(v)
+    return np.array(labels)
+
+
+class TestConnectivity:
+    def test_labels_match_breadth_first_search_on_random_graphs(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 200))
+            m = int(rng.integers(0, 2 * n))
+            a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+            labels = graphs._component_labels(n, a, b)
+            assert np.array_equal(labels, bfs_labels(n, a, b))
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    def test_labels_on_a_long_path(self, order):
+        n = 10**5
+        perm = {
+            "sorted": np.arange(n),
+            "reversed": np.arange(n)[::-1],
+            "shuffled": np.random.default_rng(7).permutation(n),
+        }[order]
+        # the path visits the vertices in perm's order, edges in a second order
+        a, b = perm[:-1], perm[1:]
+        edges = np.random.default_rng(8).permutation(n - 1)
+        labels = graphs._component_labels(n, a[edges], b[edges])
+        assert np.array_equal(labels, np.zeros(n, dtype=labels.dtype))
+        # cut the path in the middle: two components, each labelled by its least vertex
+        keep = np.arange(n - 1) != n // 2
+        labels = graphs._component_labels(n, a[keep], b[keep])
+        assert np.array_equal(labels, bfs_labels(n, a[keep], b[keep]))
+
+    def test_components_listed_in_csgraph_order(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(2, 60))
+            pairs = {tuple(sorted(p)) for p in rng.integers(0, n, (n // 2 + 1, 2)).tolist()}
+            a, b = np.array([p for p in pairs if p[0] != p[1]] or [(0, 1)]).T
+            adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+            ncomp, labels = connected_components(adj, directed=False)
+            if ncomp == 1:
+                continue
+            with pytest.raises(GraphDisconnectedError, match=f"has {ncomp} connected") as err:
+                Graph.from_edges(n, a, b, np.ones(a.size))
+            assert err.value.components == [
+                np.flatnonzero(labels == c).tolist() for c in range(ncomp)
+            ]
 
 
 def knn_directed(points, k):
@@ -270,6 +343,128 @@ class TestKnn:
         pts = rng.normal(size=(40, 2))
         g = build_knn_graph(pts, 4)
         assert np.all(g.edge_w > 0) and np.all(g.edge_w <= 1.0)
+
+    @pytest.mark.parametrize("e", [-1000, -300, 0, 300, 900])
+    def test_scaling_by_a_power_of_two_is_bitwise(self, e):
+        """The kernel does not see the points' scale, and neither does the
+        graph: no squared distance underflows or overflows."""
+        rng = np.random.default_rng(3)
+        # magnitudes in [1/2, 8) or exactly 0, so 2^e x stays a normal number
+        pts = rng.choice([-1.0, 1.0], (300, 3)) * rng.uniform(0.5, 8.0, (300, 3))
+        pts[rng.uniform(size=pts.shape) < 0.1] = 0.0
+        pts[100:130] = pts[:30]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = build_knn_graph(np.ldexp(pts, e), 6)
+        want = build_knn_graph(pts, 6)
+        for x, y in ((got.edge_a, want.edge_a), (got.edge_b, want.edge_b),
+                     (got.edge_w, want.edge_w)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_tiny_points_give_the_path(self):
+        """At 2^-1000 the squared distances underflow unless the points are
+        scaled first; the graph is then a star on vertex 0."""
+        g = build_knn_graph(np.ldexp([[1.0], [2.0], [3.0], [4.0]], -1000), 1)
+        assert list(zip(g.edge_a, g.edge_b)) == [(0, 1), (1, 2), (2, 3)]
+        w = np.exp(-1.0)
+        # ends: one direction only; middle pair (1, 2): 1 -> 0 wins its tie
+        assert g.edge_w.tolist() == [w, w / 2.0, w / 2.0]
+
+    @pytest.mark.parametrize("block_bytes", [1, 3000, 40000])
+    def test_small_blocks_give_the_same_graph(self, block_bytes):
+        """Blocks as small as one row and m + 1 candidate columns tile the
+        distances without changing the graph."""
+        rng = np.random.default_rng(11)
+        # each point three times: ties at the k-th distance past the candidates
+        lattice = np.repeat([(r, c) for r in range(6) for c in range(6)], 3, axis=0)
+        for pts, k in ((rng.normal(size=(150, 3)), 4), (lattice.astype(float), 5)):
+            with mock.patch.object(graphs, "_BLOCK_BYTES", block_bytes):
+                g = build_knn_graph(pts, k)
+            a, b, w = knn_reference(pts, k)
+            assert np.array_equal(g.edge_a, a) and np.array_equal(g.edge_b, b)
+            assert g.edge_w.tobytes() == w.tobytes()
+
+    def test_same_graph_at_one_and_two_blas_threads(self, tmp_path):
+        """Candidates come from BLAS, whose sums may change with its thread
+        count; the certified neighbors, and so the graph, do not."""
+        rng = np.random.default_rng(5)
+        pts = rng.poisson(3.0, (1500, 40)).astype(float)
+        pts[rng.uniform(size=pts.shape) < 0.6] = 0.0
+        pts[:60] = pts[60:120]
+        np.save(tmp_path / "pts.npy", pts)
+        code = (
+            "import hashlib, sys, numpy as np\n"
+            "from graphdenoise import build_knn_graph\n"
+            "g = build_knn_graph(np.load(sys.argv[1]), 10)\n"
+            "print(hashlib.sha256(g.edge_a.tobytes() + g.edge_b.tobytes()"
+            " + g.edge_w.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path / "pts.npy")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.append(done.stdout.strip())
+        g = build_knn_graph(pts, 10)
+        here = hashlib.sha256(g.edge_a.tobytes() + g.edge_b.tobytes() + g.edge_w.tobytes())
+        assert digests == [here.hexdigest()] * 2
+
+
+@st.composite
+def _knn_inputs(draw):
+    """Points with distance ties (small integer lattices), repeated rows, large
+    offsets and subnormal coordinates, and a neighbor count k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(3, 40)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pts = rng.integers(0, draw(st.integers(1, 4)), (n, d)).astype(float)
+    else:
+        pts = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        pts = pts[rng.integers(0, max(1, n // 3), n)]
+    pts = np.ldexp(pts + draw(st.sampled_from([0.0, 1e6, -(2.0**40)])),
+                   draw(st.sampled_from([0, -1060, -700, 900])))
+    return pts, draw(st.integers(1, min(n - 1, 8)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_knn_inputs())
+def _knn_matches_reference(case):
+    pts, k = case
+    # the reference sees the points as the build does, scaled by a power of two
+    scaled = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
+    a, b, w = knn_reference(scaled, k)
+    labels = bfs_labels(len(pts), a, b)
+    comps = [np.flatnonzero(labels == r).tolist() for r in np.unique(labels)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = build_knn_graph(pts, k)
+        except GraphDisconnectedError as err:
+            assert err.components == comps and len(comps) > 1
+            return
+    assert len(comps) == 1
+    assert np.array_equal(g.edge_a, a) and np.array_equal(g.edge_b, b)
+    assert g.edge_w.tobytes() == w.tobytes()
+
+
+def test_knn_matches_the_brute_force_reference_and_reaches_the_fallback():
+    """Bitwise the brute-force graph on ties, repeated rows, large offsets and
+    tiny points; some rows are recomputed against all points."""
+    exhaustive = []
+    exact = graphs._exact_nearest
+
+    def spy(pts, rows, cand, k):
+        exhaustive.append(cand.shape[1] == pts.shape[0])
+        return exact(pts, rows, cand, k)
+
+    with mock.patch.object(graphs, "_exact_nearest", spy):
+        _knn_matches_reference()
+    assert any(exhaustive)
 
 
 class TestOperators:
