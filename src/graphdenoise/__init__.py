@@ -48,6 +48,7 @@ from .gaussian import (
     nonneg_moment_fit,
 )
 from .graphs import (
+    CsrMatrix,
     Graph,
     build_grid_graph,
     build_knn_graph,

@@ -7,7 +7,8 @@ minimizes f'Lf + tau * penalty(x), with penalty the l1 norm (LASSO via
 coordinate descent) or the l0 count (deterministic stepwise search).  As
 the regression ||A x - y||^2 with A = B(:, zeta) and y = -B g (B the
 incidence matrix, L = B'B), the solvers take it in Gram form:
-G = A'A = L(zeta, zeta) and c = A'y = -(L g)(zeta).  The penalty weight
+G = A'A = L(zeta, zeta), a :class:`~graphdenoise.graphs.CsrMatrix`, and
+c = A'y = -(L g)(zeta).  The penalty weight
 tau = (log(1-p) - log p) / kappa is nonpositive once p >= 1/2; in that
 regime nothing inside zeta is trusted and the estimate is the harmonic
 interpolation of the complement's values, matching the known-set case.
@@ -17,17 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError, overflow_guard
-from .graphs import Graph, as_mask, as_signal, check_kappa, dirichlet_system
+from .graphs import CsrMatrix, Graph, as_mask, as_signal, check_kappa, dirichlet_system
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "SparseUpdate",
@@ -70,20 +67,29 @@ class SparseUpdate:
         return cls(x, np.flatnonzero(x), int(iterations), converged)
 
 
-def _gram_form(gram, linear) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The Gram matrix as CSR and the linear term, checked to match."""
-    import scipy.sparse as sp
-
-    gram = sp.csr_matrix(gram, dtype=np.float64)
+def _gram_form(gram, linear) -> tuple[CsrMatrix, np.ndarray]:
+    """The Gram matrix as a :class:`CsrMatrix` and the linear term, checked
+    to match.  ``gram`` is a CsrMatrix, a dense array or any sparse matrix
+    with ``tocsr()``, whose repeated entries are summed."""
     c = np.asarray(linear, dtype=np.float64)
-    if gram.shape[0] != gram.shape[1] or c.shape != (gram.shape[0],):
+    if hasattr(gram, "tocsr"):
+        gram = gram.tocsr()
+    elif not isinstance(gram, CsrMatrix):
+        gram = np.atleast_2d(np.asarray(gram, dtype=np.float64))
+    if gram.shape != (c.size, c.size) or c.ndim != 1:
         raise InvalidArgumentError(
             f"linear term shape {c.shape} does not match gram shape {gram.shape}"
         )
+    if isinstance(gram, np.ndarray):
+        rows, cols = np.nonzero(gram)
+        gram = CsrMatrix.from_triplets(c.size, rows, cols, gram[rows, cols])
+    elif not isinstance(gram, CsrMatrix):
+        rows = np.repeat(np.arange(c.size), np.diff(gram.indptr))
+        gram = CsrMatrix.from_triplets(c.size, rows, gram.indices, gram.data)
     return gram, c
 
 
-def _colour_classes(gram: sp.csr_matrix) -> list[np.ndarray]:
+def _colour_classes(gram: CsrMatrix) -> list[np.ndarray]:
     """Greedy colouring of the coordinates with a stored Gram entry.
 
     Two coordinates conflict when their entry of the symmetric Gram matrix
@@ -129,18 +135,23 @@ def lasso_coordinate_descent(
     half_tau = tau / 2.0
     col_sq = gram.diagonal()
     classes = []
+    slot = np.empty(c.size, dtype=np.int64)
     for cols in _colour_classes(gram):
         cols = cols[col_sq[cols] > 0.0]  # zero columns stay at 0
-        classes.append((cols, gram[:, cols], col_sq[cols]))
+        # G(:, cols) as the Gram's entries in those columns, in CSR order
+        entries = np.flatnonzero(np.isin(gram.indices, cols))
+        slot[cols] = np.arange(cols.size)
+        block = (gram.rows[entries], slot[gram.indices[entries]], gram.data[entries])
+        classes.append((cols, block, col_sq[cols]))
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         max_delta = 0.0
-        for cols, block, sq in classes:
+        for cols, (rows, at, values), sq in classes:
             rho = sq * x[cols] - q[cols]
             xc = np.sign(rho) * np.maximum(np.abs(rho) - half_tau, 0.0) / sq
             delta = xc - x[cols]
-            q += block @ delta
+            q += np.bincount(rows, values * delta[at], c.size)
             x[cols] = xc
             max_delta = max(max_delta, float(np.max(np.abs(delta), initial=0.0)))
         if max_delta <= tol * max(1.0, float(np.max(np.abs(x), initial=0.0))):
@@ -206,7 +217,7 @@ class _StepwiseSearch:
                 s = list(key)
                 try:
                     fit = cg_solve(
-                        self.gram[s][:, s],
+                        self.gram.principal(s),
                         self.c[s],
                         tol=1e-12,
                         max_iter=max(200, 10 * len(s)),
@@ -373,7 +384,7 @@ def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
     if s and len(s) == c.size:
         ones = np.ones(c.size)
         if float(np.max(np.abs(gram @ ones))) <= 1e-12 * max(
-            1.0, float(abs(gram).max())
+            1.0, float(np.max(np.abs(gram.data), initial=0.0))
         ):
             x -= x.mean()
     return SparseUpdate.from_raw(x, search.moves, search.fits[tuple(s)][2])

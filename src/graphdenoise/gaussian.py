@@ -6,10 +6,10 @@ to the observation, computed by solving (I + tau*L) f = g: exactly by the
 other graph.  The smoothing strength tau = 2*kappa*sigma^2 can be supplied
 directly as a tuning knob or estimated from the observed quadratic forms
 g'Lg and ||Lg||^2 by the method of moments, read from the edge flows.  The
-grid path, tau estimate included, runs on numpy alone: its DCT is the
-cached DCT-II matrix :func:`~graphdenoise.spectral.dct_matrix` that the
-grid eigenbasis uses, two matrix products per axis at O(hw(h + w)), and
-scipy is loaded only by the CG path's sparse matrices.
+grid path's DCT is the cached DCT-II matrix
+:func:`~graphdenoise.spectral.dct_matrix` that the grid eigenbasis uses,
+two matrix products per axis at O(hw(h + w)); the CG path poses a*I + b*L
+on the Laplacian's own :class:`~graphdenoise.graphs.CsrMatrix` entries.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateSignalError, InvalidArgumentError, overflow_guard
 from .graphs import (
+    CsrMatrix,
     Graph,
     as_signal,
     laplacian_squared_trace,
@@ -69,10 +70,10 @@ def denoise_gaussian(
         if graph.grid_shape is not None:
             u = _grid_solve(g - mean, graph.grid_shape, a, b)
             return DenoiseResult(signal=mean + u, iterations=0)
-        import scipy.sparse as sp  # imported here: grids solve without it
-
-        system = (sp.diags(np.full(graph.n, a)) + b * graph.laplacian).tocsr()
-        fit = cg_solve(system, g - mean, tol=tol)
+        lap = graph.laplacian
+        data = b * lap.data
+        data[lap.indices == lap.rows] += a
+        fit = cg_solve(CsrMatrix(lap.indptr, lap.indices, data), g - mean, tol=tol)
         return dataclasses.replace(fit, signal=mean + a * fit.signal)
 
 

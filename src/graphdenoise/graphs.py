@@ -3,28 +3,25 @@
 Every denoiser in this package consumes an immutable :class:`Graph`.  The
 graph stores a canonical edge list (tail < head, strictly positive weights)
 and its weighted degrees, and lazily assembles its one sparse matrix, the
-CSR Laplacian L = D - A.  scipy is imported where that matrix is first
-needed.  Building a graph does not need it: grids, k-NN graphs (brute-force
-distances by BLAS, certified against rounding) and edge lists, with their
-connectivity check on the edge arrays, run on numpy alone, as does code
-that reads only the edge arrays, such as the grid Gaussian path.  Dense
-matrices appear only in test oracles and the spectral reference path.
+Laplacian L = D - A, as the package's own :class:`CsrMatrix`.  Everything
+here runs on numpy alone: grids, k-NN graphs (brute-force distances by
+BLAS, certified against rounding) and edge lists, their connectivity check
+on the edge arrays, the Laplacian, its products and its principal
+submatrices.  Dense matrices appear only in test oracles and the spectral
+reference path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GraphDisconnectedError, InvalidArgumentError
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 __all__ = [
+    "CsrMatrix",
     "Graph",
     "build_grid_graph",
     "build_knn_graph",
@@ -73,6 +70,83 @@ def check_kappa(kappa: float) -> None:
     """Validate the prior's smoothness weight: a finite positive number."""
     if not 0 < kappa < np.inf:
         raise InvalidArgumentError(f"kappa must be finite and positive, got {kappa}")
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """Square sparse matrix in compressed sparse row form.
+
+    Row i holds the values ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which are sorted and distinct.
+    ``M @ x``, x a vector, is one ``np.bincount`` over the entries in that
+    order, so it sums each row from left to right, as scipy's CSR product
+    does, and the two agree bitwise.  Like scipy's, the product raises no
+    floating-point error of its own: an overflow shows as inf or nan in its
+    result.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, n: int, rows, cols, data) -> "CsrMatrix":
+        """The n x n matrix with value data[i] at (rows[i], cols[i]); the
+        values at a repeated position are summed in their given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        data = np.asarray(data, dtype=np.float64)[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            data = np.bincount(np.cumsum(first) - 1, data)
+            rows, cols = rows[first], cols[first]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, cols, data)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.size - 1
+        return n, n
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Each stored entry's row."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            terms = self.data * x[self.indices]
+        return np.bincount(self.rows, terms, self.shape[0])
+
+    def diagonal(self) -> np.ndarray:
+        out = np.zeros(self.shape[0])
+        on = self.indices == self.rows
+        out[self.rows[on]] = self.data[on]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def principal(self, u) -> "CsrMatrix":
+        """The principal submatrix M(u, u) of sorted distinct indices u,
+        cut in one pass over the rows of u."""
+        u = np.asarray(u, dtype=np.int64)
+        start = self.indptr[u]
+        length = self.indptr[u + 1] - start
+        ends = np.cumsum(length)
+        pos = np.arange(int(length.sum())) + np.repeat(start - ends + length, length)
+        slot = np.full(self.shape[0], -1)
+        slot[u] = np.arange(u.size)
+        cols = slot[self.indices[pos]]
+        keep = cols >= 0
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        return CsrMatrix(kept[np.concatenate([[0], ends])], cols[keep], self.data[pos[keep]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +223,13 @@ class Graph:
         return np.bincount(ends, np.concatenate([self.edge_w, self.edge_w]), self.n)
 
     @cached_property
-    def laplacian(self) -> sp.csr_matrix:
+    def laplacian(self) -> CsrMatrix:
         """L = D - A, from the triplets (a, b, -w), (b, a, -w) and (i, i, deg_i)."""
-        import scipy.sparse as sp
-
         diag = np.arange(self.n)
         rows = np.concatenate([self.edge_a, self.edge_b, diag])
         cols = np.concatenate([self.edge_b, self.edge_a, diag])
         data = np.concatenate([-self.edge_w, -self.edge_w, self.degrees])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        return CsrMatrix.from_triplets(self.n, rows, cols, data)
 
 
 def build_grid_graph(height: int, width: int) -> Graph:
@@ -307,10 +379,18 @@ def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     twice over; the room covers the second-order terms, the rounding of
     b_i and of the test, the gap the square root needs to keep two
     squared distances apart, and a BLAS that flushes subnormal products
-    to zero.  A row whose k-th r plus b_i is below its cut-off minus b_i
-    therefore has every other point strictly farther than its k-th
-    neighbor.  Any other row, such as one with ties across the cut-off,
-    is recomputed against all points.
+    to zero.  So a point j with e_ij > r_k + 2 b_i, r_k the row's k-th
+    r, is strictly farther than its k-th neighbor, and a row whose
+    cut-off exceeds r_k + 2 b_i has its k nearest among its candidates.
+
+    Fallback.  Any other row, such as one with ties across the cut-off,
+    gets e_ij against all points again, and the points with e_ij <= r_k
+    + 2 b_i are recomputed exactly, as above.  Every point among the
+    row's true k nearest is no farther than its k-th candidate neighbor:
+    its distance is at most sqrt(r_k), so its r is at most r_k (1 + 5u),
+    and so its e at most r_k + b_i.  The recomputed set therefore holds
+    the true k nearest, and the (distance, index) order picks them
+    bitwise as a recompute against all points would.
 
     The work is O(n^2 d) for the products and O(n^2) for the partitions;
     each block's temporaries stay under ``_BLOCK_BYTES``.
@@ -323,15 +403,29 @@ def _nearest(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     bound = 8 * (d + 3) * 2.0**-53 * (sq + sq.max()) + d * 2.0**-1018
     nbrs = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
-    redo = []
+    reach = np.empty(n)
     for rows in _row_blocks(np.arange(n), m):
         nbrs[rows], dist[rows], kth = _exact_nearest(pts, rows, cand[rows], k)
-        redo.append(rows[~(kth + bound[rows] < cut[rows] - bound[rows])])
-    everyone = np.arange(n)
-    for rows in _row_blocks(np.concatenate(redo), n):
-        every = np.broadcast_to(everyone, (rows.size, n))
-        nbrs[rows], dist[rows], _ = _exact_nearest(pts, rows, every, k)
+        reach[rows] = kth + 2.0 * bound[rows]
+    for rows in _row_blocks(np.flatnonzero(~(reach < cut)), n):
+        nbrs[rows], dist[rows] = _fallback_nearest(pts, c, sq, rows, reach[rows], k)
     return nbrs, dist
+
+
+def _fallback_nearest(pts, c, sq, rows: np.ndarray, reach: np.ndarray, k: int):
+    """The k nearest of ``rows`` over all points, ordered by (distance,
+    index): each row's e_ij against every point by BLAS, then the exact
+    recompute of the points with e_ij <= reach_i (see :func:`_nearest`)."""
+    e = -2.0 * c[rows] @ c.T
+    e += sq
+    e += sq[rows, None]
+    e[np.arange(rows.size), rows] = np.inf
+    at, near = np.nonzero(e <= reach[:, None])
+    # each row's points, padded with the row itself, which is no neighbor
+    count = np.bincount(at, minlength=rows.size)
+    cand = np.repeat(rows[:, None], count.max(), axis=1)
+    cand[at, np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)] = near
+    return _exact_nearest(pts, rows, cand, k)[:2]
 
 
 def build_knn_graph(points, k: int) -> Graph:
@@ -399,10 +493,9 @@ def laplacian_squared_trace(g: Graph) -> float:
     return float(np.dot(g.degrees, g.degrees) + 2.0 * w2.sum())
 
 
-def restrict_laplacian(g: Graph, mask) -> sp.csr_matrix:
+def restrict_laplacian(g: Graph, mask) -> CsrMatrix:
     """The principal submatrix L(U, U) of a vertex mask U, in vertex order."""
-    u = np.flatnonzero(as_mask(mask, g.n))
-    return g.laplacian[u][:, u].tocsr()
+    return g.laplacian.principal(np.flatnonzero(as_mask(mask, g.n)))
 
 
 def dirichlet_system(g: Graph, f, unknown):

@@ -4,7 +4,8 @@ Every estimator in the package reduces to the Gaussian filter's scaled
 system (a*I + b*L) u = r or to a principal Laplacian submatrix
 L(U, U) x = r, posed by :func:`~graphdenoise.graphs.dirichlet_system`;
 the l0 support search's normal equations G(S, S) x = c(S) are of the
-second kind, G being L(zeta, zeta).  They are handed to :func:`cg_solve`,
+second kind, G being L(zeta, zeta).  Each is a
+:class:`~graphdenoise.graphs.CsrMatrix`, handed to :func:`cg_solve`,
 scale-free Jacobi-preconditioned CG from x = 0; on a grid graph
 :func:`~graphdenoise.gaussian.denoise_gaussian` solves the first exactly.
 """
@@ -12,7 +13,6 @@ scale-free Jacobi-preconditioned CG from x = 0; on a grid graph
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,22 +22,21 @@ from .errors import (
     NumericalFailureError,
     overflow_guard,
 )
-from .graphs import Graph, as_mask, dirichlet_system
+from .graphs import CsrMatrix, Graph, as_mask, dirichlet_system
 from .result import DenoiseResult
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
 
 
 def cg_solve(
-    matrix: sp.csr_matrix,
+    matrix: CsrMatrix,
     b,
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> DenoiseResult:
-    """Solve matrix x = b for a symmetric positive definite CSR matrix.
+    """Solve matrix x = b for a symmetric positive definite sparse matrix:
+    a :class:`~graphdenoise.graphs.CsrMatrix`, or any object with ``@``,
+    ``diagonal()`` and ``shape``.
 
     CG is exactly equivariant under a power of two, so b is scaled by one
     to max|b| in [1/2, 1), and x back: the result is scale-free and bitwise
@@ -84,7 +83,7 @@ def cg_solve(
     best_x, best_res = x, relres
     k = 0
     while relres > tol and k < max_iter:
-        ap = matrix.dot(p)
+        ap = matrix @ p
         pap = float(np.dot(p, ap))
         if not np.isfinite(pap):
             raise NumericalFailureError("CG produced a non-finite curvature")

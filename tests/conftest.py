@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphdenoise import Graph, build_grid_graph, l0_greedy
+from graphdenoise import CsrMatrix, Graph, build_grid_graph, l0_greedy
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -34,6 +34,18 @@ def dense_incidence(g: Graph) -> np.ndarray:
         b[e, u] = np.sqrt(w)
         b[e, v] = -np.sqrt(w)
     return b
+
+
+def as_scipy(m: CsrMatrix) -> sp.csr_matrix:
+    """The scipy copy of a CsrMatrix, entry for entry."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def shifted_laplacian(graph: Graph, d, tau: float) -> CsrMatrix:
+    """The SPD system matrix diag(d) + tau*L, assembled by scipy from the
+    Laplacian's entries and handed back as the package's CsrMatrix."""
+    m = (sp.diags(d) + tau * as_scipy(graph.laplacian)).tocoo()
+    return CsrMatrix.from_triplets(graph.n, m.row, m.col, m.data)
 
 
 def gram_form(a: np.ndarray, y: np.ndarray):

@@ -19,7 +19,12 @@ from graphdenoise import (
     lasso_coordinate_descent,
     restrict_laplacian,
 )
-from graphdenoise.bernoulli import _colour_classes, _StepwiseSearch, lasso_kkt_violation
+from graphdenoise.bernoulli import (
+    _colour_classes,
+    _gram_form,
+    _StepwiseSearch,
+    lasso_kkt_violation,
+)
 
 from conftest import (
     dense_incidence,
@@ -333,7 +338,7 @@ class TestL0Greedy:
         g = random_connected_graph(10, 5, rng)
         a = dense_incidence(g)[:, vertex_mask(g.n, [1, 4, 6])]
         gram, c, energy = gram_form(a, rng.normal(size=g.edge_w.size))
-        search = _StepwiseSearch(sp.csr_matrix(gram), c, 0.5, energy)
+        search = _StepwiseSearch(*_gram_form(gram, c), 0.5, energy)
         s1, x1 = search.refit([2, 0])
         s2, x2 = search.refit([0, 2])
         assert len(calls) == 1
@@ -363,7 +368,7 @@ class TestL0Greedy:
             systems.append(dirichlet_system(grid, obs, zeta) + (dropout_penalty(0.1, 1.0),))
         moves = np.zeros(2, dtype=int)
         for gram, c, energy, tau in systems:
-            gram = sp.csr_matrix(gram)
+            gram, c = _gram_form(gram, c)
             new = _StepwiseSearch(gram, c, tau, energy)
             s_new, x_new = new.refit(new.run())
             # a fit depends on its support alone, so the old schedule may

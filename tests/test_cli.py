@@ -44,6 +44,8 @@ tau = 0.5 1.0
 t = 1
 """
 
+ROOT = Path(__file__).resolve().parents[1]
+
 GRID = "kind = grid\nheight = 3\nwidth = 3"
 CLUSTERS = "kind = synthetic-clusters\nclusters = 2\npoints-per-cluster = 5\nknn = 3\nspread = "
 
@@ -804,9 +806,9 @@ class TestDenoiseCommand:
     def test_capped_gaussian_column_writes_its_best_iterate(
         self, tmp_path, rng, monkeypatch, capsys
     ):
-        import scipy.sparse as sp
-
         from graphdenoise import build_grid_graph, cg_solve, gaussian
+
+        from conftest import shifted_laplacian
 
         capped = functools.partial(cg_solve, max_iter=1)
         monkeypatch.setattr(gaussian, "cg_solve", capped)
@@ -824,9 +826,8 @@ class TestDenoiseCommand:
         assert main(argv) == 0
         assert "unconverged=1 " in capsys.readouterr().err
         # tau = 5 poses (I/5 + L) v = g - mean and writes mean + v/5
-        laplacian = build_grid_graph(8, 8).laplacian
         mean = g[:, 0].mean()
-        system = (sp.diags(np.full(64, 0.2)) + 1.0 * laplacian).tocsr()
+        system = shifted_laplacian(build_grid_graph(8, 8), np.full(64, 0.2), 1.0)
         best = capped(system, g[:, 0] - mean)
         assert best.iterations == 1 and not best.converged
         assert np.array_equal(read_matrix(out).values[:, 0], mean + 0.2 * best.signal)
@@ -992,7 +993,7 @@ class TestDenoiseCommand:
 
     def test_graph_construction_loads_no_scipy(self):
         """Building a k-NN graph or an edge-list graph, with its
-        connectivity check, loads no scipy module: only the Laplacian does."""
+        connectivity check, loads no scipy module."""
         code = (
             "import sys, numpy as np\n"
             "import graphdenoise as gd\n"
@@ -1010,31 +1011,52 @@ class TestDenoiseCommand:
         )
         assert done.stdout.split("\n") == ["[[0, 1], [2, 3]]", "[]", ""]
 
-    def test_grid_gaussian_loads_no_scipy(self, tmp_path):
-        """Neither importing the CLI nor filtering on a grid, at a given or
-        an estimated tau, loads a scipy module: scipy is imported where a
-        CSR matrix is first needed."""
-        src = tmp_path / "g.csv"
-        write_csv(src, np.random.default_rng(0).normal(size=(6, 2)))
+    @pytest.mark.parametrize("case", [
+        "gaussian-grid", "gaussian-grid-estimate", "gaussian-knn", "gaussian-edge-list",
+        "uniform", "bernoulli-l1", "bernoulli-l0", "no-trust", "interpolate", "experiment",
+    ])
+    def test_command_loads_no_scipy(self, tmp_path, case):
+        """No command loads a scipy module: every denoise model, on a grid,
+        a k-NN graph and an edge list (the CG path), and an experiment."""
+        src, out, edges = tmp_path / "g.csv", tmp_path / "o.csv", tmp_path / "g.edges"
+        g = np.random.default_rng(0).uniform(0.5, 2.0, size=(64, 3))
+        g[::5, 0] = 0.0
+        write_csv(src, g)
+        write_grid_edges(edges, 8, 8)
+        io = ["--input", str(src), "--output", str(out)]
+        grid = ["--graph", "grid", "8x8", *io]
+        argv = {
+            "gaussian-grid": ["denoise", "gaussian", *grid, "--tau", "2"],
+            "gaussian-grid-estimate": ["denoise", "gaussian", *grid, "--estimate-tau"],
+            "gaussian-knn": ["denoise", "gaussian", "--graph", "knn", "10", *io, "--tau", "2"],
+            "gaussian-edge-list": [
+                "denoise", "gaussian", "--graph", "edge-list", str(edges), *io, "--tau", "2",
+            ],
+            "uniform": ["denoise", "uniform", *grid],
+            "bernoulli-l1": ["denoise", "bernoulli", *grid, "--p", "0.2", "--zeta", "zeros"],
+            "bernoulli-l0": [
+                "denoise", "bernoulli", *grid, "--p", "0.2", "--zeta", "zeros", "--mode", "l0",
+            ],
+            "no-trust": ["denoise", "no-trust", *grid, "--tau", "0.5"],
+            "interpolate": ["denoise", "interpolate", *grid, "--zeta", "zeros"],
+            "experiment": [
+                "experiment", "--spec", str(ROOT / "specs" / "table3.spec"),
+                "--out", str(tmp_path / "exp"),
+            ],
+        }[case]
         code = (
             "import sys\n"
             "from graphdenoise.cli import main\n"
-            "def loaded():\n"
-            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "loaded()\n"
-            "for tau in (['--tau', '2'], ['--estimate-tau']):\n"
-            "    assert main(['denoise', 'gaussian', '--graph', 'grid', '2x3',\n"
-            "                 '--input', sys.argv[1], '--output', sys.argv[2], *tau]) == 0\n"
-            "    loaded()\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", code, str(src), str(tmp_path / "o.csv")],
-            env=env, capture_output=True, text=True, check=True,
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
         )
-        assert done.stdout.split() == ["[]"] * 3
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]"]
 
     def test_no_subcommand_prints_help_exit_2(self, capsys):
         assert main([]) == 2

@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from graphdenoise import (
+    CsrMatrix,
     Graph,
     GraphDisconnectedError,
     InvalidArgumentError,
@@ -28,9 +29,11 @@ from graphdenoise import (
     restrict_laplacian,
 )
 from graphdenoise import graphs
+from graphdenoise.bernoulli import _gram_form
 from graphdenoise.graphs import as_mask
 
 from conftest import (
+    as_scipy,
     dense_incidence,
     dense_laplacian,
     random_connected_graph,
@@ -452,19 +455,55 @@ def _knn_matches_reference(case):
     assert g.edge_w.tobytes() == w.tobytes()
 
 
-def test_knn_matches_the_brute_force_reference_and_reaches_the_fallback():
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """The rows that the k-NN search's fallback recomputes; each call's
+    neighbors and distances are checked to be bitwise those of an exact
+    recompute against all points."""
+    reached = []
+    fallback = graphs._fallback_nearest
+
+    def checked(pts, c, sq, rows, reach, k):
+        got = fallback(pts, c, sq, rows, reach, k)
+        every = np.broadcast_to(np.arange(len(pts)), (rows.size, len(pts)))
+        want = graphs._exact_nearest(pts, rows, every, k)[:2]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        reached.extend(rows.tolist())
+        return got
+
+    monkeypatch.setattr(graphs, "_fallback_nearest", checked)
+    return reached
+
+
+def test_knn_matches_the_brute_force_reference_and_reaches_the_fallback(fallback_rows):
     """Bitwise the brute-force graph on ties, repeated rows, large offsets and
-    tiny points; some rows are recomputed against all points."""
-    exhaustive = []
-    exact = graphs._exact_nearest
+    tiny points; some rows fall back, and get bitwise the neighbors of a
+    recompute against all points."""
+    _knn_matches_reference()
+    assert fallback_rows
 
-    def spy(pts, rows, cand, k):
-        exhaustive.append(cand.shape[1] == pts.shape[0])
-        return exact(pts, rows, cand, k)
 
-    with mock.patch.object(graphs, "_exact_nearest", spy):
-        _knn_matches_reference()
-    assert any(exhaustive)
+@pytest.mark.parametrize("case", ["tripled-lattice", "rounded", "repeated"])
+def test_fallback_recomputes_the_neighbors_of_all_points(fallback_rows, case):
+    """The fallback recomputes exactly only the points near each row's k-th
+    candidate distance, and matches the recompute against all points
+    bitwise: on a 6 x 6 lattice with each point three times, on points
+    rounded to one decimal with some repeated, and on 100 points in 8-D
+    each repeated 30 times, where every row falls back."""
+    rng = np.random.default_rng(0)
+    if case == "tripled-lattice":
+        pts = np.repeat([(r, c) for r in range(6) for c in range(6)], 3, axis=0)
+        k = 5
+    elif case == "rounded":
+        tied = np.round(rng.uniform(size=(150, 3)), 1)
+        pts, k = np.concatenate([tied, tied[:20]]), 6
+    else:
+        pts, k = np.repeat(rng.uniform(size=(100, 8)), 30, axis=0), 10
+    pts = np.asarray(pts, dtype=np.float64)
+    graphs._nearest(np.ldexp(pts, -np.frexp(np.abs(pts).max())[1]), k)
+    assert fallback_rows
+    if case == "repeated":
+        assert sorted(fallback_rows) == list(range(len(pts)))
 
 
 class TestOperators:
@@ -543,9 +582,13 @@ class TestTraces:
         assert np.array_equal(knn.edge_b, ref.col[order])
         assert np.array_equal(knn.edge_w, ref.data[order])
         for g in (random_connected_graph(60, 90, rng), build_grid_graph(7, 9), knn):
-            lap = g.laplacian
-            assert lap.has_canonical_format and lap.nnz == g.n + 2 * g.edge_w.size
-            np.testing.assert_allclose(lap.toarray(), dense_laplacian(g), rtol=1e-14, atol=0)
+            lap, dense = g.laplacian, dense_laplacian(g)
+            # scipy's canonical CSR of D - A: sorted, distinct, no zeros
+            ref = sp.csr_matrix(dense)
+            assert np.array_equal(lap.indptr, ref.indptr)
+            assert np.array_equal(lap.indices, ref.indices)
+            assert lap.data.size == g.n + 2 * g.edge_w.size
+            np.testing.assert_allclose(lap.toarray(), dense, rtol=1e-14, atol=0)
 
     def test_traces_match_dense(self, rng):
         g = random_connected_graph(17, 9, rng)
@@ -554,6 +597,78 @@ class TestTraces:
         assert laplacian_squared_trace(g) == pytest.approx(
             np.trace(dl @ dl), rel=1e-12
         )
+
+
+def scipy_input(n: int, rng) -> sp.csr_matrix:
+    """A random n x n scipy CSR matrix as a caller may hand one over: its
+    column indices unsorted within rows, and some entries stored twice
+    (in pairs, so that their sum does not depend on the order)."""
+    nnz = int(rng.integers(0, n * n // 2 + 2))
+    rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+    keys = np.unique(rows * n + cols)
+    rows, cols = keys // n, keys % n
+    twice = rng.uniform(size=keys.size) < 0.3
+    rows, cols = np.r_[rows, rows[twice]], np.r_[cols, cols[twice]]
+    data = rng.normal(size=rows.size) * 10.0 ** rng.integers(-3, 4, rows.size)
+    order = np.lexsort((rng.uniform(size=rows.size), rows))  # rows grouped, columns shuffled
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+
+
+class TestCsrMatrix:
+    """The package's CSR type against scipy's as the oracle."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        given = scipy_input(n, rng)
+        oracle = given.copy()
+        oracle.sum_duplicates()  # sorted, distinct columns: scipy's canonical form
+        dense = oracle.toarray()
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6, n)
+        u = np.flatnonzero(rng.uniform(size=n) < rng.uniform())
+        converted = _gram_form(given, np.zeros(n))[0]
+        from_dense = _gram_form(dense, np.zeros(n))[0]
+        for m, ref in ((converted, oracle), (from_dense, sp.csr_matrix(dense))):
+            for m, ref, v in ((m, ref, x), (m.principal(u), ref[u][:, u], x[u])):
+                assert isinstance(m, CsrMatrix) and m.shape == ref.shape
+                assert np.array_equal(m.indptr, ref.indptr)
+                assert np.array_equal(m.indices, ref.indices)
+                assert m.data.tobytes() == ref.data.tobytes()
+                assert np.array_equal(m.toarray(), ref.toarray())
+                assert np.array_equal(m.diagonal(), ref.diagonal())
+                assert (m @ v).tobytes() == (ref @ v).tobytes()
+        assert np.array_equal(converted.principal(u).toarray(), dense[np.ix_(u, u)])
+
+    def test_laplacians_multiply_bitwise_as_scipy(self, rng):
+        """Graph Laplacians and their restrictions multiply bitwise as
+        scipy's CSR copies of them do."""
+        pts = rng.uniform(size=(400, 5))
+        for g in (build_grid_graph(20, 30), build_knn_graph(pts, 8)):
+            for m in (g.laplacian, restrict_laplacian(g, rng.uniform(size=g.n) < 0.4)):
+                x = rng.normal(size=m.shape[0])
+                ref = as_scipy(m)
+                assert (m @ x).tobytes() == (ref @ x).tobytes()
+
+    def test_product_raises_no_floating_point_error(self):
+        """An overflow, or 0 * inf, shows in the result, as scipy's product
+        shows it, and raises nothing under any error state."""
+        m = Graph.from_edges(3, [0, 1], [1, 2], [1e308, 1.0]).laplacian
+        ref = as_scipy(m)
+        for x in ([10.0, -10.0, 0.0], [1.0, 1.0, np.inf]):
+            x = np.array(x)
+            with np.errstate(all="raise"):
+                got = m @ x
+            with np.errstate(all="ignore"):
+                want = ref @ x
+            assert not np.all(np.isfinite(got))
+            np.testing.assert_array_equal(got, want)
+
+    def test_dense_and_scipy_input_must_be_square(self):
+        for gram in (np.ones((2, 3)), sp.csr_matrix(np.ones((2, 3))), np.ones(3)):
+            with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
+                _gram_form(gram, np.zeros(2))
 
 
 class TestSetsAndRestrictions:

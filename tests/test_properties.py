@@ -8,7 +8,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,12 @@ from graphdenoise import (
 from graphdenoise.cli import main
 from graphdenoise.matrixio import read_matrix
 
-from conftest import dense_laplacian, random_connected_graph, vertex_mask
+from conftest import (
+    dense_laplacian,
+    random_connected_graph,
+    shifted_laplacian,
+    vertex_mask,
+)
 
 GRAPHS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
 
@@ -158,7 +162,7 @@ def test_solves_are_scale_free(inputs, tau, k):
     def scale_free(f):
         assert np.array_equal(f(np.ldexp(x, k)), np.ldexp(f(x), k))
 
-    system = (sp.identity(g.n) + g.laplacian).tocsr()
+    system = shifted_laplacian(g, np.ones(g.n), 1.0)
     scale_free(lambda v: cg_solve(system, v).signal)
     scale_free(lambda v: harmonic_interpolate(g, known, v[known]).signal)
     for graph in (g, grid):  # the CG path and the grid's DCT path

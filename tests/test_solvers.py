@@ -14,12 +14,12 @@ from graphdenoise import (
     harmonic_interpolate,
 )
 
-from conftest import dense_laplacian, random_connected_graph, vertex_mask
-
-
-def shifted_laplacian(graph, d, tau):
-    """The SPD system matrix diag(d) + tau*L in CSR form."""
-    return (sp.diags(d) + tau * graph.laplacian).tocsr()
+from conftest import (
+    dense_laplacian,
+    random_connected_graph,
+    shifted_laplacian,
+    vertex_mask,
+)
 
 
 class TestCgSolve:
