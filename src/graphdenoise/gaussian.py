@@ -127,10 +127,7 @@ def estimate_tau(signals, graph: Graph) -> float:
     arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
     shift = int(np.frexp(np.max(graph.edge_w))[1]) - 1
     if shift:
-        graph = Graph(
-            graph.n, graph.edge_a, graph.edge_b,
-            np.ldexp(graph.edge_w, -shift), graph.grid_shape,
-        )
+        graph = Graph(graph.n, graph.edge_a, graph.edge_b, np.ldexp(graph.edge_w, -shift))
     cols = arr.T
     diff = cols[graph.edge_a] - cols[graph.edge_b]
     flow = graph.edge_w[:, None] * diff

@@ -7,8 +7,10 @@ Laplacian L = D - A, as the package's own :class:`CsrMatrix`.  Everything
 here runs on numpy alone: grids, k-NN graphs (brute-force distances by
 BLAS, certified against rounding) and edge lists, their connectivity check
 on the edge arrays, the Laplacian, its products and its principal
-submatrices.  Dense matrices appear only in test oracles and the spectral
-reference path.
+submatrices.  A grid's Laplacian multiplies by five shifted slices of the
+(height, width) array; every other graph's, and every principal
+submatrix, multiplies by its CSR arrays.  The two products agree bitwise.
+Dense matrices appear only in test oracles and the spectral reference path.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class CsrMatrix:
     order, so it sums each row from left to right, as scipy's CSR product
     does, and the two agree bitwise.  Like scipy's, the product raises no
     floating-point error of its own: an overflow shows as inf or nan in its
-    result.
+    result.  A grid's Laplacian is the subclass :class:`_GridLaplacian`,
+    whose product forms the same sums from shifted slices.
     """
 
     indptr: np.ndarray
@@ -150,12 +153,48 @@ class CsrMatrix:
 
 
 @dataclass(frozen=True, eq=False)
+class _GridLaplacian(CsrMatrix):
+    """The Laplacian of a unit-weight four-neighbour grid, whose product is
+    five shifted slices of the (height, width) array.
+
+    Row (r, c) of the CSR arrays holds -1 at the neighbours above and to
+    the left, the degree on the diagonal, then -1 at the neighbours to the
+    right and below, in that column order.  The slices take the same terms
+    in the same order, starting from zero, as the CSR product sums each
+    row, so the two agree bitwise, NaN and inf included.  Every term is
+    subtracted, the diagonal one as -deg * x: where both operands are NaN,
+    a subtraction keeps the first, as the CSR sum does, but numpy's vector
+    addition may keep the second in the tail of its loop.  ``principal``
+    returns a plain :class:`CsrMatrix`: a restriction is no grid.
+    """
+
+    # minus the degrees, as a (height, width) array
+    minus_degrees: np.ndarray
+
+    def __matmul__(self, x) -> np.ndarray:
+        minus_deg = self.minus_degrees
+        xs = x.reshape(minus_deg.shape)
+        out = np.zeros(minus_deg.shape)
+        with np.errstate(all="ignore"):
+            out[1:, :] -= xs[:-1, :]
+            out[:, 1:] -= xs[:, :-1]
+            out -= minus_deg * xs
+            out[:, :-1] -= xs[:, 1:]
+            out[:-1, :] -= xs[1:, :]
+        return out.ravel()
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted undirected connected graph.
 
     ``edge_a < edge_b`` for every stored edge, in lexicographic order.
     Construction validates weights, simplicity and connectivity.
     ``grid_shape`` is (height, width) from :func:`build_grid_graph`, else None.
+    It means the unit-weight four-neighbour grid of that shape, vertex id =
+    row * width + col, and three places rely on it: the DCT solve of the
+    Gaussian filter, the closed-form spectral basis and the slice product
+    of the Laplacian.  A graph with other weights carries no grid shape.
     Graphs compare and hash by identity.
     """
 
@@ -224,12 +263,20 @@ class Graph:
 
     @cached_property
     def laplacian(self) -> CsrMatrix:
-        """L = D - A, from the triplets (a, b, -w), (b, a, -w) and (i, i, deg_i)."""
+        """L = D - A, from the triplets (a, b, -w), (b, a, -w) and (i, i, deg_i).
+
+        On a grid it multiplies by shifted slices (:class:`_GridLaplacian`),
+        on every other graph by its CSR arrays; the arrays are the same."""
         diag = np.arange(self.n)
         rows = np.concatenate([self.edge_a, self.edge_b, diag])
         cols = np.concatenate([self.edge_b, self.edge_a, diag])
         data = np.concatenate([-self.edge_w, -self.edge_w, self.degrees])
-        return CsrMatrix.from_triplets(self.n, rows, cols, data)
+        lap = CsrMatrix.from_triplets(self.n, rows, cols, data)
+        if self.grid_shape is None:
+            return lap
+        return _GridLaplacian(
+            lap.indptr, lap.indices, lap.data, -self.degrees.reshape(self.grid_shape)
+        )
 
 
 def build_grid_graph(height: int, width: int) -> Graph:

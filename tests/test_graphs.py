@@ -645,11 +645,56 @@ class TestCsrMatrix:
         """Graph Laplacians and their restrictions multiply bitwise as
         scipy's CSR copies of them do."""
         pts = rng.uniform(size=(400, 5))
-        for g in (build_grid_graph(20, 30), build_knn_graph(pts, 8)):
+        grids = [build_grid_graph(*shape) for shape in ((20, 30), (1, 7), (7, 1))]
+        for g in (*grids, build_knn_graph(pts, 8)):
             for m in (g.laplacian, restrict_laplacian(g, rng.uniform(size=g.n) < 0.4)):
                 x = rng.normal(size=m.shape[0])
                 ref = as_scipy(m)
                 assert (m @ x).tobytes() == (ref @ x).tobytes()
+
+    def test_grid_product_is_bitwise_the_csr_product(self, rng):
+        """A grid's Laplacian multiplies by shifted slices; the result is,
+        bit for bit, the CSR product of its own arrays, on every kind of
+        entry, and raises nothing under any error state."""
+        special = np.r_[
+            np.copysign(np.nan, [1.0, -1.0]), np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+            1e308, -1e308,
+        ]
+        shapes = [(1, 2), (2, 1), (1, 7), (7, 1), (1, 64), (64, 1), (2, 2), (3, 5),
+                  (9, 17), (16, 16), (33, 8), (64, 64)]
+        shapes += [tuple(rng.integers(1, 65, 2)) for _ in range(20)]
+        for h, w in shapes:
+            if h * w < 2:
+                continue
+            lap = build_grid_graph(h, w).laplacian
+            csr = CsrMatrix(lap.indptr, lap.indices, lap.data)
+            xs = [rng.normal(size=h * w) * 10.0 ** rng.integers(-300, 300, h * w)
+                  for _ in range(4)]
+            for x in xs[1:]:
+                some = rng.uniform(size=x.size) < rng.uniform()
+                x[some] = rng.choice(special, some.sum())
+            # NaN of both signs everywhere: every sum keeps its first NaN
+            xs.append(np.copysign(np.nan, rng.uniform(-1.0, 1.0, h * w)))
+            for x in xs:
+                with np.errstate(all="raise"):
+                    got = lap @ x
+                    want = csr @ x
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (h, w)
+
+    def test_only_a_whole_grid_multiplies_by_slices(self, rng):
+        """The slice product belongs to a grid's Laplacian alone: its
+        restrictions and every other graph's Laplacian are plain CSR
+        matrices, with the same arrays as an edge-list copy of the grid."""
+        g = build_grid_graph(6, 5)
+        copy = Graph.from_edges(g.n, g.edge_a, g.edge_b, g.edge_w)
+        assert copy.grid_shape is None and type(copy.laplacian) is CsrMatrix
+        assert isinstance(g.laplacian, CsrMatrix) and type(g.laplacian) is not CsrMatrix
+        for name in ("indptr", "indices", "data"):
+            assert getattr(g.laplacian, name).tobytes() == getattr(copy.laplacian, name).tobytes()
+        for mask in (rng.uniform(size=g.n) < 0.5, np.ones(g.n, dtype=bool)):
+            assert type(restrict_laplacian(g, mask)) is CsrMatrix
+        x = rng.normal(size=g.n)
+        assert (g.laplacian @ x).tobytes() == (copy.laplacian @ x).tobytes()
 
     def test_product_raises_no_floating_point_error(self):
         """An overflow, or 0 * inf, shows in the result, as scipy's product

@@ -10,6 +10,8 @@ from graphdenoise import (
     NumericalFailureError,
     build_grid_graph,
     ccp_denoise,
+    local_average,
+    magic_filter,
     projected_gradient_denoise,
     uniform_loss,
 )
@@ -369,3 +371,65 @@ class TestBothReachTruthLoss:
         )
         assert uniform_loss(res_c.signal, g, kappa) <= target
         assert uniform_loss(res_p.signal, g, kappa) <= target
+
+
+class TestGridAndEdgeListCopy:
+    """A grid multiplies its Laplacian by shifted slices, an edge-list copy
+    of its unit-weight edges by the CSR arrays: every descent and diffusion
+    on the two runs bit for bit alike, failures included."""
+
+    @staticmethod
+    def pair(h, w):
+        g = build_grid_graph(h, w)
+        copy = Graph.from_edges(g.n, g.edge_a, g.edge_b, np.ones(g.edge_w.size))
+        assert g.grid_shape == (h, w) and copy.grid_shape is None
+        return g, copy
+
+    @staticmethod
+    def outcome(run):
+        """What a run returns, as bytes, or the error it raises."""
+        try:
+            out = run()
+        except NumericalFailureError as err:
+            return type(err), str(err)
+        if isinstance(out, np.ndarray):
+            return out.tobytes()
+        res, trace = out
+        return (
+            res.signal.tobytes(), res.trace.tobytes(), res.iterations, res.converged,
+            trace.inner_iterations,
+        )
+
+    @pytest.mark.parametrize("shape", [(12, 9), (1, 40), (40, 1)])
+    def test_descents_and_diffusions_are_byte_identical(self, shape):
+        rng = np.random.default_rng(5)
+        g, copy = self.pair(*shape)
+        positive = rng.uniform(0.5, 2.0, g.n) * (rng.uniform(size=g.n) > 0.2)
+        # about a third negated: boxes bounded on either side
+        signed = positive * np.where(rng.uniform(size=g.n) < 1 / 3, -1.0, 1.0)
+        runs = [
+            lambda graph, obs: ccp_denoise(obs, graph, kappa=0.5),
+            lambda graph, obs: ccp_denoise(obs, graph, kappa=4.0, rng_seed=2),
+            lambda graph, obs: projected_gradient_denoise(obs, graph, max_iter=300),
+            lambda graph, obs: local_average(obs, graph, 5),
+            lambda graph, obs: magic_filter(obs, graph, 5),
+        ]
+        for obs in (positive, signed):
+            for run in runs:
+                got = self.outcome(lambda: run(g, obs))
+                assert got == self.outcome(lambda: run(copy, obs))
+
+    def test_overflows_fail_alike(self):
+        g, copy = self.pair(4, 4)
+        obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
+        huge = np.full(16, 1e308)
+        runs = [
+            # kappa * f'Lf of the start, the box QP's curvature, and L f twice
+            lambda graph: ccp_denoise(obs, graph, kappa=1e308),
+            lambda graph: ccp_denoise(obs, graph, kappa=1e200),
+            lambda graph: ccp_denoise(huge, graph),
+            lambda graph: projected_gradient_denoise(huge, graph),
+        ]
+        for run in runs:
+            got = self.outcome(lambda: run(g))
+            assert isinstance(got[0], type) and got == self.outcome(lambda: run(copy))
