@@ -10,7 +10,6 @@ import dataclasses
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--columns", default=":", help="column selection: I, A:B, or I,J,K (default all)"
     )
-    common.add_argument("--threads", type=_thread_count, default=1)
+    # every solve holds the GIL, so columns and cells run one after another
+    threads_help = "no effect; kept only until the benchmark stops passing it"
+    common.add_argument("--threads", type=_thread_count, default=1, help=threads_help)
     zeta_help = "suspicion set: 'zeros' or a 0/1 mask file"
 
     gauss = models.add_parser("gaussian", parents=[common])
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--spec", required=True)
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    exp.add_argument("--threads", type=_thread_count, default=1)
+    exp.add_argument("--threads", type=_thread_count, default=1, help=threads_help)
     return parser
 
 
@@ -182,38 +183,33 @@ def cmd_denoise(args) -> int:
     if getattr(args, "p", None) is not None:
         penalty = dropout_penalty(args.p, 1.0 if args.kappa is None else args.kappa)
 
-    summaries: list[str] = []
-
-    def work(c: int):
-        g = matrix[:, c].astype(np.float64)
-        if args.model == "gaussian":
-            tau = estimate_tau(g, graph) if args.estimate_tau else args.tau
-            res = denoise_gaussian(g, graph, tau)
-            return c, res, tau if args.estimate_tau else None
-        if args.model == "uniform":
-            res, _ = ccp_denoise(g, graph, kappa=args.kappa, rng_seed=args.seed)
-            return c, res, None
-        zeta = (g == 0.0) if mask is None else mask
-        return c, bernoulli_denoise(g, graph, zeta, penalty, args.mode), None
-
-    start = time.perf_counter()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, cols))
-    else:
-        results = [work(c) for c in cols]
-    elapsed = time.perf_counter() - start
-
     out = matrix.copy()
-    total_iters = 0
-    unconverged = 0
+    total_iters = unconverged = 0
     taus = []
-    for c, res, tau in results:
+    start = time.perf_counter()
+    for c in cols:
+        g = matrix[:, c].astype(np.float64)
+        try:
+            if args.model == "gaussian":
+                tau = args.tau
+                if args.estimate_tau:
+                    tau = estimate_tau(g, graph)
+                    taus.append(tau)
+                res = denoise_gaussian(g, graph, tau)
+            elif args.model == "uniform":
+                res, _ = ccp_denoise(g, graph, kappa=args.kappa, rng_seed=args.seed)
+            else:
+                zeta = (g == 0.0) if mask is None else mask
+                res = bernoulli_denoise(g, graph, zeta, penalty, args.mode)
+        except GraphDenoiseError as exc:  # numbered from 1, as in the read errors
+            exc.args = (f"column {c + 1}: {exc}",)
+            raise
         out[:, c] = res.signal
         total_iters += res.iterations
         unconverged += not res.converged
-        if tau is not None:
-            taus.append(tau)
+    elapsed = time.perf_counter() - start
+
+    summaries: list[str] = []
     if taus:
         shown = ",".join(f"{t:.6g}" for t in taus[:8])
         if len(taus) > 8:
@@ -236,7 +232,7 @@ def cmd_experiment(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = run_experiment(spec, threads=args.threads)
+    table = run_experiment(spec)
     table.to_csv(out_dir / "table.csv")
     if table.benchmark is not None:
         table.benchmark.write_traces_csv(out_dir / "traces.csv")

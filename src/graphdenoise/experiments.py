@@ -2,9 +2,9 @@
 
 An experiment is a declarative sweep: one graph, one family of ground-truth
 signals, a grid of noise levels, and a list of methods with parameter
-grids.  Every cell of the sweep draws its randomness from its own
-counter-based stream derived from the root seed and the cell's coordinates,
-so tables are reproducible regardless of execution order or thread count.
+grids.  The cells run one after another, in spec order.  Each draws its
+randomness from its own counter-based stream derived from the root seed and
+the cell's coordinates, so its values do not depend on the cells before it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -623,8 +622,8 @@ def _build_signals(
     raise InvalidArgumentError(f"unknown signal source {source!r}")
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
-    """Run the sweep and return one row per (method, params, level, metric, repeat).
+def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
+    """Run the sweep: one row per (method, params, level, repeat, metric), in that order.
 
     Method failures become rows with metric ``error`` and a NaN value rather
     than aborting the sweep.  All rows are reproducible from (spec, seed);
@@ -648,63 +647,51 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentTable:
     signal_opts.check_all_read()
     noise_opts = dict(spec.noise_opts)
 
-    cells = []
-    for mi, method in enumerate(spec.methods):
+    rows = []
+    for method in spec.methods:
         for pi, params in enumerate(method.combinations()):
-            for li, level in enumerate(spec.noise_levels):
-                for rep in range(spec.repeats):
-                    cells.append((mi, pi, li, rep, method, params, level))
-
-    def run_cell(cell):
-        mi, pi, li, rep, method, params, level = cell
-        fn = METHOD_REGISTRY[method.name]
-        # a value written as "level" is the cell's noise level, for any key
-        method_opts = _Section(
-            f"method.{method.name}",
-            {k: format_float(level) if v == "level" else v for k, v in params.items()},
-        )
-        param = functools.partial(_spec_value, method_opts)
-        start = time.perf_counter()
-        sums = {metric: 0.0 for metric in spec.metrics}
-        try:
-            for j, truth in enumerate(truths):
-                rng = derive_rng(spec.seed, "cell", method.name, pi, li, rep, j)
-                noisy = add_noise(truth, spec.noise_kind, level, rng, **noise_opts)
-                estimate = fn(noisy, graph, basis, param)
-                for metric in spec.metrics:
-                    sums[metric] += METRIC_REGISTRY[metric](truth, estimate)
-            method_opts.check_all_read()
-            values = [(m, sums[m] / len(truths)) for m in spec.metrics]
-        except GraphDenoiseError as exc:
-            logger.warning("method %s failed: %s", method.name, exc)
-            values = [("error", float("nan"))]
-        elapsed = time.perf_counter() - start
-        return [
-            TableRow(
-                method=method.name,
-                param_json=json.dumps(
-                    {k: _parse_scalar(v) for k, v in params.items()}, sort_keys=True
-                ),
-                noise_kind=spec.noise_kind,
-                noise_level=level,
-                metric=metric,
-                value=value,
-                runtime_s=elapsed,
-                seed=spec.seed,
+            param_json = json.dumps(
+                {k: _parse_scalar(v) for k, v in params.items()}, sort_keys=True
             )
-            for metric, value in values
-        ]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-    rows = tuple(itertools.chain.from_iterable(results))
+            for li, level in enumerate(spec.noise_levels):
+                # a value written as "level" is the cell's noise level, for any key
+                text = format_float(level)
+                items = {k: text if v == "level" else v for k, v in params.items()}
+                for rep in range(spec.repeats):
+                    method_opts = _Section(f"method.{method.name}", items)
+                    param = functools.partial(_spec_value, method_opts)
+                    start = time.perf_counter()
+                    sums = {metric: 0.0 for metric in spec.metrics}
+                    try:
+                        for j, truth in enumerate(truths):
+                            rng = derive_rng(spec.seed, "cell", method.name, pi, li, rep, j)
+                            noisy = add_noise(truth, spec.noise_kind, level, rng, **noise_opts)
+                            estimate = METHOD_REGISTRY[method.name](noisy, graph, basis, param)
+                            for metric in spec.metrics:
+                                sums[metric] += METRIC_REGISTRY[metric](truth, estimate)
+                        method_opts.check_all_read()
+                        values = [(m, sums[m] / len(truths)) for m in spec.metrics]
+                    except GraphDenoiseError as exc:
+                        logger.warning("method %s failed: %s", method.name, exc)
+                        values = [("error", float("nan"))]
+                    elapsed = time.perf_counter() - start
+                    rows.extend(
+                        TableRow(
+                            method=method.name,
+                            param_json=param_json,
+                            noise_kind=spec.noise_kind,
+                            noise_level=level,
+                            metric=metric,
+                            value=value,
+                            runtime_s=elapsed,
+                            seed=spec.seed,
+                        )
+                        for metric, value in values
+                    )
     benchmark = None
     if spec.benchmark_kappa is not None:
         benchmark = ccp_vs_pg_benchmark(truths[0], graph, spec.benchmark_kappa, seed=spec.seed)
-    return ExperimentTable(rows=rows, benchmark=benchmark)
+    return ExperimentTable(rows=tuple(rows), benchmark=benchmark)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ class Graph:
     It means the unit-weight four-neighbour grid of that shape, vertex id =
     row * width + col, and three places rely on it: the DCT solve of the
     Gaussian filter, the closed-form spectral basis and the slice product
-    of the Laplacian.  A graph with other weights carries no grid shape.
+    of the Laplacian, so construction refuses a grid shape the edges do not match.
     Graphs compare and hash by identity.
     """
 
@@ -203,6 +203,17 @@ class Graph:
     edge_b: np.ndarray
     edge_w: np.ndarray
     grid_shape: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.grid_shape is None:
+            return
+        h, w = self.grid_shape
+        if min(h, w) >= 1 and self.n == h * w:
+            a, b = _grid_edges(h, w)
+            edges = (self.edge_a, self.edge_b, self.edge_w)
+            if all(map(np.array_equal, edges, (a, b, np.ones(a.size)))):
+                return
+        raise InvalidArgumentError(f"the edges are not the unit-weight {h}x{w} grid's")
 
     @classmethod
     def from_edges(cls, n: int, a, b, w) -> "Graph":
@@ -286,16 +297,22 @@ def build_grid_graph(height: int, width: int) -> Graph:
     if height * width < 2:
         raise InvalidArgumentError("grid needs at least two vertices")
     try:
-        ids = np.arange(height * width, dtype=np.int64).reshape(height, width)
+        a, b = _grid_edges(height, width)
     except (ValueError, MemoryError):
         raise InvalidArgumentError(
             f"grid {height}x{width} has more vertices than can be allocated"
         ) from None
-    a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
-    b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    # canonical edge order, and a grid is connected: from_edges would pass it
-    order = np.lexsort((b, a))
-    return Graph(height * width, a[order], b[order], np.ones(a.size), (height, width))
+    # a grid is connected: from_edges would pass it
+    return Graph(height * width, a, b, np.ones(a.size), (height, width))
+
+
+def _grid_edges(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's edges (a, b): each vertex in turn, to its right, then below."""
+    ids = np.arange(height * width, dtype=np.int64).reshape(height, width, 1)
+    keep = np.zeros((height, width, 2), dtype=bool)
+    keep[:, :-1, 0] = True
+    keep[:-1, :, 1] = True
+    return np.broadcast_to(ids, keep.shape)[keep], (ids + [1, width])[keep]
 
 
 def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -547,6 +547,30 @@ class TestDenoiseCommand:
         assert "dropout arithmetic failed: overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,second,rc,message",
+        [
+            # a constant column leaves the moment estimate of tau nothing to fit
+            (["gaussian", "--estimate-tau"], ["4"] * 16, 2,
+             "error: column 2: all signals constant"),
+            (["no-trust", "--tau", "1"], ["1e308", "-1e308"] * 8, 3,
+             "numerical failure: column 2: dropout arithmetic failed: overflow"),
+        ],
+        ids=["constant", "overflow"],
+    )
+    def test_solve_error_names_its_column(self, tmp_path, capsys, argv, second, rc, message):
+        """An error raised while one column is solved names that column,
+        numbered from 1 as the read errors number them."""
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("".join(f"{i + 1},{v},{i % 5}\n" for i, v in enumerate(second)))
+        rc_got = main([
+            "denoise", *argv, "--graph", "grid", "4x4",
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc_got == rc
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["l1", "l0"])
     def test_dropout_constant_near_the_float_range_round_trips(self, tmp_path, mode):
         """Every edge difference of a constant column is 0, so L g is 0 even
@@ -861,7 +885,10 @@ class TestDenoiseCommand:
     @pytest.mark.parametrize(
         "kappa,rc,message",
         # kappa * f'Lf of the start overflows before the box QP is posed
-        [("1e308", 3, "numerical failure: uniform CCP"), ("inf", 2, "kappa must be finite")],
+        [
+            ("1e308", 3, "numerical failure: column 1: uniform CCP"),
+            ("inf", 2, "kappa must be finite"),
+        ],
         ids=["overflows", "infinite"],
     )
     def test_uniform_kappa_out_of_range(self, tmp_path, rng, capsys, kappa, rc, message):
@@ -918,7 +945,7 @@ class TestDenoiseCommand:
                 "--input", str(src), "--output", str(out),
             ])
         assert rc == 3 and not caught
-        assert "numerical failure: uniform CCP failed: overflow" in capsys.readouterr().err
+        assert "numerical failure: column 1: uniform CCP failed: overflow" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_trust_l0_restores_constant_patch(self, tmp_path):

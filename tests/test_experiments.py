@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -260,7 +261,7 @@ class TestRunner:
         table = run_experiment(parse_experiment_spec(path))
         assert len(table.rows) == 0
 
-    def test_determinism_and_thread_invariance(self, tmp_path):
+    def test_determinism(self, tmp_path):
         path = tmp_path / "tiny.spec"
         path.write_text(TINY_SPEC)
         spec = parse_experiment_spec(path)
@@ -271,10 +272,34 @@ class TestRunner:
                 for r in table.rows
             ]
 
-        t1 = run_experiment(spec, threads=1)
-        t2 = run_experiment(spec, threads=1)
-        t3 = run_experiment(spec, threads=4)
-        assert fingerprint(t1) == fingerprint(t2) == fingerprint(t3)
+        assert fingerprint(run_experiment(spec)) == fingerprint(run_experiment(spec))
+
+    def test_rows_come_in_spec_order(self, tmp_path):
+        """Method, parameter combination, level, repeat, then metric: two of
+        each, so every pair of neighbouring loops could be told apart if swapped."""
+        path = tmp_path / "order.spec"
+        path.write_text(
+            TINY_SPEC.replace("repeats = 1", "repeats = 2")
+            .replace("levels = 0.5 1.0 2.0", "levels = 1.0 0.5")
+            .replace("names = relative-error", "names = pearson relative-error")
+            .replace("[method.gaussian]\ntau = estimate", "[method.gaussian]\ntau = 2 0.5")
+            .replace("[method.local-average]\nt = 1", "[method.local-average]\nt = 3 1")
+        )
+        spec = parse_experiment_spec(path)
+        table = run_experiment(spec)
+        expected = [
+            (method, json.dumps({key: value}), level, metric)
+            for method, key, values in (("gaussian", "tau", (2, 0.5)), ("local-average", "t", (3, 1)))
+            for value in values
+            for level in (1.0, 0.5)
+            for _ in range(2)
+            for metric in ("pearson", "relative-error")
+        ]
+        assert [(r.method, r.param_json, r.noise_level, r.metric) for r in table.rows] == expected
+        # the first of the two repeats comes first: it is the one-repeat run
+        once = run_experiment(dataclasses.replace(spec, repeats=1))
+        firsts = [r.value for i, r in enumerate(table.rows) if i // 2 % 2 == 0]
+        assert firsts == [r.value for r in once.rows]
 
     def test_method_failure_becomes_error_row(self, tmp_path):
         # nuclear needs a grid; a knn graph cell must fail gracefully

@@ -94,6 +94,31 @@ class TestConstruction:
         assert same.grid_shape is None
         assert build_knn_graph(rng.normal(size=(20, 2)), 5).grid_shape is None
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # the 3x3 grid's edges at weight 2: its slices multiplied by 1, its CSR by 2
+            lambda g: (9, g.edge_a, g.edge_b, 2 * g.edge_w, (3, 3)),
+            # a 4-vertex path is no 2x2 grid
+            lambda g: (4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.ones(3), (2, 2)),
+            # the 3x3 grid's edges and vertex count, read as a 1x9 or a 9x1 grid
+            lambda g: (9, g.edge_a, g.edge_b, g.edge_w, (1, 9)),
+            lambda g: (9, g.edge_a, g.edge_b, g.edge_w, (9, 1)),
+            # one edge short of the grid, and n not height * width
+            lambda g: (9, g.edge_a[1:], g.edge_b[1:], g.edge_w[1:], (3, 3)),
+            lambda g: (10, g.edge_a, g.edge_b, g.edge_w, (3, 3)),
+            lambda g: (9, g.edge_a, g.edge_b, g.edge_w, (-3, -3)),
+        ],
+        ids=["weight-2", "path", "1x9", "9x1", "edge-short", "n", "negative"],
+    )
+    def test_grid_shape_must_match_the_edges(self, edges):
+        """Three solves trust a grid shape to mean the unit-weight grid, so
+        a Graph whose edges are not that grid's cannot carry one."""
+        g = build_grid_graph(3, 3)
+        with pytest.raises(InvalidArgumentError, match="grid"):
+            Graph(*edges(g))
+        assert Graph(9, g.edge_a, g.edge_b, g.edge_w, (3, 3)).grid_shape == (3, 3)
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build_grid_graph(0, 5)
