@@ -67,26 +67,19 @@ class SparseUpdate:
         return cls(x, np.flatnonzero(x), int(iterations), converged)
 
 
-def _gram_form(gram, linear) -> tuple[CsrMatrix, np.ndarray]:
-    """The Gram matrix as a :class:`CsrMatrix` and the linear term, checked
-    to match.  ``gram`` is a CsrMatrix, a dense array or any sparse matrix
-    with ``tocsr()``, whose repeated entries are summed."""
+def _linear_term(gram, linear) -> np.ndarray:
+    """The linear term as a vector, checked to match the Gram matrix, which
+    must be a :class:`CsrMatrix`."""
+    if not isinstance(gram, CsrMatrix):
+        raise InvalidArgumentError(
+            f"gram must be a graphdenoise CsrMatrix, got {type(gram).__name__}"
+        )
     c = np.asarray(linear, dtype=np.float64)
-    if hasattr(gram, "tocsr"):
-        gram = gram.tocsr()
-    elif not isinstance(gram, CsrMatrix):
-        gram = np.atleast_2d(np.asarray(gram, dtype=np.float64))
     if gram.shape != (c.size, c.size) or c.ndim != 1:
         raise InvalidArgumentError(
             f"linear term shape {c.shape} does not match gram shape {gram.shape}"
         )
-    if isinstance(gram, np.ndarray):
-        rows, cols = np.nonzero(gram)
-        gram = CsrMatrix.from_triplets(c.size, rows, cols, gram[rows, cols])
-    elif not isinstance(gram, CsrMatrix):
-        rows = np.repeat(np.arange(c.size), np.diff(gram.indptr))
-        gram = CsrMatrix.from_triplets(c.size, rows, gram.indices, gram.data)
-    return gram, c
+    return c
 
 
 def _colour_classes(gram: CsrMatrix) -> list[np.ndarray]:
@@ -116,11 +109,12 @@ def lasso_coordinate_descent(
 ) -> SparseUpdate:
     """Colour-class coordinate descent for ||A x - y||^2 + tau * ||x||_1.
 
-    The problem is given in Gram form, the symmetric sparse G = A'A and
-    c = A'y.  The coordinates are coloured so that no two of one class
-    interact in G (:func:`_colour_classes`), so a class is updated in one
-    vectorised soft-threshold step and a sweep over the classes is cyclic
-    coordinate descent in colour-class order (Bradley et al., ICML 2011).
+    The problem is given in Gram form, the symmetric G = A'A as a
+    :class:`CsrMatrix` and c = A'y.  The coordinates are coloured so that
+    no two of one class interact in G (:func:`_colour_classes`), so a class
+    is updated in one vectorised soft-threshold step and a sweep over the
+    classes is cyclic coordinate descent in colour-class order (Bradley et
+    al., ICML 2011).
     The gradient half q = Gx - c is kept up to date (the covariance update
     of Friedman, Hastie and Tibshirani, JSS 2010), so a sweep costs
     O(nnz(G)).  The sweep stops once no coordinate moves by more than
@@ -129,7 +123,7 @@ def lasso_coordinate_descent(
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
-    gram, c = _gram_form(gram, linear)
+    c = _linear_term(gram, linear)
     x = np.zeros(c.size)
     q = -c
     half_tau = tau / 2.0
@@ -163,7 +157,7 @@ def lasso_coordinate_descent(
 def lasso_kkt_violation(gram, linear, tau: float, x) -> float:
     """Worst-coordinate KKT violation of ||A x - y||^2 + tau * ||x||_1 at x,
     given G = A'A and c = A'y: the gradient of the fit is 2(Gx - c)."""
-    gram, c = _gram_form(gram, linear)
+    c = _linear_term(gram, linear)
     x = np.asarray(x, dtype=np.float64)
     grad = 2.0 * (gram @ x - c)
     violation = np.where(
@@ -355,9 +349,9 @@ class _StepwiseSearch:
 def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
     """Deterministic stepwise search for ||A x - y||^2 + tau * ||x||_0.
 
-    The problem is given in Gram form, G = A'A and c = A'y, plus
-    ``energy(x)``, which returns the residual ||A x - y||^2 of a full-length
-    x; supports are ranked by it.  Forward selection drives the search:
+    The problem is given in Gram form, G = A'A as a :class:`CsrMatrix` and
+    c = A'y, plus ``energy(x)``, which returns the residual ||A x - y||^2 of
+    a full-length x; supports are ranked by it.  Forward selection drives the search:
     repeatedly add the coordinate with the largest residual reduction (its
     squared correlation with the residual over G_jj), refit least squares
     on the support with :func:`cg_solve` on the support's rows and columns
@@ -374,7 +368,7 @@ def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
-    gram, c = _gram_form(gram, linear)
+    c = _linear_term(gram, linear)
     search = _StepwiseSearch(gram, c, tau, energy)
     s, coeffs = search.refit(search.run())
     x = np.zeros(c.size)

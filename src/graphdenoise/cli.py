@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -24,10 +25,10 @@ from .matrixio import read_mask, read_matrix, read_text, select_columns, write_m
 from .uniform import ccp_denoise
 
 
-def _thread_count(text: str) -> int:
-    """Parse --threads: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+def _at_least(minimum: int, text: str) -> int:
+    """Parse an option's integer of at least ``minimum``."""
+    if not text.isdecimal() or int(text) < minimum:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
     return int(text)
 
 
@@ -58,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--columns", default=":", help="column selection: I, A:B, or I,J,K (default all)"
     )
     # every solve holds the GIL, so columns and cells run one after another
-    threads_help = "no effect; kept only until the benchmark stops passing it"
-    common.add_argument("--threads", type=_thread_count, default=1, help=threads_help)
+    unused_help = "no effect; kept only until the benchmark stops passing it"
+    count, seed = functools.partial(_at_least, 1), functools.partial(_at_least, 0)
+    common.add_argument("--threads", type=count, default=1, help=unused_help)
     zeta_help = "suspicion set: 'zeros' or a 0/1 mask file"
 
     gauss = models.add_parser("gaussian", parents=[common])
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     uni = models.add_parser("uniform", parents=[common])
     uni.add_argument("--kappa", type=float, default=1.0, help="prior smoothness weight")
-    uni.add_argument("--seed", type=int, default=0, help="seed of the CCP start point")
+    uni.add_argument("--seed", type=seed, default=0, help=unused_help)
 
     ber = models.add_parser("bernoulli", parents=[common])
     weight = ber.add_mutually_exclusive_group(required=True)
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--spec", required=True)
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    exp.add_argument("--threads", type=_thread_count, default=1, help=threads_help)
+    exp.add_argument("--threads", type=count, default=1, help=unused_help)
     return parser
 
 
@@ -197,12 +199,12 @@ def cmd_denoise(args) -> int:
                     taus.append(tau)
                 res = denoise_gaussian(g, graph, tau)
             elif args.model == "uniform":
-                res, _ = ccp_denoise(g, graph, kappa=args.kappa, rng_seed=args.seed)
+                res, _ = ccp_denoise(g, graph, kappa=args.kappa)
             else:
                 zeta = (g == 0.0) if mask is None else mask
                 res = bernoulli_denoise(g, graph, zeta, penalty, args.mode)
-        except GraphDenoiseError as exc:  # numbered from 1, as in the read errors
-            exc.args = (f"column {c + 1}: {exc}",)
+        except GraphDenoiseError as exc:  # the index --columns takes
+            exc.args = (f"column index {c}: {exc}",)
             raise
         out[:, c] = res.signal
         total_iters += res.iterations

@@ -126,20 +126,24 @@ def estimate_tau(signals, graph: Graph) -> float:
     # weights to a largest weight in [1, 2), which keeps unit weights
     arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
     shift = int(np.frexp(np.max(graph.edge_w))[1]) - 1
-    if shift:
-        graph = Graph(graph.n, graph.edge_a, graph.edge_b, np.ldexp(graph.edge_w, -shift))
+    a, b, w = graph.edge_a, graph.edge_b, np.ldexp(graph.edge_w, -shift)
     cols = arr.T
-    diff = cols[graph.edge_a] - cols[graph.edge_b]
-    flow = graph.edge_w[:, None] * diff
+    diff = cols[a] - cols[b]
+    flow = w[:, None] * diff
     lg = np.zeros_like(cols)
-    np.add.at(lg, graph.edge_a, flow)
-    np.subtract.at(lg, graph.edge_b, flow)
+    np.add.at(lg, a, flow)
+    np.subtract.at(lg, b, flow)
     m1, m2 = float(np.vdot(flow, diff)) / k, float(np.vdot(lg, lg)) / k
     # m1 >= 0 and m2 >= 0; both may underflow to 0 on variation across a
     # light edge, and then the fit is (0, 0), read as tau = inf below.  The
     # fit is linear in (m1, m2), which a power of two keeps clear of underflow
     e = int(np.frexp(max(m1, m2))[1])
-    sigma2, inv2kappa = nonneg_moment_fit(math.ldexp(m1, -e), math.ldexp(m2, -e), graph)
+    # the scaled Laplacian's traces, read as laplacian_trace and
+    # laplacian_squared_trace read them; a light weight may underflow to 0,
+    # and unscaled weights keep the graph's cached degrees
+    deg = np.bincount(np.r_[a, b], np.r_[w, w], graph.n) if shift else graph.degrees
+    tr, tr2 = float(deg.sum()), float(np.dot(deg, deg) + 2.0 * (w**2).sum())
+    sigma2, inv2kappa = _moment_fit(math.ldexp(m1, -e), math.ldexp(m2, -e), graph.n, tr, tr2)
     if inv2kappa == 0.0:
         # all observed variation is attributed to noise: smooth to the mean
         return math.inf
@@ -159,11 +163,14 @@ def nonneg_moment_fit(m1: float, m2: float, graph: Graph) -> tuple[float, float]
     spanned by the columns this is the exact solve; otherwise the target is
     projected onto the nearer column's ray.
     """
+    tr, tr2 = laplacian_trace(graph), laplacian_squared_trace(graph)
+    return _moment_fit(m1, m2, graph.n, tr, tr2)
+
+
+def _moment_fit(m1: float, m2: float, n: int, tr: float, tr2: float) -> tuple[float, float]:
+    """:func:`nonneg_moment_fit` from n, tr(L) = tr and tr(L^2) = tr2."""
     if not (np.isfinite(m1) and np.isfinite(m2)):
         raise InvalidArgumentError("moment targets must be finite")
-    n = graph.n
-    tr = laplacian_trace(graph)
-    tr2 = laplacian_squared_trace(graph)
     b = np.array([m1, m2])
     c1 = np.array([tr, tr2])
     c2 = np.array([float(n - 1), tr])

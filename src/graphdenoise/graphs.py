@@ -95,17 +95,12 @@ class CsrMatrix:
     @classmethod
     def from_triplets(cls, n: int, rows, cols, data) -> "CsrMatrix":
         """The n x n matrix with value data[i] at (rows[i], cols[i]); the
-        values at a repeated position are summed in their given order."""
+        positions must be distinct."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
         data = np.asarray(data, dtype=np.float64)[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        if not first.all():
-            data = np.bincount(np.cumsum(first) - 1, data)
-            rows, cols = rows[first], cols[first]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, cols, data)
@@ -189,12 +184,15 @@ class Graph:
     """Immutable weighted undirected connected graph.
 
     ``edge_a < edge_b`` for every stored edge, in lexicographic order.
-    Construction validates weights, simplicity and connectivity.
+    Construction validates every graph: integer endpoints with
+    0 <= edge_a < edge_b < n, the (edge_a, edge_b) pairs strictly
+    increasing, so none repeats, finite positive weights and connectivity.
     ``grid_shape`` is (height, width) from :func:`build_grid_graph`, else None.
     It means the unit-weight four-neighbour grid of that shape, vertex id =
     row * width + col, and three places rely on it: the DCT solve of the
     Gaussian filter, the closed-form spectral basis and the slice product
-    of the Laplacian, so construction refuses a grid shape the edges do not match.
+    of the Laplacian, so construction refuses a grid shape the edges do not
+    match; the grid's edges need no other check.
     Graphs compare and hash by identity.
     """
 
@@ -205,56 +203,33 @@ class Graph:
     grid_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.grid_shape is None:
-            return
-        h, w = self.grid_shape
-        if min(h, w) >= 1 and self.n == h * w:
-            a, b = _grid_edges(h, w)
-            edges = (self.edge_a, self.edge_b, self.edge_w)
-            if all(map(np.array_equal, edges, (a, b, np.ones(a.size)))):
-                return
-        raise InvalidArgumentError(f"the edges are not the unit-weight {h}x{w} grid's")
-
-    @classmethod
-    def from_edges(cls, n: int, a, b, w) -> "Graph":
-        """Graph on n vertices with edges (a[i], b[i]) of weight w[i].
-
-        ``a`` and ``b`` are equal-length 1-D integer arrays of vertex ids and
-        ``w`` the matching weights; edges may come in either orientation
-        and in any order.
-        """
+        if self.grid_shape is not None:
+            h, w = self.grid_shape
+            if min(h, w) >= 1 and self.n == h * w:
+                a, b = _grid_edges(h, w)
+                edges = (self.edge_a, self.edge_b, self.edge_w)
+                if all(map(np.array_equal, edges, (a, b, np.ones(a.size)))):
+                    return
+            raise InvalidArgumentError(f"the edges are not the unit-weight {h}x{w} grid's")
+        n, a, b, w = self.n, self.edge_a, self.edge_b, self.edge_w
         if n < 1:
             raise InvalidArgumentError("graph needs at least one vertex")
-        a, b, w = np.asarray(a), np.asarray(b), np.asarray(w, dtype=np.float64)
-        if a.ndim != 1 or a.shape != b.shape or a.shape != w.shape:
-            raise InvalidArgumentError(
-                "edge arrays must be 1-D and of equal length, got shapes "
-                f"{a.shape}, {b.shape} and {w.shape}"
-            )
-        if a.size == 0:
-            raise InvalidArgumentError("graph needs at least one edge")
-        if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
-            raise InvalidArgumentError("edge endpoints must be integer vertex ids")
-        a, b = a.astype(np.int64), b.astype(np.int64)
-        if a.min() < 0 or b.min() < 0 or a.max() >= n or b.max() >= n:
+        _check_edge_arrays(a, b, w)
+        if a.min() < 0 or b.max() >= n:
             raise InvalidArgumentError("edge endpoint out of range")
-        if np.any(a == b):
-            raise InvalidArgumentError("self-loops are not allowed")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0):
+        if np.any(a >= b):
+            if np.any(a == b):
+                raise InvalidArgumentError("self-loops are not allowed")
+            raise InvalidArgumentError("edges must be stored with edge_a < edge_b")
+        if w.dtype.kind not in "fiu" or np.any(~np.isfinite(w)) or np.any(w <= 0):
             raise InvalidArgumentError("edge weights must be finite and positive")
-        # canonical orientation a < b, lexicographic edge order
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        if lo.size > 1:
-            dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-            if np.any(dup):
-                k = int(np.flatnonzero(dup)[0])
-                raise InvalidArgumentError(
-                    f"duplicate edge ({lo[k]}, {hi[k]})"
-                )
-        labels = _component_labels(n, lo, hi)
+        step = np.diff(a * np.int64(n) + b)
+        if np.any(step <= 0):
+            k = int(np.flatnonzero(step <= 0)[0])
+            if step[k] == 0:
+                raise InvalidArgumentError(f"duplicate edge ({a[k]}, {b[k]})")
+            raise InvalidArgumentError("edges must be in lexicographic order")
+        labels = _component_labels(n, a, b)
         roots = np.flatnonzero(labels == np.arange(n))
         if roots.size != 1:
             # components in order of their least vertex, each one ascending
@@ -264,7 +239,22 @@ class Graph:
                 f"graph has {roots.size} connected components",
                 components=[c.tolist() for c in comps],
             )
-        return cls(n=n, edge_a=lo, edge_b=hi, edge_w=w)
+
+    @classmethod
+    def from_edges(cls, n: int, a, b, w) -> "Graph":
+        """Graph on n vertices with edges (a[i], b[i]) of weight w[i].
+
+        ``a`` and ``b`` are equal-length 1-D integer arrays of vertex ids and
+        ``w`` the matching weights; edges may come in either orientation
+        and in any order.  Each edge is stored as (min, max), the edges in
+        lexicographic order, and the constructor validates the result.
+        """
+        a, b, w = np.asarray(a), np.asarray(b), np.asarray(w, dtype=np.float64)
+        _check_edge_arrays(a, b, w)
+        a, b = a.astype(np.int64), b.astype(np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))
+        return cls(n=n, edge_a=lo[order], edge_b=hi[order], edge_w=w[order])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -302,8 +292,22 @@ def build_grid_graph(height: int, width: int) -> Graph:
         raise InvalidArgumentError(
             f"grid {height}x{width} has more vertices than can be allocated"
         ) from None
-    # a grid is connected: from_edges would pass it
+    # the grid check stands for the others: a grid is simple and connected
     return Graph(height * width, a, b, np.ones(a.size), (height, width))
+
+
+def _check_edge_arrays(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> None:
+    """Edge arrays must be 1-D, nonempty and of equal length, with integer
+    endpoints."""
+    if a.ndim != 1 or a.shape != b.shape or a.shape != w.shape:
+        raise InvalidArgumentError(
+            "edge arrays must be 1-D and of equal length, got shapes "
+            f"{a.shape}, {b.shape} and {w.shape}"
+        )
+    if a.size == 0:
+        raise InvalidArgumentError("graph needs at least one edge")
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise InvalidArgumentError("edge endpoints must be integer vertex ids")
 
 
 def _grid_edges(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:

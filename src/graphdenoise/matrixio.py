@@ -274,7 +274,7 @@ def select_columns(text: str, width: int) -> list[int]:
         raise InvalidArgumentError(f"cannot parse column range {text!r}") from None
     for c in cols:
         if not 0 <= c < width:
-            raise InvalidArgumentError(f"column {c} out of range [0, {width})")
+            raise InvalidArgumentError(f"column index {c} out of range [0, {width})")
     if not cols:
         raise InvalidArgumentError("empty column selection")
     return cols

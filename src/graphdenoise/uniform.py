@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, overflow_guard
-from .graphs import Graph, as_seed, as_signal, check_kappa, dirichlet_energy
+from .graphs import Graph, as_signal, check_kappa, dirichlet_energy
 from .result import DenoiseResult, DescentTrace
 
 __all__ = [
@@ -51,14 +51,9 @@ def _box(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(zero, 0.0, lower), np.where(zero, 0.0, upper)
 
 
-def _start(g: np.ndarray, box, rng=None) -> np.ndarray:
-    """Scale the observation slightly off the box boundary, by a per-vertex
-    factor in [0.5, 1.5] of the margin when an rng is given."""
-    if rng is None:
-        margin = STRICT_INIT_MARGIN
-    else:
-        margin = STRICT_INIT_MARGIN * rng.uniform(0.5, 1.5, size=g.shape)
-    return np.clip(g * (1.0 + margin), *box)
+def _start(g: np.ndarray, box) -> np.ndarray:
+    """Scale the observation slightly off the box boundary."""
+    return np.clip(g * (1.0 + STRICT_INIT_MARGIN), *box)
 
 
 def uniform_loss(f, graph: Graph, kappa: float) -> float:
@@ -241,7 +236,6 @@ def ccp_denoise(
     graph: Graph,
     kappa: float = 1.0,
     tol: float = 1e-7,
-    rng_seed: int | None = None,
 ) -> tuple[DenoiseResult, DescentTrace]:
     """Convex-concave procedure for the uniform-noise posterior.
 
@@ -251,18 +245,16 @@ def ccp_denoise(
     ``tol * |loss(f0)|`` or after 50 steps; non-convergence, including a
     last inner QP stopped at its step cap, is reported through the
     ``converged`` flag, not an exception.  The start is the observation
-    moved 1e-3 into the box, by a per-vertex factor in [0.5, 1.5] drawn
-    from ``rng_seed`` (None or a nonnegative integer) when one is given.
+    moved 1e-3 into the box.
     """
     g = as_signal(g_signal, graph.n)
     check_kappa(kappa)
     start = time.perf_counter()
     box = _box(g)
-    rng = None if as_seed(rng_seed) is None else np.random.default_rng(rng_seed)
     # an overflow in a loss or in the log term's 1/f, as from a subnormal
     # observation, is a numerical failure
     with overflow_guard("uniform CCP"):
-        f = _start(g, box, rng)
+        f = _start(g, box)
         losses = [uniform_loss(f, graph, kappa)]
         inner_counts: list[int] = []
         threshold = tol * abs(losses[0])

@@ -51,14 +51,17 @@ def shifted_laplacian(graph: Graph, d, tau: float) -> CsrMatrix:
 def gram_form(a: np.ndarray, y: np.ndarray):
     """The Gram-form arguments (A'A, A'y, energy) of ||A x - y||^2 on a
     design A, energy(x) being the residual ||A x - y||^2.  The products are
-    sparse, as a sparse design's would be."""
+    sparse, as a sparse design's would be, and A'A is handed back as the
+    package's CsrMatrix."""
     a = sp.csc_matrix(a)
 
     def energy(x):
         r = a @ x - y
         return float(r @ r)
 
-    return (a.T @ a).tocsr(), a.T @ y, energy
+    m = (a.T @ a).tocsr()
+    m.sum_duplicates()
+    return CsrMatrix(m.indptr, m.indices, m.data), a.T @ y, energy
 
 
 def l0_on_design(a: np.ndarray, y: np.ndarray, tau: float):

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +20,12 @@ from graphdenoise import (
 )
 from graphdenoise.bernoulli import (
     _colour_classes,
-    _gram_form,
     _StepwiseSearch,
     lasso_kkt_violation,
 )
 
 from conftest import (
+    as_scipy,
     dense_incidence,
     gram_form,
     l0_on_design,
@@ -179,7 +178,7 @@ class TestLasso:
         size = int(rng.integers(1, n))
         a, y = random_design(rng, n, int(rng.integers(0, 2 * n)), size)
         gram, c, _ = gram_form(a, y)
-        classes = _colour_classes(sp.csr_matrix(gram))
+        classes = _colour_classes(gram)
         assert sorted(np.concatenate(classes).tolist()) == list(range(size))
         for cols in classes:
             rows = np.nonzero(a[:, cols])[0]
@@ -196,7 +195,7 @@ class TestLasso:
         a = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -2.0]])
         y = np.array([1.0, -2.0])
         gram, c, _ = gram_form(a, y)
-        classes = _colour_classes(sp.csr_matrix(gram))
+        classes = _colour_classes(gram)
         assert [c.tolist() for c in classes] == [[0], [1], [2]]
         upd = lasso_coordinate_descent(gram, c, 0.3, tol=1e-15, max_sweeps=100000)
         expect = dense_cyclic_cd(a, y, 0.3)
@@ -224,7 +223,25 @@ class TestLasso:
         with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
             lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros(3), 1.0)
         with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
-            lasso_coordinate_descent(np.ones((1, 2)), np.zeros(1), 1.0)
+            lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros((1, 1)), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["dense", "scipy"])
+def test_gram_must_be_a_csr_matrix(p3, kind):
+    """The regression takes its Gram as the package's CsrMatrix, the type
+    every caller in the package passes, and refuses a dense or a scipy copy."""
+    gram = restrict_laplacian(p3, vertex_mask(3, [0, 2]))
+    other = gram.toarray() if kind == "dense" else as_scipy(gram)
+    c = np.array([1.0, -2.0])
+    calls = [
+        lambda m: lasso_coordinate_descent(m, c, 0.5),
+        lambda m: l0_greedy(m, c, 0.5, lambda x: float(x @ x)),
+        lambda m: lasso_kkt_violation(m, c, 0.5, np.zeros(2)),
+    ]
+    for call in calls:
+        call(gram)
+        with pytest.raises(InvalidArgumentError, match="must be a graphdenoise CsrMatrix"):
+            call(other)
 
 
 class ForwardAfterExchange(_StepwiseSearch):
@@ -338,7 +355,7 @@ class TestL0Greedy:
         g = random_connected_graph(10, 5, rng)
         a = dense_incidence(g)[:, vertex_mask(g.n, [1, 4, 6])]
         gram, c, energy = gram_form(a, rng.normal(size=g.edge_w.size))
-        search = _StepwiseSearch(*_gram_form(gram, c), 0.5, energy)
+        search = _StepwiseSearch(gram, c, 0.5, energy)
         s1, x1 = search.refit([2, 0])
         s2, x2 = search.refit([0, 2])
         assert len(calls) == 1
@@ -368,7 +385,6 @@ class TestL0Greedy:
             systems.append(dirichlet_system(grid, obs, zeta) + (dropout_penalty(0.1, 1.0),))
         moves = np.zeros(2, dtype=int)
         for gram, c, energy, tau in systems:
-            gram, c = _gram_form(gram, c)
             new = _StepwiseSearch(gram, c, tau, energy)
             s_new, x_new = new.refit(new.run())
             # a fit depends on its support alone, so the old schedule may

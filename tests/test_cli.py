@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphdenoise import Graph, build_grid_graph, estimate_tau
+from graphdenoise import Graph, build_grid_graph, ccp_denoise, estimate_tau
 from graphdenoise.cli import main
 from graphdenoise.matrixio import format_float, read_matrix
 
@@ -552,15 +552,15 @@ class TestDenoiseCommand:
         [
             # a constant column leaves the moment estimate of tau nothing to fit
             (["gaussian", "--estimate-tau"], ["4"] * 16, 2,
-             "error: column 2: all signals constant"),
+             "error: column index 1: all signals constant"),
             (["no-trust", "--tau", "1"], ["1e308", "-1e308"] * 8, 3,
-             "numerical failure: column 2: dropout arithmetic failed: overflow"),
+             "numerical failure: column index 1: dropout arithmetic failed: overflow"),
         ],
         ids=["constant", "overflow"],
     )
     def test_solve_error_names_its_column(self, tmp_path, capsys, argv, second, rc, message):
-        """An error raised while one column is solved names that column,
-        numbered from 1 as the read errors number them."""
+        """An error raised while one column is solved names that column by
+        its 0-based index, the one --columns takes."""
         src, out = tmp_path / "g.csv", tmp_path / "o.csv"
         src.write_text("".join(f"{i + 1},{v},{i % 5}\n" for i, v in enumerate(second)))
         rc_got = main([
@@ -570,6 +570,21 @@ class TestDenoiseCommand:
         assert rc_got == rc
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_columns_and_errors_name_one_index(self, tmp_path, capsys):
+        """--columns I selects the column that a solve error and a selection
+        error call column index I."""
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("".join(f"{i + 1},4,{i % 5}\n" for i in range(16)))
+        argv = [
+            "denoise", "gaussian", "--estimate-tau", "--graph", "grid", "4x4",
+            "--input", str(src), "--output", str(out),
+        ]
+        assert main([*argv, "--columns", "1"]) == 2
+        assert "error: column index 1: all signals constant" in capsys.readouterr().err
+        assert main([*argv, "--columns", "0,2"]) == 0
+        assert main([*argv, "--columns", "3"]) == 2
+        assert "error: column index 3 out of range [0, 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["l1", "l0"])
     def test_dropout_constant_near_the_float_range_round_trips(self, tmp_path, mode):
@@ -750,22 +765,31 @@ class TestDenoiseCommand:
         src_vals = read_matrix(src).values
         assert np.all(got >= src_vals - 1e-12)  # feasibility: no shrinking
 
-    def test_negative_seed_exit_2(self, tmp_path, rng, capsys):
-        src = tmp_path / "g.csv"
-        write_csv(src, rng.uniform(0.5, 2.0, size=(9, 1)))
+    @staticmethod
+    def seed_rejected(tmp_path, capsys, seed):
+        """--seed has no effect, but it is still parsed: anything other than
+        a nonnegative integer is refused before the input is read."""
         out = tmp_path / "o.csv"
         rc = main(
             [
                 "denoise", "uniform",
                 "--graph", "grid", "3x3",
-                "--input", str(src),
+                "--input", str(tmp_path / "missing.csv"),
                 "--output", str(out),
-                "--seed", "-1",
+                "--seed", seed,
             ]
         )
         assert rc == 2
-        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in err
         assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        self.seed_rejected(tmp_path, capsys, "-1")
+
+    @pytest.mark.parametrize("seed", ["1.5", "x", ""])
+    def test_non_integer_seed_exit_2(self, tmp_path, capsys, seed):
+        self.seed_rejected(tmp_path, capsys, seed)
 
     def test_graph_kind_without_argument_exit_2(self, tmp_path, rng, capsys):
         src = tmp_path / "g.csv"
@@ -783,6 +807,30 @@ class TestDenoiseCommand:
         assert rc == 2
         assert "--graph" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_uniform_ignores_the_seed(self, tmp_path):
+        """The CCP has one start, the observation moved 1e-3 into its box:
+        --seed is parsed and has no effect, and each column is the library's
+        ccp_denoise of it, bit for bit."""
+        g = np.random.default_rng(4).uniform(0.5, 2.0, size=(64, 3))
+        g[:, 1] *= np.where(np.arange(64) % 3 == 0, -1.0, 1.0)
+        g[::7, 2] = 0.0
+        src = tmp_path / "g.csv"
+        write_csv(src, g)
+        written = []
+        for seed in ("0", "3"):
+            out = tmp_path / f"o{seed}.csv"
+            assert main([
+                "denoise", "uniform", "--graph", "grid", "8x8", "--kappa", "2",
+                "--seed", seed, "--input", str(src), "--output", str(out),
+            ]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        got = read_matrix(tmp_path / "o0.csv").values
+        graph = build_grid_graph(8, 8)
+        for c in range(3):
+            want = ccp_denoise(read_matrix(src).values[:, c], graph, 2.0)[0].signal
+            assert got[:, c].tobytes() == want.tobytes()
 
     def test_unconverged_columns_counted_in_summary(self, tmp_path, rng, monkeypatch, capsys):
         from graphdenoise import uniform
@@ -805,27 +853,6 @@ class TestDenoiseCommand:
         monkeypatch.setattr(uniform, "minimize_box_qp", worse_point)
         assert main(argv) == 0
         assert "unconverged=2 " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("seed", ["1", "3"])
-    def test_uniform_huge_kappa_converges_under_the_cap(self, tmp_path, capsys, seed):
-        """At kappa = 1e100 the box QP's stop scales with the round-off of
-        2 kappa L x.  Asking for less, a QP ran to its 20000-step cap and
-        was reported unconverged (start seed 1), or followed a round-off
-        direction of zero curvature and exited 2 as unbounded (seed 3)."""
-        src = tmp_path / "g.csv"
-        write_csv(src, np.random.default_rng(0).uniform(0.1, 2.0, size=(16, 1)))
-        argv = [
-            "denoise", "uniform",
-            "--graph", "grid", "4x4",
-            "--kappa", "1e100",
-            "--seed", seed,
-            "--input", str(src),
-            "--output", str(tmp_path / "o.csv"),
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(argv) == 0
-        assert "unconverged=" not in capsys.readouterr().err
 
     def test_capped_gaussian_column_writes_its_best_iterate(
         self, tmp_path, rng, monkeypatch, capsys
@@ -886,7 +913,7 @@ class TestDenoiseCommand:
         "kappa,rc,message",
         # kappa * f'Lf of the start overflows before the box QP is posed
         [
-            ("1e308", 3, "numerical failure: column 1: uniform CCP"),
+            ("1e308", 3, "numerical failure: column index 0: uniform CCP"),
             ("inf", 2, "kappa must be finite"),
         ],
         ids=["overflows", "infinite"],
@@ -945,7 +972,8 @@ class TestDenoiseCommand:
                 "--input", str(src), "--output", str(out),
             ])
         assert rc == 3 and not caught
-        assert "numerical failure: column 1: uniform CCP failed: overflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure: column index 0: uniform CCP failed: overflow" in err
         assert not out.exists()
 
     def test_no_trust_l0_restores_constant_patch(self, tmp_path):

@@ -159,6 +159,14 @@ class TestEstimateTau:
         tau_hat = estimate_tau(signals, g)
         assert 0.45 <= tau_hat <= 0.55
 
+    def test_weight_underflowing_in_the_scaling_is_fitted(self):
+        """The weights are scaled to a largest weight in [1, 2); a light
+        weight that underflows to 0 there is read as 0, not refused as a
+        graph's weight would be."""
+        g = Graph.from_edges(3, [0, 1], [1, 2], [1e-300, 1e300])
+        signals = np.array([[1.0, 2.0, 4.0], [0.5, -1.0, 3.0]])
+        assert estimate_tau(signals, g) == np.inf
+
     def test_multi_reduces_to_single_on_duplicates(self, rng):
         g = random_connected_graph(12, 6, rng)
         sig = rng.normal(size=g.n)

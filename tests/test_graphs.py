@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -29,7 +30,6 @@ from graphdenoise import (
     restrict_laplacian,
 )
 from graphdenoise import graphs
-from graphdenoise.bernoulli import _gram_form
 from graphdenoise.graphs import as_mask
 
 from conftest import (
@@ -154,6 +154,55 @@ class TestConstruction:
                 Graph.from_edges(3, a, b, w)
         g = Graph.from_edges(3, np.array([2, 0], dtype=np.int32), [1, 1], ones)
         assert g.edge_a.tolist() == [0, 1] and g.edge_b.tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "n,a,b,w,error,message",
+        [
+            # an edge stored as (1, 0), a negative weight and vertex 3 isolated
+            (4, [1, 0], [0, 2], [-1.0, 1.0], InvalidArgumentError, "edge_a < edge_b"),
+            (3, [0, 1], [1, 2], [1.0, -1.0], InvalidArgumentError, "finite and positive"),
+            (3, [0, 1], [1, 2], [1.0, np.nan], InvalidArgumentError, "finite and positive"),
+            (3, [0, 1], [1, 2], [1.0, np.inf], InvalidArgumentError, "finite and positive"),
+            (3, [0, 1], [1, 3], [1.0, 1.0], InvalidArgumentError, "out of range"),
+            (3, [-1, 0], [0, 1], [1.0, 1.0], InvalidArgumentError, "out of range"),
+            (3, [0, 1], [1, 1], [1.0, 1.0], InvalidArgumentError, "self-loops"),
+            (3, [1, 0], [2, 1], [1.0, 1.0], InvalidArgumentError, "lexicographic order"),
+            (3, [0, 0, 1], [1, 1, 2], [1.0, 1.0, 1.0], InvalidArgumentError,
+             "duplicate edge (0, 1)"),
+            (4, [0, 2], [1, 3], [1.0, 1.0], GraphDisconnectedError, "2 connected components"),
+            (3, [0.0, 1.0], [1, 2], [1.0, 1.0], InvalidArgumentError, "integer vertex ids"),
+            (3, [0, 1], [1], [1.0, 1.0], InvalidArgumentError, "equal length"),
+            (3, [], [], [], InvalidArgumentError, "at least one edge"),
+            (0, [0], [1], [1.0], InvalidArgumentError, "at least one vertex"),
+        ],
+        ids=[
+            "reversed", "negative-weight", "nan-weight", "inf-weight", "past-n",
+            "negative-id", "self-loop", "unsorted", "duplicate", "disconnected",
+            "float-ids", "lengths", "no-edges", "no-vertices",
+        ],
+    )
+    def test_constructor_validates_every_graph(self, n, a, b, w, error, message):
+        """Every Graph is checked when it is built, not only those that come
+        through from_edges."""
+        with pytest.raises(error, match=re.escape(message)):
+            Graph(n, np.array(a), np.array(b), np.array(w, dtype=np.float64))
+
+    def test_constructor_refuses_non_numeric_weights(self):
+        with pytest.raises(InvalidArgumentError, match="finite and positive"):
+            Graph(3, np.array([0, 1]), np.array([1, 2]), np.array(["1", "2"]))
+
+    def test_connectivity_is_checked_once(self, rng):
+        """from_edges only coerces, orients and sorts, so the constructor's
+        pass over the edges runs once on the from_edges and k-NN paths; a
+        grid passes its grid check alone."""
+        labels = mock.Mock(wraps=graphs._component_labels)
+        with mock.patch.object(graphs, "_component_labels", labels):
+            Graph.from_edges(3, [1, 0], [2, 1], [1.0, 1.0])
+            assert labels.call_count == 1
+            build_knn_graph(rng.normal(size=(30, 2)), 4)
+            assert labels.call_count == 2
+            build_grid_graph(5, 6)
+            assert labels.call_count == 2
 
     def test_disconnected_rejected_with_components(self):
         with pytest.raises(GraphDisconnectedError) as err:
@@ -624,20 +673,14 @@ class TestTraces:
         )
 
 
-def scipy_input(n: int, rng) -> sp.csr_matrix:
-    """A random n x n scipy CSR matrix as a caller may hand one over: its
-    column indices unsorted within rows, and some entries stored twice
-    (in pairs, so that their sum does not depend on the order)."""
+def random_triplets(n: int, rng):
+    """A random n x n matrix's triplets (rows, cols, data) at distinct
+    positions, in shuffled order."""
     nnz = int(rng.integers(0, n * n // 2 + 2))
-    rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
-    keys = np.unique(rows * n + cols)
-    rows, cols = keys // n, keys % n
-    twice = rng.uniform(size=keys.size) < 0.3
-    rows, cols = np.r_[rows, rows[twice]], np.r_[cols, cols[twice]]
-    data = rng.normal(size=rows.size) * 10.0 ** rng.integers(-3, 4, rows.size)
-    order = np.lexsort((rng.uniform(size=rows.size), rows))  # rows grouped, columns shuffled
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
-    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+    keys = np.unique(rng.integers(0, n * n, nnz))
+    rng.shuffle(keys)
+    data = rng.normal(size=keys.size) * 10.0 ** rng.integers(-3, 4, keys.size)
+    return keys // n, keys % n, data
 
 
 class TestCsrMatrix:
@@ -647,24 +690,22 @@ class TestCsrMatrix:
     def test_matches_scipy(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
-        given = scipy_input(n, rng)
-        oracle = given.copy()
-        oracle.sum_duplicates()  # sorted, distinct columns: scipy's canonical form
+        rows, cols, data = random_triplets(n, rng)
+        # sorted, distinct columns: scipy's canonical form
+        oracle = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         dense = oracle.toarray()
         x = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6, n)
         u = np.flatnonzero(rng.uniform(size=n) < rng.uniform())
-        converted = _gram_form(given, np.zeros(n))[0]
-        from_dense = _gram_form(dense, np.zeros(n))[0]
-        for m, ref in ((converted, oracle), (from_dense, sp.csr_matrix(dense))):
-            for m, ref, v in ((m, ref, x), (m.principal(u), ref[u][:, u], x[u])):
-                assert isinstance(m, CsrMatrix) and m.shape == ref.shape
-                assert np.array_equal(m.indptr, ref.indptr)
-                assert np.array_equal(m.indices, ref.indices)
-                assert m.data.tobytes() == ref.data.tobytes()
-                assert np.array_equal(m.toarray(), ref.toarray())
-                assert np.array_equal(m.diagonal(), ref.diagonal())
-                assert (m @ v).tobytes() == (ref @ v).tobytes()
-        assert np.array_equal(converted.principal(u).toarray(), dense[np.ix_(u, u)])
+        whole = CsrMatrix.from_triplets(n, rows, cols, data)
+        for m, ref, v in ((whole, oracle, x), (whole.principal(u), oracle[u][:, u], x[u])):
+            assert isinstance(m, CsrMatrix) and m.shape == ref.shape
+            assert np.array_equal(m.indptr, ref.indptr)
+            assert np.array_equal(m.indices, ref.indices)
+            assert m.data.tobytes() == ref.data.tobytes()
+            assert np.array_equal(m.toarray(), ref.toarray())
+            assert np.array_equal(m.diagonal(), ref.diagonal())
+            assert (m @ v).tobytes() == (ref @ v).tobytes()
+        assert np.array_equal(whole.principal(u).toarray(), dense[np.ix_(u, u)])
 
     def test_laplacians_multiply_bitwise_as_scipy(self, rng):
         """Graph Laplacians and their restrictions multiply bitwise as
@@ -734,11 +775,6 @@ class TestCsrMatrix:
                 want = ref @ x
             assert not np.all(np.isfinite(got))
             np.testing.assert_array_equal(got, want)
-
-    def test_dense_and_scipy_input_must_be_square(self):
-        for gram in (np.ones((2, 3)), sp.csr_matrix(np.ones((2, 3))), np.ones(3)):
-            with pytest.raises(InvalidArgumentError, match="does not match gram shape"):
-                _gram_form(gram, np.zeros(2))
 
 
 class TestSetsAndRestrictions:

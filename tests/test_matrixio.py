@@ -185,14 +185,21 @@ class TestSelectColumns:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("0:999", "column 4 out of range"),
-            ("-2:-1", "column -2 out of range"),
-            ("4", "column 4 out of range"),
-            ("1,9", "column 9 out of range"),
+            ("0:999", "column index 4 out of range"),
+            ("-2:-1", "column index -2 out of range"),
+            ("4", "column index 4 out of range"),
+            ("1,9", "column index 9 out of range"),
             ("2:2", "empty column selection"),
             ("a", "cannot parse"),
             ("", "cannot parse"),
             ("0:1:2", "cannot parse"),
+        ],
+        # explicit ids, so that a change of wording keeps the test names
+        ids=[
+            "0:999-column 4 out of range", "-2:-1-column -2 out of range",
+            "4-column 4 out of range", "1,9-column 9 out of range",
+            "2:2-empty column selection", "a-cannot parse", "-cannot parse",
+            "0:1:2-cannot parse",
         ],
     )
     def test_bad_selection_rejected(self, text, message):
