@@ -68,18 +68,13 @@ class SparseUpdate:
 
 
 def _linear_term(gram, linear) -> np.ndarray:
-    """The linear term as a vector, checked to match the Gram matrix, which
-    must be a :class:`CsrMatrix`."""
+    """The linear term as a vector, checked by :func:`as_signal` to match
+    the Gram matrix, which must be a :class:`CsrMatrix`."""
     if not isinstance(gram, CsrMatrix):
         raise InvalidArgumentError(
             f"gram must be a graphdenoise CsrMatrix, got {type(gram).__name__}"
         )
-    c = np.asarray(linear, dtype=np.float64)
-    if gram.shape != (c.size, c.size) or c.ndim != 1:
-        raise InvalidArgumentError(
-            f"linear term shape {c.shape} does not match gram shape {gram.shape}"
-        )
-    return c
+    return as_signal(linear, gram.shape[0])
 
 
 def _colour_classes(gram: CsrMatrix) -> list[np.ndarray]:
@@ -158,7 +153,7 @@ def lasso_kkt_violation(gram, linear, tau: float, x) -> float:
     """Worst-coordinate KKT violation of ||A x - y||^2 + tau * ||x||_1 at x,
     given G = A'A and c = A'y: the gradient of the fit is 2(Gx - c)."""
     c = _linear_term(gram, linear)
-    x = np.asarray(x, dtype=np.float64)
+    x = as_signal(x, c.size)
     grad = 2.0 * (gram @ x - c)
     violation = np.where(
         x != 0.0,
@@ -414,8 +409,6 @@ def bernoulli_denoise(
             update = l0_greedy(gram, linear, tau, energy)
         f = g.copy()
         f[zeta] += update.x
-        if not np.all(np.isfinite(f)):
-            raise FloatingPointError("overflow in the estimate")
     return DenoiseResult(
         signal=f, iterations=update.iterations, converged=update.converged
     )

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 on input/usage errors, 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -30,6 +31,16 @@ def _at_least(minimum: int, text: str) -> int:
     if not text.isdecimal() or int(text) < minimum:
         raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
     return int(text)
+
+
+@contextlib.contextmanager
+def _named(source: str):
+    """Prefix the message of a package error raised in the block with ``source``."""
+    try:
+        yield
+    except GraphDenoiseError as exc:
+        exc.args = (f"{source}: {exc}",)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a declarative experiment spec")
     exp.add_argument("--spec", required=True)
     exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    exp.add_argument("--seed", type=seed, default=None, help="override the spec seed")
     exp.add_argument("--threads", type=count, default=1, help=unused_help)
     return parser
 
@@ -111,7 +122,8 @@ def _parse_graph_arg(kind: str, arg: str, n_rows: int, matrix: np.ndarray) -> Gr
             raise InvalidArgumentError(
                 f"grid {h}x{w} has {h * w} vertices but the input has {n_rows} rows"
             )
-        return build_grid_graph(h, w)
+        with _named(f"--graph grid {arg}"):
+            return build_grid_graph(h, w)
     if kind == "knn":
         try:
             k = int(arg)
@@ -119,7 +131,8 @@ def _parse_graph_arg(kind: str, arg: str, n_rows: int, matrix: np.ndarray) -> Gr
             raise InvalidArgumentError(
                 f"--graph knn needs an integer neighbor count, got {arg!r}"
             ) from None
-        return build_knn_graph(matrix, k)
+        with _named(f"--graph knn {arg}"):
+            return build_knn_graph(matrix, k)
     if kind == "edge-list":
         return _read_edge_list(arg, n_rows)
     raise InvalidArgumentError(f"unknown graph kind {kind!r}")
@@ -162,7 +175,8 @@ def _read_edge_list(path: str, n: int) -> Graph:
                 f"{path}: line {ln_no}: duplicate edge {pair}, first on line {first_line[pair]}"
             )
         first_line[pair] = ln_no
-    return Graph.from_edges(n, a, b, w)
+    with _named(path):
+        return Graph.from_edges(n, a, b, w)
 
 
 def cmd_denoise(args) -> int:
@@ -191,7 +205,7 @@ def cmd_denoise(args) -> int:
     start = time.perf_counter()
     for c in cols:
         g = matrix[:, c].astype(np.float64)
-        try:
+        with _named(f"column index {c}"):  # the index --columns takes
             if args.model == "gaussian":
                 tau = args.tau
                 if args.estimate_tau:
@@ -203,9 +217,6 @@ def cmd_denoise(args) -> int:
             else:
                 zeta = (g == 0.0) if mask is None else mask
                 res = bernoulli_denoise(g, graph, zeta, penalty, args.mode)
-        except GraphDenoiseError as exc:  # the index --columns takes
-            exc.args = (f"column index {c}: {exc}",)
-            raise
         out[:, c] = res.signal
         total_iters += res.iterations
         unconverged += not res.converged

@@ -257,9 +257,9 @@ class ExperimentSpec:
     signal: tuple[tuple[str, str], ...]
     noise_kind: str
     noise_levels: tuple[float, ...]
-    noise_opts: tuple[tuple[str, float], ...]
     methods: tuple[MethodSpec, ...]
     metrics: tuple[str, ...]
+    noise_fill: float = 0.0  # the value a dropped bernoulli-dropout entry takes
     benchmark_kappa: float | None = None  # None without a [benchmark] section
 
     def graph_opts(self) -> _Section:
@@ -374,11 +374,11 @@ def _boolean(text: str) -> bool:
     return states[text.lower()]
 
 
-def _count(opts: _Section, key: str) -> int:
-    """An integer of at least 1, by default 1."""
-    value = _spec_value(opts, key, int, 1)
-    if value < 1:
-        raise InvalidArgumentError(f"[{opts.name}] {key} must be at least 1, got {value}")
+def _at_least(opts: _Section, key: str, least: int = 1) -> int:
+    """An integer of at least ``least``, by default ``least``."""
+    value = _spec_value(opts, key, int, least)
+    if value < least:
+        raise InvalidArgumentError(f"[{opts.name}] {key} must be at least {least}, got {value}")
     return value
 
 
@@ -416,7 +416,7 @@ def parse_experiment_spec(path) -> ExperimentSpec:
     )
     if not levels:
         raise InvalidArgumentError("[noise] levels must be nonempty")
-    noise_opts = tuple((k, _spec_value(noise, k, _finite)) for k in ("fill",) if k in noise)
+    fill = _spec_value(noise, "fill", _finite, 0.0)
     noise.check_all_read()
     methods = []
     for section in parser.sections():
@@ -448,15 +448,15 @@ def parse_experiment_spec(path) -> ExperimentSpec:
         bench.check_all_read()
     spec = ExperimentSpec(
         name=_spec_value(exp, "name", default=path.stem),
-        seed=_spec_value(exp, "seed", int, 0),
-        repeats=_count(exp, "repeats"),
+        seed=_at_least(exp, "seed", 0),
+        repeats=_at_least(exp, "repeats"),
         graph=tuple(parser["graph"].items()),
         signal=tuple(parser["signal"].items()),
         noise_kind=kind,
         noise_levels=levels,
-        noise_opts=noise_opts,
         methods=tuple(methods),
         metrics=metrics,
+        noise_fill=fill,
         benchmark_kappa=benchmark_kappa,
     )
     exp.check_all_read()
@@ -569,7 +569,7 @@ def _build_graph(spec: ExperimentSpec, opts: _Section, signal: _Section):
             value("points-per-cluster", int, 200),
             spread=value("spread", _finite, 1.0),
             seed=spec.seed,
-            n_signals=_count(signal, "count"),
+            n_signals=_at_least(signal, "count"),
         )
         return build_knn_graph(points, value("knn", int, 10)), (low, high)
     raise InvalidArgumentError(f"unknown graph kind {kind!r}")
@@ -585,7 +585,7 @@ def _build_signals(
     value = functools.partial(_spec_value, opts)
     source = value("source", default="").strip()
     if source == "prior-sample":
-        count = _count(opts, "count")
+        count = _at_least(opts, "count")
         kappa = value("kappa", _finite, 1.0)
         mean = value("mean", _finite, 0.0)
         mean_coeff = mean * math.sqrt(graph.n)  # Python floats: inf, no warning
@@ -614,7 +614,7 @@ def _build_signals(
             )
         low, high = cluster_signals
         sig = low if source == "cluster-low-freq" else high
-        return sig[: _count(opts, "count")]
+        return sig[: _at_least(opts, "count")]
     if source == "file":
         mat = read_matrix(value("path")).signals_for(graph)
         columns = functools.partial(select_columns, width=mat.shape[1])
@@ -645,7 +645,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     truths = _build_signals(spec, signal_opts, graph, cluster_signals, basis)
     graph_opts.check_all_read()
     signal_opts.check_all_read()
-    noise_opts = dict(spec.noise_opts)
 
     rows = []
     for method in spec.methods:
@@ -665,7 +664,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
                     try:
                         for j, truth in enumerate(truths):
                             rng = derive_rng(spec.seed, "cell", method.name, pi, li, rep, j)
-                            noisy = add_noise(truth, spec.noise_kind, level, rng, **noise_opts)
+                            noisy = add_noise(
+                                truth, spec.noise_kind, level, rng, fill=spec.noise_fill
+                            )
                             estimate = METHOD_REGISTRY[method.name](noisy, graph, basis, param)
                             for metric in spec.metrics:
                                 sums[metric] += METRIC_REGISTRY[metric](truth, estimate)

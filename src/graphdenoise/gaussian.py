@@ -60,8 +60,6 @@ def denoise_gaussian(
         raise InvalidArgumentError("tau must be nonnegative")
     if tau == 0.0:
         return DenoiseResult(signal=g.copy(), iterations=0)
-    if not np.all(np.isfinite(g)):
-        raise InvalidArgumentError("the signal must be finite")
     with overflow_guard("Gaussian filter"):
         mean = g.mean()
         if math.isinf(tau):

@@ -36,12 +36,18 @@ __all__ = [
 
 
 def as_signal(f, n: int) -> np.ndarray:
-    """Validate and convert a vertex signal to a float64 vector of length n."""
+    """The one check on each vector the package is handed (a vertex signal,
+    right-hand side, linear term or coefficients): ``f`` as a finite float64
+    vector of length n, else an InvalidArgumentError naming the first
+    non-finite entry's index."""
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise InvalidArgumentError(
             f"expected a length-{n} signal, got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        i = int(np.argmin(np.isfinite(arr)))
+        raise InvalidArgumentError(f"signal value {arr[i]} at index {i} is not finite")
     return arr
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailureError,
     overflow_guard,
 )
-from .graphs import CsrMatrix, Graph, as_mask, dirichlet_system
+from .graphs import CsrMatrix, Graph, as_mask, as_signal, dirichlet_system
 from .result import DenoiseResult
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
@@ -44,20 +44,13 @@ def cg_solve(
     residual of ``tol``; the result's ``trace`` holds the relative residual
     after each iteration.  If the tolerance is not met within ``max_iter``
     (default 10n) iterations, the best iterate is returned with
-    ``converged=False``.  Raises
+    ``converged=False``.  ``b`` must pass :func:`as_signal`.  Raises
     :class:`NotPositiveDefiniteError` on a nonpositive diagonal entry or a
-    direction of nonpositive curvature, :class:`NumericalFailureError` on
-    NaN/Inf and :class:`InvalidArgumentError` on a non-finite right-hand
-    side.
+    direction of nonpositive curvature, and :class:`NumericalFailureError`
+    when an iterate overflows.
     """
     n = matrix.shape[0]
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.shape[0] != n:
-        raise InvalidArgumentError(
-            f"expected a length-{n} right-hand side, got shape {b.shape}"
-        )
-    if not np.all(np.isfinite(b)):
-        raise InvalidArgumentError("right-hand side must be finite")
+    b = as_signal(b, n)
     if not tol > 0:
         raise InvalidArgumentError("tol must be positive")
     if max_iter is None:
@@ -124,9 +117,10 @@ def harmonic_interpolate(
     """Extend values on the known vertices to the whole graph with minimal energy.
 
     ``known`` is a length-n boolean mask and ``obs`` holds the known values
-    in ascending vertex order (``signal[known]``).  On the rest every output
-    value is the degree-weighted average of its neighbors, so the result
-    obeys the maximum principle.  Returns the :func:`cg_solve` result of the
+    in ascending vertex order (``signal[known]``), checked by
+    :func:`as_signal`.  On the rest every output value is the
+    degree-weighted average of its neighbors, so the result obeys the
+    maximum principle.  Returns the :func:`cg_solve` result of the
     :func:`dirichlet_system` of the unknown set, with the full-length signal.
     An empty known set is an :class:`InvalidArgumentError`.
     """
@@ -134,11 +128,7 @@ def harmonic_interpolate(
     n_known = int(np.count_nonzero(known))
     if n_known == 0:
         raise InvalidArgumentError("cannot interpolate from an empty known set")
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim != 1 or obs.shape[0] != n_known:
-        raise InvalidArgumentError(
-            f"expected {n_known} observed values, got shape {obs.shape}"
-        )
+    obs = as_signal(obs, n_known)
     out = np.zeros(graph.n)
     out[known] = obs
     unknown = ~known

@@ -64,8 +64,6 @@ def uniform_loss(f, graph: Graph, kappa: float) -> float:
     """
     f = as_signal(f, graph.n)
     check_kappa(kappa)
-    if not np.all(np.isfinite(f)):
-        raise InvalidArgumentError("signal must be finite")
     nz = f != 0.0
     # numpy arithmetic, so an overflow follows the caller's error state
     energy = kappa * np.float64(dirichlet_energy(graph, f))
@@ -117,8 +115,8 @@ def minimize_box_qp(
     if not np.isfinite(h):
         raise NumericalFailureError(f"box QP curvature 2*kappa overflows ({kappa!r})")
     lower, upper = box
-    x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
-    c = linear
+    x = np.clip(as_signal(x0, graph.n), lower, upper)
+    c = as_signal(linear, graph.n)
     lap = graph.laplacian
 
     def project(v):

@@ -143,6 +143,14 @@ class TestDenoiseCommand:
             ("g.csv", None, ("edge-list", "{tmp}/g.edges"),
              "line 2: expected 'a b [w]', got '1 2 1 7'"),
             ("g.csv", None, ("edge-list", "{tmp}/bad.edges"), "line 1: cannot parse '0 x'"),
+            # an error in building the graph names its source
+            ("g.csv", None, ("edge-list", "{tmp}/two.edges"),
+             "two.edges: graph has 8 connected components"),
+            ("g.csv", None, ("edge-list", "{tmp}/none.edges"),
+             "none.edges: graph needs at least one edge"),
+            ("g.csv", None, ("knn", "9"), "--graph knn 9: k=9 requires at least k+1=10 points"),
+            ("g.csv", None, ("knn", "0"), "--graph knn 0: k must be positive"),
+            ("one.csv", "5\n", ("grid", "1x1"), "--graph grid 1x1: grid needs at least two"),
             ("e.csv", "\n  \n", ("grid", "3x3"), "file holds no data"),
             ("h.csv", "a,b\n", ("grid", "3x3"), "header but no data rows"),
             ("p.pgm", "P3\n3 3\n255\n", ("grid", "3x3"), "not a portable graymap"),
@@ -153,7 +161,8 @@ class TestDenoiseCommand:
         ],
         ids=[
             "grid-rows", "graph-kind", "edge-list-absent", "edge-list-fields",
-            "edge-list-unparsable", "empty-file", "header-only", "not-a-graymap",
+            "edge-list-unparsable", "edge-list-disconnected", "edge-list-comments-only",
+            "knn-too-few-rows", "knn-zero", "grid-1x1", "empty-file", "header-only", "not-a-graymap",
             "pgm-header", "pgm-maxval-0", "p2-truncated", "p5-truncated",
         ],
     )
@@ -166,6 +175,8 @@ class TestDenoiseCommand:
             src.write_bytes(content.encode("latin-1"))
         (tmp_path / "g.edges").write_text("0 1\n1 2 1 7\n")
         (tmp_path / "bad.edges").write_text("0 x\n")
+        (tmp_path / "two.edges").write_text("0 1\n")
+        (tmp_path / "none.edges").write_text("# no edges\n\n")
         kind, arg = graph
         out = tmp_path / "o.csv"
         rc = main([
@@ -174,7 +185,8 @@ class TestDenoiseCommand:
             "--input", str(src), "--output", str(out),
         ])
         assert rc == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and err.count(str(tmp_path)) <= 1
         assert not out.exists()
 
     def test_inf_in_passthrough_column_exit_2(self, tmp_path, rng, capsys):
@@ -648,7 +660,7 @@ class TestDenoiseCommand:
                 "--input", str(src), "--output", str(tmp_path / "o.csv"),
             ])
         assert rc == 2
-        assert "graph has 2 connected components" in capsys.readouterr().err
+        assert "--graph knn 1: graph has 2 connected components" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spacing, shift", [(1e-300, 996), (1e200, -664)])
     def test_knn_rows_at_any_scale(self, tmp_path, capsys, spacing, shift):
@@ -1511,6 +1523,25 @@ class TestExperimentCommand:
         assert all(r[-1] == "7" for r in overridden)
         assert overridden != table(TINY_SPEC)
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_is_checked_before_the_spec_is_read(self, tmp_path, capsys, seed):
+        """``--seed`` is refused at parse time, as ``uniform --seed`` is: a
+        missing spec is not reached."""
+        out = tmp_path / "o"
+        argv = ["experiment", "--spec", str(tmp_path / "missing.spec"), "--out", str(out)]
+        assert main([*argv, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in err
+        assert "file not found" not in err and not out.exists()
+
+    def test_negative_spec_seed_is_refused_before_the_output_is_made(self, tmp_path, capsys):
+        spec = tmp_path / "s.spec"
+        spec.write_text(TINY_SPEC.replace("seed = 0", "seed = -1"))
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "[experiment] seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_is_a_nonnegative_integer_used_whole(self, tmp_path, capsys):
         """A negative seed exits 2 before any work, and a seed of 2**63 or
         more is a stream of its own, not a smaller seed's."""
@@ -1524,7 +1555,7 @@ class TestExperimentCommand:
 
         rc, table = run("-1")
         assert rc == 2 and not table.exists()
-        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
         columns = {}
         for seed in ("0", str(2**63 - 1), str(2**63)):
             rc, table = run(seed)
@@ -1705,7 +1736,7 @@ class TestExperimentCommand:
             ("levels = 0.5 1.0", "levels = nan", "[noise] levels: cannot read 'nan'"),
             ("levels = 0.5 1.0\n", "levels = 0.5 1.0\nfill = -inf\n", "[noise] fill"),
             ("seed = 0", "seed = abc", "[experiment] seed"),
-            ("seed = 0", "seed = -1", "seed must be a nonnegative integer, got -1"),
+            ("seed = 0", "seed = -1", "[experiment] seed must be at least 0, got -1"),
             ("kind = gaussian", "kind = poisson", "[noise] kind must be one of"),
             ("levels = 0.5 1.0", "levels =", "[noise] levels must be nonempty"),
             ("t = 1", "t =", "[method.local-average] t has an empty grid"),

@@ -211,3 +211,53 @@ def test_denoise_exit_contract_on_extreme_columns(model, column):
         assert rc in (0, 2, 3) and not caught, (rc, err.getvalue())
         if rc == 0:
             assert np.all(np.isfinite(read_matrix(out).values))
+
+
+# the edge-list tests run on four vertices, whose six possible edges these are
+K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+# lines the reader must refuse or skip, and a second copy of an edge
+EDGE_FAULTS = st.one_of(
+    st.builds("{} {}".format, st.sampled_from([-1, 4]), st.integers(0, 3)),
+    st.builds("{0} {0}".format, st.integers(0, 3)),
+    st.builds("0 1 {}".format, st.sampled_from(["0", "-1", "inf", "nan", "-inf"])),
+    st.sampled_from(["", "   ", "# comment"]),
+    st.builds("{0[1]} {0[0]}".format, st.sampled_from(K4_EDGES)),
+)
+
+
+@st.composite
+def _edge_files(draw):
+    """Distinct edges of K4 in either orientation, weighted 0.5 to 1e308,
+    so that disconnected and connected graphs both come up, shuffled with
+    at most two lines of ``EDGE_FAULTS``."""
+    lines = []
+    for a, b in draw(st.lists(st.sampled_from(K4_EDGES), unique=True, max_size=6)):
+        if draw(st.booleans()):
+            a, b = b, a
+        weight = draw(st.sampled_from(["", " 1", " 0.5", " 1e308"]))
+        lines.append(f"{a} {b}{weight}{draw(st.sampled_from(['', '  # note']))}")
+    return draw(st.permutations(lines + draw(st.lists(EDGE_FAULTS, max_size=2))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=_edge_files())
+# each exited 2 without naming the file
+@example(lines=["0 1", "2 3"])
+@example(lines=["# comment", ""])
+def test_edge_list_exit_contract(lines):
+    """``denoise`` on a generated edge list exits 0 or 2 with no warning,
+    and every exit 2 names the file.  tau = 0 returns the input, so the
+    exit is the edge list's alone: under a positive tau, 1e308 weights
+    may overflow the solve, which is the contract's numerical failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, edges, out = Path(tmp, "g.csv"), Path(tmp, "g.edges"), Path(tmp, "o.csv")
+        src.write_text("1\n2\n3\n4\n")
+        edges.write_text("\n".join(lines))
+        argv = ["denoise", "gaussian", "--tau", "0", "--graph", "edge-list", str(edges),
+                "--input", str(src), "--output", str(out)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 2) and not caught, (rc, err.getvalue())
+        assert rc == 0 or str(edges) in err.getvalue(), err.getvalue()
