@@ -42,11 +42,7 @@ from .experiments import (
     relative_error,
     run_experiment,
 )
-from .gaussian import (
-    denoise_gaussian,
-    estimate_tau,
-    nonneg_moment_fit,
-)
+from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import (
     CsrMatrix,
     Graph,
@@ -54,9 +50,6 @@ from .graphs import (
     build_knn_graph,
     dirichlet_energy,
     dirichlet_system,
-    laplacian_squared_trace,
-    laplacian_trace,
-    restrict_laplacian,
 )
 from .result import DenoiseResult, DescentTrace
 from .solvers import cg_solve, harmonic_interpolate

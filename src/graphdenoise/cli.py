@@ -243,9 +243,10 @@ def cmd_experiment(args) -> int:
     spec = parse_experiment_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    table = run_experiment(spec)
+    # made only now, so a spec refused before any cell leaves no directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = run_experiment(spec)
     table.to_csv(out_dir / "table.csv")
     if table.benchmark is not None:
         table.benchmark.write_traces_csv(out_dir / "traces.csv")

@@ -715,23 +715,18 @@ class BenchmarkReport:
     pg: DenoiseResult
     pg_time_s: float
 
-    def trace_rows(self):
-        rows = []
-        for name, losses, total in (
-            ("ccp", self.ccp.trace, self.ccp_time_s),
-            ("projected-gradient", self.pg.trace, self.pg_time_s),
-        ):
-            steps = max(len(losses) - 1, 1)
-            for i, loss in enumerate(losses):
-                rows.append((name, i, float(loss), total * i / steps))
-        return rows
-
     def write_traces_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "iteration", "loss", "elapsed_s"])
-            for name, i, loss, elapsed in self.trace_rows():
-                writer.writerow([name, i, format_float(loss), format_float(round(elapsed, 6))])
+            for name, losses, total in (
+                ("ccp", self.ccp.trace, self.ccp_time_s),
+                ("projected-gradient", self.pg.trace, self.pg_time_s),
+            ):
+                steps = max(len(losses) - 1, 1)
+                for i, loss in enumerate(losses):
+                    elapsed = round(total * i / steps, 6)
+                    writer.writerow([name, i, format_float(loss), format_float(elapsed)])
 
 
 def ccp_vs_pg_benchmark(

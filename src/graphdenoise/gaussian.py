@@ -20,13 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSignalError, InvalidArgumentError, overflow_guard
-from .graphs import (
-    CsrMatrix,
-    Graph,
-    as_signal,
-    laplacian_squared_trace,
-    laplacian_trace,
-)
+from .graphs import CsrMatrix, Graph, as_signal
 from .result import DenoiseResult
 from .solvers import cg_solve
 from .spectral import dct_matrix, grid_eigenvalues
@@ -34,7 +28,6 @@ from .spectral import dct_matrix, grid_eigenvalues
 __all__ = [
     "denoise_gaussian",
     "estimate_tau",
-    "nonneg_moment_fit",
 ]
 
 
@@ -99,7 +92,7 @@ def estimate_tau(signals, graph: Graph) -> float:
     n rows; an (n, k) column matrix with k != n is rejected.  The two
     quadratic-form targets g'Lg and ||Lg||^2 are averaged over the k
     signals, so the estimate is consistent as k grows, and (sigma^2,
-    1/(2*kappa)) is fitted to them with :func:`nonneg_moment_fit`: the
+    1/(2*kappa)) is fitted to them over the nonnegative quadrant: the
     exact 2x2 solve when both are nonnegative, the nearer boundary ray
     otherwise.  g'Lg is read as the edge energy sum w(a,b) (g(a) - g(b))^2,
     so it is never negative, and Lg by summing the edge flows
@@ -136,9 +129,9 @@ def estimate_tau(signals, graph: Graph) -> float:
     # light edge, and then the fit is (0, 0), read as tau = inf below.  The
     # fit is linear in (m1, m2), which a power of two keeps clear of underflow
     e = int(np.frexp(max(m1, m2))[1])
-    # the scaled Laplacian's traces, read as laplacian_trace and
-    # laplacian_squared_trace read them; a light weight may underflow to 0,
-    # and unscaled weights keep the graph's cached degrees
+    # the scaled Laplacian's traces: tr(L) the total degree, and tr(L^2)
+    # the squared degrees plus each w^2 twice; a light weight may underflow
+    # to 0, and unscaled weights keep the graph's cached degrees
     deg = np.bincount(np.r_[a, b], np.r_[w, w], graph.n) if shift else graph.degrees
     tr, tr2 = float(deg.sum()), float(np.dot(deg, deg) + 2.0 * (w**2).sum())
     sigma2, inv2kappa = _moment_fit(math.ldexp(m1, -e), math.ldexp(m2, -e), graph.n, tr, tr2)
@@ -149,24 +142,19 @@ def estimate_tau(signals, graph: Graph) -> float:
         return float(np.ldexp(sigma2 / inv2kappa, -shift))
 
 
-def nonneg_moment_fit(m1: float, m2: float, graph: Graph) -> tuple[float, float]:
+def _moment_fit(m1: float, m2: float, n: int, tr: float, tr2: float) -> tuple[float, float]:
     """Nonnegative least-squares fit of the 2x2 moment system.
 
     Returns (sigma2_hat, inv2kappa_hat) minimizing the residual of
 
-        [tr(L)    n-1  ] [sigma2   ]   [m1]
-        [tr(L^2)  tr(L)] [1/(2kappa)] ~ [m2]
+        [tr   n-1] [sigma2    ]   [m1]
+        [tr2  tr ] [1/(2kappa)] ~ [m2]
 
-    over the nonnegative quadrant.  If the target lies inside the cone
-    spanned by the columns this is the exact solve; otherwise the target is
-    projected onto the nearer column's ray.
+    over the nonnegative quadrant, with tr = tr(L) and tr2 = tr(L^2).  If
+    the target lies inside the cone spanned by the columns this is the
+    exact solve; otherwise the target is projected onto the nearer
+    column's ray.
     """
-    tr, tr2 = laplacian_trace(graph), laplacian_squared_trace(graph)
-    return _moment_fit(m1, m2, graph.n, tr, tr2)
-
-
-def _moment_fit(m1: float, m2: float, n: int, tr: float, tr2: float) -> tuple[float, float]:
-    """:func:`nonneg_moment_fit` from n, tr(L) = tr and tr(L^2) = tr2."""
     if not (np.isfinite(m1) and np.isfinite(m2)):
         raise InvalidArgumentError("moment targets must be finite")
     b = np.array([m1, m2])

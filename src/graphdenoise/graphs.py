@@ -29,9 +29,6 @@ __all__ = [
     "build_knn_graph",
     "dirichlet_energy",
     "dirichlet_system",
-    "laplacian_trace",
-    "laplacian_squared_trace",
-    "restrict_laplacian",
 ]
 
 
@@ -556,22 +553,6 @@ def dirichlet_energy(g: Graph, f) -> float:
     return float(np.dot(g.edge_w * diffs, diffs))
 
 
-def laplacian_trace(g: Graph) -> float:
-    """Trace of L: the total weighted degree."""
-    return float(g.degrees.sum())
-
-
-def laplacian_squared_trace(g: Graph) -> float:
-    """Trace of L^2: sum of deg(a)^2 plus, per vertex, its incident w(a,b)^2."""
-    w2 = g.edge_w**2
-    return float(np.dot(g.degrees, g.degrees) + 2.0 * w2.sum())
-
-
-def restrict_laplacian(g: Graph, mask) -> CsrMatrix:
-    """The principal submatrix L(U, U) of a vertex mask U, in vertex order."""
-    return g.laplacian.principal(np.flatnonzero(as_mask(mask, g.n)))
-
-
 def dirichlet_system(g: Graph, f, unknown):
     """The energy of f + x, x a deviation on the vertex mask U, as
     x'L(U, U)x - 2c'x + const: returns L(U, U), c = -(L f)(U) and energy(x),
@@ -594,4 +575,4 @@ def dirichlet_system(g: Graph, f, unknown):
         diffs = (f[a] + padded[slot[a]]) - (f[b] + padded[slot[b]])
         return float(np.dot(w * diffs, diffs))
 
-    return restrict_laplacian(g, unknown), linear, energy
+    return g.laplacian.principal(np.flatnonzero(unknown)), linear, energy

@@ -185,8 +185,8 @@ def _parse_pgm(raw: bytes, path: Path) -> MatrixFile:
         tokens.append(int(m.group(1)))
         pos += m.end()
     width, height, maxval = tokens
-    if maxval <= 0:
-        raise InvalidArgumentError(f"{path}: bad maxval {maxval}")
+    if not 0 < maxval < 65536:
+        raise InvalidArgumentError(f"{path}: bad maxval {maxval}, not in [1, 65535]")
 
     def bad_pixel(k: int, pixel) -> InvalidArgumentError:
         return InvalidArgumentError(
@@ -265,7 +265,9 @@ def select_columns(text: str, width: int) -> list[int]:
             lo_s, hi_s = text.split(":", 1)
             lo = int(lo_s) if lo_s else 0
             hi = int(hi_s) if hi_s else width
-            cols = list(range(lo, hi))
+            # a range, not a list: the check below stops at the first index
+            # outside [0, width), however far the range runs
+            cols = range(lo, hi)
         elif "," in text:
             cols = [int(t) for t in text.split(",")]
         else:
@@ -277,7 +279,7 @@ def select_columns(text: str, width: int) -> list[int]:
             raise InvalidArgumentError(f"column index {c} out of range [0, {width})")
     if not cols:
         raise InvalidArgumentError("empty column selection")
-    return cols
+    return list(cols)
 
 
 def read_mask(path, n: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from graphdenoise import (
     harmonic_interpolate,
     l0_greedy,
     lasso_coordinate_descent,
-    restrict_laplacian,
 )
 from graphdenoise.bernoulli import (
     _colour_classes,
@@ -113,8 +112,7 @@ class TestConfig:
 
 class TestLasso:
     def test_zero_target_gives_zero(self, p3):
-        z = vertex_mask(3, [0, 1])
-        upd = lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros(2), 1.0)
+        upd = lasso_coordinate_descent(p3.laplacian.principal([0, 1]), np.zeros(2), 1.0)
         assert np.array_equal(upd.x, np.zeros(2))
         assert upd.support.size == 0
 
@@ -213,24 +211,22 @@ class TestLasso:
             assert lasso_kkt_violation(gram, c, tau, x) == kkt_violation_loop(grad, tau, x)
 
     def test_tau_must_be_positive(self, p3):
-        z = vertex_mask(3, [1])
         with pytest.raises(InvalidArgumentError):
-            lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros(1), 0.0)
+            lasso_coordinate_descent(p3.laplacian.principal([1]), np.zeros(1), 0.0)
 
     def test_target_must_match_the_design_rows(self, p3):
         """The linear term has one entry per row (and column) of the Gram."""
-        z = vertex_mask(3, [1])
         with pytest.raises(InvalidArgumentError, match=r"length-1 signal, got shape \(3,\)"):
-            lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros(3), 1.0)
+            lasso_coordinate_descent(p3.laplacian.principal([1]), np.zeros(3), 1.0)
         with pytest.raises(InvalidArgumentError, match=r"length-1 signal, got shape \(1, 1\)"):
-            lasso_coordinate_descent(restrict_laplacian(p3, z), np.zeros((1, 1)), 1.0)
+            lasso_coordinate_descent(p3.laplacian.principal([1]), np.zeros((1, 1)), 1.0)
 
 
 @pytest.mark.parametrize("kind", ["dense", "scipy"])
 def test_gram_must_be_a_csr_matrix(p3, kind):
     """The regression takes its Gram as the package's CsrMatrix, the type
     every caller in the package passes, and refuses a dense or a scipy copy."""
-    gram = restrict_laplacian(p3, vertex_mask(3, [0, 2]))
+    gram = p3.laplacian.principal([0, 2])
     other = gram.toarray() if kind == "dense" else as_scipy(gram)
     c = np.array([1.0, -2.0])
     calls = [
@@ -591,7 +587,7 @@ def test_gram_form_meets_the_design_form_oracle(seed, n, tau, data):
     a, y = b[:, zeta], -(b @ sig)
 
     # the Gram's pattern colours the coordinates as the design's pattern does
-    classes = _colour_classes(restrict_laplacian(g, zeta))
+    classes = _colour_classes(g.laplacian.principal(np.flatnonzero(zeta)))
     assert [c.tolist() for c in classes] == dense_greedy_colouring(a)
     for cols in classes:
         rows = np.nonzero(a[:, cols])[0]

@@ -156,6 +156,8 @@ class TestDenoiseCommand:
             ("p.pgm", "P3\n3 3\n255\n", ("grid", "3x3"), "not a portable graymap"),
             ("p.pgm", "P2\n3 x\n255\n", ("grid", "3x3"), "malformed PGM header"),
             ("p.pgm", "P2\n3 3\n0\n" + "0 " * 9, ("grid", "3x3"), "bad maxval 0"),
+            ("p.pgm", "P2\n3 3\n70000\n" + "0 " * 9, ("grid", "3x3"), "p.pgm: bad maxval 70000"),
+            ("p.pgm", "P5\n3 3\n70000\n" + "\0" * 18, ("grid", "3x3"), "p.pgm: bad maxval 70000"),
             ("p.pgm", "P2\n3 3\n255\n1 2 3\n", ("grid", "3x3"), "truncated PGM payload"),
             ("p.pgm", "P5\n3 3\n255\n\x01\x02", ("grid", "3x3"), "truncated PGM payload"),
         ],
@@ -163,7 +165,8 @@ class TestDenoiseCommand:
             "grid-rows", "graph-kind", "edge-list-absent", "edge-list-fields",
             "edge-list-unparsable", "edge-list-disconnected", "edge-list-comments-only",
             "knn-too-few-rows", "knn-zero", "grid-1x1", "empty-file", "header-only", "not-a-graymap",
-            "pgm-header", "pgm-maxval-0", "p2-truncated", "p5-truncated",
+            "pgm-header", "pgm-maxval-0", "p2-maxval-70000", "p5-maxval-70000",
+            "p2-truncated", "p5-truncated",
         ],
     )
     def test_unusable_input_exit_2(self, tmp_path, rng, capsys, name, content, graph, named):
@@ -597,6 +600,11 @@ class TestDenoiseCommand:
         assert main([*argv, "--columns", "0,2"]) == 0
         assert main([*argv, "--columns", "3"]) == 2
         assert "error: column index 3 out of range [0, 3)" in capsys.readouterr().err
+        # a range is checked against the width before it is listed
+        assert main([*argv, "--columns", "0:99999999999999999999"]) == 2
+        assert "error: column index 3 out of range [0, 3)" in capsys.readouterr().err
+        assert main([*argv, "--columns=-99999999999999999999:1"]) == 2
+        assert "error: column index -99999999999999999999 out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["l1", "l0"])
     def test_dropout_constant_near_the_float_range_round_trips(self, tmp_path, mode):
@@ -1637,7 +1645,7 @@ class TestExperimentCommand:
         selected = table("all", values, f"\ncolumns = {columns}")
         assert selected == table("kept", values[:, kept], "")
 
-    @pytest.mark.parametrize("columns", ["0:999", "-2:-1", "3", "a:b"])
+    @pytest.mark.parametrize("columns", ["0:999", "-2:-1", "3", "a:b", "0:99999999999999999999"])
     def test_file_source_bad_columns_exit_2(self, tmp_path, rng, capsys, columns):
         write_csv(tmp_path / "g.csv", rng.normal(size=(9, 3)))
         spec = tmp_path / "f.spec"
@@ -1795,7 +1803,7 @@ class TestExperimentCommand:
         rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "o" / "table.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "graph,named",

@@ -12,13 +12,17 @@ from graphdenoise import (
     dirichlet_energy,
     eigendecompose,
     estimate_tau,
-    laplacian_squared_trace,
-    laplacian_trace,
-    nonneg_moment_fit,
     sample_prior,
 )
+from graphdenoise.gaussian import _moment_fit
 
 from conftest import dense_laplacian, random_connected_graph
+
+
+def dense_traces(g: Graph) -> tuple[float, float]:
+    """tr(L) and tr(L^2) of the dense D - A."""
+    dl = dense_laplacian(g)
+    return float(np.trace(dl)), float(np.trace(dl @ dl))
 
 
 class TestDenoise:
@@ -121,23 +125,25 @@ class TestEstimateTau:
         m1 = float(g @ dl @ g)
         m2 = float(g @ dl @ dl @ g)
         assert (m1, m2) == (2.0, 2.0)
-        n, tr, tr2 = 3, laplacian_trace(p3), laplacian_squared_trace(p3)
+        n, (tr, tr2) = 3, dense_traces(p3)
         raw = ((n - 1) * m2 - tr * m1) / (tr2 * m1 - tr * m2)
         assert raw == pytest.approx(-1.0 / 3.0)
-        s2, inv2k = nonneg_moment_fit(m1, m2, p3)
+        s2, inv2k = _moment_fit(m1, m2, n, tr, tr2)
         assert s2 == 0.0 and inv2k > 0.0
         assert estimate_tau(g, p3) == 0.0
 
     def test_case1_positive_instance(self, rng):
         """A noisy smooth signal lands in the all-positive branch and the
-        estimate matches the dense-oracle closed form."""
+        estimate matches the dense-oracle closed form: the moments and the
+        traces tr(L), tr(L^2) that estimate_tau reads from the edges agree
+        with the dense matrix's."""
         g = random_connected_graph(40, 20, rng)
         basis = eigendecompose(g)
         sig = sample_prior(basis, 1.0, rng_seed=5) + 0.7 * rng.standard_normal(g.n)
         dl = dense_laplacian(g)
         m1 = float(sig @ dl @ sig)
         m2 = float(sig @ dl @ dl @ sig)
-        n, tr, tr2 = g.n, laplacian_trace(g), laplacian_squared_trace(g)
+        n, (tr, tr2) = g.n, dense_traces(g)
         det = tr * tr - (n - 1) * tr2
         s2 = (tr * m1 - (n - 1) * m2) / det
         inv2k = (tr * m2 - tr2 * m1) / det
@@ -205,30 +211,32 @@ class TestEstimateTau:
 
 
 class TestNonnegMomentFit:
+    """The nonnegative moment fit that estimate_tau makes, on dense traces."""
+
     def test_interior_target_equals_unconstrained_solve(self, rng):
         g = random_connected_graph(10, 5, rng)
-        n, tr, tr2 = g.n, laplacian_trace(g), laplacian_squared_trace(g)
+        n, (tr, tr2) = g.n, dense_traces(g)
         m = np.array([[tr, n - 1.0], [tr2, tr]])
         x_true = np.array([0.8, 0.4])
         b = m @ x_true
-        got = np.array(nonneg_moment_fit(b[0], b[1], g))
+        got = np.array(_moment_fit(b[0], b[1], n, tr, tr2))
         assert np.allclose(got, x_true, atol=1e-12)
 
     @pytest.mark.parametrize("m1,m2", [(np.nan, 1.0), (1.0, np.inf)])
     def test_targets_must_be_finite(self, p3, m1, m2):
         with pytest.raises(InvalidArgumentError, match="moment targets must be finite"):
-            nonneg_moment_fit(m1, m2, p3)
+            _moment_fit(m1, m2, p3.n, *dense_traces(p3))
 
     def test_target_on_first_column(self, rng):
         g = random_connected_graph(9, 3, rng)
-        tr, tr2 = laplacian_trace(g), laplacian_squared_trace(g)
-        s2, inv2k = nonneg_moment_fit(0.7 * tr, 0.7 * tr2, g)
+        tr, tr2 = dense_traces(g)
+        s2, inv2k = _moment_fit(0.7 * tr, 0.7 * tr2, g.n, tr, tr2)
         assert s2 == pytest.approx(0.7, rel=1e-12)
         assert inv2k == 0.0
 
     def test_outside_cone_matches_grid_search(self, rng):
         g = random_connected_graph(11, 4, rng)
-        n, tr, tr2 = g.n, laplacian_trace(g), laplacian_squared_trace(g)
+        n, (tr, tr2) = g.n, dense_traces(g)
         m = np.array([[tr, n - 1.0], [tr2, tr]])
         for _ in range(5):
             # a target below the shallow column's ray lies outside the cone
@@ -236,7 +244,7 @@ class TestNonnegMomentFit:
             b = m @ coeffs
             if b[0] <= 0 or b[1] <= 0:
                 continue
-            got = np.array(nonneg_moment_fit(b[0], b[1], g))
+            got = np.array(_moment_fit(b[0], b[1], n, tr, tr2))
             xs = np.arange(0.0, 1.5001, 1e-3)
             best = None
             for x1 in xs:

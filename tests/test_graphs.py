@@ -25,9 +25,6 @@ from graphdenoise import (
     build_knn_graph,
     dirichlet_energy,
     dirichlet_system,
-    laplacian_squared_trace,
-    laplacian_trace,
-    restrict_laplacian,
 )
 from graphdenoise import graphs
 from graphdenoise.graphs import as_mask
@@ -620,23 +617,7 @@ class TestOperators:
 
 
 class TestTraces:
-    def test_p3_hand_traces(self, p3):
-        assert laplacian_trace(p3) == pytest.approx(4.0)
-        assert laplacian_squared_trace(p3) == pytest.approx(10.0)
-
-    def test_single_edge(self):
-        g = build_grid_graph(1, 2)
-        assert laplacian_trace(g) == pytest.approx(2.0)
-        assert laplacian_squared_trace(g) == pytest.approx(4.0)
-
-    def test_weight_scaling(self, rng):
-        g = random_connected_graph(10, 5, rng)
-        c = 3.7
-        scaled = Graph.from_edges(g.n, g.edge_a, g.edge_b, c * g.edge_w)
-        assert laplacian_trace(scaled) == pytest.approx(c * laplacian_trace(g))
-        assert laplacian_squared_trace(scaled) == pytest.approx(
-            c**2 * laplacian_squared_trace(g)
-        )
+    """The Laplacian whose traces estimate_tau reads: D - A, entry for entry."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_laplacian_is_d_minus_a_and_knn_is_the_sparse_symmetrization(self, seed):
@@ -663,14 +644,6 @@ class TestTraces:
             assert np.array_equal(lap.indices, ref.indices)
             assert lap.data.size == g.n + 2 * g.edge_w.size
             np.testing.assert_allclose(lap.toarray(), dense, rtol=1e-14, atol=0)
-
-    def test_traces_match_dense(self, rng):
-        g = random_connected_graph(17, 9, rng)
-        dl = dense_laplacian(g)
-        assert laplacian_trace(g) == pytest.approx(np.trace(dl), rel=1e-12)
-        assert laplacian_squared_trace(g) == pytest.approx(
-            np.trace(dl @ dl), rel=1e-12
-        )
 
 
 def random_triplets(n: int, rng):
@@ -713,7 +686,8 @@ class TestCsrMatrix:
         pts = rng.uniform(size=(400, 5))
         grids = [build_grid_graph(*shape) for shape in ((20, 30), (1, 7), (7, 1))]
         for g in (*grids, build_knn_graph(pts, 8)):
-            for m in (g.laplacian, restrict_laplacian(g, rng.uniform(size=g.n) < 0.4)):
+            u = np.flatnonzero(rng.uniform(size=g.n) < 0.4)
+            for m in (g.laplacian, g.laplacian.principal(u)):
                 x = rng.normal(size=m.shape[0])
                 ref = as_scipy(m)
                 assert (m @ x).tobytes() == (ref @ x).tobytes()
@@ -757,8 +731,8 @@ class TestCsrMatrix:
         assert isinstance(g.laplacian, CsrMatrix) and type(g.laplacian) is not CsrMatrix
         for name in ("indptr", "indices", "data"):
             assert getattr(g.laplacian, name).tobytes() == getattr(copy.laplacian, name).tobytes()
-        for mask in (rng.uniform(size=g.n) < 0.5, np.ones(g.n, dtype=bool)):
-            assert type(restrict_laplacian(g, mask)) is CsrMatrix
+        for u in (np.flatnonzero(rng.uniform(size=g.n) < 0.5), np.arange(g.n)):
+            assert type(g.laplacian.principal(u)) is CsrMatrix
         x = rng.normal(size=g.n)
         assert (g.laplacian @ x).tobytes() == (copy.laplacian @ x).tobytes()
 
@@ -779,14 +753,10 @@ class TestCsrMatrix:
 
 class TestSetsAndRestrictions:
     def test_full_restriction_is_whole_operator(self, p3):
-        v = np.ones(3, dtype=bool)
-        assert np.allclose(
-            restrict_laplacian(p3, v).toarray(), dense_laplacian(p3)
-        )
+        assert np.allclose(p3.laplacian.principal(np.arange(3)).toarray(), dense_laplacian(p3))
 
     def test_p3_scalar_restriction(self, p3):
-        s = vertex_mask(3, [1])
-        assert np.allclose(restrict_laplacian(p3, s).toarray(), [[2.0]])
+        assert np.allclose(p3.laplacian.principal([1]).toarray(), [[2.0]])
 
     def test_p3_adjacency_restriction_apply(self, p3):
         """dirichlet_system's linear term -(L f)(U) with f = 0 on U is the
@@ -801,9 +771,9 @@ class TestSetsAndRestrictions:
 
     def test_restrictions_match_dense_slices(self, rng):
         g = random_connected_graph(14, 7, rng)
-        u = vertex_mask(g.n, [0, 3, 5, 9, 13])
+        u = [0, 3, 5, 9, 13]
         dl = dense_laplacian(g)
-        assert np.allclose(restrict_laplacian(g, u).toarray(), dl[np.ix_(u, u)])
+        assert np.allclose(g.laplacian.principal(u).toarray(), dl[np.ix_(u, u)])
 
     def test_vertex_set_validation(self, p3):
         """Vertex sets are length-n boolean masks; nothing else is read as one."""
@@ -819,7 +789,7 @@ class TestSetsAndRestrictions:
             with pytest.raises(InvalidArgumentError):
                 as_mask(s, 3)
             with pytest.raises(InvalidArgumentError):
-                restrict_laplacian(p3, s)
+                dirichlet_system(p3, np.zeros(3), s)
         mask = np.array([True, False, True])
         assert as_mask(mask, 3) is mask
 

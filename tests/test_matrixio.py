@@ -126,6 +126,24 @@ class TestPgm:
         with pytest.raises(InvalidArgumentError, match="row 2, column 2"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    @pytest.mark.parametrize("maxval", [0, 65536, 70000])
+    def test_maxval_outside_the_netpbm_range_rejected(self, tmp_path, magic, maxval):
+        """netpbm requires 0 < maxval < 65536: any other names the file and the value."""
+        path = tmp_path / "img.pgm"
+        path.write_bytes(f"{magic}\n1 1\n{maxval}\n".encode() + b"\0\0")
+        with pytest.raises(InvalidArgumentError, match=rf"img.pgm: bad maxval {maxval},"):
+            read_matrix(path)
+
+    def test_largest_maxval_round_trips(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n" + np.array([7, 65535], ">u2").tobytes())
+        mf = read_matrix(path)
+        assert mf.maxval == 65535 and np.array_equal(mf.values, [[7.0, 65535.0]])
+        out = tmp_path / "o.pgm"
+        write_matrix(out, mf.values, mf)
+        assert out.read_bytes() == path.read_bytes()
+
     def test_binary_pixel_above_maxval_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5\n2 2\n15\n" + bytes([1, 2, 200, 3]))
@@ -186,6 +204,7 @@ class TestSelectColumns:
         "text,message",
         [
             ("0:999", "column index 4 out of range"),
+            ("0:99999999999999999999", "column index 4 out of range"),
             ("-2:-1", "column index -2 out of range"),
             ("4", "column index 4 out of range"),
             ("1,9", "column index 9 out of range"),
@@ -196,7 +215,8 @@ class TestSelectColumns:
         ],
         # explicit ids, so that a change of wording keeps the test names
         ids=[
-            "0:999-column 4 out of range", "-2:-1-column -2 out of range",
+            "0:999-column 4 out of range", "0:10**20-column 4 out of range",
+            "-2:-1-column -2 out of range",
             "4-column 4 out of range", "1,9-column 9 out of range",
             "2:2-empty column selection", "a-cannot parse", "-cannot parse",
             "0:1:2-cannot parse",
