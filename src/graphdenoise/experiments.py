@@ -26,11 +26,11 @@ import numpy as np
 from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError, NumericalFailureError
 from .errors import overflow_guard
-from .graphs import Graph, as_seed, as_signal, build_grid_graph, build_knn_graph
+from .graphs import Graph, as_seed, as_signal, build_grid_graph, build_knn_graph, check_kappa
 from .matrixio import format_float, read_matrix, read_text, select_columns
 from .result import DenoiseResult
 from .spectral import SpectralBasis, eigendecompose, sample_prior
-from .uniform import ccp_denoise, projected_gradient_denoise, uniform_loss
+from .uniform import _scaled_loss, ccp_denoise, projected_gradient_denoise
 
 __all__ = [
     "add_noise",
@@ -704,8 +704,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
 class BenchmarkReport:
     """The two uniform-noise solvers' results on one corrupted signal.
 
-    Each result's ``trace`` is its loss curve.  The CCP returns its last
-    iterate, so its final loss is ``ccp.trace[-1]``; projected gradient
+    Each result's ``trace`` is its loss curve and ``truth_loss`` the loss at
+    the uncorrupted signal, both over max(1, kappa).  The CCP returns its
+    last iterate, so its final loss is ``ccp.trace[-1]``; projected gradient
     returns its best iterate, whose loss is ``pg.trace.min()``.
     """
 
@@ -737,7 +738,7 @@ def ccp_vs_pg_benchmark(
     truth = as_signal(truth, graph.n)
     rng = derive_rng(seed, "ccp-benchmark")
     noisy = add_noise(truth, "uniform-scale", 0.0, rng)
-    truth_loss = uniform_loss(truth, graph, kappa)
+    truth_loss = _scaled_loss(truth, graph, *check_kappa(kappa))
     ccp_res, ccp_tr = ccp_denoise(noisy, graph, kappa=kappa)
     pg_res, pg_tr = projected_gradient_denoise(noisy, graph, kappa=kappa)
     return BenchmarkReport(

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSignalError, InvalidArgumentError, overflow_guard
-from .graphs import CsrMatrix, Graph, as_signal
+from .graphs import CsrMatrix, Graph, as_signal, check_kappa
 from .result import DenoiseResult
 from .solvers import cg_solve
 from .spectral import dct_matrix, grid_eigenvalues
@@ -57,7 +57,7 @@ def denoise_gaussian(
         mean = g.mean()
         if math.isinf(tau):
             return DenoiseResult(signal=np.full(graph.n, mean), iterations=0)
-        a, b = min(1.0, 1.0 / tau), min(1.0, tau)
+        a, b = check_kappa(tau)
         if graph.grid_shape is not None:
             u = _grid_solve(g - mean, graph.grid_shape, a, b)
             return DenoiseResult(signal=mean + u, iterations=0)

@@ -71,10 +71,12 @@ def as_seed(seed):
     return seed
 
 
-def check_kappa(kappa: float) -> None:
-    """Validate the prior's smoothness weight: a finite positive number."""
+def check_kappa(kappa: float) -> tuple[float, float]:
+    """Validate a prior weight w (kappa or tau) and return (min(1, 1/w), min(1, w)):
+    a*x + b*y = (x + w*y) / max(1, w) poses a sum with no coefficient above 1."""
     if not 0 < kappa < np.inf:
         raise InvalidArgumentError(f"kappa must be finite and positive, got {kappa}")
+    return min(1.0, 1.0 / kappa), min(1.0, kappa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +191,8 @@ class Graph:
     ``edge_a < edge_b`` for every stored edge, in lexicographic order.
     Construction validates every graph: integer endpoints with
     0 <= edge_a < edge_b < n, the (edge_a, edge_b) pairs strictly
-    increasing, so none repeats, finite positive weights and connectivity.
+    increasing, so none repeats, finite positive weights, finite weighted
+    degrees and connectivity.
     ``grid_shape`` is (height, width) from :func:`build_grid_graph`, else None.
     It means the unit-weight four-neighbour grid of that shape, vertex id =
     row * width + col, and three places rely on it: the DCT solve of the
@@ -226,6 +229,9 @@ class Graph:
             raise InvalidArgumentError("edges must be stored with edge_a < edge_b")
         if w.dtype.kind not in "fiu" or np.any(~np.isfinite(w)) or np.any(w <= 0):
             raise InvalidArgumentError("edge weights must be finite and positive")
+        if not np.isfinite(self.degrees).all():
+            k = int(np.argmin(np.isfinite(self.degrees)))
+            raise InvalidArgumentError(f"vertex {k}'s weighted degree overflows")
         step = np.diff(a * np.int64(n) + b)
         if np.any(step <= 0):
             k = int(np.flatnonzero(step <= 0)[0])

@@ -197,11 +197,10 @@ def _parse_pgm(raw: bytes, path: Path) -> MatrixFile:
     if binary:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        count = width * height
-        try:
-            data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-        except ValueError:
-            raise InvalidArgumentError(f"{path}: truncated PGM payload") from None
+        # compared in Python integers, as a huge header's count overflows numpy's
+        if len(raw) - pos < width * height * dtype.itemsize:
+            raise InvalidArgumentError(f"{path}: truncated PGM payload")
+        data = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos)
         over = np.flatnonzero(data > maxval)
         if over.size:
             raise bad_pixel(int(over[0]), int(data[over[0]]))

@@ -10,6 +10,7 @@ zero).  The loss is a convex quadratic plus a concave log term, so the main
 solver is a convex-concave procedure: linearize the log term at the current
 iterate and solve the resulting box-constrained quadratic program.  A plain
 projected-gradient minimizer of the same loss is provided for benchmarking.
+Both pose it over max(1, kappa) by :func:`~graphdenoise.graphs.check_kappa`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, overflow_guard
+from .errors import InvalidArgumentError, overflow_guard
 from .graphs import Graph, as_signal, check_kappa, dirichlet_energy
 from .result import DenoiseResult, DescentTrace
 
@@ -62,12 +63,16 @@ def uniform_loss(f, graph: Graph, kappa: float) -> float:
     Entries equal to exactly zero are the model's fixed points and are
     excluded from the log sum.
     """
-    f = as_signal(f, graph.n)
     check_kappa(kappa)
+    return _scaled_loss(as_signal(f, graph.n), graph, 1.0, kappa)
+
+
+def _scaled_loss(f: np.ndarray, graph: Graph, a: float, b: float) -> float:
+    """b * f'Lf + a * sum log|f|: at check_kappa(kappa), the loss / max(1, kappa)."""
     nz = f != 0.0
     # numpy arithmetic, so an overflow follows the caller's error state
-    energy = kappa * np.float64(dirichlet_energy(graph, f))
-    return float(energy + np.sum(np.log(np.abs(f[nz]))))
+    energy = b * np.float64(dirichlet_energy(graph, f))
+    return float(energy + a * np.sum(np.log(np.abs(f[nz]))))
 
 
 def minimize_box_qp(
@@ -78,7 +83,8 @@ def minimize_box_qp(
     x0: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Minimize kappa * x'Lx + c'x over the box (lower, upper), starting
-    from a feasible x0.
+    from a feasible x0, posed as b * x'Lx + a * c'x, (a, b) = check_kappa
+    (kappa): the objective over max(1, kappa), with Hessian h * L, h = 2b.
 
     MPRGP, modified proportioning with reduced gradient projections
     (Dostál & Schöberl, Comput. Optim. Appl. 2005).  Each step is one of:
@@ -87,8 +93,8 @@ def minimize_box_qp(
       stays in the box;
     - an expansion step, when it would not: to the box along the CG
       direction, then a projected step along the free gradient of fixed
-      length 2 / ||2 kappa L||, the norm bounded by Gershgorin's
-      2 kappa * 2 * max degree, and the length by 1e12;
+      length 2 / ||h L||, the norm bounded by Gershgorin's
+      h * 2 * max degree, and the length by 1e12;
     - a proportioning step along the chopped gradient, cut at the box, when
       the bound entries whose gradient points into the box outweigh the
       free gradient.
@@ -96,8 +102,8 @@ def minimize_box_qp(
     Every step decreases the objective, so the value at the returned point
     never exceeds the value at ``x0``; a direction of zero curvature goes to
     the box.  Terminates when the unit-step projected gradient is below the
-    larger of 1e-8 (scaled by the linear term) and the round-off floor of
-    the computed h * L x, h = 2 kappa, or after 20000 steps.  A row of L has
+    larger of 1e-8 (scaled by a and by the linear term) and the round-off
+    floor of the computed h * L x, or after 20000 steps.  A row of L has
     at most m nonzeros, whose absolute values sum to 2 d_i, so each entry of
     the computed L x is off by at most gamma_m * 2 d_max max|x|, with
     gamma_m = m u / (1 - m u) and u the unit round-off (Higham, *Accuracy
@@ -107,16 +113,15 @@ def minimize_box_qp(
     is round-off, and a stop that asks for less is met only at the cap
     (Dostál, *Optimal Quadratic Programming Algorithms*, 2009, on MPRGP's
     stopping rule).  Returns the point and the number of steps taken.
-    Raises :class:`NumericalFailureError` if 2*kappa, or a gradient or
-    curvature built from it, overflows, and :class:`InvalidArgumentError`
-    if the objective is unbounded below on the box.
+    Raises :class:`NumericalFailureError` if a gradient or curvature
+    overflows, and :class:`InvalidArgumentError` if the objective is
+    unbounded below on the box.
     """
-    h = 2.0 * kappa  # the objective's Hessian is h * L
-    if not np.isfinite(h):
-        raise NumericalFailureError(f"box QP curvature 2*kappa overflows ({kappa!r})")
+    a, b = check_kappa(kappa)
+    h = 2.0 * b  # the objective's Hessian is h * L
     lower, upper = box
     x = np.clip(as_signal(x0, graph.n), lower, upper)
-    c = as_signal(linear, graph.n)
+    c = a * as_signal(linear, graph.n)
     lap = graph.laplacian
 
     def project(v):
@@ -159,7 +164,7 @@ def minimize_box_qp(
         # floats so that an overflow raises
         gamma = np.float64((np.diff(lap.indptr).max() + 2) * _UNIT_ROUNDOFF)
         floor = gamma * h * 2.0 * d_max * float(np.max(np.abs(x)))
-        tol = max(_BOX_QP_TOL * max(1.0, float(np.max(np.abs(c)))), float(floor))
+        tol = max(_BOX_QP_TOL * max(a, float(np.max(np.abs(c)))), float(floor))
         # at most 1e12, so that it stays finite for a subnormal kappa
         expansion = min(1.0 / (h * d_max), _EXPANSION_MAX)
         grad = h * (lap @ x) + c
@@ -239,28 +244,29 @@ def ccp_denoise(
 
     Each outer step minimizes kappa * f'Lf + sum f(a)/|f_t(a)| over the box,
     warm-started at the previous iterate, which guarantees the true loss is
-    nonincreasing.  Stops when the loss change drops below
+    nonincreasing.  It compares, and its ``trace`` holds, :func:`uniform_loss`
+    divided by max(1, kappa).  Stops when the loss change drops below
     ``tol * |loss(f0)|`` or after 50 steps; non-convergence, including a
     last inner QP stopped at its step cap, is reported through the
     ``converged`` flag, not an exception.  The start is the observation
     moved 1e-3 into the box.
     """
     g = as_signal(g_signal, graph.n)
-    check_kappa(kappa)
+    a, b = check_kappa(kappa)
     start = time.perf_counter()
     box = _box(g)
     # an overflow in a loss or in the log term's 1/f, as from a subnormal
     # observation, is a numerical failure
     with overflow_guard("uniform CCP"):
         f = _start(g, box)
-        losses = [uniform_loss(f, graph, kappa)]
+        losses = [_scaled_loss(f, graph, a, b)]
         inner_counts: list[int] = []
         threshold = tol * abs(losses[0])
         converged = False
         for _ in range(_CCP_MAX_OUTER):
             coeff = _log_term_gradient(f)
             f_new, inner = minimize_box_qp(graph, kappa, coeff, box, f)
-            loss_new = uniform_loss(f_new, graph, kappa)
+            loss_new = _scaled_loss(f_new, graph, a, b)
             # a last inner QP stopped at its cap leaves the fixed point unproven
             finished = inner < _BOX_QP_MAX_ITER
             if loss_new > losses[-1]:
@@ -298,20 +304,20 @@ def projected_gradient_denoise(
 ) -> tuple[DenoiseResult, DescentTrace]:
     """Projected gradient descent on the uniform-noise posterior.
 
-    Fixed step, projection onto the per-vertex intervals after every move.
-    ``step=None`` takes min(1, 1 / (2 * kappa * 2 * max degree)), a stable
-    step because 2 * max degree bounds the largest Laplacian eigenvalue
-    (Gershgorin).
+    Fixed step along 2b * Lf + a / f, the gradient of the loss over
+    max(1, kappa) that ``trace`` holds, projection onto the per-vertex
+    intervals after every move.  ``step=None`` takes min(1, 1 / (2b * 2 *
+    max degree)), stable as 2 * max degree bounds L's eigenvalues (Gershgorin).
     Not a guaranteed descent method; the best iterate seen is what is
     returned, so the reported loss never exceeds the initialization's.
     An overflow in the start, a step or a loss, as from a subnormal
     observation's 1/f, is a :class:`NumericalFailureError`.
     """
     g = as_signal(g_signal, graph.n)
-    check_kappa(kappa)
+    a, b = check_kappa(kappa)
     if step is None:
         lmax_bound = 2.0 * float(graph.degrees.max())
-        step = min(1.0, 1.0 / (2.0 * kappa * lmax_bound))
+        step = min(1.0, 1.0 / (2.0 * b * lmax_bound))
     if not step > 0:
         raise InvalidArgumentError("step must be positive")
     start = time.perf_counter()
@@ -319,17 +325,17 @@ def projected_gradient_denoise(
     with overflow_guard("projected gradient"):
         f = _start(g, box)
         best = f.copy()
-        losses = [uniform_loss(f, graph, kappa)]
+        losses = [_scaled_loss(f, graph, a, b)]
         best_loss = losses[0]
         threshold = tol * abs(losses[0])
         converged = False
         for _ in range(max_iter):
-            grad = 2.0 * kappa * (graph.laplacian @ f) + _log_term_gradient(f)
+            grad = 2.0 * b * (graph.laplacian @ f) + a * _log_term_gradient(f)
             f = np.clip(f - step * grad, *box)
             # the sparse product raises no floating-point error of its own
             if not np.all(np.isfinite(f)):
                 raise FloatingPointError("overflow in the Laplacian product")
-            loss = uniform_loss(f, graph, kappa)
+            loss = _scaled_loss(f, graph, a, b)
             losses.append(loss)
             if loss < best_loss:
                 best, best_loss = f.copy(), loss

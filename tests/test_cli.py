@@ -160,13 +160,16 @@ class TestDenoiseCommand:
             ("p.pgm", "P5\n3 3\n70000\n" + "\0" * 18, ("grid", "3x3"), "p.pgm: bad maxval 70000"),
             ("p.pgm", "P2\n3 3\n255\n1 2 3\n", ("grid", "3x3"), "truncated PGM payload"),
             ("p.pgm", "P5\n3 3\n255\n\x01\x02", ("grid", "3x3"), "truncated PGM payload"),
+            # a pixel count past numpy's index range raised OverflowError, exit 1
+            ("p.pgm", "P5\n99999999999 99999999999\n255\n\x01\x02", ("grid", "3x3"),
+             "p.pgm: truncated PGM payload"),
         ],
         ids=[
             "grid-rows", "graph-kind", "edge-list-absent", "edge-list-fields",
             "edge-list-unparsable", "edge-list-disconnected", "edge-list-comments-only",
             "knn-too-few-rows", "knn-zero", "grid-1x1", "empty-file", "header-only", "not-a-graymap",
             "pgm-header", "pgm-maxval-0", "p2-maxval-70000", "p5-maxval-70000",
-            "p2-truncated", "p5-truncated",
+            "p2-truncated", "p5-truncated", "p5-size-overflows",
         ],
     )
     def test_unusable_input_exit_2(self, tmp_path, rng, capsys, name, content, graph, named):
@@ -752,8 +755,10 @@ class TestDenoiseCommand:
             ("0 1 inf\n", "line 1: edge weight inf is not finite and positive"),
             ("0 1\n# comment\n1 0 2.0\n", "line 3: duplicate edge (0, 1), first on line 1"),
             ("0 1\n2 2\n", "line 2: self-loop at vertex 2"),
+            # each weight is finite, vertex 1's degree is not: the solve exited 3
+            ("0 1 1e308\n1 2 1e308\n", "vertex 1's weighted degree overflows"),
         ],
-        ids=["nan", "negative", "inf", "duplicate", "self-loop"],
+        ids=["nan", "negative", "inf", "duplicate", "self-loop", "degree-overflows"],
     )
     def test_edge_list_bad_edge_names_its_lines(self, tmp_path, rng, capsys, lines, named):
         src = tmp_path / "g.csv"
@@ -930,15 +935,9 @@ class TestDenoiseCommand:
         assert np.all(np.isfinite(got))
 
     @pytest.mark.parametrize(
-        "kappa,rc,message",
-        # kappa * f'Lf of the start overflows before the box QP is posed
-        [
-            ("1e308", 3, "numerical failure: column index 0: uniform CCP"),
-            ("inf", 2, "kappa must be finite"),
-        ],
-        ids=["overflows", "infinite"],
+        "kappa", ["inf", "0", "-1", "nan"], ids=["infinite", "zero", "negative", "nan"]
     )
-    def test_uniform_kappa_out_of_range(self, tmp_path, rng, capsys, kappa, rc, message):
+    def test_uniform_kappa_out_of_range(self, tmp_path, rng, capsys, kappa):
         src = tmp_path / "g.csv"
         write_csv(src, rng.uniform(0.1, 2.0, size=(16, 2)))
         argv = [
@@ -948,9 +947,27 @@ class TestDenoiseCommand:
             "--output", str(tmp_path / "o.csv"),
             "--kappa", kappa,
         ]
-        assert main(argv) == rc
-        assert message in capsys.readouterr().err
+        assert main(argv) == 2
+        assert "kappa must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_uniform_largest_kappa_writes_a_finite_signal(self, tmp_path, rng, capsys):
+        """The loss is posed over max(1, kappa): at 1e308, kappa * f'Lf of
+        the start overflowed and the run exited 3."""
+        g = rng.uniform(0.1, 2.0, size=(16, 2))
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        write_csv(src, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "denoise", "uniform", "--graph", "grid", "4x4", "--kappa", "1e308",
+                "--input", str(src), "--output", str(out),
+            ])
+        assert rc == 0
+        assert "unconverged" not in capsys.readouterr().err
+        got = read_matrix(out).values
+        # nearly constant, at or above each column's largest value
+        assert np.all(got >= g) and np.all(got <= g.max(axis=0) * (1 + 1e-2))
 
     def test_bernoulli_infinite_kappa_exit_2(self, tmp_path, capsys):
         """kappa follows uniform's rule: an infinite one made the penalty 0

@@ -160,6 +160,8 @@ class TestConstruction:
             (3, [0, 1], [1, 2], [1.0, -1.0], InvalidArgumentError, "finite and positive"),
             (3, [0, 1], [1, 2], [1.0, np.nan], InvalidArgumentError, "finite and positive"),
             (3, [0, 1], [1, 2], [1.0, np.inf], InvalidArgumentError, "finite and positive"),
+            (4, [0, 1, 2], [1, 2, 3], [1e308, 1e308, 1.0], InvalidArgumentError,
+             "vertex 1's weighted degree overflows"),
             (3, [0, 1], [1, 3], [1.0, 1.0], InvalidArgumentError, "out of range"),
             (3, [-1, 0], [0, 1], [1.0, 1.0], InvalidArgumentError, "out of range"),
             (3, [0, 1], [1, 1], [1.0, 1.0], InvalidArgumentError, "self-loops"),
@@ -173,7 +175,7 @@ class TestConstruction:
             (0, [0], [1], [1.0], InvalidArgumentError, "at least one vertex"),
         ],
         ids=[
-            "reversed", "negative-weight", "nan-weight", "inf-weight", "past-n",
+            "reversed", "negative-weight", "nan-weight", "inf-weight", "degree-overflows", "past-n",
             "negative-id", "self-loop", "unsorted", "duplicate", "disconnected",
             "float-ids", "lengths", "no-edges", "no-vertices",
         ],

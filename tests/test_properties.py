@@ -213,6 +213,53 @@ def test_denoise_exit_contract_on_extreme_columns(model, column):
             assert np.all(np.isfinite(read_matrix(out).values))
 
 
+# the 4 x 4 column that exited 3 from kappa = 1e110, and a constant column
+# that exited 3 at kappa = 1e308
+G16 = tuple(np.random.default_rng(0).uniform(0.1, 2.0, 16).tolist())
+CONSTANT16 = (1.5,) * 16
+
+
+@st.composite
+def _grid_columns(draw):
+    """A column on an h x w grid, up to 5 x 6: signed magnitudes in
+    [0.1, 2], about a fifth of them zero, or one signed value throughout."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = rng.choice([-1.0, 1.0], h * w)
+    if draw(st.integers(0, 4)) == 0:
+        return h, w, (float(sign[0] * rng.uniform(0.1, 2.0)),) * (h * w)
+    values = sign * rng.uniform(0.1, 2.0, h * w) * (rng.uniform(size=h * w) >= 0.2)
+    return h, w, tuple(values.tolist())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_grid_columns(), exponent=st.floats(-300.0, 308.0))
+# each exited 3: at 1e110 and 1e200 the box QP's products overflowed, at
+# 1e308 kappa * f'Lf of the start did, and on the constant column 2 kappa did
+@example(case=(4, 4, G16), exponent=110.0)
+@example(case=(4, 4, G16), exponent=200.0)
+@example(case=(4, 4, G16), exponent=308.0)
+@example(case=(4, 4, CONSTANT16), exponent=308.0)
+def test_uniform_exits_0_for_every_kappa(case, exponent):
+    """``denoise uniform --kappa 10^e`` exits 0 with no warning for every
+    finite positive kappa and writes a finite signal in the box: each
+    entry keeps its observed sign and at least its magnitude, zeros stay."""
+    h, w, column = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "g.csv"), Path(tmp, "o.csv")
+        src.write_text("".join(f"{v!r}\n" for v in column))
+        argv = ["denoise", "uniform", "--graph", "grid", f"{h}x{w}", "--kappa",
+                repr(10.0**exponent), "--input", str(src), "--output", str(out)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc == 0 and not caught, (rc, err.getvalue())
+        g, f = np.array(column), read_matrix(out).values[:, 0]
+        assert np.all(np.isfinite(f))
+        assert np.all(np.where(g > 0, f >= g, np.where(g < 0, f <= g, f == 0.0)))
+
+
 # the edge-list tests run on four vertices, whose six possible edges these are
 K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 # lines the reader must refuse or skip, and a second copy of an edge
