@@ -16,7 +16,6 @@ from .baselines import (
     nuclear_norm_denoise,
 )
 from .bernoulli import (
-    SparseUpdate,
     bernoulli_denoise,
     dropout_penalty,
     l0_greedy,

@@ -16,8 +16,8 @@ interpolation of the complement's values, matching the known-set case.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
 __all__ = [
-    "SparseUpdate",
     "bernoulli_denoise",
     "dropout_penalty",
     "lasso_coordinate_descent",
@@ -35,7 +34,6 @@ __all__ = [
     "lasso_kkt_violation",
 ]
 
-SUPPORT_ZERO_THRESHOLD = 1e-10
 MODES = ("l1", "l0")
 
 
@@ -51,20 +49,10 @@ def dropout_penalty(p: float, kappa: float) -> float:
     return (math.log(1.0 - p) - math.log(p)) / kappa
 
 
-@dataclass(frozen=True)
-class SparseUpdate:
-    """Deviation on the suspicion set, hard-thresholded at 1e-10."""
-
-    x: np.ndarray
-    support: np.ndarray
-    iterations: int
-    converged: bool = True
-
-    @classmethod
-    def from_raw(cls, x, iterations, converged=True) -> "SparseUpdate":
-        x = np.asarray(x, dtype=np.float64).copy()
-        x[np.abs(x) < SUPPORT_ZERO_THRESHOLD] = 0.0
-        return cls(x, np.flatnonzero(x), int(iterations), converged)
+def _sparse_result(x: np.ndarray, iterations: int, converged: bool) -> DenoiseResult:
+    """The deviation x hard-thresholded at 1e-10; its support is what it moves."""
+    x[np.abs(x) < 1e-10] = 0.0
+    return DenoiseResult(x, iterations, converged=converged, support=np.flatnonzero(x))
 
 
 def _linear_term(gram, linear) -> np.ndarray:
@@ -101,7 +89,7 @@ def lasso_coordinate_descent(
     tau: float,
     tol: float = 1e-10,
     max_sweeps: int = 1000,
-) -> SparseUpdate:
+) -> DenoiseResult:
     """Colour-class coordinate descent for ||A x - y||^2 + tau * ||x||_1.
 
     The problem is given in Gram form, the symmetric G = A'A as a
@@ -146,7 +134,7 @@ def lasso_coordinate_descent(
         if max_delta <= tol * max(1.0, float(np.max(np.abs(x), initial=0.0))):
             converged = True
             break
-    return SparseUpdate.from_raw(x, sweeps, converged)
+    return _sparse_result(x, sweeps, converged)
 
 
 def lasso_kkt_violation(gram, linear, tau: float, x) -> float:
@@ -341,7 +329,7 @@ class _StepwiseSearch:
         return best[1]
 
 
-def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
+def l0_greedy(gram, linear, tau: float, energy) -> DenoiseResult:
     """Deterministic stepwise search for ||A x - y||^2 + tau * ||x||_0.
 
     The problem is given in Gram form, G = A'A as a :class:`CsrMatrix` and
@@ -376,7 +364,7 @@ def l0_greedy(gram, linear, tau: float, energy) -> SparseUpdate:
             1.0, float(np.max(np.abs(gram.data), initial=0.0))
         ):
             x -= x.mean()
-    return SparseUpdate.from_raw(x, search.moves, search.fits[tuple(s)][2])
+    return _sparse_result(x, search.moves, search.fits[tuple(s)][2])
 
 
 def bernoulli_denoise(
@@ -390,16 +378,20 @@ def bernoulli_denoise(
     move by the sparse-regression deviation; with a nonpositive penalty
     (p >= 1/2) every suspicious entry is refilled by harmonic interpolation
     from the trusted complement.  An all-true mask suspects every vertex.
+    The result's ``support`` holds the vertices moved: the regression's
+    support, or every suspect on the refill.
     """
     if mode not in MODES:
         raise InvalidArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     g = as_signal(g_signal, graph.n)
     zeta = as_mask(zeta, graph.n)
-    if not zeta.any():
-        return DenoiseResult(signal=g.copy(), iterations=0)
+    suspects = np.flatnonzero(zeta)
+    if suspects.size == 0:
+        return DenoiseResult(signal=g.copy(), iterations=0, support=suspects)
     if tau <= 0.0:
         trusted = ~zeta
-        return harmonic_interpolate(graph, trusted, g[trusted])
+        fit = harmonic_interpolate(graph, trusted, g[trusted])
+        return dataclasses.replace(fit, support=suspects)
 
     with overflow_guard("dropout arithmetic"):
         gram, linear, energy = dirichlet_system(graph, g, zeta)
@@ -408,7 +400,5 @@ def bernoulli_denoise(
         else:
             update = l0_greedy(gram, linear, tau, energy)
         f = g.copy()
-        f[zeta] += update.x
-    return DenoiseResult(
-        signal=f, iterations=update.iterations, converged=update.converged
-    )
+        f[zeta] += update.signal
+    return dataclasses.replace(update, signal=f, support=suspects[update.support])

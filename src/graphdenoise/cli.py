@@ -182,6 +182,9 @@ def _read_edge_list(path: str, n: int) -> Graph:
 def cmd_denoise(args) -> int:
     if args.model == "bernoulli" and args.kappa is not None and args.p is None:
         raise InvalidArgumentError("bernoulli --kappa goes with --p, not --tau")
+    output = Path(args.output)
+    if output.is_dir() or not output.parent.is_dir():
+        raise InvalidArgumentError(f"--output {args.output} is not a file in a directory")
 
     infile = read_matrix(args.input)
     n_rows, width = infile.signals.shape
@@ -240,12 +243,15 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    out_dir = Path(args.out)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise InvalidArgumentError(f"--out {args.out}: {nearest} is not a directory")
     spec = parse_experiment_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     table = run_experiment(spec)
     # made only now, so a spec refused before any cell leaves no directory
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table.to_csv(out_dir / "table.csv")
     if table.benchmark is not None:

@@ -27,6 +27,7 @@ from . import baselines, bernoulli, gaussian
 from .errors import GraphDenoiseError, InvalidArgumentError, NumericalFailureError
 from .errors import overflow_guard
 from .graphs import Graph, as_seed, as_signal, build_grid_graph, build_knn_graph, check_kappa
+from .graphs import pow2_exponent
 from .matrixio import format_float, read_matrix, read_text, select_columns
 from .result import DenoiseResult
 from .spectral import SpectralBasis, eigendecompose, sample_prior
@@ -120,12 +121,6 @@ def add_noise(
     return out
 
 
-def _pow2_exponent(*signals) -> int:
-    """The power of two that brings the signals' largest magnitude into
-    [1/2, 1): the metrics scale by it exactly, and their norms stay finite."""
-    return max(int(np.frexp(np.max(np.abs(s), initial=0.0))[1]) for s in signals)
-
-
 def relative_error(f_true, f_est) -> float:
     """||f_true - f_est||_2 / ||f_true||_2.
 
@@ -137,8 +132,8 @@ def relative_error(f_true, f_est) -> float:
     if t.shape != e.shape:
         raise InvalidArgumentError("signals must have matching shapes")
     # f_true on its own scale, since it can sit far below f_est
-    kt = _pow2_exponent(t)
-    k = max(kt, _pow2_exponent(e))
+    kt = pow2_exponent(t)
+    k = max(kt, pow2_exponent(e))
     den = float(np.linalg.norm(np.ldexp(t, -kt)))
     if den == 0.0:
         raise InvalidArgumentError("relative error undefined for a zero signal")
@@ -154,7 +149,7 @@ def pearson_correlation(f_true, f_est) -> float:
     e = np.asarray(f_est, dtype=np.float64)
     if t.shape != e.shape:
         raise InvalidArgumentError("signals must have matching shapes")
-    t, e = np.ldexp(t, -_pow2_exponent(t)), np.ldexp(e, -_pow2_exponent(e))
+    t, e = np.ldexp(t, -pow2_exponent(t)), np.ldexp(e, -pow2_exponent(e))
     tc = t - t.mean()
     ec = e - e.mean()
     st = float(np.linalg.norm(tc))

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSignalError, InvalidArgumentError, overflow_guard
-from .graphs import CsrMatrix, Graph, as_signal, check_kappa
+from .graphs import CsrMatrix, Graph, as_signal, check_kappa, pow2_exponent
 from .result import DenoiseResult
 from .solvers import cg_solve
 from .spectral import dct_matrix, grid_eigenvalues
@@ -44,44 +44,43 @@ def denoise_gaussian(
     a = min(1, 1/tau) and b = min(1, tau): no coefficient exceeds 1, and on
     mean-free signals the condition number does not grow with tau.  A grid
     graph's solve is exact, by the 2-D DCT, with no iterations; any other
-    is :func:`cg_solve`, which is scale-free, to the relative residual
-    ``tol``.  ``tau=0`` returns the observation, an infinite tau the mean;
-    a mean or estimate that overflows is a :class:`NumericalFailureError`.
+    is :func:`cg_solve`, to the relative residual ``tol``.  ``tau=0``
+    returns the observation, an infinite tau the mean.  The solve runs on g
+    scaled by :func:`pow2_exponent`, so only an estimate past the float
+    range is a :class:`NumericalFailureError`.
     """
     g = as_signal(g_signal, graph.n)
     if tau < 0 or math.isnan(tau):
         raise InvalidArgumentError("tau must be nonnegative")
     if tau == 0.0:
         return DenoiseResult(signal=g.copy(), iterations=0)
+    exp = pow2_exponent(g)
+    g = np.ldexp(g, -exp)
+    mean = g.mean()
     with overflow_guard("Gaussian filter"):
-        mean = g.mean()
         if math.isinf(tau):
-            return DenoiseResult(signal=np.full(graph.n, mean), iterations=0)
+            return DenoiseResult(signal=np.full(graph.n, np.ldexp(mean, exp)), iterations=0)
         a, b = check_kappa(tau)
         if graph.grid_shape is not None:
             u = _grid_solve(g - mean, graph.grid_shape, a, b)
-            return DenoiseResult(signal=mean + u, iterations=0)
+            return DenoiseResult(signal=np.ldexp(mean + u, exp), iterations=0)
         lap = graph.laplacian
         data = b * lap.data
         data[lap.indices == lap.rows] += a
         fit = cg_solve(CsrMatrix(lap.indptr, lap.indices, data), g - mean, tol=tol)
-        return dataclasses.replace(fit, signal=mean + a * fit.signal)
+        return dataclasses.replace(fit, signal=np.ldexp(mean + a * fit.signal, exp))
 
 
 def _grid_solve(d: np.ndarray, shape: tuple[int, int], a: float, b: float):
     """a*(a*I + b*L)^-1 d on an h x w grid: the DCT-II matrices U_h and U_w
     diagonalise its Laplacian, with :func:`grid_eigenvalues` as the
     spectrum, so the solve is U_h (gain * (U_h' D U_w)) U_w' with the gain
-    a/(a + b*lambda) <= 1; the columns' signs cancel."""
+    a/(a + b*lambda) <= 1; the columns' signs cancel.  The transforms are
+    orthogonal, so a d below 2 in magnitude cannot overflow them."""
     h, w = shape
     rows, cols = dct_matrix(h), dct_matrix(w)
     gain = a / (a + b * grid_eigenvalues(h, w))
-    # an overflow inside the products leaves inf or nan in u, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = (rows @ (gain * (rows.T @ d.reshape(h, w) @ cols)) @ cols.T).ravel()
-    if not np.all(np.isfinite(u)):
-        raise FloatingPointError("grid DCT solve overflowed")
-    return u
+    return (rows @ (gain * (rows.T @ d.reshape(h, w) @ cols)) @ cols.T).ravel()
 
 
 def estimate_tau(signals, graph: Graph) -> float:
@@ -115,8 +114,8 @@ def estimate_tau(signals, graph: Graph) -> float:
         raise DegenerateSignalError("all signals constant: moment targets are zero")
     # powers of two scale exactly: g to max |g| in [1/2, 1), and the
     # weights to a largest weight in [1, 2), which keeps unit weights
-    arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr)))[1])
-    shift = int(np.frexp(np.max(graph.edge_w))[1]) - 1
+    arr = np.ldexp(arr, -pow2_exponent(arr))
+    shift = pow2_exponent(graph.edge_w) - 1
     a, b, w = graph.edge_a, graph.edge_b, np.ldexp(graph.edge_w, -shift)
     cols = arr.T
     diff = cols[a] - cols[b]
@@ -128,7 +127,7 @@ def estimate_tau(signals, graph: Graph) -> float:
     # m1 >= 0 and m2 >= 0; both may underflow to 0 on variation across a
     # light edge, and then the fit is (0, 0), read as tau = inf below.  The
     # fit is linear in (m1, m2), which a power of two keeps clear of underflow
-    e = int(np.frexp(max(m1, m2))[1])
+    e = pow2_exponent(max(m1, m2))
     # the scaled Laplacian's traces: tr(L) the total degree, and tr(L^2)
     # the squared degrees plus each w^2 twice; a light weight may underflow
     # to 0, and unscaled weights keep the graph's cached degrees

@@ -48,6 +48,12 @@ def as_signal(f, n: int) -> np.ndarray:
     return arr
 
 
+def pow2_exponent(x) -> int:
+    """The e that brings max|x| into [1/2, 1), 0 for a zero or empty x: x * 2^-e
+    is exact, so a solve linear in x runs on it and scales back by 2^e."""
+    return int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+
+
 def as_mask(s, n: int) -> np.ndarray:
     """Validate a vertex set: a length-n boolean mask over the vertices.
 
@@ -530,7 +536,7 @@ def build_knn_graph(points, k: int) -> Graph:
         raise InvalidArgumentError("k must be positive")
     if k >= n:
         raise InvalidArgumentError(f"k={k} requires at least k+1={k + 1} points")
-    pts = np.ldexp(pts, -np.frexp(np.max(np.abs(pts), initial=0.0))[1])
+    pts = np.ldexp(pts, -pow2_exponent(pts))
     nbrs, dist = _nearest(pts, k)
     sigma = dist[:, -1]
 

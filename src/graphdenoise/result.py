@@ -15,13 +15,15 @@ class DenoiseResult:
 
     ``trace`` holds one entry per iteration: relative residuals for
     solver-backed denoisers, loss values for the iterative ones.  It is
-    empty for closed-form paths.
+    empty for closed-form paths.  ``support`` holds the indices of
+    ``signal`` a sparse solve moved, and is None for every other solve.
     """
 
     signal: np.ndarray
     iterations: int
     trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     converged: bool = True
+    support: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

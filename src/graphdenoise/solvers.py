@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailureError,
     overflow_guard,
 )
-from .graphs import CsrMatrix, Graph, as_mask, as_signal, dirichlet_system
+from .graphs import CsrMatrix, Graph, as_mask, as_signal, dirichlet_system, pow2_exponent
 from .result import DenoiseResult
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
@@ -60,7 +60,7 @@ def cg_solve(
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (diagonal minimum {diag.min():.3e})"
         )
-    exp = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    exp = pow2_exponent(b)
     b = np.ldexp(b, -exp)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -121,7 +121,8 @@ def harmonic_interpolate(
     :func:`as_signal`.  On the rest every output value is the
     degree-weighted average of its neighbors, so the result obeys the
     maximum principle.  Returns the :func:`cg_solve` result of the
-    :func:`dirichlet_system` of the unknown set, with the full-length signal.
+    :func:`dirichlet_system` of the unknown set, posed on ``obs`` scaled by
+    :func:`pow2_exponent`, with the full-length signal.
     An empty known set is an :class:`InvalidArgumentError`.
     """
     known = as_mask(known, graph.n)
@@ -129,11 +130,13 @@ def harmonic_interpolate(
     if n_known == 0:
         raise InvalidArgumentError("cannot interpolate from an empty known set")
     obs = as_signal(obs, n_known)
+    exp = pow2_exponent(obs)
     out = np.zeros(graph.n)
-    out[known] = obs
+    out[known] = np.ldexp(obs, -exp)
     unknown = ~known
     with overflow_guard("harmonic interpolation"):
         system, rhs, _ = dirichlet_system(graph, out, unknown)
         fit = cg_solve(system, rhs, tol=tol)
-    out[unknown] = fit.signal
+        out[unknown] = np.ldexp(fit.signal, exp)
+    out[known] = obs  # as given: scaled down and back, a subnormal would round
     return dataclasses.replace(fit, signal=out)

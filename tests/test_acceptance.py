@@ -324,7 +324,7 @@ def test_criterion_7_small_instance_oracles():
                 resid = y - a[:, t] @ sol
                 best = min(best, float(resid @ resid) + tau * r)
         upd = l0_on_design(a, y, tau)
-        got = float(np.sum((a @ upd.x - y) ** 2)) + tau * upd.support.size
+        got = float(np.sum((a @ upd.signal - y) ** 2)) + tau * upd.support.size
         worst_gap = max(worst_gap, got / best - 1.0)
     ok_a = worst_gap <= 0.05
 
@@ -339,7 +339,7 @@ def test_criterion_7_small_instance_oracles():
         tau = float(rng.uniform(0.2, 2.0))
         gram, c, _ = gram_form(dense_incidence(g)[:, zeta], y)
         upd = lasso_coordinate_descent(gram, c, tau, tol=1e-13, max_sweeps=5000)
-        worst_kkt = max(worst_kkt, lasso_kkt_violation(gram, c, tau, upd.x))
+        worst_kkt = max(worst_kkt, lasso_kkt_violation(gram, c, tau, upd.signal))
     ok_b = worst_kkt <= 1e-6
 
     # (c) CCP / projected gradient vs grid search on n <= 3

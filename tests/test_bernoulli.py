@@ -113,7 +113,7 @@ class TestConfig:
 class TestLasso:
     def test_zero_target_gives_zero(self, p3):
         upd = lasso_coordinate_descent(p3.laplacian.principal([0, 1]), np.zeros(2), 1.0)
-        assert np.array_equal(upd.x, np.zeros(2))
+        assert np.array_equal(upd.signal, np.zeros(2))
         assert upd.support.size == 0
 
     def test_single_column_soft_threshold_closed_form(self, rng):
@@ -125,7 +125,7 @@ class TestLasso:
         upd = lasso_coordinate_descent(gram, c, tau, tol=1e-14)
         rho = float(col @ y)
         expect = np.sign(rho) * max(abs(rho) - tau / 2.0, 0.0) / float(col @ col)
-        assert upd.x[0] == pytest.approx(expect, abs=1e-12)
+        assert upd.signal[0] == pytest.approx(expect, abs=1e-12)
 
     def test_random_instance_against_coordinatewise_oracle(self, rng):
         """Fixed-point check: no single-coordinate move on a 1e-4 grid
@@ -141,10 +141,10 @@ class TestLasso:
             r = ad @ x - y
             return float(r @ r) + tau * float(np.sum(np.abs(x)))
 
-        base = objective(upd.x)
+        base = objective(upd.signal)
         for j in range(ad.shape[1]):
             for delta in np.arange(-0.02, 0.0201, 1e-4):
-                x = upd.x.copy()
+                x = upd.signal.copy()
                 x[j] += delta
                 assert objective(x) >= base - 1e-9
 
@@ -156,7 +156,7 @@ class TestLasso:
             gram, c, _ = gram_form(a, y)
             upd = lasso_coordinate_descent(gram, c, tau, tol=1e-13, max_sweeps=5000)
             assert upd.converged
-            assert lasso_kkt_violation(gram, c, tau, upd.x) <= 1e-6
+            assert lasso_kkt_violation(gram, c, tau, upd.signal) <= 1e-6
 
     def test_max_sweeps_flags_best_iterate(self, rng):
         g = random_connected_graph(30, 25, rng)
@@ -183,10 +183,10 @@ class TestLasso:
             assert rows.size == np.unique(rows).size
         upd = lasso_coordinate_descent(gram, c, tau, tol=1e-15, max_sweeps=200000)
         assert upd.converged
-        assert lasso_kkt_violation(gram, c, tau, upd.x) <= 1e-6
+        assert lasso_kkt_violation(gram, c, tau, upd.signal) <= 1e-6
         expect = dense_cyclic_cd(a, y, tau)
         expect[np.abs(expect) < 1e-10] = 0.0
-        assert np.max(np.abs(upd.x - expect)) <= 1e-8
+        assert np.max(np.abs(upd.signal - expect)) <= 1e-8
 
     def test_fully_conflicting_columns_are_singleton_classes(self):
         # every pair of columns has a nonzero inner product
@@ -197,7 +197,7 @@ class TestLasso:
         assert [c.tolist() for c in classes] == [[0], [1], [2]]
         upd = lasso_coordinate_descent(gram, c, 0.3, tol=1e-15, max_sweeps=100000)
         expect = dense_cyclic_cd(a, y, 0.3)
-        assert np.max(np.abs(upd.x - expect)) <= 1e-8
+        assert np.max(np.abs(upd.signal - expect)) <= 1e-8
 
     def test_kkt_violation_matches_loop_reference(self, rng):
         for _ in range(30):
@@ -320,7 +320,7 @@ class TestL0Greedy:
             ad, y = random_design(rng, n, extra, size)
             tau = float(rng.uniform(0.3, 3.0))
             upd = l0_on_design(ad, y, tau)
-            got = float(np.sum((ad @ upd.x - y) ** 2)) + tau * upd.support.size
+            got = float(np.sum((ad @ upd.signal - y) ** 2)) + tau * upd.support.size
             best = exhaustive_l0_optimum(ad, y, tau)
             assert got <= 1.05 * best + 1e-9
 
@@ -400,7 +400,7 @@ class TestL0Greedy:
         a = np.array([[2.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 0]])
         upd = l0_on_design(a, np.array([1.0, 1.0, 0.5]), 0.5)
         assert upd.support.tolist() == [0, 2]
-        assert upd.x.tolist() == pytest.approx([0.5, 0.0, 1.0, 0.0], abs=1e-12)
+        assert upd.signal.tolist() == pytest.approx([0.5, 0.0, 1.0, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize(
         "seed,converged", [(17, False), (22, True), (86, True), (285, True), (113, True)]
@@ -418,7 +418,7 @@ class TestL0Greedy:
         a = rng.standard_normal((40, 1)) + eps * rng.standard_normal((40, p))
         y = rng.standard_normal(40)
         upd = l0_on_design(a, y, 1e-6)
-        r = a @ upd.x - y
+        r = a @ upd.signal - y
         objective = float(r @ r) + 1e-6 * upd.support.size
         single = min(
             float(y @ y) - float(a[:, j] @ y) ** 2 / float(a[:, j] @ a[:, j]) + 1e-6
@@ -450,6 +450,27 @@ class TestBernoulliDenoise:
     def test_empty_zeta_returns_observation(self, p3, rng):
         g = rng.normal(size=3)
         assert np.array_equal(bernoulli_denoise(g, p3, vertex_mask(3, []), 1.0).signal, g)
+
+    @pytest.mark.parametrize(
+        "mode,tau,zeta,support",
+        [
+            ("l1", 1.0, [1, 3], [1]),  # vertex 3 sits among zeros and stays
+            ("l0", 1.0, [1, 3], [1]),
+            ("l1", -1.0, [1, 3], [1, 3]),  # the refill moves every suspect
+            ("l0", 1.0, [], []),
+        ],
+        ids=["l1", "l0", "refill", "nothing-suspected"],
+    )
+    def test_support_names_the_vertices_moved(self, mode, tau, zeta, support):
+        g = np.array([0.0, 5.0, 0.0, 0.0, 0.0])
+        out = bernoulli_denoise(g, build_grid_graph(1, 5), vertex_mask(5, zeta), tau, mode)
+        assert out.support.dtype.kind == "i"
+        assert out.support.tolist() == support
+        if tau > 0:
+            assert out.support.tolist() == np.flatnonzero(out.signal != g).tolist()
+
+    def test_non_sparse_solves_have_no_support(self, p3):
+        assert harmonic_interpolate(p3, vertex_mask(3, [0]), [1.0]).support is None
 
     def test_full_zeta_nonpositive_tau_invalid(self, p3):
         tau = dropout_penalty(0.8, 1.0)
@@ -504,7 +525,7 @@ class TestBernoulliDenoise:
             else:
                 upd = l0_greedy(gram, c, 0.8, energy)
             ref = sig.copy()
-            ref[zeta] += upd.x
+            ref[zeta] += upd.signal
             assert np.allclose(ref, base, atol=1e-9)
 
 

@@ -66,7 +66,30 @@ def write_grid_edges(path, height, width):
     path.write_text("".join(f"{a} {b}\n" for a, b in zip(grid.edge_a, grid.edge_b)))
 
 
+def must_not_run(*args, **kwargs):
+    pytest.fail("ran past a refused output path")
+
+
 class TestDenoiseCommand:
+    @pytest.mark.parametrize("output", ["missing/o.csv", "."], ids=["no-parent", "a-directory"])
+    def test_output_is_checked_before_any_solve(self, tmp_path, capsys, monkeypatch, output):
+        """An --output with no parent directory, or one that names a
+        directory, is refused before the input is read or a column solved
+        (it failed at the write, after every solve)."""
+        from graphdenoise import cli
+
+        src = tmp_path / "g.csv"
+        write_csv(src, np.ones((4, 1)))
+        monkeypatch.setattr(cli, "read_matrix", must_not_run)
+        monkeypatch.setattr(cli, "bernoulli_denoise", must_not_run)
+        rc = main([
+            "denoise", "bernoulli", "--graph", "grid", "2x2", "--p", "0.2", "--zeta", "zeros",
+            "--input", str(src), "--output", str(tmp_path / output),
+        ])
+        assert rc == 2
+        assert "--output" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
     def test_tau_zero_round_trips_input(self, tmp_path, rng):
         src = tmp_path / "g.csv"
         write_csv(src, rng.normal(size=(16, 3)))
@@ -455,8 +478,9 @@ class TestDenoiseCommand:
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         """Off a grid CG solves the scaled, mean-free system: tau = 1e16 is an
-        ordinary solve that agrees with the grid's exact one, and a column
-        whose mean overflows is a numerical failure."""
+        ordinary solve that agrees with the grid's exact one.  A column of
+        1e308, whose unscaled mean overflowed (exit 3), is solved on its
+        power-of-two scale and returned as given."""
         src, edges = tmp_path / "g.csv", tmp_path / "g.edges"
         write_csv(src, np.random.default_rng(0).normal(size=(64, 1)))
         write_grid_edges(edges, 8, 8)
@@ -476,9 +500,8 @@ class TestDenoiseCommand:
             "denoise", "gaussian", "--graph", "edge-list", str(edges), "--tau", "1",
             "--input", str(src), "--output", str(tmp_path / "o.csv"),
         ])
-        assert rc == 3
-        assert "Gaussian filter failed: overflow" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
+        assert rc == 0
+        assert read_matrix(tmp_path / "o.csv").values.ravel().tolist() == [1e308] * 64
 
     def test_grid_tau_1e16_is_an_exact_solve(self, tmp_path):
         """On a grid the DCT solve is exact: it matches a dense solve of the
@@ -513,17 +536,18 @@ class TestDenoiseCommand:
         np.testing.assert_allclose(read_matrix(out).values, g.mean(), rtol=1e-14)
 
     def test_grid_solve_overflow_exit_3(self, tmp_path, capsys):
-        """The DCT of a column near the float range overflows: a numerical
-        failure, not a column of nan."""
+        """Unscaled, the DCT of a column near the float range overflowed (exit
+        3); on its power-of-two scale it cannot.  The checkerboard is L's
+        eigenvector of eigenvalue 4, so the filter divides it by 5."""
         src, out = tmp_path / "g.csv", tmp_path / "o.csv"
         src.write_text("1.5e308\n-1.5e308\n-1.5e308\n1.5e308\n")
         rc = main([
             "denoise", "gaussian", "--graph", "grid", "2x2", "--tau", "1",
             "--input", str(src), "--output", str(out),
         ])
-        assert rc == 3
-        assert "grid DCT solve overflowed" in capsys.readouterr().err
-        assert not out.exists()
+        assert rc == 0
+        got = read_matrix(out).values.ravel()
+        np.testing.assert_allclose(got, [3e307, -3e307, -3e307, 3e307], rtol=1e-15)
 
     def test_tau_1e200_on_a_weighted_graph_is_the_mean(self, tmp_path, capsys):
         """A tau far beyond the Laplacian's scale leaves only the mean,
@@ -1201,6 +1225,8 @@ class TestScaleFreeSolves:
              [6e-162, 2e-162, -2e-162, -6e-162]),
             ([1e-162, 0, 0, 0, 0, -1e-162], [0, 1, 1, 1, 1, 0],
              [6e-163, 2e-163, -2e-163, -6e-163]),
+            # solved on 1e308's scale, where 5e-324 is 0: it is written as given
+            ([1e308, 0, 5e-324], [0, 1, 0], [5e307]),
         ],
     )
     def test_interpolate_far_from_unit_scale(self, tmp_path, capsys, column, mask, expect):
@@ -1227,14 +1253,49 @@ class TestScaleFreeSolves:
 
     @pytest.mark.parametrize("opts", [("interpolate",), ("bernoulli", "--p", "0.7")])
     def test_refill_overflow_exit_3(self, tmp_path, capsys, opts):
-        """-(L g)(U) overflows: the refill fails numerically (it exited 2),
-        as ``bernoulli --tau 0.5`` does on the same input."""
-        rc, err, _ = self.run(
+        """Unscaled, -(L g)(U) overflowed and the refill exited 3; posed on
+        the known values' power-of-two scale it is the neighbours' mean."""
+        rc, err, got = self.run(
             tmp_path, capsys, opts[0], ["grid", "1x3"], [1.5e308, 0, 1.5e308], [0, 1, 0],
             *opts[1:],
         )
-        assert rc == 3
-        assert "failed: overflow" in err
+        assert rc == 0 and "unconverged" not in err
+        np.testing.assert_allclose(got, [1.5e308] * 3, rtol=1e-15)
+
+    def test_gaussian_mean_at_the_float_range(self, tmp_path, capsys):
+        """The unscaled mean of -1e308, 0, -1e308 overflowed (exit 3)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err, got = self.run(
+                tmp_path, capsys, "gaussian", ["grid", "1x3"], [-1e308, 0, -1e308], None,
+                "--tau", "1",
+            )
+        assert rc == 0
+        np.testing.assert_allclose(got, [-7.5e307, -5e307, -7.5e307], rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "opts, rc",
+        [(("bernoulli", "--p", "0.2", "--mode", "l1"), 3),
+         (("bernoulli", "--p", "0.2", "--mode", "l0"), 3), (("interpolate",), 0)],
+        ids=["l1", "l0", "interpolate"],
+    )
+    def test_regressions_are_not_scale_free(self, tmp_path, capsys, opts, rc):
+        """The l1 and l0 regressions are not linear in g at a fixed tau, so
+        they run unscaled, and -(L g)(zeta) overflows on vertex 0's two
+        flows of 1e308.  The refill, linear in g, is solved on the column's
+        scale (unscaled, it exited 3 the same way)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_rc, err, got = self.run(
+                tmp_path, capsys, opts[0], ["grid", "2x2"], [0, -1e308, -1e308, -1e308], None,
+                "--zeta", "zeros", *opts[1:],
+            )
+        assert got_rc == rc
+        if rc == 3:
+            assert "dropout arithmetic failed: overflow in L f" in err
+            assert not (tmp_path / "o.csv").exists()
+        else:
+            assert got.tolist() == [-1e308] * 4
 
     @pytest.mark.parametrize("mode, expect", [("l1", 2.875), ("l0", 3.0)])
     def test_overflow_far_from_zeta_is_not_read(self, tmp_path, capsys, mode, expect):
@@ -1439,6 +1500,21 @@ class TestTextRule:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
+    def test_out_is_checked_before_the_sweep(self, tmp_path, capsys, monkeypatch, out):
+        """An --out whose nearest existing path is a file is refused before
+        any cell runs (it failed at the mkdir, after the whole sweep)."""
+        from graphdenoise import cli
+
+        spec = tmp_path / "tiny.spec"
+        spec.write_text(TINY_SPEC)
+        (tmp_path / "taken").write_text("kept\n")
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert "--out" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_tiny_spec_deterministic_modulo_runtime(self, tmp_path):
         spec = tmp_path / "tiny.spec"
         spec.write_text(TINY_SPEC)
