@@ -22,7 +22,15 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError, overflow_guard
-from .graphs import CsrMatrix, Graph, as_mask, as_signal, check_kappa, dirichlet_system
+from .graphs import (
+    CsrMatrix,
+    Graph,
+    as_mask,
+    as_signal,
+    check_kappa,
+    check_tol,
+    dirichlet_system,
+)
 from .result import DenoiseResult
 from .solvers import cg_solve, harmonic_interpolate
 
@@ -106,6 +114,7 @@ def lasso_coordinate_descent(
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
+    check_tol(tol)
     c = _linear_term(gram, linear)
     x = np.zeros(c.size)
     q = -c

@@ -702,26 +702,27 @@ class BenchmarkReport:
     Each result's ``trace`` is its loss curve and ``truth_loss`` the loss at
     the uncorrupted signal, both over max(1, kappa).  The CCP returns its
     last iterate, so its final loss is ``ccp.trace[-1]``; projected gradient
-    returns its best iterate, whose loss is ``pg.trace.min()``.
+    returns its best iterate, whose loss is ``pg.trace.min()``.  The times
+    are each solver's ``DescentTrace.wall_time_s``: the seconds elapsed at
+    each loss of its trace, the last entry the whole solve's.
     """
 
     truth_loss: float
     ccp: DenoiseResult
-    ccp_time_s: float
+    ccp_time_s: tuple[float, ...]
     pg: DenoiseResult
-    pg_time_s: float
+    pg_time_s: tuple[float, ...]
 
     def write_traces_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "iteration", "loss", "elapsed_s"])
-            for name, losses, total in (
+            for name, losses, times in (
                 ("ccp", self.ccp.trace, self.ccp_time_s),
                 ("projected-gradient", self.pg.trace, self.pg_time_s),
             ):
-                steps = max(len(losses) - 1, 1)
-                for i, loss in enumerate(losses):
-                    elapsed = round(total * i / steps, 6)
+                for i, (loss, elapsed) in enumerate(zip(losses, times)):
+                    elapsed = round(elapsed, 6)
                     writer.writerow([name, i, format_float(loss), format_float(elapsed)])
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSignalError, InvalidArgumentError, overflow_guard
-from .graphs import CsrMatrix, Graph, as_signal, check_kappa, pow2_exponent
+from .graphs import CsrMatrix, Graph, as_signal, check_kappa, check_tol, pow2_exponent
 from .result import DenoiseResult
 from .solvers import cg_solve
 from .spectral import dct_matrix, grid_eigenvalues
@@ -52,6 +52,7 @@ def denoise_gaussian(
     g = as_signal(g_signal, graph.n)
     if tau < 0 or math.isnan(tau):
         raise InvalidArgumentError("tau must be nonnegative")
+    check_tol(tol)  # also where the grid path or tau = 0 runs no CG
     if tau == 0.0:
         return DenoiseResult(signal=g.copy(), iterations=0)
     exp = pow2_exponent(g)

@@ -85,6 +85,15 @@ def check_kappa(kappa: float) -> tuple[float, float]:
     return min(1.0, 1.0 / kappa), min(1.0, kappa)
 
 
+def check_tol(tol: float) -> float:
+    """Validate a solver's stopping tolerance: finite and positive, as a NaN
+    or negative one would run the solver to its cap and an infinite one stop
+    it after one step."""
+    if not 0 < tol < np.inf:
+        raise InvalidArgumentError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
     """Square sparse matrix in compressed sparse row form.

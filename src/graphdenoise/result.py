@@ -33,8 +33,10 @@ class DescentTrace:
     Their losses are the result's ``trace``: the loss at the (strictly
     feasible) initialization, then after each outer iteration.
     ``inner_iterations`` records the inner-solver work per outer step; it
-    is empty for methods without an inner solver.
+    is empty for methods without an inner solver.  ``wall_time_s`` holds
+    the seconds elapsed at each loss of the trace, measured as it is
+    computed; its last entry is the whole solve's.
     """
 
     inner_iterations: tuple[int, ...] = ()
-    wall_time_s: float = 0.0
+    wall_time_s: tuple[float, ...] = ()

@@ -22,7 +22,15 @@ from .errors import (
     NumericalFailureError,
     overflow_guard,
 )
-from .graphs import CsrMatrix, Graph, as_mask, as_signal, dirichlet_system, pow2_exponent
+from .graphs import (
+    CsrMatrix,
+    Graph,
+    as_mask,
+    as_signal,
+    check_tol,
+    dirichlet_system,
+    pow2_exponent,
+)
 from .result import DenoiseResult
 
 __all__ = ["cg_solve", "harmonic_interpolate"]
@@ -51,8 +59,7 @@ def cg_solve(
     """
     n = matrix.shape[0]
     b = as_signal(b, n)
-    if not tol > 0:
-        raise InvalidArgumentError("tol must be positive")
+    check_tol(tol)
     if max_iter is None:
         max_iter = 10 * n
     diag = matrix.diagonal()

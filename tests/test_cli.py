@@ -903,6 +903,25 @@ class TestDenoiseCommand:
         assert main(argv) == 0
         assert "unconverged=2 " in capsys.readouterr().err
 
+    def test_outer_step_cap_counted_unconverged(self, tmp_path, rng, monkeypatch, capsys):
+        """A CCP stopped at its outer-step cap, before an inner QP certifies
+        the iterate as stationary, is unconverged in the summary."""
+        from graphdenoise import uniform
+
+        src = tmp_path / "g.csv"
+        write_csv(src, rng.uniform(0.1, 2.0, size=(16, 2)))
+        argv = [
+            "denoise", "uniform",
+            "--graph", "grid", "4x4",
+            "--input", str(src),
+            "--output", str(tmp_path / "o.csv"),
+        ]
+        assert main(argv) == 0
+        assert "unconverged=" not in capsys.readouterr().err
+        monkeypatch.setattr(uniform, "_CCP_MAX_OUTER", 1)
+        assert main(argv) == 0
+        assert "iterations=2 unconverged=2 " in capsys.readouterr().err
+
     def test_capped_gaussian_column_writes_its_best_iterate(
         self, tmp_path, rng, monkeypatch, capsys
     ):
@@ -1785,6 +1804,44 @@ class TestExperimentCommand:
         assert traces[0] == "method,iteration,loss,elapsed_s"
         assert any(row.startswith("ccp,") for row in traces[1:])
         assert any(row.startswith("projected-gradient,") for row in traces[1:])
+
+    def test_traces_elapsed_is_measured_per_step(self, tmp_path, monkeypatch):
+        """elapsed_s is the clock read at each loss: a slow second CCP step
+        shows as a jump at iteration 2, where the total spread evenly over
+        the steps did not show it."""
+        from types import SimpleNamespace
+
+        from graphdenoise import uniform
+
+        clock = [0.0]
+        calls = []
+        real = uniform.minimize_box_qp
+
+        def slow_second(*args, **kwargs):
+            clock[0] += 100.0 if len(calls) == 1 else 1.0
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # a clock that moves only in the CCP's inner QPs
+        monkeypatch.setattr(uniform, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(uniform, "minimize_box_qp", slow_second)
+        spec = tmp_path / "b.spec"
+        spec.write_text(
+            TINY_SPEC.replace("kind = gaussian", "kind = uniform-scale")
+            .replace("levels = 0.5 1.0", "levels = 0")
+            .replace("height = 3\nwidth = 3", "height = 8\nwidth = 8")
+            .replace("count = 2", "count = 1\nmean = 5.0")
+            .split("[method.gaussian]")[0]
+            + "\n[benchmark]\nkappa = 1.0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "traces.csv").read_text().splitlines()]
+        elapsed = [float(row[3]) for row in rows if row[0] == "ccp"]
+        # the last entry is read after the QP that certified the last iterate
+        want = [0.0, 1.0, *(99.0 + k for k in range(2, len(elapsed) - 1)), 99.0 + len(calls)]
+        assert len(calls) == len(elapsed) and elapsed == want
+        assert {row[3] for row in rows if row[0] == "projected-gradient"} == {"0"}
 
     def test_benchmark_spec_decomposes_once(self, tmp_path, monkeypatch):
         """The benchmark reuses the graph and signals the sweep built, and

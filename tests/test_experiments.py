@@ -423,3 +423,8 @@ class TestBenchmark:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "method,iteration,loss,elapsed_s"
         assert len(lines) == len(rep.ccp.trace) + len(rep.pg.trace) + 1
+        # one measured time per loss, nondecreasing, the last the solve's total
+        times = rep.ccp_time_s + rep.pg_time_s
+        assert (len(rep.ccp_time_s), len(rep.pg_time_s)) == (rep.ccp.trace.size, rep.pg.trace.size)
+        assert all(np.all(np.diff(t) >= 0.0) for t in (rep.ccp_time_s, rep.pg_time_s))
+        assert [float(line.split(",")[3]) for line in lines[1:]] == [round(t, 6) for t in times]

@@ -3,6 +3,7 @@ and the CLI's exit contract on extreme columns."""
 
 import contextlib
 import io
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -308,3 +309,77 @@ def test_edge_list_exit_contract(lines):
             rc = main(argv)
         assert rc in (0, 2) and not caught, (rc, err.getvalue())
         assert rc == 0 or str(edges) in err.getvalue(), err.getvalue()
+
+
+@st.composite
+def _uniform_runs(draw):
+    """``denoise uniform`` inputs: one to three columns on a grid up to 6 x 8
+    or on a weighted edge list of a random connected graph, signed values
+    in [0.1, 2] with about a fifth exactly zero, and kappa in [1e-3, 1e6]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        h, w = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+        graph = build_grid_graph(h, w)
+        spec = ["grid", f"{h}x{w}"]
+    else:
+        n = draw(st.integers(2, 40))
+        graph = random_connected_graph(n, int(rng.integers(0, 2 * n)), rng)
+        spec = None
+    k = draw(st.integers(1, 3))
+    sign = rng.choice([-1.0, 1.0], (graph.n, k))
+    values = sign * rng.uniform(0.1, 2.0, (graph.n, k)) * (rng.uniform(size=(graph.n, k)) >= 0.2)
+    return graph, spec, values, 10.0 ** draw(st.floats(-3.0, 6.0))
+
+
+def _stationarity_excess(graph, g, f, kappa) -> float:
+    """The unit-step projected gradient of the loss over max(1, kappa) at f,
+    on a scipy Laplacian, over the box QP's stop at f: 1e-8 * a * max(1,
+    max 1/|f|) or its round-off floor, plus twice the floor for this
+    product's own round-off.  At most 1 at a certified point."""
+    import scipy.sparse as sp
+
+    a, b = min(1.0, 1.0 / kappa), min(1.0, kappa)
+    ends = np.r_[graph.edge_a, graph.edge_b], np.r_[graph.edge_b, graph.edge_a]
+    adj = sp.csr_matrix((np.r_[graph.edge_w, graph.edge_w], ends), shape=(graph.n, graph.n))
+    lap = sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
+    lower = np.where(g > 0, g, np.where(g == 0, 0.0, -np.inf))
+    upper = np.where(g < 0, g, np.where(g == 0, 0.0, np.inf))
+    inv = np.divide(1.0, f, out=np.zeros_like(f), where=f != 0.0)
+    grad = 2.0 * b * (lap @ f) + a * inv
+    excess = np.max(np.abs(f - np.clip(f - grad, lower, upper)))
+    rows = np.diff(sp.csr_matrix(lap).indptr).max()
+    floor = (rows + 2) * np.finfo(float).eps / 2 * 2.0 * b * 2.0 * lap.diagonal().max()
+    floor *= np.max(np.abs(f))
+    return excess / (max(1e-8 * a * max(1.0, np.max(np.abs(inv))), floor) + 2.0 * floor)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run=_uniform_runs())
+def test_uniform_converged_columns_are_stationary(run):
+    """``denoise uniform`` exits 0 with no warning and writes each column in
+    its box, and every column the summary does not count as unconverged is
+    a KKT point of the loss, checked apart from the package.  The loss-stall
+    stop called columns converged 10-1000x off stationarity."""
+    graph, spec, values, kappa = run
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "g.csv"), Path(tmp, "o.csv")
+        np.savetxt(src, values, delimiter=",", fmt="%.17g")
+        if spec is None:
+            edges = Path(tmp, "g.edges")
+            np.savetxt(edges, np.c_[graph.edge_a, graph.edge_b, graph.edge_w],
+                       fmt=["%d", "%d", "%.17g"])
+            spec = ["edge-list", str(edges)]
+        argv = ["denoise", "uniform", "--graph", *spec, "--kappa", repr(kappa),
+                "--input", str(src), "--output", str(out)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc == 0 and not caught, (rc, err.getvalue())
+        f = read_matrix(out).values.reshape(values.shape)
+    g = values
+    assert np.all(np.where(g > 0, f >= g, np.where(g < 0, f <= g, f == 0.0)))
+    found = re.search(r"unconverged=(\d+)", err.getvalue())
+    unconverged = int(found.group(1)) if found else 0
+    excess = [_stationarity_excess(graph, g[:, c], f[:, c], kappa) for c in range(g.shape[1])]
+    assert sum(e > 1.0 for e in excess) <= unconverged, (excess, err.getvalue())

@@ -263,3 +263,46 @@ def test_nan_and_inf_are_refused_by_index(value, call, bad):
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError, match=rf"^signal value -?(nan|inf) at index {i} "):
             call(v)
+
+
+# The tolerance rule: graphs.check_tol refuses a stopping tolerance that is
+# not finite and positive, in every exported function that takes one.
+# (id, function, the call with tol = t)
+TOL_CALLS = [
+    ("cg", cg_solve, lambda t: cg_solve(GRAM, LINEAR, tol=t)),
+    ("harmonic", harmonic_interpolate,
+     lambda t: harmonic_interpolate(GRID, ~ZETA, SIGNAL[~ZETA], tol=t)),
+    # the grid's DCT path and tau = 0 run no CG
+    ("gaussian", denoise_gaussian, lambda t: denoise_gaussian(SIGNAL, GRID, 1.0, tol=t)),
+    ("gaussian-tau-0", denoise_gaussian, lambda t: denoise_gaussian(SIGNAL, GRID, 0.0, tol=t)),
+    ("lasso", lasso_coordinate_descent,
+     lambda t: lasso_coordinate_descent(GRAM, LINEAR, 1.0, tol=t)),
+    ("ccp", ccp_denoise, lambda t: ccp_denoise(SIGNAL, GRID, tol=t)),
+    ("pg", projected_gradient_denoise, lambda t: projected_gradient_denoise(SIGNAL, GRID, tol=t)),
+    ("box-qp", minimize_box_qp, lambda t: minimize_box_qp(GRID, 1.0, SIGNAL, BOX, SIGNAL, tol=t)),
+]
+
+
+def test_every_tol_parameter_is_under_the_tolerance_rule():
+    found = {
+        node.name
+        for tree in MODULES.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in _exported(tree)
+        for arg in node.args.args + node.args.kwonlyargs
+        if arg.arg == "tol"
+    }
+    assert found == {function.__name__ for _, function, _ in TOL_CALLS}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("call", [c[2] for c in TOL_CALLS], ids=[c[0] for c in TOL_CALLS])
+def test_tol_must_be_finite_and_positive(call, bad):
+    """An infinite tol stopped a solver after one step and reported it
+    converged; a NaN or negative one ran it to its cap.  Each is now an
+    InvalidArgumentError naming tol, with no warning."""
+    call(1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=r"^tol must be finite and positive"):
+            call(bad)

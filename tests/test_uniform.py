@@ -1,6 +1,7 @@
 import itertools
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,22 +170,87 @@ class TestCcp:
         assert res.trace.size == 1
         assert in_box(obs, res.signal)
 
-    def test_capped_last_inner_qp_is_unconverged(self, monkeypatch):
-        """A CCP whose last inner QP stopped at its step cap has not shown a
-        fixed point; an earlier capped QP followed by finished ones has."""
+    def test_certificate_and_outer_cap_decide_converged(self, monkeypatch):
+        """An inner QP that takes 0 steps certifies its start as stationary:
+        the CCP stops converged, and that QP is not counted.  The outer-step
+        cap stops it unconverged.  QPs cut at one step by their own cap
+        still descend to a certificate."""
+        from graphdenoise import uniform
+
+        steps = []
+
+        def counted(*args, **kwargs):
+            x, taken = minimize_box_qp(*args, **kwargs)
+            steps.append(taken)
+            return x, taken
+
+        g = build_grid_graph(4, 4)
+        obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
+        monkeypatch.setattr(uniform, "minimize_box_qp", counted)
+        monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 1)
+        res, trace = ccp_denoise(obs, g, kappa=1.0)
+        assert res.converged and steps[-1] == 0
+        assert trace.inner_iterations == tuple(steps[:-1]) == (1,) * 11
+        assert len(trace.inner_iterations) == res.iterations
+        assert uniform._CCP_MAX_OUTER == 50
+        monkeypatch.setattr(uniform, "_CCP_MAX_OUTER", 5)
+        steps.clear()
+        res, trace = ccp_denoise(obs, g, kappa=1.0)
+        assert not res.converged and steps == [1] * 5
+        assert len(trace.inner_iterations) == res.iterations == 5
+
+    def test_fifty_outer_steps_end_unconverged(self):
+        """A slow linear tail: at kappa = 0.1 on this 32 x 32 column the
+        projected gradient is still above the tolerance after 50 steps."""
+        g = build_grid_graph(32, 32)
+        rng = np.random.default_rng(32000)
+        truth = rng.uniform(0.5, 2.0, g.n) + np.linspace(0.0, 2.0, g.n)
+        res, trace = ccp_denoise(truth * rng.uniform(size=g.n), g, kappa=0.1)
+        assert not res.converged
+        assert len(trace.inner_iterations) == res.iterations == 50
+
+    def test_rise_within_round_off_is_a_tie(self, monkeypatch):
+        """A loss change above 0 keeps the previous iterate and stops: within
+        its rounding error bound a tie, converged; beyond it a stall."""
         from graphdenoise import uniform
 
         g = build_grid_graph(4, 4)
         obs = np.random.default_rng(0).uniform(0.1, 2.0, size=16)
-        # a one-step cap stops every QP before its stopping test is met
-        monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 1)
-        res, trace = ccp_denoise(obs, g, kappa=1.0)
-        assert trace.inner_iterations == (1, 1, 1, 1, 1, 1)
-        assert not res.converged
-        monkeypatch.setattr(uniform, "_BOX_QP_MAX_ITER", 2)
-        res, trace = ccp_denoise(obs, g, kappa=1.0)
-        assert trace.inner_iterations == (2, 1, 1, 1, 1, 1)
-        assert res.converged
+        first, _ = ccp_denoise(obs, g, kappa=1.0)
+        for error, converged in ((2e-300, True), (5e-301, False)):
+            monkeypatch.setattr(uniform, "_loss_change", lambda *args: (1e-300, error))
+            res, trace = ccp_denoise(obs, g, kappa=1.0)
+            assert res.converged == converged
+            assert res.iterations == 0 and trace.inner_iterations == ()
+            assert res.trace.tolist() == first.trace[:1].tolist()
+            assert np.array_equal(res.signal, np.clip(obs * (1 + 1e-3), *_box(obs)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_loss_change_is_within_its_error_bound(self, seed):
+        """The loss change, computed as a difference, is within its error
+        bound of the exact change (energy in rationals, logs in extended
+        precision), and the bound is far below the change even where the
+        two losses agree to 14 digits."""
+        from graphdenoise.uniform import _loss_change
+
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(30, 20, rng)
+        f = rng.uniform(0.5, 3.0, g.n) * rng.choice([-1.0, 1.0], g.n)
+        f[:3] = 0.0
+        f_new = f * (1.0 + rng.uniform(0.0, 10.0 ** -rng.uniform(2, 14), g.n))
+        a, b = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))
+        change, error = _loss_change(f, f_new, g, a, b)
+
+        def energy(v):
+            v = [Fraction(x) for x in v]
+            return sum(
+                Fraction(w) * (v[i] - v[j]) ** 2 for i, j, w in zip(g.edge_a, g.edge_b, g.edge_w)
+            )
+
+        ext, nz = np.longdouble, f != 0.0
+        logs = np.log1p((f_new[nz].astype(ext) - f[nz]) / f[nz].astype(ext))
+        exact = ext(float(Fraction(b) * (energy(f_new) - energy(f)))) + ext(a) * np.sum(logs)
+        assert abs(change - exact) <= error <= 1e-6 * abs(exact)
 
     def test_huge_kappa_stops_at_the_gradient_round_off(self):
         """At kappa = 1e100 the computed gradient 2 kappa L x carries
@@ -304,6 +370,31 @@ class TestBoxQp:
         assert steps < 100
         assert np.all(box[0] <= x) and np.all(x <= box[1])
         assert uniform_loss(x, g, 1e100) <= uniform_loss(x0, g, 1e100)
+
+    @pytest.mark.parametrize("forcing", [-0.1, 1.0, np.nan])
+    def test_forcing_must_be_in_the_unit_interval(self, p3, forcing):
+        box = _box(np.ones(3))
+        with pytest.raises(InvalidArgumentError, match="forcing must be in"):
+            minimize_box_qp(p3, 1.0, np.ones(3), box, np.full(3, 2.0), forcing=forcing)
+
+    def test_forcing_stops_at_a_share_of_the_start_residual(self):
+        """With a forcing term the QP stops at the first step whose projected
+        gradient is at most that share of the start's; without one it
+        solves the QP to its own stop, which takes more steps."""
+        g = build_grid_graph(16, 16)
+        obs = np.random.default_rng(4).uniform(0.1, 2.0, size=g.n)
+        box = _box(obs)
+        x0 = np.clip(obs * (1 + 1e-3), *box)
+
+        def residual(x):
+            grad = 2.0 * (g.laplacian @ x) + 1.0 / x0
+            return np.max(np.abs(x - np.clip(x - grad, *box)))
+
+        x_full, full = minimize_box_qp(g, 1.0, 1.0 / x0, box, x0)
+        x_forced, forced = minimize_box_qp(g, 1.0, 1.0 / x0, box, x0, forcing=0.1)
+        assert 0 < forced < full
+        stop = _BOX_QP_TOL * np.max(1.0 / x0)
+        assert residual(x_full) <= stop < residual(x_forced) <= 0.1 * residual(x0)
 
     def test_unbounded_objective_is_rejected(self, p3):
         lower, upper = _box(np.ones(3))
