@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     as_mask,
     as_signal,
+    check_csr,
     check_kappa,
     check_tol,
     dirichlet_system,
@@ -65,12 +66,8 @@ def _sparse_result(x: np.ndarray, iterations: int, converged: bool) -> DenoiseRe
 
 def _linear_term(gram, linear) -> np.ndarray:
     """The linear term as a vector, checked by :func:`as_signal` to match
-    the Gram matrix, which must be a :class:`CsrMatrix`."""
-    if not isinstance(gram, CsrMatrix):
-        raise InvalidArgumentError(
-            f"gram must be a graphdenoise CsrMatrix, got {type(gram).__name__}"
-        )
-    return as_signal(linear, gram.shape[0])
+    the Gram matrix, which must pass :func:`check_csr`."""
+    return as_signal(linear, check_csr(gram, "gram").shape[0])
 
 
 def _colour_classes(gram: CsrMatrix) -> list[np.ndarray]:
@@ -382,16 +379,19 @@ def bernoulli_denoise(
     """Dropout-model estimate; trusted vertices are passed through bitwise.
 
     ``zeta`` is the length-n boolean suspicion mask and ``tau`` the penalty
-    weight (:func:`dropout_penalty` of (p, kappa)); ``mode`` picks the l1 or
-    l0 penalty.  With a positive penalty (p < 1/2) the suspicious entries
-    move by the sparse-regression deviation; with a nonpositive penalty
-    (p >= 1/2) every suspicious entry is refilled by harmonic interpolation
-    from the trusted complement.  An all-true mask suspects every vertex.
+    weight (:func:`dropout_penalty` of (p, kappa)), refused as NaN even
+    with no suspect; ``mode`` picks the l1 or l0 penalty.  With a positive
+    penalty (p < 1/2) the suspicious entries move by the sparse-regression
+    deviation; with a nonpositive penalty (p >= 1/2) every suspicious entry
+    is refilled by harmonic interpolation from the trusted complement.  An
+    all-true mask suspects every vertex.
     The result's ``support`` holds the vertices moved: the regression's
     support, or every suspect on the refill.
     """
     if mode not in MODES:
         raise InvalidArgumentError(f"mode must be one of {MODES}, got {mode!r}")
+    if math.isnan(tau):  # checked before an empty mask returns early
+        raise InvalidArgumentError("tau must be a number, got nan")
     g = as_signal(g_signal, graph.n)
     zeta = as_mask(zeta, graph.n)
     suspects = np.flatnonzero(zeta)

@@ -94,6 +94,16 @@ def check_tol(tol: float) -> float:
     return tol
 
 
+def check_csr(matrix, name: str) -> "CsrMatrix":
+    """The one check on each sparse matrix the package is handed: it must be
+    a :class:`CsrMatrix`, the type every solve in the package builds."""
+    if not isinstance(matrix, CsrMatrix):
+        raise InvalidArgumentError(
+            f"{name} must be a graphdenoise CsrMatrix, got {type(matrix).__name__}"
+        )
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
     """Square sparse matrix in compressed sparse row form.

@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     as_mask,
     as_signal,
+    check_csr,
     check_tol,
     dirichlet_system,
     pow2_exponent,
@@ -42,9 +43,8 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> DenoiseResult:
-    """Solve matrix x = b for a symmetric positive definite sparse matrix:
-    a :class:`~graphdenoise.graphs.CsrMatrix`, or any object with ``@``,
-    ``diagonal()`` and ``shape``.
+    """Solve matrix x = b for a symmetric positive definite
+    :class:`~graphdenoise.graphs.CsrMatrix`.
 
     CG is exactly equivariant under a power of two, so b is scaled by one
     to max|b| in [1/2, 1), and x back: the result is scale-free and bitwise
@@ -57,7 +57,7 @@ def cg_solve(
     direction of nonpositive curvature, and :class:`NumericalFailureError`
     when an iterate overflows.
     """
-    n = matrix.shape[0]
+    n = check_csr(matrix, "matrix").shape[0]
     b = as_signal(b, n)
     check_tol(tol)
     if max_iter is None:

@@ -187,12 +187,13 @@ def map_error_covariance_diag(
     """Spectral-domain error variance of the Gaussian-model estimate.
 
     Entry i >= 2 is sigma^2 / (2*kappa*sigma^2*lambda_i + 1); the mean
-    frequency is exact, so entry 1 is zero.
+    frequency is exact, so entry 1 is zero.  ``kappa`` and ``sigma2`` must
+    be finite and nonnegative.
     """
-    if not kappa >= 0:
-        raise InvalidArgumentError("kappa must be nonnegative")
-    if not sigma2 >= 0:
-        raise InvalidArgumentError("sigma2 must be nonnegative")
+    if not 0 <= kappa < np.inf:
+        raise InvalidArgumentError(f"kappa must be nonnegative and finite, got {kappa}")
+    if not 0 <= sigma2 < np.inf:
+        raise InvalidArgumentError(f"sigma2 must be nonnegative and finite, got {sigma2}")
     out = np.zeros(basis.n)
     out[1:] = sigma2 / (2.0 * kappa * sigma2 * basis.lambdas[1:] + 1.0)
     return out

@@ -239,23 +239,18 @@ def minimize_box_qp(
     return x, steps
 
 
-def _loss_change(f: np.ndarray, f_new: np.ndarray, graph: Graph, a: float, b: float):
+def _loss_change(f: np.ndarray, f_new: np.ndarray, graph: Graph, a: float, b: float) -> float:
     """The change of the loss over max(1, kappa) from f to f_new, as a
-    difference, and a bound on its rounding error (see :func:`ccp_denoise`)."""
+    difference (see :func:`ccp_denoise`)."""
     d = f_new - f
     mid = 0.5 * f + 0.5 * f_new
     nz = f != 0.0
-    ratio = d[nz] / f[nz]
-    logs = np.log1p(ratio)
+    logs = np.log1p(d[nz] / f[nz])
     change = 2.0 * b * float(np.dot(d, graph.laplacian @ mid)) + a * float(np.sum(logs))
     # the sparse product raises no floating-point error of its own
     if not np.isfinite(change):
         raise FloatingPointError("overflow in the loss change")
-    k = graph.n + int(np.diff(graph.laplacian.indptr).max()) + 6
-    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    energy = 4.0 * b * float(graph.degrees.max()) * float(np.max(np.abs(mid)))
-    log_terms = np.abs(d[nz] / f_new[nz]) + np.abs(logs)
-    return change, gamma * (energy * float(np.sum(np.abs(d))) + a * float(np.sum(log_terms)))
+    return change
 
 
 def _log_term_gradient(f: np.ndarray) -> np.ndarray:
@@ -304,20 +299,9 @@ def ccp_denoise(
     agree only to about u |loss|, u the unit round-off, which a CCP reaches
     long before its certificate; the difference stays accurate to about
     the QP's floor.  A step whose change is above 0 keeps the previous
-    iterate and ends the procedure, so ``trace`` is nonincreasing.  The
-    change is a tie, ``converged=True``, when it is within its rounding
-    error bound; above it, a stall, ``converged=False``, as is reaching
-    the cap of 50 outer steps.  The bound, to first order in u: an entry of
-    L m sums at most r terms, r the most nonzeros in a row of L, whose
-    absolute values sum to at most 2 d_max max|m|; with the roundings of d,
-    m and the product, each term of d'L m is off by gamma_(r+3) |d_i| 2 d_max
-    max|m|, and the sum of n terms adds gamma_(n-1) of the same.  d / f_t
-    carries two roundings, which move log1p by at most gamma_2 |d_i /
-    f_t+1(i)|, log1p itself one ulp of its value, and the sum gamma_(n-1).
-    So the error is at most gamma_k (4b d_max max|m| sum |d| + a sum (|d /
-    f_t+1| + |log1p(d / f_t)|)), with gamma_k = k u / (1 - k u) and k = n +
-    r + 6, the scalings and the last addition included (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2002, sections 3.1 and 3.5).
+    iterate, so ``trace`` is nonincreasing, and ends the procedure with
+    ``converged=False``, as the cap of 50 outer steps does: only the
+    certificate reports convergence.
     ``tol`` must be finite and positive.  The trace's ``wall_time_s``
     holds the seconds elapsed at each loss in ``trace``, its last entry
     the whole solve's.
@@ -340,11 +324,9 @@ def ccp_denoise(
             f_new, inner = minimize_box_qp(
                 graph, kappa, coeff, box, f, tol=tol, forcing=_CCP_FORCING
             )
-            change, error = _loss_change(f, f_new, graph, a, b)
+            change = _loss_change(f, f_new, graph, a, b)
             if change > 0.0:
-                # keep the current iterate; a tie up to round-off, or a stall
-                converged = change <= error
-                break
+                break  # keep the current iterate: a stall, not a certificate
             if inner == 0:
                 converged = True  # f passed the QP's stop test: stationary
                 break
@@ -375,8 +357,9 @@ def projected_gradient_denoise(
 
     Fixed step along 2b * Lf + a / f, the gradient of the loss over
     max(1, kappa) that ``trace`` holds, projection onto the per-vertex
-    intervals after every move.  ``step=None`` takes min(1, 1 / (2b * 2 *
-    max degree)), stable as 2 * max degree bounds L's eigenvalues (Gershgorin).
+    intervals after every move.  ``step`` must be finite and positive;
+    ``None`` takes min(1, 1 / (2b * 2 * max degree)), stable as 2 * max
+    degree bounds L's eigenvalues (Gershgorin).
     Not a guaranteed descent method; the best iterate seen is what is
     returned, so the reported loss never exceeds the initialization's.
     ``converged`` means only that the loss changed by at most ``tol`` (finite
@@ -391,8 +374,8 @@ def projected_gradient_denoise(
     if step is None:
         lmax_bound = 2.0 * float(graph.degrees.max())
         step = min(1.0, 1.0 / (2.0 * b * lmax_bound))
-    if not step > 0:
-        raise InvalidArgumentError("step must be positive")
+    if not 0 < step < np.inf:
+        raise InvalidArgumentError(f"step must be finite and positive, got {step}")
     start = time.perf_counter()
     box = _box(g)
     with overflow_guard("projected gradient"):

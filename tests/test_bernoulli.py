@@ -11,6 +11,7 @@ from graphdenoise import (
     InvalidArgumentError,
     bernoulli_denoise,
     build_grid_graph,
+    cg_solve,
     dirichlet_system,
     dropout_penalty,
     harmonic_interpolate,
@@ -224,8 +225,9 @@ class TestLasso:
 
 @pytest.mark.parametrize("kind", ["dense", "scipy"])
 def test_gram_must_be_a_csr_matrix(p3, kind):
-    """The regression takes its Gram as the package's CsrMatrix, the type
-    every caller in the package passes, and refuses a dense or a scipy copy."""
+    """The regressions take their Gram, and cg_solve its matrix, as the
+    package's CsrMatrix, the type every caller in the package passes, and
+    refuse a dense or a scipy copy."""
     gram = p3.laplacian.principal([0, 2])
     other = gram.toarray() if kind == "dense" else as_scipy(gram)
     c = np.array([1.0, -2.0])
@@ -233,6 +235,7 @@ def test_gram_must_be_a_csr_matrix(p3, kind):
         lambda m: lasso_coordinate_descent(m, c, 0.5),
         lambda m: l0_greedy(m, c, 0.5, lambda x: float(x @ x)),
         lambda m: lasso_kkt_violation(m, c, 0.5, np.zeros(2)),
+        lambda m: cg_solve(m, c),
     ]
     for call in calls:
         call(gram)

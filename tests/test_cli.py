@@ -613,6 +613,20 @@ class TestDenoiseCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("second", ["7", "0"], ids=["no-zeros", "zeros"])
+    def test_bernoulli_nan_tau_exit_2(self, tmp_path, capsys, second):
+        """A NaN penalty is refused on the first column, though that column
+        has no zeros and so no suspect to move."""
+        src, out = tmp_path / "g.csv", tmp_path / "o.csv"
+        src.write_text("".join(f"{i + 1},{second if i % 5 == 0 else i + 1}\n" for i in range(16)))
+        rc = main([
+            "denoise", "bernoulli", "--tau", "nan", "--zeta", "zeros", "--graph", "grid",
+            "4x4", "--input", str(src), "--output", str(out),
+        ])
+        assert rc == 2
+        assert "error: column index 0: tau must be a number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_columns_and_errors_name_one_index(self, tmp_path, capsys):
         """--columns I selects the column that a solve error and a selection
         error call column index I."""

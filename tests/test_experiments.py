@@ -358,6 +358,18 @@ class TestRunner:
         assert method.metric == "relative-error"
         assert method.value < noisy.value
 
+    def test_nan_bernoulli_tau_is_an_error_row(self, tmp_path):
+        """Gaussian noise leaves no zeros to suspect, but a NaN tau is still
+        refused: each bernoulli cell is an error row, the rest run."""
+        path = tmp_path / "nan.spec"
+        path.write_text(TINY_SPEC + "\n[method.bernoulli]\ntau = nan\n")
+        rows = run_experiment(parse_experiment_spec(path)).rows
+        bern = [r for r in rows if r.method == "bernoulli"]
+        assert len(bern) == 3
+        assert all(r.metric == "error" and np.isnan(r.value) for r in bern)
+        others = [r for r in rows if r.method != "bernoulli"]
+        assert len(others) == 6 and all(np.isfinite(r.value) for r in others)
+
     def test_cluster_signal_count_defaults_to_one(self, tmp_path):
         """The graph's cluster data and the signals read one count default."""
         text = TINY_SPEC.replace(

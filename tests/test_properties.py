@@ -1,5 +1,5 @@
 """Structural properties of the estimators on random connected graphs,
-and the CLI's exit contract on extreme columns."""
+and the CLI's exit contract on extreme columns, edge lists and graymaps."""
 
 import contextlib
 import io
@@ -383,3 +383,83 @@ def test_uniform_converged_columns_are_stationary(run):
     unconverged = int(found.group(1)) if found else 0
     excess = [_stationarity_excess(graph, g[:, c], f[:, c], kappa) for c in range(g.shape[1])]
     assert sum(e > 1.0 for e in excess) <= unconverged, (excess, err.getvalue())
+
+
+# a header size whose pixel count overflows numpy's, as from a corrupt file
+PGM_HUGE = 99999999999
+# the tokens a P2 payload must refuse as a pixel
+PGM_NOT_PIXELS = ["1.5", "-1", "x", "1e3", "0x1"]
+
+
+@st.composite
+def _pgm_files(draw):
+    """A P2 or P5 graymap: width and height in 0..8 or one of them huge,
+    maxval in and out of [1, 65535], comments between the header tokens,
+    and a payload that is full, one pixel short, or has one pixel over
+    maxval or not an integer.  Returns the bytes, the header's width,
+    height and maxval, and whether the payload is at fault."""
+    binary = draw(st.booleans())
+    # uniform draws, where st.integers would favour the empty image
+    dims = [draw(st.sampled_from(range(9))), draw(st.sampled_from(range(9)))]
+    if draw(st.integers(0, 7)) == 0:
+        dims[draw(st.integers(0, 1))] = PGM_HUGE
+    width, height = dims
+    maxval = draw(st.sampled_from([0, 1, 255, 256, 65535, 65536]))
+    gaps = st.sampled_from([" ", "\n", "\n# a comment\n", "  # 1 2\n "])
+    header = f"P{5 if binary else 2}{draw(gaps)}{width}{draw(gaps)}{height}{draw(gaps)}{maxval}\n"
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    top = min(maxval, np.iinfo(dtype).max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.integers(0, top, min(width * height, 64), endpoint=True)
+    fault = draw(st.sampled_from(["full"] * 5 + ["short", "over", "not-integer"]))
+    faulty = fault != "full" and pixels.size > 0
+    if fault == "short":
+        pixels = pixels[:-1]
+    at = int(rng.integers(0, max(pixels.size, 1)))
+    if fault == "over" and pixels.size:
+        # a P5 pixel has no value over a maxval of 255 or 65535
+        faulty = not binary or top < np.iinfo(dtype).max
+        pixels[at] = top + faulty
+    if binary:
+        payload = pixels.astype(dtype).tobytes()
+        if fault == "not-integer":  # half a pixel short
+            payload = payload[:-1]
+    else:
+        tokens = [str(v) for v in pixels]
+        if fault == "not-integer" and tokens:
+            tokens[at] = draw(st.sampled_from(PGM_NOT_PIXELS))
+        payload = " ".join(tokens).encode()
+    return header.encode() + payload, width, height, maxval, faulty
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pgm=_pgm_files(), graph=st.sampled_from(["grid", "knn"]))
+# a P5 header whose size overflows exited 1 with an OverflowError traceback
+@example(pgm=(b"P5\n99999999999 99999999999\n255\n\x01\x02", PGM_HUGE, PGM_HUGE, 255, True),
+         graph="knn")
+def test_pgm_exit_contract(pgm, graph):
+    """``denoise gaussian --tau 1`` on a generated graymap, on the grid its
+    header names or on ``knn 1``, exits 0 or 2 with no warning.  A payload
+    at fault, or a maxval out of range, exits 2.  Exit 0 writes an image of
+    the same size and maxval with every pixel in [0, maxval]; exit 2 names
+    the file or the graph."""
+    raw, width, height, maxval, faulty = pgm
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "g.pgm"), Path(tmp, "o.pgm")
+        src.write_bytes(raw)
+        spec = ["grid", f"{height}x{width}"] if graph == "grid" else ["knn", "1"]
+        argv = ["denoise", "gaussian", "--tau", "1", "--graph", *spec,
+                "--input", str(src), "--output", str(out)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 2) and not caught, (rc, err.getvalue())
+        if faulty or not 0 < maxval < 65536:
+            assert rc == 2, err.getvalue()
+        if rc == 2:
+            assert str(src) in err.getvalue() or "--graph" in err.getvalue(), err.getvalue()
+            return
+        image = read_matrix(out)
+        assert image.values.shape == (height, width) and image.maxval == maxval
+        assert np.all((0 <= image.values) & (image.values <= maxval))

@@ -2,9 +2,9 @@ import functools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from graphdenoise import (
+    CsrMatrix,
     InvalidArgumentError,
     NotPositiveDefiniteError,
     NumericalFailureError,
@@ -20,6 +20,13 @@ from conftest import (
     shifted_laplacian,
     vertex_mask,
 )
+
+
+def dense_csr(m) -> CsrMatrix:
+    """The package's CsrMatrix holding the nonzeros of a dense matrix."""
+    m = np.asarray(m, dtype=np.float64)
+    rows, cols = np.nonzero(m)
+    return CsrMatrix.from_triplets(m.shape[0], rows, cols, m[rows, cols])
 
 
 class TestCgSolve:
@@ -59,14 +66,14 @@ class TestCgSolve:
         with pytest.raises(NotPositiveDefiniteError):
             cg_solve(shifted_laplacian(p3, -np.ones(3), 0.25), np.ones(3))
         with pytest.raises(NotPositiveDefiniteError):
-            cg_solve(sp.diags([1.0, -1.0, 1.0]).tocsr(), np.array([0.0, 1.0, 0.0]))
+            cg_solve(dense_csr(np.diag([1.0, -1.0, 1.0])), np.array([0.0, 1.0, 0.0]))
         with pytest.raises(NotPositiveDefiniteError):
             cg_solve(shifted_laplacian(p3, -np.ones(3), 0.5), np.ones(3))
 
     def test_indefinite_matrix_is_a_numerical_failure(self):
         """NotPositiveDefiniteError is one kind of numerical failure, so
         callers and the CLI's exit 3 need name only the one class."""
-        op = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        op = dense_csr([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalFailureError, match="not positive definite"):
             cg_solve(op, np.array([1.0, -1.0]))
 
@@ -112,7 +119,7 @@ class TestCgSolve:
     def test_non_finite_curvature_is_a_numerical_failure(self):
         """A p'Ap that overflows raises before any step is taken.  The
         Jacobi step 1e300 * b overflows it at any scale of b."""
-        op = sp.csr_matrix(np.array([[1e-300, 1.0], [1.0, 1e-300]]))
+        op = dense_csr([[1e-300, 1.0], [1.0, 1e-300]])
         with np.errstate(all="ignore"), pytest.raises(
             NumericalFailureError, match="non-finite curvature"
         ):
@@ -120,7 +127,7 @@ class TestCgSolve:
 
     def test_diverged_residual_is_a_numerical_failure(self):
         """A step whose residual norm overflows raises."""
-        op = sp.csr_matrix(np.array([[1.0, 1e300], [1e300, 1.0]]))
+        op = dense_csr([[1.0, 1e300], [1e300, 1.0]])
         with np.errstate(all="ignore"), pytest.raises(
             NumericalFailureError, match="residual diverged"
         ):

@@ -279,6 +279,12 @@ class TestErrorCovariance:
         with pytest.raises(InvalidArgumentError, match="must be nonnegative"):
             map_error_covariance_diag(eigendecompose(p3), kappa, sigma2)
 
+    @pytest.mark.parametrize("kappa,sigma2", [(np.inf, 0.0), (1.0, np.inf)])
+    def test_infinite_parameters_rejected(self, p3, kappa, sigma2):
+        """inf * 0 would read NaN and inf / inf warn: both are refused."""
+        with pytest.raises(InvalidArgumentError, match="nonnegative and finite, got inf"):
+            map_error_covariance_diag(eigendecompose(p3), kappa, sigma2)
+
     def test_zero_kappa_gives_flat_noise(self, p3):
         basis = eigendecompose(p3)
         out = map_error_covariance_diag(basis, 0.0, 3.0)
