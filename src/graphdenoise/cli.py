@@ -17,13 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bernoulli import bernoulli_denoise, dropout_penalty
 from .errors import GraphDenoiseError, InvalidArgumentError, NumericalFailureError
-from .experiments import parse_experiment_spec, run_experiment
-from .gaussian import denoise_gaussian, estimate_tau
 from .graphs import Graph, build_grid_graph, build_knn_graph
 from .matrixio import read_mask, read_matrix, read_text, select_columns, write_matrix
-from .uniform import ccp_denoise
 
 
 def _at_least(minimum: int, text: str) -> int:
@@ -191,6 +187,14 @@ def cmd_denoise(args) -> int:
     graph = _parse_graph_arg(*args.graph, n_rows, infile.signals)
     matrix = infile.signals_for(graph)
     cols = select_columns(args.columns, width)
+    # load only the running model's module, before the clock starts; calls go
+    # through the module, so a function rebound there is the one that runs
+    if args.model == "gaussian":
+        from . import gaussian
+    elif args.model == "uniform":
+        from . import uniform
+    else:
+        from . import bernoulli
     # the dropout family (bernoulli, no-trust, interpolate): the suspicion
     # mask, None for each column's zeros, and the penalty weight
     mask = None
@@ -200,7 +204,7 @@ def cmd_denoise(args) -> int:
         mask = read_mask(args.zeta, n_rows)
     penalty = getattr(args, "tau", None)
     if getattr(args, "p", None) is not None:
-        penalty = dropout_penalty(args.p, 1.0 if args.kappa is None else args.kappa)
+        penalty = bernoulli.dropout_penalty(args.p, 1.0 if args.kappa is None else args.kappa)
 
     out = matrix.copy()
     total_iters = unconverged = 0
@@ -212,14 +216,14 @@ def cmd_denoise(args) -> int:
             if args.model == "gaussian":
                 tau = args.tau
                 if args.estimate_tau:
-                    tau = estimate_tau(g, graph)
+                    tau = gaussian.estimate_tau(g, graph)
                     taus.append(tau)
-                res = denoise_gaussian(g, graph, tau)
+                res = gaussian.denoise_gaussian(g, graph, tau)
             elif args.model == "uniform":
-                res, _ = ccp_denoise(g, graph, kappa=args.kappa)
+                res, _ = uniform.ccp_denoise(g, graph, kappa=args.kappa)
             else:
                 zeta = (g == 0.0) if mask is None else mask
-                res = bernoulli_denoise(g, graph, zeta, penalty, args.mode)
+                res = bernoulli.bernoulli_denoise(g, graph, zeta, penalty, args.mode)
         out[:, c] = res.signal
         total_iters += res.iterations
         unconverged += not res.converged
@@ -247,10 +251,12 @@ def cmd_experiment(args) -> int:
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not nearest.is_dir():
         raise InvalidArgumentError(f"--out {args.out}: {nearest} is not a directory")
-    spec = parse_experiment_spec(args.spec)
+    from . import experiments
+
+    spec = experiments.parse_experiment_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    table = run_experiment(spec)
+    table = experiments.run_experiment(spec)
     # made only now, so a spec refused before any cell leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
     table.to_csv(out_dir / "table.csv")

@@ -60,18 +60,22 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
     """Independent counter-based stream for a cell of the experiment.
 
     The stream depends only on the root seed (a nonnegative integer) and
-    the path coordinates (nonnegative ints or strings), never on execution
-    order.
+    the path coordinates (strings or nonnegative integers, not bools), never
+    on execution order.
     """
     if as_seed(root_seed) is None:
         raise InvalidArgumentError("a stream needs a seed")
     parts = [int(root_seed)]
-    for p in path:
+    for i, p in enumerate(path):
         if isinstance(p, str):
             digest = hashlib.sha256(p.encode("utf-8")).digest()
             parts.append(int.from_bytes(digest[:8], "big") & _SEED_MASK)
-        else:
+        elif isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0:
             parts.append(int(p))
+        else:
+            raise InvalidArgumentError(
+                f"stream path coordinate {i} must be a string or a nonnegative integer, got {p!r}"
+            )
     seq = np.random.SeedSequence(parts)
     return np.random.Generator(np.random.Philox(seq))
 

@@ -69,8 +69,10 @@ def as_mask(s, n: int) -> np.ndarray:
 
 
 def as_seed(seed):
-    """Validate a random seed: None or a nonnegative integer."""
-    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    """Validate a random seed: None or a nonnegative integer, not a bool."""
+    if seed is not None and (
+        isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0)
+    ):
         raise InvalidArgumentError(
             f"seed must be a nonnegative integer, got {seed!r}"
         )

@@ -70,18 +70,31 @@ def must_not_run(*args, **kwargs):
     pytest.fail("ran past a refused output path")
 
 
+def loaded_modules(code, *argv):
+    """The names in sys.modules after ``code`` runs, with ``argv``, in a fresh
+    interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = f"import sys\n{code}\nprint('\\n'.join(sys.modules))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
 class TestDenoiseCommand:
     @pytest.mark.parametrize("output", ["missing/o.csv", "."], ids=["no-parent", "a-directory"])
     def test_output_is_checked_before_any_solve(self, tmp_path, capsys, monkeypatch, output):
         """An --output with no parent directory, or one that names a
         directory, is refused before the input is read or a column solved
         (it failed at the write, after every solve)."""
-        from graphdenoise import cli
+        from graphdenoise import bernoulli, cli
 
         src = tmp_path / "g.csv"
         write_csv(src, np.ones((4, 1)))
         monkeypatch.setattr(cli, "read_matrix", must_not_run)
-        monkeypatch.setattr(cli, "bernoulli_denoise", must_not_run)
+        monkeypatch.setattr(bernoulli, "bernoulli_denoise", must_not_run)
         rc = main([
             "denoise", "bernoulli", "--graph", "grid", "2x2", "--p", "0.2", "--zeta", "zeros",
             "--input", str(src), "--output", str(tmp_path / output),
@@ -1207,6 +1220,33 @@ class TestDenoiseCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]"]
 
+    def test_import_loads_no_submodule(self):
+        """The package root resolves its names on first use, so importing it
+        compiles and runs none of its 12 modules."""
+        loaded = loaded_modules("import graphdenoise")
+        assert sorted(m for m in loaded if m.startswith("graphdenoise.")) == []
+
+    @pytest.mark.parametrize("model,unloaded", [
+        ("gaussian", ["uniform", "bernoulli", "baselines"]),
+        ("uniform", ["gaussian", "spectral", "bernoulli"]),
+        ("bernoulli", ["uniform", "gaussian", "spectral"]),
+    ])
+    def test_denoise_loads_only_its_model(self, tmp_path, model, unloaded):
+        """A denoise command loads its own model's module and neither the
+        other models' nor the experiment runner with its standard library."""
+        src = tmp_path / "g.csv"
+        g = np.random.default_rng(0).uniform(0.5, 2.0, size=(64, 3))
+        g[::5, 0] = 0.0
+        write_csv(src, g)
+        argv = ["denoise", model, "--graph", "grid", "8x8", "--input", str(src),
+                "--output", str(tmp_path / "o.csv")]
+        argv += {"gaussian": ["--tau", "2"], "uniform": [], "bernoulli": ["--p", "0.2"]}[model]
+        loaded = loaded_modules("from graphdenoise.cli import main\nassert main(sys.argv[1:]) == 0",
+                                *argv)
+        assert f"graphdenoise.{model}" in loaded
+        runner = ["graphdenoise.experiments", "logging", "configparser", "csv", "hashlib", "json"]
+        assert sorted(loaded & {*(f"graphdenoise.{m}" for m in unloaded), *runner}) == []
+
     def test_no_subcommand_prints_help_exit_2(self, capsys):
         assert main([]) == 2
         assert "usage: graphdenoise" in capsys.readouterr().err
@@ -1537,12 +1577,12 @@ class TestExperimentCommand:
     def test_out_is_checked_before_the_sweep(self, tmp_path, capsys, monkeypatch, out):
         """An --out whose nearest existing path is a file is refused before
         any cell runs (it failed at the mkdir, after the whole sweep)."""
-        from graphdenoise import cli
+        from graphdenoise import experiments
 
         spec = tmp_path / "tiny.spec"
         spec.write_text(TINY_SPEC)
         (tmp_path / "taken").write_text("kept\n")
-        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        monkeypatch.setattr(experiments, "run_experiment", must_not_run)
         rc = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / out)])
         assert rc == 2
         assert "--out" in capsys.readouterr().err

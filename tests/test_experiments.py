@@ -191,6 +191,25 @@ class TestRngStreams:
         with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
             make_cluster_data(2, 5, seed=-1)
 
+    @pytest.mark.parametrize("path", [(1.5,), (True,), ("x", -1), ("x", None), (b"x",)])
+    def test_path_coordinate_is_a_string_or_a_nonnegative_integer(self, path):
+        """1.5 and True were read as int(coordinate), the stream of 1; -1,
+        None and bytes escaped as a raw ValueError or TypeError."""
+        i = len(path) - 1
+        with pytest.raises(InvalidArgumentError, match=rf"coordinate {i} .*, got {path[i]!r}$"):
+            derive_rng(0, *path)
+
+    def test_a_bool_is_not_a_seed(self):
+        """graphs.as_seed took True as seed 1, for every seeded function."""
+        with pytest.raises(InvalidArgumentError, match="nonnegative integer, got True"):
+            derive_rng(True, "x")
+        with pytest.raises(InvalidArgumentError, match="nonnegative integer, got True"):
+            make_cluster_data(2, 5, seed=True)
+
+    def test_numpy_integer_coordinate_is_its_value(self):
+        a = derive_rng(np.int64(5), "x", np.uint8(3)).standard_normal(4)
+        assert np.array_equal(a, derive_rng(5, "x", 3).standard_normal(4))
+
     def test_a_stream_needs_a_seed(self):
         with pytest.raises(InvalidArgumentError, match="a stream needs a seed"):
             derive_rng(None)

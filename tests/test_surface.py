@@ -17,13 +17,18 @@ one that is not.
 
 import argparse
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphdenoise
 from graphdenoise import (
     InvalidArgumentError,
     apply_filter,
@@ -306,3 +311,63 @@ def test_tol_must_be_finite_and_positive(call, bad):
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError, match=r"^tol must be finite and positive"):
             call(bad)
+
+
+# The package root: each name it re-exports, by home module, in the order a
+# fresh process can import them with no home module loaded before its turn.
+ROOT_NAMES = {
+    "errors": ["DegenerateSignalError", "GraphDenoiseError", "GraphDisconnectedError",
+               "InvalidArgumentError", "NotPositiveDefiniteError", "NumericalFailureError",
+               "TooLargeError"],
+    "result": ["DenoiseResult", "DescentTrace"],
+    "graphs": ["CsrMatrix", "Graph", "build_grid_graph", "build_knn_graph", "dirichlet_energy",
+               "dirichlet_system"],
+    "matrixio": [],
+    "solvers": ["cg_solve", "harmonic_interpolate"],
+    "spectral": ["SpectralBasis", "apply_filter", "eigendecompose", "gft", "igft",
+                 "map_error_covariance_diag", "sample_prior"],
+    "gaussian": ["denoise_gaussian", "estimate_tau"],
+    "bernoulli": ["bernoulli_denoise", "dropout_penalty", "l0_greedy",
+                  "lasso_coordinate_descent"],
+    "uniform": ["ccp_denoise", "projected_gradient_denoise", "uniform_loss"],
+    "baselines": ["band_filter", "local_average", "magic_filter", "nuclear_norm_denoise"],
+    "experiments": ["ExperimentSpec", "ExperimentTable", "add_noise", "ccp_vs_pg_benchmark",
+                    "make_cluster_data", "parse_experiment_spec", "pearson_correlation",
+                    "relative_error", "run_experiment"],
+    "cli": [],
+}
+ROOT_EXPORTS = [(home, name) for home, names in ROOT_NAMES.items() for name in names]
+
+
+@pytest.mark.parametrize("home,name", ROOT_EXPORTS, ids=[n for _, n in ROOT_EXPORTS])
+def test_root_name_is_its_home_modules_object(home, name):
+    module = importlib.import_module(f"graphdenoise.{home}")
+    assert getattr(graphdenoise, name) is getattr(module, name)
+
+
+def test_root_resolves_each_submodule_and_lists_every_name():
+    for home in ROOT_NAMES:
+        assert getattr(graphdenoise, home) is importlib.import_module(f"graphdenoise.{home}")
+    assert graphdenoise.__version__ == "0.1.0"
+    assert {"__version__", *ROOT_NAMES, *(n for _, n in ROOT_EXPORTS)} <= set(dir(graphdenoise))
+
+
+def test_root_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="graphdenoise' has no attribute 'denoise'"):
+        graphdenoise.denoise
+
+
+def test_from_import_loads_the_home_module_in_a_fresh_process():
+    """``from graphdenoise import name`` imports the name's home module on
+    first use; each home is checked unloaded before its names are read."""
+    code = "import sys\nimport graphdenoise\n" + "".join(
+        f"assert 'graphdenoise.{home}' not in sys.modules, {home!r}\n"
+        f"from graphdenoise import {', '.join([home, *names])}\n"
+        f"assert {home} is sys.modules['graphdenoise.{home}']\n"
+        + "".join(f"assert {n} is {home}.{n}, {n!r}\n" for n in names)
+        for home, names in ROOT_NAMES.items()
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
